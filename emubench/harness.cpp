@@ -1,15 +1,14 @@
 // emubench_harness: times one generated scenario through the public
 // scenario API and records what each iteration did.
 //
-//   emubench_harness <file.scn> --seconds S --trace 0|1 --setup-reps N
-//                    --out records.jsonl
+//   emubench_harness <file.scn> --seconds S --trace 0|1 --out records.jsonl
 //
 // Every iteration parses the file (parse_scenario_file), builds the
 // experiment (ExperimentRunner::setup) and runs it (execute), each timed
 // on its own. Iterations repeat until S seconds have passed; the first one
 // also takes a memory census of the fresh process. After each untraced
-// iteration, N further parse+setup cycles, torn down without running, give
-// the set-up time more samples.
+// iteration, kSetupReps further parse+setup cycles, torn down without
+// running, give the set-up time more samples.
 //
 // With --trace 1 the second half of the time runs traced iterations: the
 // BSP profiler on (Platform::enable_profiling, sized so its rings drop
@@ -62,6 +61,8 @@ constexpr const char* kCounters[] = {
 
 // Sampling period of the traced iterations, in microseconds of CPU time.
 constexpr long kSampleIntervalUs = 1000;
+// Set-up-only cycles after each untraced iteration.
+constexpr int kSetupReps = 5;
 constexpr std::size_t kSampleCapacity = 1 << 16;
 // Profiler ring capacity of the first traced iteration; later ones size
 // their rings from the sample totals the previous one saw.
@@ -358,7 +359,6 @@ struct Options {
   std::string scenario;
   double seconds = 10.0;
   bool trace = false;
-  int setup_reps = 0;
   std::string out;
 };
 
@@ -374,8 +374,6 @@ Options parse_options(int argc, char** argv) {
       options.seconds = std::stod(value());
     } else if (arg == "--trace") {
       options.trace = value() == "1";
-    } else if (arg == "--setup-reps") {
-      options.setup_reps = std::stoi(value());
     } else if (arg == "--out") {
       options.out = value();
     } else if (options.scenario.empty() && arg[0] != '-') {
@@ -387,7 +385,7 @@ Options parse_options(int argc, char** argv) {
   if (options.scenario.empty() || options.out.empty()) {
     throw std::runtime_error(
         "usage: emubench_harness <file.scn> --out FILE [--seconds S] "
-        "[--trace 0|1] [--setup-reps N]");
+        "[--trace 0|1]");
   }
   return options;
 }
@@ -406,7 +404,7 @@ int run(const Options& options) {
   Mode mode = Mode::kCensus;
   do {
     run_iteration(options.scenario, mode, nullptr, out);
-    for (int i = 0; i < options.setup_reps; ++i) {
+    for (int i = 0; i < kSetupReps; ++i) {
       run_setup_only(options.scenario, out);
     }
     mode = Mode::kPlain;
