@@ -8,7 +8,8 @@
 // on its own. Iterations repeat until S seconds have passed; the first one
 // also takes a memory census of the fresh process. After each untraced
 // iteration, kSetupReps further parse+setup cycles, torn down without
-// running, give the set-up time more samples.
+// running, give the set-up time more samples. Around each execute() a
+// fixed reference kernel (reference.hpp) measures the host's speed.
 //
 // With --trace 1 the second half of the time runs traced iterations: the
 // BSP profiler on (Platform::enable_profiling, sized so its rings drop
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "profile/profiler.hpp"
+#include "reference.hpp"
 #include "sampler.hpp"
 #include "scenario/parser.hpp"
 #include "scenario/runner.hpp"
@@ -62,7 +64,7 @@ constexpr const char* kCounters[] = {
 // Sampling period of the traced iterations, in microseconds of CPU time.
 constexpr long kSampleIntervalUs = 1000;
 // Set-up-only cycles after each untraced iteration.
-constexpr int kSetupReps = 5;
+constexpr int kSetupReps = 20;
 constexpr std::size_t kSampleCapacity = 1 << 16;
 // Profiler ring capacity of the first traced iteration; later ones size
 // their rings from the sample totals the previous one saw.
@@ -191,6 +193,23 @@ ScenarioSpec parse(const std::string& path, double* parse_s) {
   return std::move(*result.spec);
 }
 
+/// The CPUs the engine's workers run on: where they were pinned in the
+/// last run, or before the first run the CPUs pinning will pick.
+std::vector<int> worker_cpus(const p2plab::core::Platform& platform) {
+  std::vector<int> cpus;
+  for (const int cpu : platform.worker_cpus()) {
+    if (cpu >= 0) cpus.push_back(cpu);
+  }
+  if (cpus.empty()) {
+    const std::vector<int> online =
+        p2plab::profile::Profiler::online_cpu_list();
+    const std::size_t count = std::min(platform.shard_count(), online.size());
+    cpus.assign(online.begin(),
+                online.begin() + static_cast<std::ptrdiff_t>(count));
+  }
+  return cpus;
+}
+
 /// The simulated outcome of a swarm run: who completed, and when.
 void swarm_verdicts(ExperimentRunner& runner, Record& record) {
   p2plab::bt::Swarm& swarm = runner.swarm();
@@ -258,6 +277,11 @@ void run_iteration(const std::string& path, Mode mode, TracedState* traced,
   const double rss_after_setup = mode == Mode::kCensus ? rss_mb() : 0.0;
 
   p2plab::core::Platform& platform = runner.platform();
+  // The host's speed just before and just after the run (reference.hpp).
+  // The census iteration measures only after its run, and only once its
+  // peak RSS is read: the kernel's memory must not count toward that peak.
+  const double reference_before_s =
+      mode == Mode::kCensus ? 0.0 : reference_seconds(worker_cpus(platform));
   if (mode == Mode::kTraced) {
     platform.enable_profiling(traced->ring_capacity);
     traced->sampler.start(kSampleIntervalUs);
@@ -268,6 +292,11 @@ void run_iteration(const std::string& path, Mode mode, TracedState* traced,
   const double run_s = seconds_since(run_start);
   const CpuTime cpu_end = cpu_time();
   if (mode == Mode::kTraced) traced->sampler.stop();
+  const double peak_rss_after_run = peak_rss_mb();
+  const double reference_after_s = reference_seconds(worker_cpus(platform));
+  const double reference_s = mode == Mode::kCensus
+                                 ? reference_after_s
+                                 : (reference_before_s + reference_after_s) / 2;
 
   const std::size_t shards = platform.shard_count();
   const int cores = p2plab::profile::Profiler::online_cores();
@@ -282,6 +311,7 @@ void run_iteration(const std::string& path, Mode mode, TracedState* traced,
       .num("parse_s", parse_s)
       .num("setup_s", setup_s)
       .num("run_s", run_s)
+      .num("reference_s", reference_s)
       .num("cpu_s", cpu_end.user_s + cpu_end.sys_s - cpu_start.user_s -
                         cpu_start.sys_s)
       .num("sys_s", cpu_end.sys_s - cpu_start.sys_s)
@@ -312,7 +342,7 @@ void run_iteration(const std::string& path, Mode mode, TracedState* traced,
   if (mode == Mode::kCensus) {
     record.num("rss_before_setup_mb", rss_before)
         .num("rss_after_setup_mb", rss_after_setup)
-        .num("peak_rss_after_run_mb", peak_rss_mb());
+        .num("peak_rss_after_run_mb", peak_rss_after_run);
   }
   if (mode == Mode::kTraced) {
     const p2plab::profile::Profiler& profiler = platform.profiler();

@@ -14,7 +14,9 @@ and prints a summary followed by one JSON line:
 
 With --trace 0 the metrics are the end-to-end ones (host time and memory a
 user of the emulator pays); with --trace 1 they are the per-layer ones of a
-traced run. README.md in this directory names every metric.
+traced run. Host times are in reference seconds, which cancel the shared
+box's drift in speed (REFERENCE_NOMINAL_S below). README.md in this
+directory names every metric.
 """
 
 import argparse
@@ -42,6 +44,13 @@ SWARM_CLIENTS = 64
 SWARM_FILE = "1M"
 GOSSIP_MEMBERS = 128
 GOSSIP_RUN_S = 7200
+
+# Host times are reported in reference seconds: host seconds scaled by
+# REFERENCE_NOMINAL_S over how long the fixed reference kernel
+# (reference.hpp) took on the workers' CPUs around the run's iterations. A
+# reference second is a host second on a host that runs the kernel in
+# exactly REFERENCE_NOMINAL_S, so the shared box's drift in speed cancels.
+REFERENCE_NOMINAL_S = 0.05
 
 END_TO_END_UNITS = {
     "setup_s": "s",
@@ -93,6 +102,8 @@ PER_LAYER_UNITS = {
     "mem.bytes_per_vnode": "B",
     "trace.overhead_ratio": "ratio",
     "trace.unattributed_share": "share",
+    "host.reference_s": "s",
+    "host.unscaled_run_s": "s",
 }
 
 
@@ -297,7 +308,21 @@ def ratio(numerator, denominator):
     return numerator / denominator if denominator else 0.0
 
 
+def scaled(records):
+    """The records with every host time in reference seconds. One factor
+    serves the whole run, from the median of its reference calls: that
+    follows the host's slow and fast phases, which last minutes, without
+    adding the jitter of single calls to each iteration."""
+    factor = REFERENCE_NOMINAL_S / statistics.median(
+        r["reference_s"] for r in records
+        if r["kind"] in ("iteration", "traced"))
+    keys = ("parse_s", "setup_s", "run_s", "cpu_s", "sys_s")
+    return [dict(r, **{k: r[k] * factor for k in keys if k in r})
+            for r in records]
+
+
 def end_to_end(records):
+    records = scaled(records)
     untraced = [r for r in records if r["kind"] == "iteration"]
     setups = [r["parse_s"] + r["setup_s"] for r in records
               if r["kind"] in ("iteration", "setup", "traced")]
@@ -312,6 +337,11 @@ def end_to_end(records):
 
 
 def per_layer(records):
+    unscaled_run_s = statistics.median(
+        r["run_s"] for r in records if r["kind"] == "iteration")
+    references = [r["reference_s"] for r in records
+                  if r["kind"] in ("iteration", "traced")]
+    records = scaled(records)
     untraced = [r for r in records if r["kind"] == "iteration"]
     traced = [r for r in records if r["kind"] == "traced"]
     clean = [r for r in traced if r["ring_dropped"] == 0]
@@ -376,6 +406,8 @@ def per_layer(records):
              census["rss_before_setup_mb"]) * 2**20, census["vnodes"]),
         "trace.overhead_ratio": ratio(median_of("run_s", traced), run_s),
         "trace.unattributed_share": ratio(samples["unattributed"], total),
+        "host.reference_s": statistics.median(references),
+        "host.unscaled_run_s": unscaled_run_s,
     }
     for m in LAYERS:
         metrics[f"{m}.self_share"] = shares[m]

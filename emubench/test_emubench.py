@@ -4,8 +4,9 @@
     python3 emubench/test_emubench.py
 
 Builds the harness like run.py does, then checks that the seeded inputs
-repeat, that swarm and swarm-k2 print the same simulated fingerprint, and
-that a small gossip run passes every check with no failed verdict.
+repeat, that a uniformly slower host leaves the reference-scaled times
+unchanged, that swarm and swarm-k2 print the same simulated fingerprint,
+and that a small gossip run passes every check with no failed verdict.
 """
 
 import os
@@ -31,6 +32,27 @@ class SeededInputsTest(unittest.TestCase):
         two = run.scenario_for("swarm-k2", 5)[0].splitlines()
         diff = [(a, b) for a, b in zip(one, two) if a != b]
         self.assertEqual(diff, [("shards 1", "shards 2")])
+
+
+class ReferenceScalingTest(unittest.TestCase):
+    def test_a_uniformly_slower_host_reads_the_same(self):
+        fast = [
+            {"kind": "iteration", "parse_s": 1e-4, "setup_s": 3e-4,
+             "run_s": 2.0, "cpu_s": 2.1, "sys_s": 0.01, "reference_s": 0.05,
+             "peak_rss_after_run_mb": 20.0},
+            {"kind": "setup", "parse_s": 2e-4, "setup_s": 4e-4},
+            {"kind": "iteration", "parse_s": 1e-4, "setup_s": 3e-4,
+             "run_s": 2.2, "cpu_s": 2.3, "sys_s": 0.01, "reference_s": 0.06},
+        ]
+        host_times = ("parse_s", "setup_s", "run_s", "cpu_s", "sys_s",
+                      "reference_s")
+        slow = [dict(r, **{k: r[k] * 1.7 for k in host_times if k in r})
+                for r in fast]
+        want = run.end_to_end(fast)
+        got = run.end_to_end(slow)
+        for name in want:
+            self.assertAlmostEqual(got[name], want[name], places=12)
+        self.assertEqual(got["peak_rss_mb"], 20.0)
 
 
 class HarnessTest(unittest.TestCase):
