@@ -54,8 +54,8 @@ Outcome run(std::size_t pnodes, Bandwidth nic) {
     outcome.last_completion_s = times.max();
   }
   for (std::size_t p = 0; p < platform.physical_node_count(); ++p) {
-    outcome.nic_drops += platform.network().host(p).nic_tx().stats().dropped +
-                         platform.network().host(p).nic_rx().stats().dropped;
+    outcome.nic_drops += platform.host(p).nic_tx().stats().dropped +
+                         platform.host(p).nic_rx().stats().dropped;
   }
   return outcome;
 }

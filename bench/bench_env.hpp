@@ -64,13 +64,12 @@ inline bool profile_enabled(int argc, char** argv) {
 }
 
 /// Shard count for the parallel engine: `--shards=N` on the command line,
-/// else P2PLAB_SHARDS, else 0 (the classic single-threaded path). Any
-/// other argument except the `--profile` forms (owned by
-/// profile_enabled(), accepted by every harness that calls this), or an
-/// unparseable count, is fatal (exit 2) — flags must never be silently
-/// swallowed.
+/// else P2PLAB_SHARDS, else 1. Any other argument except the `--profile`
+/// forms (owned by profile_enabled(), accepted by every harness that calls
+/// this), or an unparseable or zero count, is fatal (exit 2) — flags must
+/// never be silently swallowed.
 inline std::size_t shards(int argc, char** argv) {
-  std::size_t result = env_size("P2PLAB_SHARDS", 0);
+  std::size_t result = env_size("P2PLAB_SHARDS", 1);
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
     constexpr std::string_view prefix = "--shards=";
@@ -81,7 +80,7 @@ inline std::size_t shards(int argc, char** argv) {
       const char* text = argv[i] + prefix.size();
       char* end = nullptr;
       const long long parsed = std::strtoll(text, &end, 10);
-      if (end == text || *end != '\0' || parsed < 0) {
+      if (end == text || *end != '\0' || parsed < 1) {
         std::fprintf(stderr, "bad shard count in '%s'\n", argv[i]);
         std::exit(2);
       }
@@ -92,6 +91,11 @@ inline std::size_t shards(int argc, char** argv) {
                    "--profile[=on|off])\n", argv[i]);
       std::exit(2);
     }
+  }
+  if (result == 0) {
+    std::fprintf(stderr, "P2PLAB_SHARDS=0: the engine needs at least 1 "
+                         "shard\n");
+    std::exit(2);
   }
   return result;
 }

@@ -28,10 +28,7 @@ int main(int argc, char** argv) {
   bench::banner("Figures 10+11",
                 "scalability: " + std::to_string(spec.swarm.clients) +
                     " clients at 32 vnodes per pnode, " +
-                    (spec.engine.shards == 0
-                         ? std::string("classic engine")
-                         : std::to_string(spec.engine.shards) +
-                               " shard(s)"));
+                    std::to_string(spec.engine.shards) + " shard(s)");
   scenario::ExperimentRunner runner(std::move(spec));
   return runner.run();
 }

@@ -54,12 +54,13 @@ int main(int argc, char** argv) {
       {"10.2.2.117", "10.3.0.7", 2 * (5.0 + 1000 + 10)},
       {"10.1.1.9", "10.2.0.50", 2 * (100.0 + 400 + 5)},
   };
+  const topology::Topology& topo = platform.topology();
   for (const auto& probe : probes) {
-    platform.ping(ip(probe.src), ip(probe.dst), [&](Duration rtt) {
-      csv.row({probe.src, probe.dst, std::to_string(rtt.to_millis()),
-               std::to_string(probe.expected_ms)});
-    });
-    platform.sim().run();
+    const auto rtt = platform.ping(*topo.node_index(ip(probe.src)),
+                                   *topo.node_index(ip(probe.dst)));
+    csv.row({probe.src, probe.dst,
+             rtt ? std::to_string(rtt->to_millis()) : "lost",
+             std::to_string(probe.expected_ms)});
   }
 
   // The rule budget of the paper's example: the node hosting 10.1.3.207.

@@ -6,8 +6,10 @@
 // knob and CI muscle memory): the experiment itself is the catalog spec,
 // executed by the ExperimentRunner exactly as `p2plab_run` would.
 //
-// `--shards=N` (or P2PLAB_SHARDS=N) runs on the parallel engine; the event
-// stream — and therefore every output row — is bit-identical for any N.
+// `--shards=N` (or P2PLAB_SHARDS=N; default 1) sets the engine's shard
+// count; the event stream — and therefore every figure row — is
+// bit-identical for any N (only the health timeline's wall-clock columns
+// differ).
 #include "bench_env.hpp"
 #include "scenario/catalog.hpp"
 #include "scenario/runner.hpp"

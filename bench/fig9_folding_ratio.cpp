@@ -60,27 +60,18 @@ int main(int argc, char** argv) {
     content_seed = runner.spec().swarm.content_seed;
     runner.setup();
     core::Platform& platform = runner.platform();
-    // The health timeline samples through the classic simulation clock;
-    // under the parallel engine state is per shard, so it stays off.
-    const bool classic = runner.spec().effective_shards() == 0;
-    if (classic) {
-      monitor.set_label("fold=" + std::to_string(fold));
-      monitor.start(platform.sim(), runner.registry());
-    }
+    monitor.set_label("fold=" + std::to_string(fold));
+    platform.attach_monitor(monitor);
     runner.execute();
-    if (classic) monitor.stop();  // final sample; precedes destruction
+    platform.detach_monitor();  // final sample; precedes destruction
     const SimTime end = platform.now() + step;
     longest_end = std::max(longest_end, end);
     curves.push_back(runner.swarm().total_bytes_curve(step, longest_end));
     // The paper: "we monitored the system load, the memory usage, and the
     // disk I/O on every physical node. None of them was a problem."
-    // (Host CPU accounting also lives in the classic network.)
     double max_cpu = 0.0;
-    if (classic) {
-      for (std::size_t p = 0; p < platform.physical_node_count(); ++p) {
-        max_cpu = std::max(max_cpu,
-                           platform.network().host(p).cpu_utilization());
-      }
+    for (std::size_t p = 0; p < platform.physical_node_count(); ++p) {
+      max_cpu = std::max(max_cpu, platform.host(p).cpu_utilization());
     }
     std::printf("# folding %zux: %zu pnodes, done at %.0f s, %zu/%zu "
                 "complete, max host CPU %.1f%%\n",
@@ -90,7 +81,7 @@ int main(int argc, char** argv) {
                 runner.swarm().client_count(), 100.0 * max_cpu);
     // End-of-run health report: sim-kernel throughput, ipfw scan totals and
     // the per-link byte counters, per fold.
-    if (classic) monitor.print_report();
+    monitor.print_report();
     if (fold == last_fold) {
       // Standard run summary from the densest deployment (the paper's
       // stress case), profiler rollup included under --profile.

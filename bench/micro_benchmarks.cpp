@@ -181,11 +181,8 @@ void BM_PingRoundTrip(benchmark::State& state) {
   core::Platform platform(topology::homogeneous_dsl(2),
                           core::PlatformConfig{.physical_nodes = 2});
   for (auto _ : state) {
-    bool done = false;
-    platform.ping(platform.vnode(0).ip(), platform.vnode(1).ip(),
-                  [&](Duration) { done = true; });
-    platform.sim().run();
-    benchmark::DoNotOptimize(done);
+    const auto rtt = platform.ping(0, 1);
+    benchmark::DoNotOptimize(rtt);
   }
 }
 BENCHMARK(BM_PingRoundTrip);

@@ -55,7 +55,7 @@ int main() {
   }
 
   // ASCII swarm progress: one row per 60 s, '#' per 10% average progress.
-  const SimTime end = platform.sim().now();
+  const SimTime end = platform.now();
   std::printf("\nswarm average progress over time:\n");
   for (SimTime t = SimTime::zero(); t <= end; t += Duration::sec(60)) {
     double total = 0.0;

@@ -64,21 +64,21 @@ int main(int argc, char** argv) {
               platform.physical_node_count(), platform.folding_ratio(),
               platform.total_rules());
 
-  const Ipv4Addr adsl = topo.node_address(0);
-  const Ipv4Addr fiber = topo.node_address(40);
-  const Ipv4Addr campus = topo.node_address(60);
-  auto probe = [&](const char* label, Ipv4Addr a, Ipv4Addr b) {
-    platform.ping(a, b, [=](Duration rtt) {
-      std::printf("  %-22s %-12s -> %-12s  %8.1f ms\n", label,
-                  a.to_string().c_str(), b.to_string().c_str(),
-                  rtt.to_millis());
-    });
-    platform.sim().run();
+  // First node of each zone (global vnode indices).
+  const std::size_t adsl = 0;
+  const std::size_t fiber = 40;
+  const std::size_t campus = 60;
+  auto probe = [&](const char* label, std::size_t a, std::size_t b) {
+    const auto rtt = platform.ping(a, b);
+    std::printf("  %-22s %-12s -> %-12s  %8.1f ms\n", label,
+                topo.node_address(a).to_string().c_str(),
+                topo.node_address(b).to_string().c_str(),
+                rtt ? rtt->to_millis() : -1.0);
   };
   std::printf("\nprobes:\n");
   probe("adsl -> fiber", adsl, fiber);
   probe("adsl -> campus", adsl, campus);
   probe("fiber -> campus", fiber, campus);
-  probe("within campus", campus, topo.node_address(61));
+  probe("within campus", campus, campus + 1);
   return 0;
 }

@@ -22,11 +22,11 @@ Ipv4Addr ip(const char* text) { return *Ipv4Addr::parse(text); }
 
 void measure(core::Platform& platform, const char* label, const char* from,
              const char* to) {
-  platform.ping(ip(from), ip(to), [=](Duration rtt) {
-    std::printf("  %-34s %15s -> %-15s rtt %8.1f ms\n", label, from, to,
-                rtt.to_millis());
-  });
-  platform.sim().run();
+  const topology::Topology& topo = platform.topology();
+  const auto rtt =
+      platform.ping(*topo.node_index(ip(from)), *topo.node_index(ip(to)));
+  std::printf("  %-34s %15s -> %-15s rtt %8.1f ms\n", label, from, to,
+              rtt ? rtt->to_millis() : -1.0);
 }
 
 }  // namespace
@@ -62,20 +62,22 @@ int main() {
                             sock->send(file);
                           });
                         });
-    const SimTime start = platform.sim().now();
+    const SimTime start = platform.now();
     platform.api(client_idx)
         .connect(platform.vnode(server_idx).ip(), 9000,
                  [&](sockets::StreamSocketPtr sock) {
                    sock->on_message([&, start, label](sockets::Message&&) {
                      std::printf("  %-34s %8.2f s\n", label,
-                                 (platform.sim().now() - start).to_seconds());
+                                 (platform.sim_of_vnode(client_idx).now() -
+                                  start)
+                                     .to_seconds());
                    });
                    sockets::Message req;
                    req.type = 1;
                    req.size = DataSize::bytes(100);
                    sock->send(req);
                  });
-    platform.sim().run();
+    platform.run(SimTime::max());
   };
 
   // Node indices: 10.2.0.0/16 zone spans indices 750..1749.

@@ -36,16 +36,10 @@ int main() {
 
   // Ping between two co-located vnodes and two remote ones: both pay the
   // emulated access-link latency; only the remote pair crosses the switch.
-  platform.ping(platform.vnode(0).ip(), platform.vnode(1).ip(),
-                [](Duration rtt) {
-                  std::printf("ping vnode0 -> vnode1 (same machine): %s\n",
-                              rtt.to_string().c_str());
-                });
-  platform.ping(platform.vnode(0).ip(), platform.vnode(7).ip(),
-                [](Duration rtt) {
-                  std::printf("ping vnode0 -> vnode7 (across switch): %s\n",
-                              rtt.to_string().c_str());
-                });
+  std::printf("ping vnode0 -> vnode1 (same machine): %s\n",
+              platform.ping(0, 1)->to_string().c_str());
+  std::printf("ping vnode0 -> vnode7 (across switch): %s\n",
+              platform.ping(0, 7)->to_string().c_str());
 
   // A toy request/response application across the emulated network.
   auto listener = platform.api(7).listen(
@@ -55,7 +49,7 @@ int main() {
                       DataSize::bytes(msg.size.count_bytes())
                           .to_string()
                           .c_str(),
-                      platform.sim().now().to_string().c_str());
+                      platform.sim_of_vnode(7).now().to_string().c_str());
           sockets::Message reply;
           reply.type = 2;
           reply.size = DataSize::kib(64);
@@ -69,7 +63,7 @@ int main() {
           std::printf("client: reply received at t=%s "
                       "(64 KiB through the server's 128 kb/s uplink "
                       "~ 4.1 s + latency)\n",
-                      platform.sim().now().to_string().c_str());
+                      platform.sim_of_vnode(0).now().to_string().c_str());
         });
         sockets::Message request;
         request.type = 1;
@@ -77,10 +71,9 @@ int main() {
         sock->send(request);
       });
 
-  platform.sim().run();
+  platform.run(SimTime::max());
   std::printf("done at simulated t=%s after %llu events\n",
-              platform.sim().now().to_string().c_str(),
-              static_cast<unsigned long long>(
-                  platform.sim().dispatched_events()));
+              platform.now().to_string().c_str(),
+              static_cast<unsigned long long>(platform.dispatched_events()));
   return 0;
 }

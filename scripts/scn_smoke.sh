@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Smoke-run every shipped scenario through p2plab_run, on the classic
-# engine (shards=0) and the parallel engine (shards=2). A run fails the
-# matrix if it exits nonzero or if any output it declares (per
-# --print-outputs, which honors the same --set overrides) is missing or
-# empty. Client counts are overridden downward so the whole matrix stays
-# within a CI minute; the code paths exercised are the full ones.
+# Smoke-run every shipped scenario through p2plab_run on one and on two
+# engine shards. A run fails the matrix if it exits nonzero or if any
+# output it declares (per --print-outputs, which honors the same --set
+# overrides; the health timeline `metrics` included) is missing or empty.
+# Client counts are overridden downward so the whole matrix stays within
+# a CI minute; the code paths exercised are the full ones.
 #
 # usage: scripts/scn_smoke.sh <path-to-p2plab_run> [scenarios-dir]
 set -euo pipefail
@@ -37,7 +37,7 @@ status=0
 for scn in "${scn_files[@]}"; do
   base=$(basename "$scn" .scn)
   read -ra extra <<< "$(overrides_for "$base")"
-  for shards in 0 2; do
+  for shards in 1 2; do
     out=$(mktemp -d)
     echo "=== $base shards=$shards ==="
     if ! P2PLAB_RESULTS_DIR="$out" \

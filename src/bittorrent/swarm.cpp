@@ -28,8 +28,7 @@ Swarm::Swarm(core::Platform& platform, SwarmConfig config)
   client_config.verify_hashes = config_.verify_hashes;
 
   // vnodes 1..seeders: initial seeders, online from t=0. Each client runs
-  // on the simulation owning its vnode — the single simulation in classic
-  // mode, its shard's in engine mode.
+  // on the simulation of its vnode's shard.
   for (std::size_t s = 0; s < config_.seeders; ++s) {
     const std::size_t v = 1 + s;
     seeders_.push_back(std::make_unique<Client>(
@@ -60,9 +59,9 @@ Swarm::Swarm(core::Platform& platform, SwarmConfig config)
 
 void Swarm::bind_metrics(metrics::Registry& reg) {
   platform_->bind_metrics(reg);
-  // Clients bind to their vnode's registry: `reg` itself in classic mode,
-  // the owning shard's single-writer registry in engine mode (merged into
-  // `reg` at the end of every Platform::run).
+  // Clients bind to their vnode's registry: the owning shard's
+  // single-writer registry, merged into `reg` at the end of every
+  // Platform::run.
   for (std::size_t s = 0; s < seeders_.size(); ++s) {
     seeders_[s]->bind_metrics(platform_->registry_of_vnode(1 + s));
   }

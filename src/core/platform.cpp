@@ -16,52 +16,45 @@ Platform::Platform(const topology::Topology& topo, PlatformConfig config)
     : topo_(topo), config_(config), rng_(config.seed) {
   P2PLAB_ASSERT(config_.physical_nodes >= 1);
   P2PLAB_ASSERT(topo_.total_nodes() >= 1);
-  if (config_.shards > 0) {
-    // Parallel engine: one Simulation/Network/SocketManager per shard. Every
-    // shard's network forks the *same* rng stream the classic network would
-    // use — hosts then fork host streams keyed on their global index, so
-    // randomness is identical under any partition.
-    const std::size_t k = std::min(config_.shards, config_.physical_nodes);
-    engine_ = std::make_unique<engine::Engine>(topo_.min_access_latency() +
-                                               config_.network.switch_latency);
-    const int online = profile::Profiler::online_cores();
-    if (k > 1 && online < static_cast<int>(k)) {
-      std::fprintf(stderr,
-                   "[p2plab] WARNING: %d online core(s) for %zu shards — "
-                   "worker threads will time-slice, so wall-clock numbers "
-                   "from this run are NOT a parallel-scaling datapoint "
-                   "(degraded_parallelism)\n",
-                   online, k);
-    }
-    // Pin by default only when every worker can own a core; spin at the
-    // barrier under the same condition (spinning on a time-sliced core
-    // steals cycles from the very thread it waits for).
-    const bool cores_for_all = online >= static_cast<int>(k);
-    engine_->set_pin_workers(config_.pin_workers.value_or(cores_for_all));
-    engine_->set_barrier_mode(config_.barrier.value_or(
-        cores_for_all ? engine::BarrierMode::kSpin
-                      : engine::BarrierMode::kBlock));
-    engine_->set_window_mode(config_.window);
-    shard_of_pnode_ =
-        config_.partition == engine::PartitionMode::kTopo
-            ? engine::topo_partition(topo_, config_.physical_nodes, k,
-                                     config_.seed)
-            : engine::stripe_partition(config_.physical_nodes, k);
-    for (std::size_t s = 0; s < k; ++s) {
-      auto shard = std::make_unique<Shard>();
-      shard->network = std::make_unique<net::Network>(shard->sim, rng_.fork(1),
-                                                      config_.network);
-      shard->sockets = std::make_unique<sockets::SocketManager>(
-          *shard->network, vnode::Interceptor{config_.syscall_costs},
-          config_.stream);
-      engine_->add_shard(shard->sim, *shard->network);
-      shards_.push_back(std::move(shard));
-    }
-  } else {
-    network_ = std::make_unique<net::Network>(sim_, rng_.fork(1),
-                                              config_.network);
-    sockets_ = std::make_unique<sockets::SocketManager>(
-        *network_, vnode::Interceptor{config_.syscall_costs}, config_.stream);
+  P2PLAB_ASSERT_MSG(config_.shards >= 1, "the engine needs at least 1 shard");
+  // One Simulation/Network/SocketManager per shard. Every shard's network
+  // forks the *same* rng stream — hosts then fork host streams keyed on
+  // their global index, so randomness is identical under any partition.
+  const std::size_t k = std::min(config_.shards, config_.physical_nodes);
+  engine_ = std::make_unique<engine::Engine>(topo_.min_access_latency() +
+                                             config_.network.switch_latency);
+  const int online = profile::Profiler::online_cores();
+  if (k > 1 && online < static_cast<int>(k)) {
+    std::fprintf(stderr,
+                 "[p2plab] WARNING: %d online core(s) for %zu shards — "
+                 "worker threads will time-slice, so wall-clock numbers "
+                 "from this run are NOT a parallel-scaling datapoint "
+                 "(degraded_parallelism)\n",
+                 online, k);
+  }
+  // Pin by default only when every worker can own a core; spin at the
+  // barrier under the same condition (spinning on a time-sliced core
+  // steals cycles from the very thread it waits for).
+  const bool cores_for_all = online >= static_cast<int>(k);
+  engine_->set_pin_workers(config_.pin_workers.value_or(cores_for_all));
+  engine_->set_barrier_mode(config_.barrier.value_or(
+      cores_for_all ? engine::BarrierMode::kSpin
+                    : engine::BarrierMode::kBlock));
+  engine_->set_window_mode(config_.window);
+  shard_of_pnode_ =
+      config_.partition == engine::PartitionMode::kTopo
+          ? engine::topo_partition(topo_, config_.physical_nodes, k,
+                                   config_.seed)
+          : engine::stripe_partition(config_.physical_nodes, k);
+  for (std::size_t s = 0; s < k; ++s) {
+    auto shard = std::make_unique<Shard>();
+    shard->network = std::make_unique<net::Network>(shard->sim, rng_.fork(1),
+                                                    config_.network);
+    shard->sockets = std::make_unique<sockets::SocketManager>(
+        *shard->network, vnode::Interceptor{config_.syscall_costs},
+        config_.stream);
+    engine_->add_shard(shard->sim, *shard->network);
+    shards_.push_back(std::move(shard));
   }
   build_cluster();
   deploy_vnodes();
@@ -80,23 +73,6 @@ Platform::~Platform() {
   if (profiling()) profile::Profiler::set_thread_active(nullptr);
 }
 
-sim::Simulation& Platform::sim() {
-  P2PLAB_ASSERT_MSG(!engine_mode(),
-                    "no single simulation in engine mode: use sim_of_vnode "
-                    "and Platform::run");
-  return sim_;
-}
-
-net::Network& Platform::network() {
-  P2PLAB_ASSERT_MSG(!engine_mode(), "per-shard networks in engine mode");
-  return *network_;
-}
-
-sockets::SocketManager& Platform::sockets() {
-  P2PLAB_ASSERT_MSG(!engine_mode(), "per-shard socket managers in engine mode");
-  return *sockets_;
-}
-
 std::size_t Platform::folding_ratio() const {
   const std::size_t n = topo_.total_nodes();
   const std::size_t p = config_.physical_nodes;
@@ -107,44 +83,31 @@ std::size_t Platform::pnode_of_vnode(std::size_t i) const {
   return i / folding_ratio();
 }
 
-std::size_t Platform::shard_of_pnode(std::size_t p) const {
-  if (!engine_) return 0;
-  return shard_of_pnode_.at(p);
-}
-
 sim::Simulation& Platform::sim_of_vnode(std::size_t i) {
-  if (!engine_) return sim_;
   return shards_[shard_of_pnode(pnode_of_vnode(i))]->sim;
 }
 
 metrics::Registry& Platform::registry_of_vnode(std::size_t i) {
-  if (engine_) return shards_[shard_of_pnode(pnode_of_vnode(i))]->registry;
-  P2PLAB_ASSERT_MSG(master_reg_ != nullptr,
-                    "bind_metrics first: classic mode has no default registry");
-  return *master_reg_;
+  return shards_[shard_of_pnode(pnode_of_vnode(i))]->registry;
 }
 
 net::Network& Platform::network_of_pnode(std::size_t p) {
-  return engine_ ? *shards_[shard_of_pnode(p)]->network : *network_;
+  return *shards_[shard_of_pnode(p)]->network;
 }
 
 sockets::SocketManager& Platform::sockets_of_pnode(std::size_t p) {
-  return engine_ ? *shards_[shard_of_pnode(p)]->sockets : *sockets_;
+  return *shards_[shard_of_pnode(p)]->sockets;
 }
 
-SimTime Platform::now() const {
-  return engine_ ? engine_->now() : sim_.now();
-}
+SimTime Platform::now() const { return engine_->now(); }
 
 std::uint64_t Platform::dispatched_events() const {
-  if (!engine_) return sim_.dispatched_events();
   std::uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->sim.dispatched_events();
   return total;
 }
 
 std::size_t Platform::pending_events() const {
-  if (!engine_) return sim_.pending_events();
   // Handoffs parked in the engine's outbox buffers across a stop count as
   // pending: they re-enter a simulation at the next run's first window.
   std::size_t total = engine_->pending_handoffs();
@@ -155,67 +118,50 @@ std::size_t Platform::pending_events() const {
 Platform::RunResult Platform::run(SimTime deadline,
                                   std::function<bool()> stop_predicate,
                                   Duration check_interval) {
-  if (engine_) {
-    const engine::Engine::StopReason reason =
-        engine_->run(deadline, std::move(stop_predicate), check_interval);
-    merge_shard_metrics();
-    switch (reason) {
-      case engine::Engine::StopReason::kPredicate:
-        return RunResult::kPredicate;
-      case engine::Engine::StopReason::kDeadline:
-        return RunResult::kDeadline;
-      default:
-        return RunResult::kDrained;
-    }
+  std::function<void()> on_barrier;
+  if (monitor_ != nullptr) {
+    // Every worker is parked at the barrier: fold the shard registries so
+    // the tracked columns are current, then sample.
+    on_barrier = [this] {
+      if (!monitor_->due(now())) return;
+      merge_shard_metrics();
+      monitor_->sample(health_probe());
+    };
   }
-  // Classic mode: chunked run_until calls. With profiling on, each chunk
-  // becomes one execute sample in the single shard-0 ring — wall-clock
-  // bookkeeping between chunks, invisible to virtual time.
-  profile::SampleRing* const ring =
-      profiler_ != nullptr ? &profiler_->shard_ring(0) : nullptr;
-  auto chunk = [&](SimTime until) {
-    if (ring == nullptr) {
-      sim_.run_until(until);
-      return;
-    }
-    const std::uint64_t t0 = profiler_->now_ns();
-    const std::uint64_t ev0 = sim_.dispatched_events();
-    sim_.run_until(until);
-    const std::uint64_t t1 = profiler_->now_ns();
-    ring->push(profile::PhaseSample{.start_ns = t0,
-                                    .dur_ns = t1 - t0,
-                                    .window = classic_chunk_++,
-                                    .events = sim_.dispatched_events() - ev0,
-                                    .queue_depth = sim_.pending_events(),
-                                    .phase = profile::Phase::kExecute});
-  };
-  const profile::Profiler::ThreadTime rusage_base =
-      profiler_ != nullptr ? profile::Profiler::thread_rusage()
-                           : profile::Profiler::ThreadTime{};
-  const auto finish = [this, rusage_base] {
-    if (profiler_ == nullptr) return;
-    const profile::Profiler::ThreadTime now =
-        profile::Profiler::thread_rusage();
-    profiler_->add_worker_time(
-        0, {now.user_s - rusage_base.user_s, now.sys_s - rusage_base.sys_s});
-  };
-  for (;;) {
-    if (stop_predicate && stop_predicate()) {
-      finish();
+  const engine::Engine::StopReason reason =
+      engine_->run(deadline, std::move(stop_predicate), check_interval,
+                   std::move(on_barrier));
+  merge_shard_metrics();
+  switch (reason) {
+    case engine::Engine::StopReason::kPredicate:
       return RunResult::kPredicate;
-    }
-    const auto next = sim_.next_event_time();
-    if (!next.has_value()) {
-      finish();
-      return RunResult::kDrained;
-    }
-    if (*next >= deadline) {
-      chunk(deadline);
-      finish();
+    case engine::Engine::StopReason::kDeadline:
       return RunResult::kDeadline;
-    }
-    chunk(std::min(deadline, sim_.now() + check_interval));
+    default:
+      return RunResult::kDrained;
   }
+}
+
+metrics::HealthProbe Platform::health_probe() const {
+  return {.now = now(),
+          .events = dispatched_events(),
+          .queue_depth = pending_events()};
+}
+
+void Platform::attach_monitor(metrics::HealthMonitor& monitor) {
+  P2PLAB_ASSERT_MSG(master_reg_ != nullptr,
+                    "bind_metrics first: the monitor reads its registry");
+  P2PLAB_ASSERT_MSG(monitor_ == nullptr, "a monitor is already attached");
+  merge_shard_metrics();
+  monitor_ = &monitor;
+  monitor_->start(*master_reg_, health_probe());
+}
+
+void Platform::detach_monitor() {
+  if (monitor_ == nullptr) return;
+  merge_shard_metrics();
+  monitor_->stop(health_probe());
+  monitor_ = nullptr;
 }
 
 void Platform::merge_shard_metrics() {
@@ -230,16 +176,10 @@ void Platform::merge_shard_metrics() {
 
 void Platform::bind_metrics(metrics::Registry& reg) {
   master_reg_ = &reg;
-  if (engine_) {
-    for (const auto& shard : shards_) {
-      shard->sim.bind_metrics(shard->registry);
-      shard->network->bind_metrics(shard->registry);
-      shard->sockets->bind_metrics(shard->registry);
-    }
-  } else {
-    sim_.bind_metrics(reg);
-    network_->bind_metrics(reg);
-    sockets_->bind_metrics(reg);
+  for (const auto& shard : shards_) {
+    shard->sim.bind_metrics(shard->registry);
+    shard->network->bind_metrics(shard->registry);
+    shard->sockets->bind_metrics(shard->registry);
   }
 }
 
@@ -253,7 +193,7 @@ void Platform::build_cluster() {
         "pnode" + std::to_string(p + 1), admin, config_.host,
         /*global_index=*/p);
     host_by_pnode_.push_back(&host);
-    if (engine_) engine_->map_address(admin, shard_of_pnode(p));
+    engine_->map_address(admin, shard_of_pnode(p));
   }
 }
 
@@ -270,7 +210,7 @@ void Platform::deploy_vnodes() {
     processes_.push_back(std::make_unique<vnode::Process>(*vnodes_.back()));
     apis_.push_back(std::make_unique<sockets::SocketApi>(
         sockets_of_pnode(p), *processes_.back()));
-    if (engine_) engine_->map_address(topo_.node_address(i), shard_of_pnode(p));
+    engine_->map_address(topo_.node_address(i), shard_of_pnode(p));
   }
 }
 
@@ -413,33 +353,36 @@ void Platform::apply_link_config(std::size_t i) {
   fw.pipe(ap.down).reconfigure(cfg);
 }
 
-void Platform::ping(Ipv4Addr src, Ipv4Addr dst,
-                    std::function<void(Duration)> on_rtt, DataSize size) {
-  P2PLAB_ASSERT_MSG(!engine_mode(),
-                    "ping is classic-mode only: its reply closure would run "
-                    "on the destination's shard");
-  const SimTime start = sim_.now();
-  const ipfw::FlowId flow = 0x7f000000ull + ++ping_flow_;
-  net::Packet request;
-  request.src = src;
-  request.dst = dst;
-  request.wire_size = size;
-  request.flow = flow;
-  request.kind = net::PacketKind::kDatagram;
-  request.on_deliver = [this, start, size, flow,
-                        cb = std::move(on_rtt)](net::Packet&& p) mutable {
-    net::Packet reply;
-    reply.src = p.dst;
-    reply.dst = p.src;
-    reply.wire_size = size;
-    reply.flow = flow;
-    reply.kind = net::PacketKind::kDatagram;
-    reply.on_deliver = [this, start, cb = std::move(cb)](net::Packet&&) {
-      cb(sim_.now() - start);
-    };
-    network_->send(std::move(reply));
-  };
-  network_->send(std::move(request));
+std::optional<Duration> Platform::ping(std::size_t src, std::size_t dst,
+                                       DataSize size) {
+  // Between runs the calling thread owns every shard, so the sockets are
+  // set up and the probe sent from here; the request leaves `src` at now()
+  // and crosses shards through the engine like any datagram.
+  constexpr std::uint16_t kEchoPort = 7;
+  const std::uint64_t payload =
+      size.count_bytes() > sockets::kUdpHeaderBytes
+          ? size.count_bytes() - sockets::kUdpHeaderBytes
+          : 0;
+  const SimTime start = now();
+  std::optional<Duration> rtt;
+  const sockets::DatagramSocketPtr echo = api(dst).udp_bind(kEchoPort);
+  echo->on_message([raw = echo.get()](sockets::Message&& m, Ipv4Addr from,
+                                      std::uint16_t port) {
+    raw->send_to(from, port, std::move(m));
+  });
+  const sockets::DatagramSocketPtr probe = api(src).udp_bind();
+  const sim::Simulation& src_sim = sim_of_vnode(src);
+  probe->on_message([&rtt, &src_sim, start](sockets::Message&&, Ipv4Addr,
+                                            std::uint16_t) {
+    rtt = src_sim.now() - start;
+  });
+  probe->send_to(api(dst).effective_bind_address(), kEchoPort,
+                 sockets::Message{0, DataSize::bytes(payload), nullptr});
+  run(start + Duration::sec(60), [&rtt] { return rtt.has_value(); },
+      engine_->lookahead());
+  probe->close();
+  echo->close();
+  return rtt;
 }
 
 std::size_t Platform::total_rules() const {
@@ -451,28 +394,19 @@ std::size_t Platform::total_rules() const {
 }
 
 void Platform::enable_tracing(std::size_t capacity) {
-  if (engine_) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      shards_[s]->recorder =
-          std::make_unique<metrics::FlightRecorder>(capacity);
-      engine_->set_recorder(s, shards_[s]->recorder.get());
-    }
-    // Setup-time events (main thread) land in shard 0's ring — the same
-    // ring for every shard count, preserving determinism.
-    metrics::FlightRecorder::set_active(shards_[0]->recorder.get());
-  } else {
-    recorder_ = std::make_unique<metrics::FlightRecorder>(capacity);
-    metrics::FlightRecorder::set_active(recorder_.get());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s]->recorder = std::make_unique<metrics::FlightRecorder>(capacity);
+    engine_->set_recorder(s, shards_[s]->recorder.get());
   }
+  // Setup-time events (main thread) land in shard 0's ring — the same ring
+  // for every shard count, preserving determinism.
+  metrics::FlightRecorder::set_active(shards_[0]->recorder.get());
 }
 
-bool Platform::tracing() const {
-  return recorder_ != nullptr ||
-         (!shards_.empty() && shards_[0]->recorder != nullptr);
-}
+bool Platform::tracing() const { return shards_[0]->recorder != nullptr; }
 
 std::uint64_t Platform::trace_dropped() const {
-  std::uint64_t dropped = recorder_ ? recorder_->dropped() : 0;
+  std::uint64_t dropped = 0;
   for (const auto& shard : shards_) {
     if (shard->recorder) dropped += shard->recorder->dropped();
   }
@@ -485,7 +419,6 @@ std::vector<std::string> Platform::trace_lines() const {
     auto rendered = rec.rendered_events();
     std::move(rendered.begin(), rendered.end(), std::back_inserter(events));
   };
-  if (recorder_) append(*recorder_);
   for (const auto& shard : shards_) {
     if (shard->recorder) append(*shard->recorder);
   }
@@ -508,14 +441,14 @@ void Platform::enable_profiling(std::size_t ring_capacity) {
   if (profiler_ != nullptr) return;
   profiler_ = std::make_unique<profile::Profiler>(shard_count(),
                                                   ring_capacity);
-  if (engine_) engine_->set_profiler(profiler_.get());
-  // Crash drain for the main thread (covers classic mode and setup-time
-  // assertions); engine workers install their own on entry.
+  engine_->set_profiler(profiler_.get());
+  // Crash drain for the main thread (setup-time assertions); engine
+  // workers install their own on entry.
   profile::Profiler::set_thread_active(profiler_.get());
 }
 
 std::vector<int> Platform::worker_cpus() const {
-  if (engine_ && !engine_->worker_cpus().empty()) {
+  if (!engine_->worker_cpus().empty()) {
     return engine_->worker_cpus();
   }
   return std::vector<int>(shard_count(), -1);
@@ -537,8 +470,8 @@ bool Platform::flush_trace_to_results(const char* filename) const {
     std::fputs(line.c_str(), out);
     std::fputc('\n', out);
   }
-  std::fclose(out);
-  return true;
+  const bool write_failed = std::ferror(out) != 0;
+  return (std::fclose(out) == 0) && !write_failed;
 }
 
 }  // namespace p2plab::core

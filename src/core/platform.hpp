@@ -8,15 +8,14 @@
 // per-virtual-node process environments and socket APIs for the studied
 // application. A ping probe reproduces the paper's latency measurements.
 //
-// With PlatformConfig::shards > 0 the platform runs on the parallel engine
-// (src/engine): physical nodes are partitioned across shards — by the
+// The platform runs on the parallel engine (src/engine): physical nodes
+// are partitioned across PlatformConfig::shards shards — by the
 // topology-aware zone-affinity partitioner by default, or plain contiguous
 // striping (engine/partition.hpp) — one Simulation + Network +
 // SocketManager per shard, driven by worker threads under conservative
 // synchronization. The partition is invisible to results: a K-shard run is
-// bit-identical to the 1-shard engine run under either partitioner (see
-// engine/engine.hpp and DESIGN.md §9). shards == 0 keeps the classic
-// single-threaded path with zero engine involvement.
+// bit-identical to the 1-shard run under either partitioner (see
+// engine/engine.hpp and DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
@@ -30,6 +29,7 @@
 #include "engine/engine.hpp"
 #include "engine/partition.hpp"
 #include "ipfw/pipe.hpp"
+#include "metrics/health.hpp"
 #include "metrics/recorder.hpp"
 #include "net/network.hpp"
 #include "profile/profiler.hpp"
@@ -61,9 +61,9 @@ struct PlatformConfig {
   /// just headroom and never the regulating mechanism (DESIGN.md §13).
   DataSize vnode_pipe_queue = DataSize::mib(8);
   std::uint64_t seed = 1;
-  /// Parallel engine shard count; 0 = classic single-threaded mode.
-  /// Clamped to physical_nodes (a shard owns whole physical nodes).
-  std::size_t shards = 0;
+  /// Parallel engine shard count (>= 1). Clamped to physical_nodes (a
+  /// shard owns whole physical nodes).
+  std::size_t shards = 1;
   /// Pin each shard worker to one online CPU. Unset = automatic: pin when
   /// the process affinity mask holds at least as many cores as shards (a
   /// degraded box gains nothing from pinning everything to one core).
@@ -90,12 +90,6 @@ class Platform {
   Platform(const Platform&) = delete;
   Platform& operator=(const Platform&) = delete;
 
-  /// Classic-mode accessors; in engine mode state is per shard, so use
-  /// sim_of_vnode / run / now / the aggregate counters instead.
-  sim::Simulation& sim();
-  net::Network& network();
-  sockets::SocketManager& sockets();
-
   const topology::Topology& topology() const { return topo_; }
   const PlatformConfig& config() const { return config_; }
   Rng& rng() { return rng_; }
@@ -107,6 +101,9 @@ class Platform {
   vnode::Process& process(std::size_t i) { return *processes_.at(i); }
   sockets::SocketApi& api(std::size_t i) { return *apis_.at(i); }
   net::Host& host_of_vnode(std::size_t i) { return vnodes_.at(i)->host(); }
+  /// Physical node p. Its state belongs to its shard: touch it between
+  /// runs, or from events scheduled on that shard.
+  net::Host& host(std::size_t p) { return *host_by_pnode_.at(p); }
   /// Physical node index hosting virtual node i.
   std::size_t pnode_of_vnode(std::size_t i) const;
 
@@ -115,19 +112,20 @@ class Platform {
 
   // -- parallel engine -----------------------------------------------------
 
-  bool engine_mode() const { return engine_ != nullptr; }
-  /// Worker threads driving the platform (1 in classic mode).
-  std::size_t shard_count() const { return engine_ ? shards_.size() : 1; }
-  /// Shard owning physical node p (0 in classic mode).
-  std::size_t shard_of_pnode(std::size_t p) const;
+  /// Worker threads driving the platform.
+  std::size_t shard_count() const { return shards_.size(); }
+  /// Shard owning physical node p.
+  std::size_t shard_of_pnode(std::size_t p) const {
+    return shard_of_pnode_.at(p);
+  }
 
   /// The simulation that owns vnode i's state. Application code must
-  /// schedule a vnode's events here (classic mode: the one simulation) so
-  /// they execute on the owning shard's thread.
+  /// schedule a vnode's events here so they execute on the owning shard's
+  /// thread.
   sim::Simulation& sim_of_vnode(std::size_t i);
-  /// The registry a vnode's application metrics must bind to (per shard in
-  /// engine mode — single-writer; merged into the master on run end).
-  /// Classic mode / before bind_metrics: the master registry itself.
+  /// The registry a vnode's application metrics must bind to: its shard's
+  /// single-writer registry, merged into the bind_metrics() registry after
+  /// every run() and at every health sample.
   metrics::Registry& registry_of_vnode(std::size_t i);
 
   /// Platform-wide clock: identical on every shard at every stop.
@@ -142,10 +140,18 @@ class Platform {
   };
   /// Run until `deadline`, the predicate (evaluated every `check_interval`
   /// of simulated time) returns true, or the event queues drain. The only
-  /// way to advance an engine-mode platform; in classic mode it is
-  /// equivalent to chunked Simulation::run_until calls.
+  /// way to advance the platform.
   RunResult run(SimTime deadline, std::function<bool()> stop_predicate = {},
                 Duration check_interval = Duration::sec(5));
+
+  /// Start `monitor` against the bind_metrics() registry. run() then
+  /// samples it under the BSP barrier whenever a period boundary has
+  /// passed, after folding the shard registries so tracked columns are
+  /// current. The monitor schedules no events: drain-style runs still
+  /// drain.
+  void attach_monitor(metrics::HealthMonitor& monitor);
+  /// Take the monitor's final sample and detach it.
+  void detach_monitor();
 
   // -- vnode lifecycle (fault injection) ----------------------------------
   //
@@ -157,8 +163,8 @@ class Platform {
   // exhaustion while it is gone. rejoin_vnode restores routing; the
   // application layer re-starts its process on top.
   //
-  // In engine mode these touch only the owning shard's state: call them
-  // from events scheduled on sim_of_vnode(i) (the fault injector does).
+  // These touch only the owning shard's state: call them from events
+  // scheduled on sim_of_vnode(i) (the fault injector does).
 
   bool vnode_online(std::size_t i) const { return vnode_online_.at(i) != 0; }
   void crash_vnode(std::size_t i);
@@ -189,25 +195,26 @@ class Platform {
     return access_pipes_.at(i);
   }
 
-  /// ICMP-echo-like probe: round-trip time of a `size`-byte packet through
-  /// the full emulated path, both ways. The callback fires on reply.
-  /// Classic mode only (the engine carries socket traffic exclusively).
-  void ping(Ipv4Addr src, Ipv4Addr dst, std::function<void(Duration)> on_rtt,
-            DataSize size = DataSize::bytes(64));
+  /// Ping from vnode `src` to vnode `dst`: a `size`-byte UDP datagram
+  /// (header included) through the socket API and the full emulated path
+  /// to an echo socket on `dst`, and back. Call it between runs; it runs
+  /// the platform until the echo returns and yields the round-trip time,
+  /// or nullopt if the probe was lost.
+  std::optional<Duration> ping(std::size_t src, std::size_t dst,
+                               DataSize size = DataSize::bytes(64));
 
   /// Total IPFW rules installed across all physical nodes (diagnostics).
   std::size_t total_rules() const;
 
-  /// Bind the whole platform's instrumentation to `reg`. Engine mode binds
-  /// each shard's subsystems to a private registry and folds those into
-  /// `reg` after every run() (Registry::merge_from).
+  /// Bind the whole platform's instrumentation to `reg`: each shard's
+  /// subsystems bind to a private registry, folded into `reg` after every
+  /// run() (Registry::merge_from).
   void bind_metrics(metrics::Registry& reg);
 
   // -- tracing ------------------------------------------------------------
 
-  /// Activate flight recording: one ring in classic mode, one per shard in
-  /// engine mode (workers activate their own — recording never crosses
-  /// threads).
+  /// Activate flight recording: one ring per shard (workers activate their
+  /// own — recording never crosses threads).
   void enable_tracing(std::size_t capacity = 1 << 16);
   bool tracing() const;
   /// Events lost to ring wraparound, summed over recorders. trace_lines()
@@ -217,22 +224,21 @@ class Platform {
   /// sorted by (timestamp, line bytes), which is shard-count independent.
   std::vector<std::string> trace_lines() const;
   /// Write trace_lines() to $P2PLAB_RESULTS_DIR/<filename>; false if the
-  /// env var is unset, tracing is off, or the file cannot be written.
+  /// env var is unset, tracing is off, or any write fails.
   bool flush_trace_to_results(const char* filename = "trace.jsonl") const;
 
   // -- wall-clock profiling (profile/profiler.hpp) ------------------------
 
   /// Activate the BSP profiler: one phase-sample ring per shard worker plus
-  /// a coordinator ring (classic mode: one ring fed by Platform::run's
-  /// chunk loop). Wall-clock only — virtual time and event order stay
-  /// bit-identical with profiling on or off.
+  /// a coordinator ring. Wall-clock only — virtual time and event order
+  /// stay bit-identical with profiling on or off.
   void enable_profiling(std::size_t ring_capacity = 1 << 15);
   bool profiling() const { return profiler_ != nullptr; }
   /// Valid after enable_profiling().
   profile::Profiler& profiler() { return *profiler_; }
   const profile::Profiler& profiler() const { return *profiler_; }
   /// CPU each worker was pinned to on the last run (-1 = unpinned; one
-  /// entry per shard, a single -1 entry in classic mode).
+  /// entry per shard).
   std::vector<int> worker_cpus() const;
   /// Write the Perfetto timeline to $P2PLAB_RESULTS_DIR/<filename>; false
   /// if profiling is off, the env var is unset or the write fails.
@@ -256,6 +262,7 @@ class Platform {
   net::Network& network_of_pnode(std::size_t p);
   sockets::SocketManager& sockets_of_pnode(std::size_t p);
   void merge_shard_metrics();
+  metrics::HealthProbe health_probe() const;
 
   /// Per-vnode link-fault overlay on top of the topology's base pipe
   /// configuration (set_link_* recompute base + overlay so faults compose
@@ -268,19 +275,15 @@ class Platform {
 
   topology::Topology topo_;
   PlatformConfig config_;
-  sim::Simulation sim_;  // classic mode; idle when sharded
   Rng rng_;
-  std::unique_ptr<net::Network> network_;            // classic mode
-  std::unique_ptr<sockets::SocketManager> sockets_;  // classic mode
-  std::unique_ptr<metrics::FlightRecorder> recorder_;  // classic tracing
   std::unique_ptr<profile::Profiler> profiler_;
-  std::uint64_t classic_chunk_ = 0;  // classic-mode profile window index
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<engine::Engine> engine_;
-  /// pnode -> shard table (engine mode; see PlatformConfig::partition).
+  /// pnode -> shard table (see PlatformConfig::partition).
   std::vector<std::size_t> shard_of_pnode_;
   std::vector<net::Host*> host_by_pnode_;
   metrics::Registry* master_reg_ = nullptr;
+  metrics::HealthMonitor* monitor_ = nullptr;
   std::vector<std::unique_ptr<vnode::VirtualNode>> vnodes_;
   std::vector<std::unique_ptr<vnode::Process>> processes_;
   std::vector<std::unique_ptr<sockets::SocketApi>> apis_;
@@ -289,7 +292,6 @@ class Platform {
   /// uint8_t, not bool: vector<bool> packs bits, and adjacent vnodes can
   /// live on different shards — independent bytes keep writes race-free.
   std::vector<std::uint8_t> vnode_online_;
-  std::uint64_t ping_flow_ = 0;
 };
 
 }  // namespace p2plab::core

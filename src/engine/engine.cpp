@@ -117,11 +117,13 @@ std::size_t Engine::pending_handoffs() const {
 
 Engine::StopReason Engine::run(SimTime deadline,
                                std::function<bool()> stop_predicate,
-                               Duration check_interval) {
+                               Duration check_interval,
+                               std::function<void()> on_barrier) {
   P2PLAB_ASSERT_MSG(!sims_.empty(), "no shards registered");
   P2PLAB_ASSERT(check_interval > Duration::zero());
   deadline_ = deadline;
   stop_predicate_ = std::move(stop_predicate);
+  on_barrier_ = std::move(on_barrier);
   check_interval_ = check_interval;
   // Evaluate the predicate before executing anything: the caller's stop
   // condition may already hold (e.g. resuming a finished swarm).
@@ -151,6 +153,7 @@ Engine::StopReason Engine::run(SimTime deadline,
     if (cursor_ < deadline_) cursor_ = deadline_;
   }
   stop_predicate_ = nullptr;
+  on_barrier_ = nullptr;
   switch (phase_) {
     case Phase::kStopPredicate: return StopReason::kPredicate;
     case Phase::kStopDeadline: return StopReason::kDeadline;
@@ -304,6 +307,7 @@ void Engine::worker(std::size_t shard) {
 }
 
 void Engine::coordinate() {
+  if (on_barrier_) on_barrier_();
   const std::size_t k = sims_.size();
   // 1. Global minimum pending time over the simulations *and* the parked
   //    handoff runs (sorted by their producers, so each front is that run's

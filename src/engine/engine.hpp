@@ -233,10 +233,13 @@ class Engine final : public net::FabricHandoff {
   /// Run all shards until `deadline` (clocks advance to it), the optional
   /// `stop_predicate` returns true (evaluated under the barrier, on the
   /// fixed grid of `check_interval` multiples so the evaluation schedule is
-  /// shard-count-independent), or every shard drains. Resumable: a stopped
-  /// engine continues exactly where it left off on the next call.
+  /// shard-count-independent), or every shard drains. `on_barrier`, when
+  /// set, runs under every barrier before the stop checks, with every
+  /// worker parked: the hook for observers of cross-shard state. Resumable:
+  /// a stopped engine continues exactly where it left off on the next call.
   StopReason run(SimTime deadline, std::function<bool()> stop_predicate = {},
-                 Duration check_interval = Duration::sec(5));
+                 Duration check_interval = Duration::sec(5),
+                 std::function<void()> on_barrier = {});
 
   /// FabricHandoff: called by a shard's Network for every inter-host
   /// packet. `stamp` must land at or beyond the current window's end —
@@ -333,6 +336,7 @@ class Engine final : public net::FabricHandoff {
   SimTime deadline_ = SimTime::max();
   Duration check_interval_ = Duration::sec(5);
   std::function<bool()> stop_predicate_;
+  std::function<void()> on_barrier_;
   Phase phase_ = Phase::kRunWindow;
   bool running_ = false;
 };

@@ -32,9 +32,9 @@ void FaultInjector::arm() {
   std::uint64_t next_id = 0;
   for (const FaultSpec& spec : plan_.specs()) {
     const std::uint64_t id = next_id++;
-    // Each fault is scheduled on the simulation owning its target, so in
-    // engine mode the injection executes on that shard's worker thread and
-    // only ever touches that shard's infrastructure.
+    // Each fault is scheduled on the simulation owning its target, so the
+    // injection executes on that shard's worker thread and only ever
+    // touches that shard's infrastructure.
     sim::Simulation& sim = sim_for(spec);
     const SimTime at = spec.at < sim.now() ? sim.now() : spec.at;
     sim.schedule_at(at, [this, spec, id] { inject(spec, id); });

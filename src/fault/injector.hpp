@@ -106,9 +106,9 @@ class FaultInjector {
   ServiceHooks service_hooks_;
   InjectorStats stats_;
   InjectorMetrics metrics_;
-  /// Guards stats_, metrics_ and tracker_outages_: in engine mode faults
-  /// execute on shard worker threads, and the master-registry cells behind
-  /// metrics_ are plain non-atomic stores.
+  /// Guards stats_, metrics_ and tracker_outages_: faults execute on shard
+  /// worker threads, and the master-registry cells behind metrics_ are
+  /// plain non-atomic stores.
   std::mutex mu_;
   bool armed_ = false;
   std::uint64_t tracker_outages_ = 0;  // nested-outage refcount

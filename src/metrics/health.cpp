@@ -1,7 +1,6 @@
 #include "metrics/health.hpp"
 
 #include "common/assert.hpp"
-#include "metrics/recorder.hpp"
 
 namespace p2plab::metrics {
 
@@ -9,6 +8,14 @@ namespace {
 
 double wall_s(std::chrono::steady_clock::duration d) {
   return std::chrono::duration<double>(d).count();
+}
+
+/// First multiple of `period` strictly after `t`. The platform samples at
+/// barrier times, which are shard-count independent, so the due grid and
+/// the rows are too.
+SimTime next_multiple(SimTime t, Duration period) {
+  const std::int64_t p = period.count_ns();
+  return SimTime::from_ns((t.count_ns() / p + 1) * p);
 }
 
 }  // namespace
@@ -39,32 +46,23 @@ HealthMonitor::HealthMonitor(Options options) : opt_(std::move(options)) {
   csv_ = std::make_unique<CsvWriter>(opt_.csv_name, columns);
 }
 
-HealthMonitor::~HealthMonitor() {
-  // A still-armed task would fire into a dead monitor; stopping here only
-  // helps when the simulation is still alive — callers must stop() before
-  // destroying the simulation (see header).
-  if (running()) stop();
-}
-
-void HealthMonitor::start(sim::Simulation& sim, Registry& reg) {
+void HealthMonitor::start(Registry& reg, const HealthProbe& at) {
   P2PLAB_ASSERT_MSG(!running(), "HealthMonitor already started");
-  sim_ = &sim;
+  P2PLAB_ASSERT(opt_.period > Duration::zero());
   reg_ = &reg;
   run_wall_start_ = Clock::now();
   last_wall_ = run_wall_start_;
-  run_events_start_ = sim.dispatched_events();
-  last_events_ = run_events_start_;
-  last_sim_time_ = sim.now();
-  task_.start(sim, opt_.period, opt_.period, [this] { sample(false); });
+  run_events_start_ = at.events;
+  last_events_ = at.events;
+  last_sim_time_ = at.now;
+  next_due_ = next_multiple(at.now, opt_.period);
 }
 
-void HealthMonitor::stop() {
+void HealthMonitor::stop(const HealthProbe& at) {
   if (!running()) return;
-  task_.stop();
-  sample(true);
+  sample(at, true);
   done_wall_s_ += wall_s(Clock::now() - run_wall_start_);
-  done_events_ += sim_->dispatched_events() - run_events_start_;
-  sim_ = nullptr;
+  done_events_ += at.events - run_events_start_;
   last_reg_ = reg_;
   reg_ = nullptr;
 }
@@ -75,20 +73,13 @@ double HealthMonitor::wall_seconds() const {
   return total;
 }
 
-std::uint64_t HealthMonitor::events_observed() const {
-  std::uint64_t total = done_events_;
-  if (running()) total += sim_->dispatched_events() - run_events_start_;
-  return total;
-}
-
-void HealthMonitor::sample(bool final_sample) {
+void HealthMonitor::sample(const HealthProbe& at, bool final_sample) {
   const Clock::time_point wall_now = Clock::now();
   const double wall_total_s =
       done_wall_s_ + wall_s(wall_now - run_wall_start_);
   const double wall_delta_s = wall_s(wall_now - last_wall_);
-  const std::uint64_t events = sim_->dispatched_events();
-  const std::uint64_t events_delta = events - last_events_;
-  const Duration sim_delta = sim_->now() - last_sim_time_;
+  const std::uint64_t events_delta = at.events - last_events_;
+  const Duration sim_delta = at.now - last_sim_time_;
 
   // Rates over the sampling interval; 0 when wall time barely advanced
   // (coarse timers, back-to-back samples).
@@ -103,10 +94,10 @@ void HealthMonitor::sample(bool final_sample) {
   // multi-hour run's footprint does not grow with its sample count.
   row_.clear();
   row_.push_back(label_);
-  row_.push_back(std::to_string(sim_->now().to_seconds()));
+  row_.push_back(std::to_string(at.now.to_seconds()));
   row_.push_back(std::to_string(wall_total_s));
-  row_.push_back(std::to_string(events));
-  row_.push_back(std::to_string(sim_->pending_events()));
+  row_.push_back(std::to_string(at.events));
+  row_.push_back(std::to_string(at.queue_depth));
   row_.push_back(std::to_string(events_per_wall_s));
   row_.push_back(std::to_string(sim_per_wall));
   for (const std::string& name : opt_.tracked) {
@@ -114,12 +105,6 @@ void HealthMonitor::sample(bool final_sample) {
   }
   csv_->row(row_);
   ++samples_;
-
-  P2PLAB_TRACE(sim_->now(), "health", final_sample ? "final" : "tick",
-               {{"events", events},
-                {"events_per_wall_s", events_per_wall_s},
-                {"sim_s_per_wall_s", sim_per_wall},
-                {"queue_depth", sim_->pending_events()}});
 
   // Heartbeat: wall-clock rate limited, so a stalled simulation stays
   // quiet and a fast one does not spam (one line per ~10 wall seconds).
@@ -129,16 +114,17 @@ void HealthMonitor::sample(bool final_sample) {
     std::fprintf(stderr,
                  "[p2plab health] sim=%.0fs wall=%.0fs %.3g ev/s "
                  "%.3g sim-s/wall-s queue=%zu\n",
-                 sim_->now().to_seconds(), wall_total_s, events_per_wall_s,
-                 sim_per_wall, sim_->pending_events());
+                 at.now.to_seconds(), wall_total_s, events_per_wall_s,
+                 sim_per_wall, at.queue_depth);
     // Heartbeat cadence doubles as the timeline flush cadence: whoever is
     // watching the stderr pulse can tail the csv mirror at the same lag.
     csv_->flush();
   }
 
   last_wall_ = wall_now;
-  last_events_ = events;
-  last_sim_time_ = sim_->now();
+  last_events_ = at.events;
+  last_sim_time_ = at.now;
+  next_due_ = next_multiple(at.now, opt_.period);
 }
 
 void HealthMonitor::print_report(std::FILE* out) const {

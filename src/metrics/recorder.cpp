@@ -149,8 +149,8 @@ bool FlightRecorder::flush_to_results(const char* filename) const {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) return false;
   flush(out);
-  std::fclose(out);
-  return true;
+  const bool write_failed = std::ferror(out) != 0;
+  return std::fclose(out) == 0 && !write_failed;
 }
 
 void FlightRecorder::set_active(FlightRecorder* recorder) {

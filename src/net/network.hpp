@@ -131,7 +131,6 @@ class Network {
   /// the inbound firewall on arrival. Engine mode requires socket_demux
   /// traffic — an on_deliver closure could capture source-shard state.
   void set_fabric_handoff(FabricHandoff* handoff) { handoff_ = handoff; }
-  bool engine_mode() const { return handoff_ != nullptr; }
 
   /// Destination entry point for handed-off packets; the engine schedules
   /// this at the packet's stamp on the owning shard's simulation, acquiring
@@ -161,7 +160,7 @@ class Network {
   /// one byte of state replaces a std::function that the old code also
   /// re-copied at every pipe stage.
   enum class PathStage : std::uint8_t {
-    kSource,       // classic/loopback source side: fabric or local arrival
+    kSource,       // standalone/loopback source side: fabric or local arrival
     kSourceDefer,  // engine mode: source side ends in handoff_exit
     kDest,         // destination side: ends in deliver
   };

@@ -213,8 +213,8 @@ bool Profiler::write_perfetto_to_results(const char* filename) const {
   if (out == nullptr) return false;
   const std::string json = perfetto_json();
   std::fputs(json.c_str(), out);
-  std::fclose(out);
-  return true;
+  const bool write_failed = std::ferror(out) != 0;
+  return std::fclose(out) == 0 && !write_failed;
 }
 
 void Profiler::fold_into(metrics::Registry& reg) const {

@@ -52,7 +52,7 @@ const char* phase_name(Phase phase);
 struct PhaseSample {
   std::uint64_t start_ns = 0;  // wall clock, ns since the profiler's epoch
   std::uint64_t dur_ns = 0;
-  std::uint64_t window = 0;       // BSP window index (chunk index classic)
+  std::uint64_t window = 0;       // BSP window index
   std::uint64_t events = 0;       // kernel events dispatched in the phase
   std::uint64_t queue_depth = 0;  // pending events at phase end
   Phase phase = Phase::kExecute;
@@ -122,8 +122,7 @@ class Profiler {
     std::uint64_t ring_dropped = 0;    // over all rings
   };
 
-  /// One ring per shard worker plus the coordinator ring. `shards` >= 1
-  /// (classic mode profiles as one shard).
+  /// One ring per shard worker plus the coordinator ring. `shards` >= 1.
   explicit Profiler(std::size_t shards, std::size_t ring_capacity = 1 << 15);
 
   Profiler(const Profiler&) = delete;
@@ -136,17 +135,16 @@ class Profiler {
   }
   SampleRing& coordinator_ring() { return coordinator_ring_; }
   const SampleRing& coordinator_ring() const { return coordinator_ring_; }
-  /// Single writer per slot: the shard's own worker thread (or the main
-  /// thread in classic mode); read after the workers joined.
+  /// Single writer per slot: the shard's own worker thread; read after the
+  /// workers joined.
   WorkerStats& worker_stats(std::size_t shard) { return stats_.at(shard); }
 
   /// Wall nanoseconds since this profiler's construction (steady clock).
   std::uint64_t now_ns() const;
 
   /// getrusage(RUSAGE_THREAD) totals of the calling thread (zeros where
-  /// unavailable). Engine workers add their totals at thread exit; the
-  /// classic path adds the delta across one run (the main thread persists,
-  /// so raw totals would double-count).
+  /// unavailable). Engine workers add their totals at thread exit (each
+  /// run starts fresh threads, so the totals never double-count).
   struct ThreadTime {
     double user_s = 0.0;
     double sys_s = 0.0;
@@ -164,7 +162,7 @@ class Profiler {
   /// event per line, so line-oriented tools can grep the timeline.
   std::string perfetto_json() const;
   /// Write perfetto_json() to $P2PLAB_RESULTS_DIR/<filename>; false if the
-  /// env var is unset or the file cannot be written.
+  /// env var is unset, the file cannot be opened or any write fails.
   bool write_perfetto_to_results(const char* filename) const;
 
   /// Merge the rollup into `reg` as `profile.*` gauges (idempotent — set,

@@ -9,6 +9,12 @@ ScenarioSpec fig6() {
   ScenarioSpec spec;
   spec.name = "fig6";
   spec.workload = "ping_sweep";
+  auto topo = topology::parse_topology(
+      "zone lan 10.0.0.0/24 nodes=2 down=unlimited up=unlimited "
+      "latency=0ms\n");
+  P2PLAB_ASSERT(topo.topology.has_value());
+  spec.topology.source = TopologySource::kInline;
+  spec.topology.built = std::move(*topo.topology);
   spec.outputs.csv = "fig6_ipfw_rules";
   spec.outputs.csv_note =
       "paper: ~linear, reaching ~5 ms RTT at 50k rules "

@@ -13,7 +13,7 @@
 
 namespace p2plab::scenario::catalog {
 
-/// Figure 6: ping RTT vs firewall-rule count (classic engine).
+/// Figure 6: ping RTT vs firewall-rule count on a delay-free LAN link.
 ScenarioSpec fig6();
 
 /// Figure 8: 160-client download of a 16 MB file over DSL links.

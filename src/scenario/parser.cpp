@@ -399,10 +399,15 @@ ParseResult parse_scenario(std::string_view text,
 
   // [engine]
   ParamReader engine_params(c.engine, error);
+  const KvEntry* shards_entry = nullptr;
   bool ok = engine_params.take_count(
-      "shards", [&](std::uint64_t v, const KvEntry&) {
+      "shards", [&](std::uint64_t v, const KvEntry& entry) {
         spec.engine.shards = static_cast<std::size_t>(v);
+        shards_entry = &entry;
       });
+  if (ok && shards_entry != nullptr && spec.engine.shards == 0) {
+    return fail(shards_entry->source, "shards must be positive");
+  }
   const KvEntry* transport_entry = c.engine.take("transport");
   if (ok && transport_entry != nullptr) {
     if (transport_entry->value == "flow") {

@@ -1,12 +1,26 @@
 #include "scenario/runner.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "core/bench_report.hpp"
 
 namespace p2plab::scenario {
+
+namespace {
+
+/// The flush_*_to_results calls also return false when no results dir is
+/// set; only a failed write into a set one is worth a warning.
+void warn_unwritten(const std::string& file) {
+  const char* dir = std::getenv("P2PLAB_RESULTS_DIR");
+  if (dir == nullptr || *dir == '\0') return;
+  std::fprintf(stderr, "# P2PLAB_RESULTS_DIR=%s: writing %s failed\n", dir,
+               file.c_str());
+}
+
+}  // namespace
 
 ExperimentRunner::ExperimentRunner(ScenarioSpec spec)
     : spec_(std::move(spec)) {}
@@ -18,11 +32,6 @@ void ExperimentRunner::setup() {
   set_up_ = true;
 
   plugin_ = &WorkloadRegistry::instance().require(spec_.workload);
-  const std::size_t shards = spec_.effective_shards();
-  if (plugin_->classic_only() && spec_.engine.shards > 0) {
-    std::printf("# %s workload drives the classic engine; ignoring "
-                "shards=%zu\n", plugin_->name(), spec_.engine.shards);
-  }
   const topology::Topology topo =
       spec_.topology.built
           ? *spec_.topology.built
@@ -31,7 +40,7 @@ void ExperimentRunner::setup() {
   core::PlatformConfig pc;
   pc.physical_nodes = spec_.resolved_physical_nodes();
   pc.seed = spec_.engine.seed;
-  pc.shards = shards;
+  pc.shards = spec_.engine.shards;
   pc.pin_workers = spec_.engine.pin_workers;
   if (spec_.engine.barrier) {
     pc.barrier = *spec_.engine.barrier == BarrierWait::kSpin
@@ -73,8 +82,16 @@ void ExperimentRunner::write_profile_outputs() {
   // Fold first so the rollup shows up in the registry report and any
   // later metrics consumers; gauges are set, not added — idempotent.
   platform_->profiler().fold_into(registry_);
-  platform_->flush_profile_to_results(
-      spec_.resolved_profile_trace().c_str());
+  const std::string file = spec_.resolved_profile_trace();
+  if (!platform_->flush_profile_to_results(file.c_str())) {
+    warn_unwritten(file);
+  }
+}
+
+void ExperimentRunner::write_trace_output() {
+  const std::string& file = spec_.outputs.trace_file;
+  if (file.empty()) return;
+  if (!platform_->flush_trace_to_results(file.c_str())) warn_unwritten(file);
 }
 
 void ExperimentRunner::write_bench_json(

@@ -14,6 +14,9 @@
 // (nonzero iff an enabled invariant check failed). The split exists for
 // callers that interpose between construction and execution — fig9 runs
 // one external HealthMonitor across five runner instances.
+//
+// A results file that cannot be written (full disk, unwritable
+// $P2PLAB_RESULTS_DIR) gets one stderr warning; the run still completes.
 #pragma once
 
 #include <cstdint>
@@ -71,6 +74,9 @@ class ExperimentRunner {
   /// Fold the BSP profile into the registry and flush the Perfetto
   /// timeline; no-op when profiling is off.
   void write_profile_outputs();
+  /// Flush the flight recorder to outputs.trace_file; no-op when no trace
+  /// file is declared.
+  void write_trace_output();
   /// The standardized BENCH_*.json run summary (core/bench_report.hpp):
   /// the run economics plus the workload's scale field and any extra
   /// workload metrics. No-op when outputs.bench_json is empty.

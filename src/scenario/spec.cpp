@@ -8,12 +8,6 @@ std::size_t ScenarioSpec::vnodes() const {
   return WorkloadRegistry::instance().require(workload).vnodes(*this);
 }
 
-std::size_t ScenarioSpec::effective_shards() const {
-  return WorkloadRegistry::instance().require(workload).classic_only()
-             ? 0
-             : engine.shards;
-}
-
 std::string ScenarioSpec::resolved_profile_trace() const {
   if (!engine.profile) return "";
   return outputs.profile_trace.empty() ? "profile.json"
@@ -33,8 +27,7 @@ std::vector<std::string> ScenarioSpec::declared_outputs() const {
   csv_file(outputs.csv);
   csv_file(outputs.detection_csv);
   csv_file(outputs.fp_summary);
-  // The health monitor samples from inside one simulation: classic only.
-  if (effective_shards() == 0) csv_file(outputs.metrics);
+  csv_file(outputs.metrics);
   if (!outputs.accuracy_json.empty()) {
     files.push_back(outputs.accuracy_json + ".json");
   }

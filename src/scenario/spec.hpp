@@ -109,7 +109,7 @@ enum class PartitionPolicy {
 
 /// Parameters of the ping_sweep workload: two (or more) nodes, rules padded
 /// onto node 0's firewall in `rules_step` increments up to `rules_max`,
-/// `probes` pings per step. Classic engine only (ping bypasses sockets).
+/// `probes` pings per step.
 struct PingSweepParams {
   std::size_t nodes = 2;
   std::uint32_t rules_max = 50000;
@@ -150,8 +150,8 @@ enum class StopMode {
 };
 
 struct EngineSection {
-  /// Parallel-engine shard count; 0 = classic single-threaded path.
-  std::size_t shards = 0;
+  /// Parallel-engine shard count (>= 1).
+  std::size_t shards = 1;
   /// Stream-transport congestion regime (`transport tcp|flow`).
   TransportModel transport = TransportModel::kFlow;
   /// Physical cluster size; unset = one physical node per virtual node.
@@ -193,7 +193,7 @@ struct OutputsSection {
   std::string completion_curve;   // (t, clients complete) steps
   std::string completion_curve_note;
   std::string summary;            // one-row churn/robustness summary
-  std::string metrics;     // health-monitor timeline (classic mode only)
+  std::string metrics;     // health-monitor timeline
   std::string trace_file;  // flight-recorder JSONL flush
   // Ping-sweep output.
   std::string csv;
@@ -235,10 +235,6 @@ struct ScenarioSpec {
     }
     return vnodes();
   }
-
-  /// Shards the run will actually use: classic-only workloads (ping_sweep
-  /// drives Platform::ping + Simulation::run directly) always run with 0.
-  std::size_t effective_shards() const;
 
   /// Perfetto timeline file name: outputs.profile_trace when named,
   /// "profile.json" when profiling is merely switched on, "" when off.

@@ -21,7 +21,6 @@ namespace {
 // Harness ports, clear of the swarm's (tracker 7000, peers 6881).
 constexpr std::uint16_t kGoodputPortBase = 5000;
 constexpr std::uint16_t kFairPortBase = 5100;
-constexpr std::uint16_t kEchoPort = 40001;
 constexpr std::uint16_t kLossPort = 40002;
 constexpr int kRttRepeats = 3;
 constexpr std::uint64_t kRttPayloadBytes = 8;
@@ -217,72 +216,22 @@ void ValidateHarness::phase_rtt(std::vector<InvariantResult>& out) {
   }
   if (pairs.empty()) return;
 
-  std::vector<std::size_t> echo_nodes;
-  for (const PairSpec& p : pairs) {
-    if (std::find(echo_nodes.begin(), echo_nodes.end(), p.b) ==
-        echo_nodes.end()) {
-      echo_nodes.push_back(p.b);
+  // Let the previous phase's teardown traffic clear, then probe one pair
+  // at a time on the otherwise idle network.
+  platform_.run(platform_.now() + Duration::sec(1));
+  const std::uint64_t wire_bytes = kRttPayloadBytes + sockets::kUdpHeaderBytes;
+  const double wire = static_cast<double>(wire_bytes);
+  for (const PairSpec& pair : pairs) {
+    const std::size_t a = pair.a;
+    const std::size_t b = pair.b;
+    int replies = 0;
+    double sum_s = 0;
+    for (int i = 0; i < kRttRepeats; ++i) {
+      if (const auto rtt = platform_.ping(a, b, DataSize::bytes(wire_bytes))) {
+        sum_s += rtt->to_seconds();
+        ++replies;
+      }
     }
-  }
-  udp_socks_.assign(echo_nodes.size() + pairs.size(), nullptr);
-  rtt_probes_.assign(pairs.size(), RttProbe{});
-  const SimTime t0 = platform_.now() + Duration::sec(1);
-
-  for (std::size_t e = 0; e < echo_nodes.size(); ++e) {
-    const std::size_t node = echo_nodes[e];
-    platform_.sim_of_vnode(node).schedule_at(t0, [this, node, e] {
-      auto sock = platform_.api(node).udp_bind(kEchoPort);
-      auto* raw = sock.get();
-      raw->on_message(
-          [raw](sockets::Message&& m, Ipv4Addr from, std::uint16_t port) {
-            raw->send_to(from, port, std::move(m));
-          });
-      udp_socks_[e] = std::move(sock);
-    });
-  }
-  for (std::size_t k = 0; k < pairs.size(); ++k) {
-    const std::size_t a = pairs[k].a;
-    const Ipv4Addr b_addr =
-        platform_.api(pairs[k].b).effective_bind_address();
-    const std::size_t slot = echo_nodes.size() + k;
-    RttProbe* probe = &rtt_probes_[k];
-    sim::Simulation& sim = platform_.sim_of_vnode(a);
-    sim.schedule_at(t0, [this, a, b_addr, slot, probe, &sim] {
-      auto sock = platform_.api(a).udp_bind(0);
-      auto* raw = sock.get();
-      auto fire = [probe, raw, b_addr, &sim] {
-        probe->sent_at = sim.now();
-        raw->send_to(
-            b_addr, kEchoPort,
-            sockets::Message{2, DataSize::bytes(kRttPayloadBytes), nullptr});
-      };
-      raw->on_message([probe, fire, &sim](sockets::Message&&, Ipv4Addr,
-                                          std::uint16_t) {
-        probe->sum_s += (sim.now() - probe->sent_at).to_seconds();
-        if (++probe->replies >= kRttRepeats) {
-          probe->done = true;
-          return;
-        }
-        fire();
-      });
-      fire();
-      udp_socks_[slot] = std::move(sock);
-    });
-  }
-  await(
-      [this] {
-        for (const RttProbe& p : rtt_probes_) {
-          if (!p.done) return false;
-        }
-        return true;
-      },
-      Duration::sec(120));
-
-  const double wire = static_cast<double>(kRttPayloadBytes +
-                                          sockets::kUdpHeaderBytes);
-  for (std::size_t k = 0; k < pairs.size(); ++k) {
-    const std::size_t a = pairs[k].a;
-    const std::size_t b = pairs[k].b;
     const topology::LinkClass& la = topo_.link_of_node(a);
     const topology::LinkClass& lb = topo_.link_of_node(b);
     const Duration inter =
@@ -305,15 +254,14 @@ void ValidateHarness::phase_rtt(std::vector<InvariantResult>& out) {
     r.name = "rtt:" + zone_name(a) + "-" + zone_name(b);
     r.expected = expected_s * 1e3;
     r.tolerance = params_.rtt_tolerance;
-    const RttProbe& probe = rtt_probes_[k];
-    if (probe.done) {
-      r.measured = probe.sum_s / kRttRepeats * 1e3;
+    if (replies == kRttRepeats) {
+      r.measured = sum_s / kRttRepeats * 1e3;
       r.pass = within(r.measured, r.expected, r.tolerance);
       r.detail = "ms";
     } else {
       char buf[96];
-      std::snprintf(buf, sizeof(buf), "%d of %d echo replies",
-                    probe.replies, kRttRepeats);
+      std::snprintf(buf, sizeof(buf), "%d of %d echo replies", replies,
+                    kRttRepeats);
       r.detail = buf;
     }
     out.push_back(std::move(r));
@@ -398,7 +346,6 @@ void ValidateHarness::phase_loss(std::vector<InvariantResult>& out) {
 
   transfers_.clear();
   listeners_.clear();
-  rtt_probes_.clear();
   udp_socks_.assign(2, nullptr);
   loss_received_ = 0;
 
@@ -651,7 +598,6 @@ class ValidatePlugin final : public WorkloadPlugin {
   std::size_t vnodes(const ScenarioSpec& spec) const override {
     return spec.validate.nodes;
   }
-  bool classic_only() const override { return true; }
 
   std::unique_ptr<Workload> create(const ScenarioSpec& spec) const override {
     return std::make_unique<ValidateWorkload>(spec);

@@ -10,7 +10,7 @@
 //   goodput:<zone>   single-flow stream goodput between two nodes of each
 //                    multi-node zone matches the bottleneck bandwidth
 //                    (min(src up, dst down)) after header overhead.
-//   rtt:<a>-<b>      datagram echo RTT matches the additive path latency
+//   rtt:<a>-<b>      Platform::ping RTT matches the additive path latency
 //                    (access + inter-zone + access, both ways) plus
 //                    serialization — Fig 7's check, generalized to every
 //                    zone pair.
@@ -68,7 +68,7 @@ class ValidateHarness {
 
   // Measurement slots are written by the owning shard's callbacks and read
   // by the coordinator after Platform::run returns (barrier-separated), so
-  // each slot is pre-sized, per-flow/per-probe distinct memory.
+  // each slot is pre-sized, per-flow distinct memory.
   struct TransferProbe {
     std::uint64_t target_bytes = 0;
     std::uint64_t received = 0;
@@ -76,12 +76,6 @@ class ValidateHarness {
     SimTime end;
     bool done = false;
     bool failed = false;  // connect refused / timed out
-  };
-  struct RttProbe {
-    int replies = 0;
-    double sum_s = 0;
-    SimTime sent_at;
-    bool done = false;
   };
 
   /// Drive the platform until `done` or for at most `limit`.
@@ -109,7 +103,6 @@ class ValidateHarness {
   std::vector<sockets::ListenerPtr> listeners_;
   std::vector<sockets::DatagramSocketPtr> udp_socks_;
   std::vector<TransferProbe> transfers_;
-  std::vector<RttProbe> rtt_probes_;
   std::uint64_t loss_received_ = 0;
 };
 

@@ -156,9 +156,6 @@ class WorkloadPlugin {
   /// Virtual nodes the workload occupies.
   virtual std::size_t vnodes(const ScenarioSpec& spec) const = 0;
 
-  /// True when the workload bypasses the sharded engine (ping_sweep drives
-  /// Platform::ping + Simulation::run directly); effective_shards() is 0.
-  virtual bool classic_only() const { return false; }
   /// True when the workload participates in [faults] / churn schedules.
   virtual bool supports_faults() const { return false; }
   /// True when `stop survivors_complete` is meaningful for this workload.

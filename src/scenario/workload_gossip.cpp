@@ -257,9 +257,7 @@ void GossipWorkload::write_outputs(
        {"gossip.confirms", static_cast<double>(confirms.size())},
        {"gossip.refutations", reg.value("gossip.refutations")},
        {"gossip.false_positives", static_cast<double>(false_confirms)}});
-  if (!out.trace_file.empty()) {
-    runner.platform().flush_trace_to_results(out.trace_file.c_str());
-  }
+  runner.write_trace_output();
   runner.write_profile_outputs();
   if (out.report) metrics::print_registry_report(reg);
 }

@@ -1,7 +1,6 @@
 // The `ping_sweep` workload plugin: RTT vs. installed firewall rules
-// (the paper's Fig 6 microbenchmark). Classic engine only — the sweep
-// interleaves rule installation with synchronous ping rounds, which has
-// no meaning under sharded BSP.
+// (the paper's Fig 6 microbenchmark). Between ping rounds the sweep pads
+// node 0's host firewall; Platform::ping probes from vnode 0 to vnode 1.
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -39,22 +38,19 @@ class PingWorkload final : public Workload {
       csv->comment("seed=" + std::to_string(spec_.engine.seed));
     }
 
-    const Ipv4Addr a = platform.network().host(0).admin_ip();
-    const Ipv4Addr b = platform.network().host(1).admin_ip();
     std::uint32_t installed = 0;
     std::uint32_t next_rule_number = 1000;
     for (std::uint32_t rules = 0; rules <= spec_.ping.rules_max;
          rules += spec_.ping.rules_step) {
       if (rules > installed) {
-        platform.network().host(0).firewall().add_filler_rules(
+        platform.host_of_vnode(0).firewall().add_filler_rules(
             next_rule_number, rules - installed);
         next_rule_number += rules - installed;
         installed = rules;
       }
       metrics::Summary rtt;
       for (std::size_t probe = 0; probe < spec_.ping.probes; ++probe) {
-        platform.ping(a, b, [&](Duration d) { rtt.add(d.to_millis()); });
-        platform.sim().run();
+        if (const auto d = platform.ping(0, 1)) rtt.add(d->to_millis());
       }
       if (csv) {
         csv->row({std::to_string(rules), std::to_string(rtt.mean()),
@@ -82,7 +78,7 @@ class PingSweepPlugin final : public WorkloadPlugin {
  public:
   const char* name() const override { return "ping_sweep"; }
   const char* description() const override {
-    return "RTT vs. firewall rule count sweep (Fig 6, classic engine)";
+    return "RTT vs. firewall rule count sweep (Fig 6)";
   }
 
   std::vector<const char*> workload_keys() const override {
@@ -138,7 +134,6 @@ class PingSweepPlugin final : public WorkloadPlugin {
   std::size_t vnodes(const ScenarioSpec& spec) const override {
     return spec.ping.nodes;
   }
-  bool classic_only() const override { return true; }
 
   std::unique_ptr<Workload> create(const ScenarioSpec& spec) const override {
     return std::make_unique<PingWorkload>(spec);

@@ -1,9 +1,8 @@
 // The `swarm` workload plugin: the BitTorrent swarm experiments
 // (Figs 8-11, churn). Construction order matters and is preserved from
 // the pre-registry runner exactly — registry before platform so teardown
-// still counts, churn RNG forked after the swarm exists, the health
-// monitor started last — so spec-driven runs stay bit-identical to the
-// hand-written benches they replaced.
+// still counts, churn RNG forked after the swarm exists — so spec-driven
+// runs stay bit-identical to the hand-written benches they replaced.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -60,12 +59,10 @@ void SwarmWorkload::setup(ExperimentRunner& runner) {
   swarm_->bind_metrics(runner.registry());
   first_client_vnode_ = 1 + spec_.swarm.seeders;
   setup_faults(runner);
-  // The health monitor samples from inside one simulation: classic-only.
-  // Started last, matching the figure harnesses' event order.
-  if (!spec_.outputs.metrics.empty() && !platform.engine_mode()) {
+  if (!spec_.outputs.metrics.empty()) {
     monitor_ = std::make_unique<metrics::HealthMonitor>(
         metrics::HealthMonitor::Options{.csv_name = spec_.outputs.metrics});
-    monitor_->start(platform.sim(), runner.registry());
+    platform.attach_monitor(*monitor_);
   }
 }
 
@@ -175,7 +172,7 @@ int SwarmWorkload::execute(ExperimentRunner& runner) {
   const double wall_seconds = wall_seconds_since(wall_start);
   runner.set_end_of_run(platform.now());
   if (monitor_) {
-    monitor_->stop();
+    platform.detach_monitor();
     monitor_->print_report();
   }
   std::printf("# %zu/%zu clients complete at t=%.0f s; %llu events; "
@@ -317,9 +314,7 @@ void SwarmWorkload::write_outputs(ExperimentRunner& runner,
                                                : 0)});
   }
 
-  if (!out.trace_file.empty()) {
-    runner.platform().flush_trace_to_results(out.trace_file.c_str());
-  }
+  runner.write_trace_output();
   runner.write_profile_outputs();
   if (out.report) metrics::print_registry_report(runner.registry());
 }

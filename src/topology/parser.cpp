@@ -50,6 +50,7 @@ std::optional<std::string_view> value_of(std::string_view token,
 }  // namespace
 
 std::optional<Bandwidth> parse_bandwidth(std::string_view text) {
+  if (text == "unlimited") return Bandwidth::unlimited();
   if (text.empty()) return std::nullopt;
   double multiplier = 1.0;
   const char suffix = text.back();

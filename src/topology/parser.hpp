@@ -7,8 +7,8 @@
 //   container <name> <cidr>
 //   latency <nameA> <nameB> <dur>
 //
-// Bandwidths accept 56k / 512k / 2M / 1G / plain bits-per-second;
-// durations accept 30ms / 2s / 400ms / plain milliseconds. Example — the
+// Bandwidths accept 56k / 512k / 2M / 1G / plain bits-per-second, or
+// `unlimited` (a pure delay element: no serialization); durations accept 30ms / 2s / 400ms / plain milliseconds. Example — the
 // paper's Figure 7 topology:
 //
 //   container isp1 10.1.0.0/16

@@ -91,6 +91,18 @@ Ipv4Addr Topology::node_address(std::size_t node_index) const {
   return zones_[z].subnet.host(static_cast<std::uint32_t>(offset + 1));
 }
 
+std::optional<std::size_t> Topology::node_index(Ipv4Addr addr) const {
+  for (std::size_t z = 0; z < zones_.size(); ++z) {
+    const Zone& zone = zones_[z];
+    if (zone.node_count == 0 || !zone.subnet.contains(addr)) continue;
+    const std::uint32_t host = addr.to_u32() - zone.subnet.base().to_u32();
+    if (host >= 1 && host <= zone.node_count) {
+      return node_zone_begin_[z] + host - 1;
+    }
+  }
+  return std::nullopt;
+}
+
 std::optional<ZoneId> Topology::zone_of(Ipv4Addr addr) const {
   std::optional<ZoneId> best;
   for (std::size_t z = 0; z < zones_.size(); ++z) {

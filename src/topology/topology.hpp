@@ -80,6 +80,8 @@ class Topology {
 
   /// Global node index -> address (zones in insertion order).
   Ipv4Addr node_address(std::size_t node_index) const;
+  /// Address -> global node index; nullopt if no node has the address.
+  std::optional<std::size_t> node_index(Ipv4Addr addr) const;
   /// Global node index -> its zone.
   ZoneId zone_of_node(std::size_t node_index) const;
   /// Address -> most specific zone containing it (if any).

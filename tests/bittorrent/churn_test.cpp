@@ -12,6 +12,10 @@
 namespace p2plab::bt {
 namespace {
 
+// Test platforms at K=1 run unpinned (`pin_workers = false`): a K=1
+// worker auto-pins to the first CPU of the affinity mask, which every
+// parallel ctest process would then share.
+
 SimTime at_sec(double s) { return SimTime::zero() + Duration::seconds(s); }
 
 SwarmConfig small_swarm(std::size_t clients) {
@@ -30,22 +34,22 @@ TEST(AnnounceBackoff, GrowsExponentiallyWithJitterAndCaps) {
   // refused, so the failure streak climbs and backoff() must follow
   // min(base * 2^(streak-1), cap).
   core::Platform platform(topology::homogeneous_dsl(2),
-                          core::PlatformConfig{.physical_nodes = 1});
+                          core::PlatformConfig{.physical_nodes = 1,
+                                               .pin_workers = false});
   const MetaInfo meta = MetaInfo::make_synthetic(
       "t.dat", DataSize::kib(256), /*content_seed=*/1, /*hash_pieces=*/false);
   ClientConfig config;
   config.announce_retry_base = Duration::sec(5);
   config.announce_retry_cap = Duration::sec(40);
-  Client client(platform.sim(), platform.api(1), meta,
+  Client client(platform.sim_of_vnode(1), platform.api(1), meta,
                 PeerInfo{platform.vnode(0).ip(), 6969}, config,
                 /*start_as_seed=*/false, platform.rng().fork(1));
   client.start();
 
   std::vector<double> backoffs_sec;
   std::uint64_t seen_failures = 0;
-  sim::Simulation& sim = platform.sim();
-  while (backoffs_sec.size() < 7 && sim.now() < at_sec(600)) {
-    sim.run_until(sim.now() + Duration::ms(100));
+  while (backoffs_sec.size() < 7 && platform.now() < at_sec(600)) {
+    platform.run(platform.now() + Duration::ms(100));
     if (client.stats().announce_failures > seen_failures) {
       seen_failures = client.stats().announce_failures;
       backoffs_sec.push_back(client.announce_backoff().to_seconds());
@@ -66,21 +70,21 @@ TEST(AnnounceBackoff, RetryDelayIsJittered) {
   // the same stream must replay identically.
   auto failure_times = [](std::uint64_t stream) {
     core::Platform platform(topology::homogeneous_dsl(2),
-                            core::PlatformConfig{.physical_nodes = 1});
+                            core::PlatformConfig{.physical_nodes = 1,
+                                                 .pin_workers = false});
     const MetaInfo meta =
         MetaInfo::make_synthetic("t.dat", DataSize::kib(256), 1, false);
-    Client client(platform.sim(), platform.api(1), meta,
+    Client client(platform.sim_of_vnode(1), platform.api(1), meta,
                   PeerInfo{platform.vnode(0).ip(), 6969}, ClientConfig{},
                   /*start_as_seed=*/false, platform.rng().fork(stream));
     client.start();
     std::vector<double> times;
     std::uint64_t seen = 0;
-    sim::Simulation& sim = platform.sim();
-    while (times.size() < 4 && sim.now() < at_sec(300)) {
-      sim.run_until(sim.now() + Duration::ms(50));
+    while (times.size() < 4 && platform.now() < at_sec(300)) {
+      platform.run(platform.now() + Duration::ms(50));
       if (client.stats().announce_failures > seen) {
         seen = client.stats().announce_failures;
-        times.push_back(sim.now().to_seconds());
+        times.push_back(platform.now().to_seconds());
       }
     }
     client.stop();
@@ -100,9 +104,11 @@ TEST(TrackerOutage, SwarmFinishesOnCachedPeersThroughFullOutage) {
   // peers and the download still completes.
   SwarmConfig config = small_swarm(6);
   core::Platform platform(topology::homogeneous_dsl(swarm_vnodes(config)),
-                          core::PlatformConfig{.physical_nodes = 3});
+                          core::PlatformConfig{.physical_nodes = 3,
+                                               .pin_workers = false});
   Swarm swarm(platform, config);
-  platform.sim().schedule_at(
+  // The tracker lives on vnode 0; its state changes on that vnode's shard.
+  platform.sim_of_vnode(0).schedule_at(
       at_sec(30), [&] { swarm.tracker().set_online(false); });
   swarm.run();
   EXPECT_TRUE(swarm.all_complete());
@@ -116,7 +122,8 @@ TEST(TrackerOutage, SwarmFinishesOnCachedPeersThroughFullOutage) {
 TEST(TrackerOutage, TemporaryOutageWindowViaInjector) {
   SwarmConfig config = small_swarm(6);
   core::Platform platform(topology::homogeneous_dsl(swarm_vnodes(config)),
-                          core::PlatformConfig{.physical_nodes = 3});
+                          core::PlatformConfig{.physical_nodes = 3,
+                                               .pin_workers = false});
   Swarm swarm(platform, config);
   fault::FaultPlan plan;
   plan.tracker_outage(at_sec(10), Duration::sec(60));
@@ -137,7 +144,8 @@ TEST(PeerCrash, SurvivorsRequeueAndComplete) {
   // still finish; nothing may wedge the event queue afterwards.
   SwarmConfig config = small_swarm(9);
   core::Platform platform(topology::homogeneous_dsl(swarm_vnodes(config)),
-                          core::PlatformConfig{.physical_nodes = 3});
+                          core::PlatformConfig{.physical_nodes = 3,
+                                               .pin_workers = false});
   Swarm swarm(platform, config);
   const std::size_t first_client_vnode = 1 + config.seeders;
 
@@ -159,7 +167,6 @@ TEST(PeerCrash, SurvivorsRequeueAndComplete) {
   auto is_victim = [&](std::size_t c) {
     return std::find(victims.begin(), victims.end(), c) != victims.end();
   };
-  sim::Simulation& sim = platform.sim();
   const SimTime cutoff = SimTime::zero() + config.max_duration;
   auto survivors_done = [&] {
     for (std::size_t c = 0; c < config.clients; ++c) {
@@ -167,10 +174,7 @@ TEST(PeerCrash, SurvivorsRequeueAndComplete) {
     }
     return true;
   };
-  while (!survivors_done() && sim.now() < cutoff &&
-         sim.pending_events() > 0) {
-    sim.run_until(std::min(cutoff, sim.now() + Duration::sec(5)));
-  }
+  platform.run(cutoff, survivors_done, Duration::sec(5));
   EXPECT_TRUE(survivors_done());
   EXPECT_EQ(injector.stats().unrecovered(), 0u);
   for (const std::size_t c : victims) {
@@ -183,14 +187,16 @@ TEST(PeerCrash, SurvivorsRequeueAndComplete) {
   }
   swarm.seeder(0).stop();
   swarm.tracker().set_online(false);
-  sim.run_until(sim.now() + Duration::sec(600));
-  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(platform.run(platform.now() + Duration::sec(600)),
+            core::Platform::RunResult::kDrained);
+  EXPECT_EQ(platform.pending_events(), 0u);
 }
 
 TEST(PeerCrash, CrashAndRejoinResumesDownload) {
   SwarmConfig config = small_swarm(6);
   core::Platform platform(topology::homogeneous_dsl(swarm_vnodes(config)),
-                          core::PlatformConfig{.physical_nodes = 3});
+                          core::PlatformConfig{.physical_nodes = 3,
+                                               .pin_workers = false});
   Swarm swarm(platform, config);
   const std::size_t first_client_vnode = 1 + config.seeders;
   const std::size_t victim = 2;

@@ -11,13 +11,18 @@
 namespace p2plab::bt {
 namespace {
 
+// Test platforms at K=1 run unpinned (`pin_workers = false`): a K=1
+// worker auto-pins to the first CPU of the affinity mask, which every
+// parallel ctest process would then share.
+
 class ClientTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kVnodes = 6;  // tracker + up to 5 peers
 
   ClientTest()
       : platform(topology::homogeneous_dsl(kVnodes),
-                 core::PlatformConfig{.physical_nodes = 2}),
+                 core::PlatformConfig{.physical_nodes = 2,
+                                      .pin_workers = false}),
         meta(MetaInfo::make_synthetic("t", DataSize::kib(512), 3, true)),
         tracker(platform.api(0), Tracker::Config{},
                 platform.rng().fork(1)) {
@@ -28,14 +33,13 @@ class ClientTest : public ::testing::Test {
                                       ClientConfig config = {}) {
     config.verify_hashes = true;
     return std::make_unique<Client>(
-        platform.sim(), platform.api(vnode), meta,
+        platform.sim_of_vnode(vnode), platform.api(vnode), meta,
         PeerInfo{platform.vnode(0).ip(), tracker.port()}, config, seed,
         platform.rng().fork(100 + vnode));
   }
 
   void run_for(int seconds) {
-    platform.sim().run_until(platform.sim().now() +
-                             Duration::sec(seconds));
+    platform.run(platform.now() + Duration::sec(seconds));
   }
 
   core::Platform platform;
@@ -76,7 +80,7 @@ TEST_F(ClientTest, WrongInfohashPeerIsDropped) {
   // dials it: the handshake must be rejected.
   MetaInfo other = MetaInfo::make_synthetic("other", DataSize::kib(512),
                                             99, true);
-  Client stranger(platform.sim(), platform.api(2), other,
+  Client stranger(platform.sim_of_vnode(2), platform.api(2), other,
                   PeerInfo{platform.vnode(0).ip(), tracker.port()},
                   ClientConfig{.verify_hashes = true}, false,
                   platform.rng().fork(7));

@@ -7,6 +7,10 @@
 namespace p2plab::bt {
 namespace {
 
+// Test platforms at K=1 run unpinned (`pin_workers = false`): a K=1
+// worker auto-pins to the first CPU of the affinity mask, which every
+// parallel ctest process would then share.
+
 SwarmConfig small_swarm(std::size_t clients) {
   SwarmConfig config;
   config.file_size = DataSize::mib(1);
@@ -19,7 +23,7 @@ SwarmConfig small_swarm(std::size_t clients) {
 }
 
 core::PlatformConfig fast_platform(std::size_t pnodes) {
-  return core::PlatformConfig{.physical_nodes = pnodes};
+  return core::PlatformConfig{.physical_nodes = pnodes, .pin_workers = false};
 }
 
 TEST(Swarm, SmallSwarmCompletesWithVerification) {
@@ -145,7 +149,7 @@ TEST(Swarm, TotalBytesCurveReachesFullVolume) {
   Swarm swarm(platform, config);
   swarm.run();
   // Round the grid end up so the final sample reflects full completion.
-  const SimTime end = platform.sim().now() + Duration::sec(10);
+  const SimTime end = platform.now() + Duration::sec(10);
   const auto curve = swarm.total_bytes_curve(Duration::sec(10), end);
   ASSERT_FALSE(curve.empty());
   // All 4 clients fetched the full 1 MiB.

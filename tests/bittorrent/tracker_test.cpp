@@ -9,6 +9,10 @@
 namespace p2plab::bt {
 namespace {
 
+// Test platforms at K=1 run unpinned (`pin_workers = false`): a K=1
+// worker auto-pins to the first CPU of the affinity mask, which every
+// parallel ctest process would then share.
+
 Ipv4Addr ip(const char* text) { return *Ipv4Addr::parse(text); }
 
 Sha1Digest hash_of(const char* text) {
@@ -28,7 +32,8 @@ AnnounceRequest announce_from(Ipv4Addr peer_ip, const Sha1Digest& info_hash,
 class TrackerPolicyTest : public ::testing::Test {
  protected:
   core::Platform platform{topology::homogeneous_dsl(2),
-                          core::PlatformConfig{.physical_nodes = 1}};
+                          core::PlatformConfig{.physical_nodes = 1,
+                                               .pin_workers = false}};
   Tracker tracker{platform.api(0), Tracker::Config{}, Rng{1}};
   Sha1Digest torrent = hash_of("torrent-a");
 };
@@ -103,7 +108,8 @@ TEST_F(TrackerPolicyTest, DuplicateAnnouncesIdempotent) {
 TEST(TrackerWire, AnnounceOverSockets) {
   // Full round trip over the emulated network.
   core::Platform platform(topology::homogeneous_dsl(3),
-                          core::PlatformConfig{.physical_nodes = 1});
+                          core::PlatformConfig{.physical_nodes = 1,
+                                               .pin_workers = false});
   Tracker tracker(platform.api(0), Tracker::Config{}, Rng{1});
   tracker.start();
   const Sha1Digest torrent = hash_of("wire");
@@ -126,7 +132,7 @@ TEST(TrackerWire, AnnounceOverSockets) {
             TrackerAnnounceMsg{announce_from(platform.vnode(1).ip(), torrent)});
         sock->send(std::move(msg));
       });
-  platform.sim().run();
+  platform.run(SimTime::max());
   ASSERT_TRUE(got.has_value());
   ASSERT_EQ(got->peers.size(), 1u);
   EXPECT_EQ(got->peers[0].ip, platform.vnode(2).ip());

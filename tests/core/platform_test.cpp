@@ -7,6 +7,11 @@ namespace {
 
 Ipv4Addr ip(const char* text) { return *Ipv4Addr::parse(text); }
 
+/// The vnode holding address `text`.
+std::size_t vnode_at(const Platform& platform, const char* text) {
+  return *platform.topology().node_index(ip(text));
+}
+
 TEST(Platform, DeploysVnodesInBlocks) {
   Platform platform(topology::homogeneous_dsl(160),
                     PlatformConfig{.physical_nodes = 16});
@@ -19,7 +24,7 @@ TEST(Platform, DeploysVnodesInBlocks) {
   EXPECT_EQ(platform.pnode_of_vnode(159), 15u);
   // Every pnode hosts exactly 10 aliases.
   for (std::size_t p = 0; p < 16; ++p) {
-    EXPECT_EQ(platform.network().host(p).aliases().size(), 10u);
+    EXPECT_EQ(platform.host(p).aliases().size(), 10u);
   }
 }
 
@@ -29,8 +34,8 @@ TEST(Platform, TwoRulesPerHostedVnode) {
   Platform platform(topology::homogeneous_dsl(40),
                     PlatformConfig{.physical_nodes = 4});
   for (std::size_t p = 0; p < 4; ++p) {
-    EXPECT_EQ(platform.network().host(p).firewall().rule_count(), 20u);
-    EXPECT_EQ(platform.network().host(p).firewall().pipe_count(), 20u);
+    EXPECT_EQ(platform.host(p).firewall().rule_count(), 20u);
+    EXPECT_EQ(platform.host(p).firewall().pipe_count(), 20u);
   }
 }
 
@@ -43,7 +48,7 @@ TEST(Platform, Figure7RuleCountOnHostOf10_1_3) {
   // One pnode per zone block of 250/250/250/1000/1000 = 2750 nodes; use
   // 11 pnodes -> 250 vnodes each, so pnode 2 hosts exactly 10.1.3.*.
   Platform platform(topo, PlatformConfig{.physical_nodes = 11});
-  net::Host& host = platform.network().host(2);
+  net::Host& host = platform.host(2);
   ASSERT_EQ(host.aliases().size(), 250u);
   EXPECT_EQ(host.aliases().front(), ip("10.1.3.1"));
   // 2*250 vnode rules + 4 group rules.
@@ -82,13 +87,12 @@ TEST(Platform, PingThroughDslPair) {
   // Two DSL vnodes: RTT = 4 x 30 ms access latency + serialization + eps.
   Platform platform(topology::homogeneous_dsl(2),
                     PlatformConfig{.physical_nodes = 2});
-  Duration rtt;
-  platform.ping(ip("10.0.0.1"), ip("10.0.0.2"),
-                [&](Duration d) { rtt = d; });
-  platform.sim().run();
+  const auto rtt = platform.ping(vnode_at(platform, "10.0.0.1"),
+                                 vnode_at(platform, "10.0.0.2"));
+  ASSERT_TRUE(rtt.has_value());
   // 4 x 30 ms access latency + 2 x 4 ms uplink serialization of the 64 B
   // probe at 128 kb/s + downlink/fabric/CPU epsilon.
-  EXPECT_NEAR(rtt.to_millis(), 128.7, 2.0);
+  EXPECT_NEAR(rtt->to_millis(), 128.7, 2.0);
 }
 
 TEST(Platform, Figure7PingMatches853ms) {
@@ -96,28 +100,36 @@ TEST(Platform, Figure7PingMatches853ms) {
   // 20 + 400 + 5 out, 425 back, ~3 ms of firewall/underlying network.
   Platform platform(topology::figure7(),
                     PlatformConfig{.physical_nodes = 11});
-  Duration rtt;
-  platform.ping(ip("10.1.3.207"), ip("10.2.2.117"),
-                [&](Duration d) { rtt = d; });
-  platform.sim().run();
-  EXPECT_NEAR(rtt.to_millis(), 853.0, 6.0);
+  const auto rtt = platform.ping(vnode_at(platform, "10.1.3.207"),
+                                 vnode_at(platform, "10.2.2.117"));
+  ASSERT_TRUE(rtt.has_value());
+  EXPECT_NEAR(rtt->to_millis(), 853.0, 6.0);
+}
+
+TEST(Platform, PingIsShardCountInvariant) {
+  // The echo crosses shards through the engine's handoff like any other
+  // datagram: the RTT does not depend on the partition.
+  auto rtt_at = [](std::size_t shards) {
+    Platform platform(topology::figure7(),
+                      PlatformConfig{.physical_nodes = 11, .shards = shards});
+    return platform.ping(vnode_at(platform, "10.1.3.207"),
+                         vnode_at(platform, "10.2.2.117"));
+  };
+  const auto one = rtt_at(1);
+  ASSERT_TRUE(one.has_value());
+  EXPECT_EQ(one, rtt_at(2));
+  EXPECT_EQ(one, rtt_at(4));
 }
 
 TEST(Platform, PingRttGrowsLinearlyWithFillerRules) {
   // Figure 6's sweep at the platform level.
   Platform platform(topology::homogeneous_dsl(2),
                     PlatformConfig{.physical_nodes = 2});
-  auto measure = [&] {
-    Duration rtt;
-    platform.ping(ip("192.168.0.1"), ip("192.168.0.2"),
-                  [&](Duration d) { rtt = d; });
-    platform.sim().run();
-    return rtt;
-  };
+  auto measure = [&] { return platform.ping(0, 1).value(); };
   const Duration base = measure();
-  platform.network().host(0).firewall().add_filler_rules(100000, 10000);
+  platform.host(0).firewall().add_filler_rules(100000, 10000);
   const Duration at_10k = measure();
-  platform.network().host(0).firewall().add_filler_rules(200000, 10000);
+  platform.host(0).firewall().add_filler_rules(200000, 10000);
   const Duration at_20k = measure();
   // Each 10k rules adds ~2 x 0.5 ms (out on the way there, in on the way
   // back, both on host 0).
@@ -141,8 +153,8 @@ TEST(Platform, SingleMachineFoldsEverything) {
   Platform platform(topology::homogeneous_dsl(80),
                     PlatformConfig{.physical_nodes = 1});
   EXPECT_EQ(platform.folding_ratio(), 80u);
-  EXPECT_EQ(platform.network().host(0).aliases().size(), 80u);
-  EXPECT_EQ(platform.network().host(0).firewall().rule_count(), 160u);
+  EXPECT_EQ(platform.host(0).aliases().size(), 80u);
+  EXPECT_EQ(platform.host(0).firewall().rule_count(), 160u);
 }
 
 TEST(Platform, TotalRulesAccounting) {
@@ -173,9 +185,33 @@ TEST(Platform, SocketsWorkAcrossTheDeployment) {
           s->send(m);
         });
   }
-  platform.sim().run();
+  EXPECT_EQ(platform.run(SimTime::max()), Platform::RunResult::kDrained);
   EXPECT_EQ(echoed, 3);
   EXPECT_EQ(replies, 3);
+}
+
+TEST(Platform, DrainRunFinishesWithMonitorAttached) {
+  // The monitor is sampled at barriers and schedules nothing, so a
+  // drain-style run still drains.
+  metrics::Registry registry;
+  Platform platform(topology::homogeneous_dsl(4),
+                    PlatformConfig{.physical_nodes = 2, .shards = 2});
+  platform.bind_metrics(registry);
+  metrics::HealthMonitor monitor({.period = Duration::sec(1),
+                                  .csv_name = "platform_drain_test",
+                                  .heartbeat_wall_seconds = 0.0});
+  platform.attach_monitor(monitor);
+  auto listener = platform.api(0).listen(7000, [](sockets::StreamSocketPtr) {});
+  platform.api(1).connect(platform.vnode(0).ip(), 7000,
+                          [](sockets::StreamSocketPtr s) {
+                            s->send(sockets::Message{1, DataSize::kib(64),
+                                                     nullptr});
+                          });
+  EXPECT_EQ(platform.run(SimTime::max()), Platform::RunResult::kDrained);
+  EXPECT_GT(platform.now(), SimTime::zero() + Duration::sec(2));
+  EXPECT_GE(monitor.samples(), 2u);  // the transfer spans several periods
+  platform.detach_monitor();
+  EXPECT_EQ(monitor.events_observed(), platform.dispatched_events());
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 // requires byte-identical trace JSONL, identical completion times and an
 // identical dispatched-event count.
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,10 +18,15 @@
 #include "bittorrent/swarm.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "metrics/health.hpp"
 #include "metrics/registry.hpp"
 
 namespace p2plab {
 namespace {
+
+// Test platforms at K=1 run unpinned (`pin_workers = false`): a K=1
+// worker auto-pins to the first CPU of the affinity mask, which every
+// parallel ctest process would then share.
 
 SimTime at_sec(double s) { return SimTime::zero() + Duration::seconds(s); }
 
@@ -55,6 +62,7 @@ RunOutput run_fig8(std::size_t shards, std::size_t clients,
   pc.physical_nodes = 8;
   pc.seed = 7;
   pc.shards = shards;
+  if (shards == 1) pc.pin_workers = false;
   if (tcp) pc.stream.transport = sockets::TransportModel::kTcp;
   const bt::SwarmConfig config = fig8_swarm(clients);
   core::Platform platform(topology::homogeneous_dsl(bt::swarm_vnodes(config)),
@@ -162,6 +170,84 @@ TEST(EngineDeterminism, MergedRegistryMatchesAggregateCounters) {
   EXPECT_GT(run.dispatched, 0u);
   EXPECT_DOUBLE_EQ(run.merged_dispatched,
                    static_cast<double>(run.dispatched));
+}
+
+/// One monitored fig8-shaped run: the health timeline's data rows, split
+/// into fields, plus the final merged registry values of its tracked
+/// counters.
+struct Timeline {
+  std::vector<std::vector<std::string>> rows;
+  double final_dispatched = 0;
+  double final_packets = 0;
+};
+
+Timeline monitored_run(std::size_t shards, const std::string& dir) {
+  setenv("P2PLAB_RESULTS_DIR", dir.c_str(), 1);
+  Timeline out;
+  {
+    metrics::Registry registry;  // outlives the platform
+    core::PlatformConfig pc;
+    pc.physical_nodes = 4;
+    pc.seed = 7;
+    pc.shards = shards;
+    if (shards == 1) pc.pin_workers = false;
+    const bt::SwarmConfig config = fig8_swarm(6);
+    core::Platform platform(
+        topology::homogeneous_dsl(bt::swarm_vnodes(config)), pc);
+    bt::Swarm swarm(platform, config);
+    swarm.bind_metrics(registry);
+    metrics::HealthMonitor monitor(
+        {.period = Duration::sec(20),
+         .csv_name = "timeline",
+         .tracked = {"sim.events.dispatched", "net.packets_sent"},
+         .heartbeat_wall_seconds = 0.0});
+    platform.attach_monitor(monitor);
+    swarm.run();
+    platform.detach_monitor();
+    EXPECT_TRUE(swarm.all_complete()) << shards << " shard(s)";
+    out.final_dispatched = registry.value("sim.events.dispatched");
+    out.final_packets = registry.value("net.packets_sent");
+  }  // the monitor's CsvWriter flushes here
+  unsetenv("P2PLAB_RESULTS_DIR");
+  std::ifstream file(dir + "/timeline.csv");
+  std::string line;
+  std::getline(file, line);  // header
+  while (std::getline(file, line)) {
+    std::vector<std::string> fields;
+    std::stringstream ss(line);
+    std::string field;
+    while (std::getline(ss, field, ',')) fields.push_back(field);
+    out.rows.push_back(fields);
+  }
+  return out;
+}
+
+TEST(EngineMonitor, TimelineIsShardCountInvariant) {
+  // Columns: label, sim_s, wall_s, events, queue_depth, events_per_wall_s,
+  // sim_s_per_wall_s, then the tracked counters.
+  char dir[] = "/tmp/p2plab_timeline_XXXXXX";
+  ASSERT_NE(mkdtemp(dir), nullptr);
+  const Timeline one = monitored_run(1, dir);
+  const Timeline two = monitored_run(2, dir);
+  ASSERT_GT(one.rows.size(), 3u);
+  ASSERT_EQ(one.rows.size(), two.rows.size());
+  for (std::size_t i = 0; i < one.rows.size(); ++i) {
+    ASSERT_EQ(one.rows[i].size(), 9u);
+    ASSERT_EQ(two.rows[i].size(), 9u);
+    for (const std::size_t col : {0u, 1u, 3u}) {
+      EXPECT_EQ(one.rows[i][col], two.rows[i][col])
+          << "row " << i << " column " << col;
+    }
+    // The shard registries are folded before every sample: the tracked
+    // dispatch counter is the platform's own event count.
+    EXPECT_EQ(one.rows[i][7], one.rows[i][3] + ".000000") << "row " << i;
+    EXPECT_EQ(two.rows[i][7], two.rows[i][3] + ".000000") << "row " << i;
+  }
+  // The final sample's tracked columns are the final merged registry.
+  for (const Timeline* t : {&one, &two}) {
+    EXPECT_EQ(t->rows.back()[7], std::to_string(t->final_dispatched));
+    EXPECT_EQ(t->rows.back()[8], std::to_string(t->final_packets));
+  }
 }
 
 TEST(EnginePlatform, DeadlineStopsOnTimeAndResumes) {

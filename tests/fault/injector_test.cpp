@@ -5,17 +5,19 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "core/platform.hpp"
 #include "fault/plan.hpp"
-#include "metrics/recorder.hpp"
 #include "metrics/registry.hpp"
 
 namespace p2plab::fault {
 namespace {
+
+// Test platforms at K=1 run unpinned (`pin_workers = false`): a K=1
+// worker auto-pins to the first CPU of the affinity mask, which every
+// parallel ctest process would then share.
 
 SimTime at_sec(double s) { return SimTime::zero() + Duration::seconds(s); }
 
@@ -23,9 +25,10 @@ class InjectorTest : public ::testing::Test {
  protected:
   InjectorTest()
       : platform(topology::homogeneous_dsl(6),
-                 core::PlatformConfig{.physical_nodes = 2}) {}
+                 core::PlatformConfig{.physical_nodes = 2,
+                                      .pin_workers = false}) {}
 
-  void run_until(double sec) { platform.sim().run_until(at_sec(sec)); }
+  void run_until(double sec) { platform.run(at_sec(sec)); }
 
   ipfw::Pipe& up_pipe(std::size_t vnode) {
     return platform.host_of_vnode(vnode).firewall().pipe(
@@ -196,13 +199,13 @@ TEST_F(InjectorTest, BindsMetricsRegistry) {
   EXPECT_EQ(registry.value("fault.active"), 0.0);
 }
 
-/// Run a mixed plan against a fresh platform and return the full trace as
-/// a string (flushed through the recorder's JSONL writer).
+/// Run a mixed plan against a fresh platform and return the full trace,
+/// one JSONL line per event in the platform's canonical order.
 std::string trace_of_run() {
-  metrics::FlightRecorder recorder;
-  metrics::FlightRecorder::set_active(&recorder);
   core::Platform platform(topology::homogeneous_dsl(6),
-                          core::PlatformConfig{.physical_nodes = 2});
+                          core::PlatformConfig{.physical_nodes = 2,
+                                               .pin_workers = false});
+  platform.enable_tracing();
   FaultPlan plan;
   plan.crash_and_rejoin(2, at_sec(10), Duration::sec(20))
       .crash(3, at_sec(12))
@@ -210,18 +213,9 @@ std::string trace_of_run() {
       .tracker_outage(at_sec(20), Duration::sec(10));
   FaultInjector injector(platform, plan);
   injector.arm();
-  platform.sim().run_until(at_sec(60));
-  metrics::FlightRecorder::set_active(nullptr);
-
-  std::FILE* tmp = std::tmpfile();
-  EXPECT_NE(tmp, nullptr);
-  recorder.flush(tmp);
+  platform.run(at_sec(60));
   std::string out;
-  std::rewind(tmp);
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, tmp)) > 0) out.append(buf, n);
-  std::fclose(tmp);
+  for (const std::string& line : platform.trace_lines()) out += line + "\n";
   return out;
 }
 

@@ -21,6 +21,10 @@
 namespace p2plab::fault {
 namespace {
 
+// Test platforms at K=1 run unpinned (`pin_workers = false`): a K=1
+// worker auto-pins to the first CPU of the affinity mask, which every
+// parallel ctest process would then share.
+
 SimTime at_sec(double s) { return SimTime::zero() + Duration::seconds(s); }
 
 class KarnSpikeTest : public ::testing::TestWithParam<sockets::TransportModel> {
@@ -33,6 +37,7 @@ class KarnSpikeTest : public ::testing::TestWithParam<sockets::TransportModel> {
     core::PlatformConfig pc;
     pc.physical_nodes = 1;
     pc.seed = 7;
+    pc.pin_workers = false;
     pc.stream.transport = GetParam();
     platform = std::make_unique<core::Platform>(topology::homogeneous_dsl(2),
                                                 pc);

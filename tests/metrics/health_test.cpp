@@ -10,7 +10,6 @@
 
 #include "common/time.hpp"
 #include "metrics/registry.hpp"
-#include "sim/simulation.hpp"
 
 namespace p2plab::metrics {
 namespace {
@@ -27,22 +26,31 @@ std::string report_to_string(const HealthMonitor& monitor) {
   return out;
 }
 
+HealthProbe at_ms(std::int64_t ms, std::uint64_t events) {
+  return {.now = SimTime::zero() + Duration::ms(ms), .events = events};
+}
+
 TEST(HealthMonitor, SamplesPeriodicallyPlusFinal) {
-  sim::Simulation sim;
+  // The platform offers a sample at every barrier; the monitor takes one
+  // per elapsed period (at the first barrier past it) plus the final one.
   Registry reg;
   HealthMonitor monitor({.period = Duration::sec(1),
                          .csv_name = "health_test",
                          .heartbeat_wall_seconds = 0.0});
-  monitor.start(sim, reg);
-  sim.run_until(SimTime::zero() + Duration::ms(3500));
-  EXPECT_EQ(monitor.samples(), 3u);  // ticks at t = 1, 2, 3
-  monitor.stop();
+  monitor.start(reg, at_ms(0, 0));
+  for (std::int64_t ms = 250; ms <= 3500; ms += 250) {
+    if (monitor.due(SimTime::zero() + Duration::ms(ms))) {
+      monitor.sample(at_ms(ms, static_cast<std::uint64_t>(ms)));
+    }
+  }
+  EXPECT_EQ(monitor.samples(), 3u);  // at t = 1, 2, 3
+  monitor.stop(at_ms(3500, 3500));
   EXPECT_EQ(monitor.samples(), 4u);  // + final sample
   EXPECT_FALSE(monitor.running());
+  EXPECT_FALSE(monitor.due(SimTime::zero() + Duration::sec(10)));
 }
 
 TEST(HealthMonitor, RestartAccumulatesAcrossRuns) {
-  sim::Simulation sim;
   Registry reg;
   Counter tick = reg.counter("test.ticks");
   HealthMonitor monitor({.period = Duration::sec(1),
@@ -51,32 +59,28 @@ TEST(HealthMonitor, RestartAccumulatesAcrossRuns) {
                          .heartbeat_wall_seconds = 0.0});
 
   monitor.set_label("run=1");
-  monitor.start(sim, reg);
-  sim.schedule_after(Duration::ms(500), [&tick] { tick.inc(); });
-  sim.run_until(SimTime::zero() + Duration::ms(1500));
-  monitor.stop();
-  const std::uint64_t first_events = monitor.events_observed();
-  EXPECT_GE(first_events, 2u);  // user event + at least one sampler tick
+  monitor.start(reg, at_ms(0, 0));
+  tick.inc();
+  monitor.sample(at_ms(1000, 5));
+  monitor.stop(at_ms(1500, 7));
+  EXPECT_EQ(monitor.events_observed(), 7u);
 
   monitor.set_label("run=2");
-  monitor.start(sim, reg);
-  sim.run_until(SimTime::zero() + Duration::ms(3500));
-  monitor.stop();
-  EXPECT_GT(monitor.events_observed(), first_events);
-  EXPECT_GE(monitor.samples(), 4u);
+  monitor.start(reg, at_ms(1500, 7));
+  monitor.stop(at_ms(3500, 20));
+  EXPECT_EQ(monitor.events_observed(), 20u);  // 7 + 13
+  EXPECT_EQ(monitor.samples(), 3u);
 }
 
 TEST(HealthMonitor, PrintReportDumpsRegistry) {
-  sim::Simulation sim;
   Registry reg;
   Counter c = reg.counter("test.answer");
   c.inc(42);
   HealthMonitor monitor({.period = Duration::sec(1),
                          .csv_name = "health_report_test",
                          .heartbeat_wall_seconds = 0.0});
-  monitor.start(sim, reg);
-  sim.run_until(SimTime::zero() + Duration::ms(1500));
-  monitor.stop();
+  monitor.start(reg, at_ms(0, 0));
+  monitor.stop(at_ms(1500, 3));
 
   // After stop() the monitor reports the last run's registry.
   const std::string report = report_to_string(monitor);
@@ -90,7 +94,6 @@ TEST(HealthMonitor, TimelineLandsInResultsDir) {
   ASSERT_NE(mkdtemp(dir_template), nullptr);
   setenv("P2PLAB_RESULTS_DIR", dir_template, 1);
   {
-    sim::Simulation sim;
     Registry reg;
     Counter c = reg.counter("test.val");
     c.inc(7);
@@ -99,9 +102,9 @@ TEST(HealthMonitor, TimelineLandsInResultsDir) {
                            .tracked = {"test.val"},
                            .heartbeat_wall_seconds = 0.0});
     monitor.set_label("fold=2");
-    monitor.start(sim, reg);
-    sim.run_until(SimTime::zero() + Duration::ms(2500));
-    monitor.stop();
+    monitor.start(reg, at_ms(0, 0));
+    monitor.sample(at_ms(1000, 4));
+    monitor.stop(at_ms(2500, 9));
   }  // CsvWriter flushes on destruction
   unsetenv("P2PLAB_RESULTS_DIR");
 
@@ -114,7 +117,7 @@ TEST(HealthMonitor, TimelineLandsInResultsDir) {
   EXPECT_NE(header.find("test.val"), std::string::npos);
   std::string row;
   ASSERT_TRUE(std::getline(file, row));
-  EXPECT_EQ(row.rfind("fold=2,", 0), 0u);
+  EXPECT_EQ(row.rfind("fold=2,1.000000,", 0), 0u);
   EXPECT_NE(row.find("7"), std::string::npos);  // tracked column value
 }
 

@@ -1,7 +1,7 @@
 // BSP profiler tests: ring overflow semantics, rollup math, Perfetto
 // trace-event validity (line-parsed: the sink promises one event per
 // line), registry folding, and the end-to-end recording paths — engine
-// workers at K=2 and the classic single-threaded chunk loop.
+// workers at K=2 and the single worker at K=1.
 #include "profile/profiler.hpp"
 
 #include <cstdint>
@@ -16,11 +16,16 @@
 
 #include "bittorrent/swarm.hpp"
 #include "core/platform.hpp"
+#include "metrics/recorder.hpp"
 #include "metrics/registry.hpp"
 #include "topology/topology.hpp"
 
 namespace p2plab::profile {
 namespace {
+
+// Test platforms at K=1 run unpinned (`pin_workers = false`): a K=1
+// worker auto-pins to the first CPU of the affinity mask, which every
+// parallel ctest process would then share.
 
 PhaseSample sample_at(std::uint64_t start_ns, std::uint64_t dur_ns,
                       Phase phase, std::uint64_t events = 0,
@@ -250,10 +255,11 @@ TEST(ProfilerEngine, WorkersRecordAllPhasesAtK2) {
   EXPECT_GE(roll.imbalance_ratio, 1.0);
 }
 
-TEST(ProfilerClassic, ChunkLoopRecordsExecuteSamples) {
+TEST(ProfilerEngine, SingleShardRecordsExecuteSamples) {
   core::PlatformConfig pc;
   pc.physical_nodes = 4;
-  pc.shards = 0;  // classic single-threaded path
+  pc.shards = 1;
+  pc.pin_workers = false;
   const bt::SwarmConfig config = tiny_swarm();
   core::Platform platform(
       topology::homogeneous_dsl(bt::swarm_vnodes(config)), pc);
@@ -262,15 +268,46 @@ TEST(ProfilerClassic, ChunkLoopRecordsExecuteSamples) {
   swarm.run();
   ASSERT_TRUE(swarm.all_complete());
 
+  // One worker, one ring: every executed event is accounted to shard 0.
   const Profiler& prof = platform.profiler();
   ASSERT_EQ(prof.shard_count(), 1u);
   EXPECT_GT(prof.shard_ring(0).total(), 0u);
+  std::uint64_t executed = 0;
   for (const PhaseSample& sample : prof.shard_ring(0).samples()) {
-    EXPECT_EQ(sample.phase, Phase::kExecute);
+    if (sample.phase == Phase::kExecute) executed += sample.events;
   }
+  EXPECT_GT(executed, 0u);
   const Rollup roll = prof.rollup();
+  ASSERT_EQ(roll.shards.size(), 1u);
   EXPECT_GT(roll.shards[0].events, 0u);
-  EXPECT_EQ(roll.merge_s, 0.0);  // no coordinator in classic mode
+  EXPECT_GE(roll.shards[0].utilization_pct, 0.0);
+  EXPECT_LE(roll.shards[0].utilization_pct, 100.0 + 1e-9);
+}
+
+TEST(ResultsWriters, FullDiskIsReportedAsFailure) {
+  // /dev/full accepts the open and fails every write: a truncated trace or
+  // profile must not pass as written.
+  setenv("P2PLAB_RESULTS_DIR", "/dev", 1);
+  metrics::FlightRecorder rec(4);
+  rec.record(SimTime::zero(), "t", "e");
+  EXPECT_FALSE(rec.flush_to_results("full"));
+
+  Profiler prof(1, 8);
+  prof.shard_ring(0).push(sample_at(1000, 500, Phase::kExecute, 5));
+  EXPECT_FALSE(prof.write_perfetto_to_results("full"));
+
+  {
+    const bt::SwarmConfig config = tiny_swarm();
+    core::Platform platform(
+        topology::homogeneous_dsl(bt::swarm_vnodes(config)),
+        core::PlatformConfig{.physical_nodes = 2, .pin_workers = false});
+    platform.enable_tracing();
+    bt::Swarm swarm(platform, config);
+    swarm.run();
+    ASSERT_FALSE(platform.trace_lines().empty());
+    EXPECT_FALSE(platform.flush_trace_to_results("full"));
+  }
+  unsetenv("P2PLAB_RESULTS_DIR");
 }
 
 }  // namespace

@@ -46,7 +46,7 @@ TEST(ScenarioParser, MinimalSwarmDefaults) {
   EXPECT_EQ(spec.swarm.seeders, 4u);  // SwarmConfig defaults survive
   EXPECT_EQ(spec.swarm.file_size.count_bytes(), DataSize::mib(16).count_bytes());
   EXPECT_EQ(spec.vnodes(), 13u);  // tracker + 4 seeders + 8 clients
-  EXPECT_EQ(spec.engine.shards, 0u);
+  EXPECT_EQ(spec.engine.shards, 1u);
   EXPECT_TRUE(spec.faults.empty());
   EXPECT_TRUE(spec.declared_outputs().empty());
 }
@@ -531,6 +531,15 @@ TEST(ScenarioParserScaling, Defaults) {
   EXPECT_EQ(spec.engine.partition, PartitionPolicy::kTopo);
 }
 
+TEST(ScenarioParserScaling, ZeroShardsRejected) {
+  EXPECT_EQ(parse_error("scenario x\n"
+                        "[workload]\n"
+                        "type swarm\n"
+                        "[engine]\n"
+                        "shards 0\n"),
+            "line 5: shards must be positive");
+}
+
 TEST(ScenarioParserScaling, BadBarrierValue) {
   EXPECT_EQ(parse_error("scenario x\n"
                         "[workload]\n"
@@ -610,6 +619,12 @@ TEST(ScenarioParserOverrides, UnknownKeyInSetKeepsSetSource) {
   EXPECT_EQ(parse_error("scenario x\n[workload]\ntype swarm\n",
                         {"workload.clientz=5"}),
             "--set workload.clientz=5: unknown key 'clientz' in [workload]");
+}
+
+TEST(ScenarioParserOverrides, ZeroShardsInSetKeepsSetSource) {
+  EXPECT_EQ(parse_error("scenario x\n[workload]\ntype swarm\n",
+                        {"engine.shards=0"}),
+            "--set engine.shards=0: shards must be positive");
 }
 
 TEST(ScenarioParserOverrides, BadValueInSetKeepsSetSource) {
@@ -715,8 +730,48 @@ ScenarioSpec parse_shipped(const char* file) {
   return result.spec ? *result.spec : ScenarioSpec{};
 }
 
+/// Zone-level identity of two inline topologies: a harness deriving its
+/// expectations (accuracy) or its base RTT (fig6) from the topology would
+/// silently change if the file and the catalog drifted apart.
+void expect_same_topology(const ScenarioSpec& parsed,
+                          const ScenarioSpec& built) {
+  ASSERT_EQ(parsed.topology.source, TopologySource::kInline);
+  ASSERT_EQ(built.topology.source, TopologySource::kInline);
+  ASSERT_TRUE(parsed.topology.built.has_value());
+  ASSERT_TRUE(built.topology.built.has_value());
+  const topology::Topology& pt = *parsed.topology.built;
+  const topology::Topology& ct = *built.topology.built;
+  ASSERT_EQ(pt.zones().size(), ct.zones().size());
+  for (std::size_t z = 0; z < pt.zones().size(); ++z) {
+    const topology::Zone& a = pt.zones()[z];
+    const topology::Zone& b = ct.zones()[z];
+    EXPECT_EQ(a.name, b.name) << "zone " << z;
+    EXPECT_EQ(a.subnet.to_string(), b.subnet.to_string()) << "zone " << z;
+    EXPECT_EQ(a.node_count, b.node_count) << "zone " << z;
+    EXPECT_EQ(a.link.down, b.link.down) << "zone " << z;
+    EXPECT_EQ(a.link.up, b.link.up) << "zone " << z;
+    EXPECT_EQ(a.link.latency, b.link.latency) << "zone " << z;
+    EXPECT_EQ(a.link.loss_rate, b.link.loss_rate) << "zone " << z;
+  }
+  ASSERT_EQ(pt.latencies().size(), ct.latencies().size());
+  for (std::size_t i = 0; i < pt.latencies().size(); ++i) {
+    EXPECT_EQ(pt.latencies()[i].a, ct.latencies()[i].a) << "latency " << i;
+    EXPECT_EQ(pt.latencies()[i].b, ct.latencies()[i].b) << "latency " << i;
+    EXPECT_EQ(pt.latencies()[i].latency, ct.latencies()[i].latency)
+        << "latency " << i;
+  }
+}
+
 TEST(ShippedScenarios, Fig6MatchesCatalog) {
-  expect_equivalent(parse_shipped("fig6.scn"), catalog::fig6());
+  const ScenarioSpec parsed = parse_shipped("fig6.scn");
+  const ScenarioSpec built = catalog::fig6();
+  expect_equivalent(parsed, built);
+  expect_same_topology(parsed, built);
+  // The LAN link adds no delay: the RTT is the rule scan and the host path.
+  const topology::LinkClass& lan = parsed.topology.built->link_of_node(0);
+  EXPECT_TRUE(lan.up.is_unlimited());
+  EXPECT_TRUE(lan.down.is_unlimited());
+  EXPECT_EQ(lan.latency, Duration::zero());
 }
 
 TEST(ShippedScenarios, Fig8MatchesCatalog) {
@@ -744,34 +799,7 @@ TEST(ShippedScenarios, AccuracyMatchesCatalog) {
   const ScenarioSpec parsed = parse_shipped("accuracy.scn");
   const ScenarioSpec built = catalog::accuracy();
   expect_equivalent(parsed, built);
-  // Both carry an inline topology; the accuracy harness derives its
-  // expectations from it, so zone-level drift would silently change what
-  // the invariants assert.
-  ASSERT_EQ(parsed.topology.source, TopologySource::kInline);
-  ASSERT_EQ(built.topology.source, TopologySource::kInline);
-  ASSERT_TRUE(parsed.topology.built.has_value());
-  ASSERT_TRUE(built.topology.built.has_value());
-  const topology::Topology& pt = *parsed.topology.built;
-  const topology::Topology& ct = *built.topology.built;
-  ASSERT_EQ(pt.zones().size(), ct.zones().size());
-  for (std::size_t z = 0; z < pt.zones().size(); ++z) {
-    const topology::Zone& a = pt.zones()[z];
-    const topology::Zone& b = ct.zones()[z];
-    EXPECT_EQ(a.name, b.name) << "zone " << z;
-    EXPECT_EQ(a.subnet.to_string(), b.subnet.to_string()) << "zone " << z;
-    EXPECT_EQ(a.node_count, b.node_count) << "zone " << z;
-    EXPECT_EQ(a.link.down, b.link.down) << "zone " << z;
-    EXPECT_EQ(a.link.up, b.link.up) << "zone " << z;
-    EXPECT_EQ(a.link.latency, b.link.latency) << "zone " << z;
-    EXPECT_EQ(a.link.loss_rate, b.link.loss_rate) << "zone " << z;
-  }
-  ASSERT_EQ(pt.latencies().size(), ct.latencies().size());
-  for (std::size_t i = 0; i < pt.latencies().size(); ++i) {
-    EXPECT_EQ(pt.latencies()[i].a, ct.latencies()[i].a) << "latency " << i;
-    EXPECT_EQ(pt.latencies()[i].b, ct.latencies()[i].b) << "latency " << i;
-    EXPECT_EQ(pt.latencies()[i].latency, ct.latencies()[i].latency)
-        << "latency " << i;
-  }
+  expect_same_topology(parsed, built);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // End-to-end ExperimentRunner tests on deliberately tiny swarms: a spec
 // goes in, the experiment runs to its stop condition, and the run is
 // deterministic — the same spec produces the same completion times whether
-// it came from C++ or from DSL text, and on the classic or the sharded
-// engine.
+// it came from C++ or from DSL text, and at any shard count.
 #include "scenario/runner.hpp"
 
 #include <string>
@@ -15,6 +14,10 @@
 namespace p2plab::scenario {
 namespace {
 
+// Test platforms at K=1 run unpinned (`pin_workers = false`): a K=1
+// worker auto-pins to the first CPU of the affinity mask, which every
+// parallel ctest process would then share.
+
 ScenarioSpec tiny_spec() {
   ScenarioSpec spec;
   spec.name = "tiny";
@@ -22,6 +25,7 @@ ScenarioSpec tiny_spec() {
   spec.swarm.seeders = 2;
   spec.swarm.file_size = DataSize::mib(1);
   spec.swarm.start_interval = Duration::sec(1);
+  spec.engine.pin_workers = false;
   return spec;
 }
 
@@ -47,7 +51,9 @@ TEST(ExperimentRunner, DslAndCatalogSpecsProduceIdenticalRuns) {
       "clients 6\n"
       "seeders 2\n"
       "file_size 1M\n"
-      "start_interval 1\n",
+      "start_interval 1\n"
+      "[engine]\n"
+      "pin off\n",
       {});
   ASSERT_TRUE(parsed.spec) << parsed.error;
   ExperimentRunner from_dsl(std::move(*parsed.spec));
@@ -56,16 +62,16 @@ TEST(ExperimentRunner, DslAndCatalogSpecsProduceIdenticalRuns) {
   EXPECT_EQ(completion_times(from_cpp), completion_times(from_dsl));
 }
 
-TEST(ExperimentRunner, ShardedRunMatchesClassic) {
-  ExperimentRunner classic(tiny_spec());
-  ASSERT_EQ(classic.run(), 0);
+TEST(ExperimentRunner, ShardedRunMatchesSingleShard) {
+  ExperimentRunner single(tiny_spec());  // engine.shards defaults to 1
+  ASSERT_EQ(single.run(), 0);
 
   ScenarioSpec sharded_spec = tiny_spec();
   sharded_spec.engine.shards = 2;
   ExperimentRunner sharded(std::move(sharded_spec));
   ASSERT_EQ(sharded.run(), 0);
 
-  EXPECT_EQ(completion_times(classic), completion_times(sharded));
+  EXPECT_EQ(completion_times(single), completion_times(sharded));
 }
 
 TEST(ExperimentRunner, StopTimeEndsEarly) {
@@ -75,7 +81,7 @@ TEST(ExperimentRunner, StopTimeEndsEarly) {
   ExperimentRunner runner(std::move(spec));
   EXPECT_EQ(runner.run(), 0);
   EXPECT_FALSE(runner.swarm().all_complete());
-  EXPECT_LE(runner.platform().sim().now().to_seconds(), 6.0);
+  EXPECT_LE(runner.platform().now().to_seconds(), 6.0);
 }
 
 TEST(ExperimentRunner, ChurnDirectiveInjectsAndRecovers) {

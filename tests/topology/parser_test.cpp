@@ -30,6 +30,7 @@ TEST(ParseBandwidth, UnitsAndErrors) {
   EXPECT_EQ(*parse_bandwidth("1G"), Bandwidth::gbps(1));
   EXPECT_EQ(*parse_bandwidth("33600"), Bandwidth::bps(33600));
   EXPECT_EQ(*parse_bandwidth("1.5M"), Bandwidth::bps(1500000));
+  EXPECT_TRUE(parse_bandwidth("unlimited")->is_unlimited());
   EXPECT_FALSE(parse_bandwidth("").has_value());
   EXPECT_FALSE(parse_bandwidth("fast").has_value());
   EXPECT_FALSE(parse_bandwidth("-2M").has_value());

@@ -66,6 +66,17 @@ TEST(Figure7, NodeAddressesMatchPaper) {
   EXPECT_EQ(topo.node_address(idx_22_117), ip("10.2.2.117"));
 }
 
+TEST(Figure7, NodeIndexInvertsNodeAddress) {
+  const Topology topo = figure7();
+  for (const std::size_t i : {0u, 249u, 706u, 750u, 2749u}) {
+    EXPECT_EQ(topo.node_index(topo.node_address(i)), i);
+  }
+  // Network addresses, container-only space and unused hosts are no node.
+  EXPECT_FALSE(topo.node_index(*Ipv4Addr::parse("10.1.1.0")).has_value());
+  EXPECT_FALSE(topo.node_index(*Ipv4Addr::parse("10.1.4.1")).has_value());
+  EXPECT_FALSE(topo.node_index(*Ipv4Addr::parse("10.1.1.251")).has_value());
+}
+
 TEST(Figure7, InterZoneLatencies) {
   const Topology topo = figure7();
   // Within the ISP: 100 ms between subnets, none within one subnet.

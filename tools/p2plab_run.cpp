@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
               spec.name.c_str(),
               spec.workload.c_str(),
               spec.vnodes(), spec.resolved_physical_nodes(),
-              spec.effective_shards());
+              spec.engine.shards);
   p2plab::scenario::ExperimentRunner runner(std::move(spec));
   return runner.run();
 }
