@@ -88,6 +88,45 @@ void BM_EventQueueCancelHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueCancelHeavy)->Arg(1000)->Arg(100000);
 
+void BM_EventQueueWindowed(benchmark::State& state) {
+  // Gossip-shaped kernel load driven the way the engine drives a shard:
+  // state.range(0) long-period protocol timers share the queue with a few
+  // short-delay chains (a datagram's hops through pipes and NICs), and
+  // each iteration is one BSP window — open_window, run_before,
+  // advance_to. The timers wait in the far tier while the chains cycle
+  // through a near tier of a handful of entries. Items are dispatched
+  // events.
+  struct Load {
+    sim::Simulation sim;
+    Rng rng{1};
+    void timer(Duration first, Duration period) {
+      sim.schedule_after(first, [this, period] { timer(period, period); });
+    }
+    void chain() {
+      sim.schedule_after(
+          Duration::us(1 + static_cast<std::int64_t>(rng.uniform(30))),
+          [this] { chain(); });
+    }
+  } load;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    load.timer(
+        Duration::us(static_cast<std::int64_t>(load.rng.uniform(1'000'000))),
+        Duration::ms(500 + static_cast<std::int64_t>(load.rng.uniform(500))));
+  }
+  for (int c = 0; c < 6; ++c) load.chain();
+  const Duration window = Duration::us(100);
+  SimTime end = SimTime::zero();
+  for (auto _ : state) {
+    end = end + window;
+    load.sim.open_window(end);
+    load.sim.run_before(end);
+    load.sim.advance_to(end);
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(load.sim.dispatched_events()));
+}
+BENCHMARK(BM_EventQueueWindowed)->Arg(200);
+
 void BM_LinearClassifierScan(benchmark::State& state) {
   sim::Simulation sim;
   ipfw::Firewall fw(sim, {}, Rng{1});

@@ -83,14 +83,6 @@ std::size_t Platform::pnode_of_vnode(std::size_t i) const {
   return i / folding_ratio();
 }
 
-sim::Simulation& Platform::sim_of_vnode(std::size_t i) {
-  return shards_[shard_of_pnode(pnode_of_vnode(i))]->sim;
-}
-
-metrics::Registry& Platform::registry_of_vnode(std::size_t i) {
-  return shards_[shard_of_pnode(pnode_of_vnode(i))]->registry;
-}
-
 net::Network& Platform::network_of_pnode(std::size_t p) {
   return *shards_[shard_of_pnode(p)]->network;
 }
@@ -166,12 +158,10 @@ void Platform::detach_monitor() {
 
 void Platform::merge_shard_metrics() {
   if (master_reg_ == nullptr) return;
-  for (const auto& shard : shards_) {
-    master_reg_->merge_from(shard->registry);
-    // Reset so the next merge adds only the delta; the shard subsystems'
-    // handles stay valid (cells are zeroed in place).
-    shard->registry.reset();
-  }
+  std::vector<metrics::Registry*> parts;
+  parts.reserve(shards_.size());
+  for (const auto& shard : shards_) parts.push_back(&shard->registry);
+  master_reg_->fold_shards(parts);
 }
 
 void Platform::bind_metrics(metrics::Registry& reg) {
@@ -202,8 +192,10 @@ void Platform::deploy_vnodes() {
   vnodes_.reserve(n);
   processes_.reserve(n);
   apis_.reserve(n);
+  shard_of_vnode_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t p = pnode_of_vnode(i);
+    shard_of_vnode_.push_back(shards_[shard_of_pnode(p)].get());
     vnodes_.push_back(std::make_unique<vnode::VirtualNode>(
         *host_by_pnode_[p], static_cast<std::uint32_t>(i),
         topo_.node_address(i)));

@@ -122,11 +122,15 @@ class Platform {
   /// The simulation that owns vnode i's state. Application code must
   /// schedule a vnode's events here so they execute on the owning shard's
   /// thread.
-  sim::Simulation& sim_of_vnode(std::size_t i);
+  sim::Simulation& sim_of_vnode(std::size_t i) {
+    return shard_of_vnode_.at(i)->sim;
+  }
   /// The registry a vnode's application metrics must bind to: its shard's
-  /// single-writer registry, merged into the bind_metrics() registry after
+  /// single-writer registry, folded into the bind_metrics() registry after
   /// every run() and at every health sample.
-  metrics::Registry& registry_of_vnode(std::size_t i);
+  metrics::Registry& registry_of_vnode(std::size_t i) {
+    return shard_of_vnode_.at(i)->registry;
+  }
 
   /// Platform-wide clock: identical on every shard at every stop.
   SimTime now() const;
@@ -208,7 +212,7 @@ class Platform {
 
   /// Bind the whole platform's instrumentation to `reg`: each shard's
   /// subsystems bind to a private registry, folded into `reg` after every
-  /// run() (Registry::merge_from).
+  /// run() (Registry::fold_shards).
   void bind_metrics(metrics::Registry& reg);
 
   // -- tracing ------------------------------------------------------------
@@ -281,6 +285,9 @@ class Platform {
   std::unique_ptr<engine::Engine> engine_;
   /// pnode -> shard table (see PlatformConfig::partition).
   std::vector<std::size_t> shard_of_pnode_;
+  /// vnode -> owning shard, built at deploy time: sim_of_vnode() sits on
+  /// the application's per-send and per-timer path.
+  std::vector<Shard*> shard_of_vnode_;
   std::vector<net::Host*> host_by_pnode_;
   metrics::Registry* master_reg_ = nullptr;
   metrics::HealthMonitor* monitor_ = nullptr;

@@ -263,6 +263,9 @@ void Engine::worker(std::size_t shard) {
                                       .phase = profile::Phase::kBarrierWait});
     }
     if (phase_ != Phase::kRunWindow) break;
+    // Raise the kernel's near-tier horizon first, so this window's merged
+    // arrivals land in the small near heap.
+    sim.open_window(window_end_);
     const std::uint64_t merged = merge_ingress(shard);
     const std::uint64_t t2 = ring != nullptr ? prof->now_ns() : t1;
     if (ring != nullptr && merged > 0) {

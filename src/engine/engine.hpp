@@ -6,9 +6,10 @@
 // windows of length L — the engine's lookahead — separated by barriers:
 //
 //   barrier: pick the next window [start, end) (or a stop)
-//   window:  each shard k-way merges the handoff packets addressed to it,
-//            runs its own events with time < end, then sorts the handoff
-//            runs it produced for the next merge
+//   window:  each shard raises its kernel's near-tier horizon to `end`
+//            (Simulation::open_window), k-way merges the handoff packets
+//            addressed to it, runs its own events with time < end, then
+//            sorts the handoff runs it produced for the next merge
 //
 // L = (minimum emulated access-link delay) + switch latency. Every
 // inter-host packet pays at least one source access pipe before it can

@@ -96,6 +96,8 @@ bool MembershipTable::apply(const Update& update, SimTime now) {
   }
   if (!accept) return false;
 
+  if (entry.known && entry.state == MemberState::kSuspect) --suspects_;
+  if (update.state == MemberState::kSuspect) ++suspects_;
   entry.known = true;
   entry.state = update.state;
   entry.incarnation = update.incarnation;
@@ -139,6 +141,7 @@ std::vector<std::uint32_t> MembershipTable::probe_candidates() const {
 std::vector<std::uint32_t> MembershipTable::expired_suspects(
     SimTime cutoff) const {
   std::vector<std::uint32_t> out;
+  if (suspects_ == 0) return out;  // the common tick: nothing to scan
   for (std::uint32_t i = 0; i < entries_.size(); ++i) {
     if (i == self_) continue;
     if (!entries_[i].known) continue;

@@ -159,6 +159,7 @@ class MembershipTable {
   std::uint32_t incarnation_ = 0;
   std::uint32_t rumor_budget_ = 0;  // transmissions per rumor, ~3·log2(n)
   std::uint64_t refutations_ = 0;
+  std::size_t suspects_ = 0;  // entries in kSuspect (never self)
   std::vector<Entry> entries_;
   std::vector<Rumor> rumors_;
 };

@@ -48,48 +48,53 @@ double Registry::value(std::string_view name) const {
   return 0.0;
 }
 
-void Registry::merge_from(const Registry& other) {
-  for (const auto& [name, theirs] : other.entries_) {
-    Entry& mine = entry(name, theirs.kind);
-    switch (theirs.kind) {
-      case MetricKind::kCounter:
-        mine.counter += theirs.counter;
-        break;
-      case MetricKind::kGauge:
-        mine.gauge += theirs.gauge;
-        break;
-      case MetricKind::kHistogram: {
-        if (mine.hist.buckets.empty()) {
-          mine.hist.bounds = theirs.hist.bounds;
-          mine.hist.buckets.assign(mine.hist.bounds.size() + 1, 0);
-        }
-        P2PLAB_ASSERT_MSG(mine.hist.bounds == theirs.hist.bounds,
-                          "histogram merged with mismatched bounds");
-        for (std::size_t i = 0; i < mine.hist.buckets.size(); ++i) {
-          mine.hist.buckets[i] += theirs.hist.buckets[i];
-        }
-        if (theirs.hist.count > 0) {
-          if (mine.hist.count == 0) {
-            mine.hist.min = theirs.hist.min;
-            mine.hist.max = theirs.hist.max;
-          } else {
-            mine.hist.min = std::min(mine.hist.min, theirs.hist.min);
-            mine.hist.max = std::max(mine.hist.max, theirs.hist.max);
-          }
-          mine.hist.count += theirs.hist.count;
-          mine.hist.sum += theirs.hist.sum;
-        }
-        break;
+void Registry::fold_shards(const std::vector<Registry*>& shards) {
+  // Gauges are levels: restart each shard-fed gauge from zero, then sum
+  // the shards' current values below.
+  for (const Registry* shard : shards) {
+    for (const auto& [name, theirs] : shard->entries_) {
+      if (theirs.kind == MetricKind::kGauge) {
+        entry(name, MetricKind::kGauge).gauge = 0.0;
       }
     }
   }
-}
-
-void Registry::reset() {
-  for (auto& [name, e] : entries_) {
-    e.counter = 0;
-    e.gauge = 0.0;
-    e.hist.reset();
+  for (Registry* shard : shards) {
+    for (auto& [name, theirs] : shard->entries_) {
+      Entry& mine = entry(name, theirs.kind);
+      switch (theirs.kind) {
+        case MetricKind::kCounter:
+          mine.counter += theirs.counter;
+          theirs.counter = 0;
+          break;
+        case MetricKind::kGauge:
+          mine.gauge += theirs.gauge;
+          break;
+        case MetricKind::kHistogram: {
+          if (mine.hist.buckets.empty()) {
+            mine.hist.bounds = theirs.hist.bounds;
+            mine.hist.buckets.assign(mine.hist.bounds.size() + 1, 0);
+          }
+          P2PLAB_ASSERT_MSG(mine.hist.bounds == theirs.hist.bounds,
+                            "histogram merged with mismatched bounds");
+          for (std::size_t i = 0; i < mine.hist.buckets.size(); ++i) {
+            mine.hist.buckets[i] += theirs.hist.buckets[i];
+          }
+          if (theirs.hist.count > 0) {
+            if (mine.hist.count == 0) {
+              mine.hist.min = theirs.hist.min;
+              mine.hist.max = theirs.hist.max;
+            } else {
+              mine.hist.min = std::min(mine.hist.min, theirs.hist.min);
+              mine.hist.max = std::max(mine.hist.max, theirs.hist.max);
+            }
+            mine.hist.count += theirs.hist.count;
+            mine.hist.sum += theirs.hist.sum;
+          }
+          theirs.hist.reset();
+          break;
+        }
+      }
+    }
   }
 }
 

@@ -161,15 +161,15 @@ class Registry {
   /// Value of a counter/gauge (histogram: its count); 0 when unknown.
   double value(std::string_view name) const;
 
-  /// Zero every value; registrations and handles stay valid.
-  void reset();
-
-  /// Fold another registry's values into this one, additively: counters and
-  /// gauges add, histograms add bucket-wise (bounds must match) and merge
-  /// min/max. Metrics only present in `other` are created here. The
-  /// parallel engine keeps one registry per shard (single-writer, so the
-  /// non-atomic handles stay safe) and merges them once at end of run.
-  void merge_from(const Registry& other);
+  /// Fold per-shard registries into this one. Counters and histograms
+  /// move: they add here (histograms bucket-wise, bounds must match, with
+  /// min/max merged) and are zeroed in the shard, so repeated folds stay
+  /// exact. Gauges are levels: each becomes the sum of the shards' current
+  /// values, which are left as they are. Metrics only present in a shard
+  /// are created here. The parallel engine keeps one registry per shard
+  /// (single-writer, so the non-atomic handles stay safe) and folds them
+  /// while every worker is parked: at health samples and after each run.
+  void fold_shards(const std::vector<Registry*>& shards);
 
  private:
   struct Entry {

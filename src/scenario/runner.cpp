@@ -82,7 +82,10 @@ void ExperimentRunner::write_profile_outputs() {
   // Fold first so the rollup shows up in the registry report and any
   // later metrics consumers; gauges are set, not added — idempotent.
   platform_->profiler().fold_into(registry_);
+  // Profiling switched on through the platform alone (not `[engine]
+  // profile`) names no timeline file: fold the rollup, write nothing.
   const std::string file = spec_.resolved_profile_trace();
+  if (file.empty()) return;
   if (!platform_->flush_profile_to_results(file.c_str())) {
     warn_unwritten(file);
   }

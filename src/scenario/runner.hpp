@@ -72,7 +72,9 @@ class ExperimentRunner {
   void set_end_of_run(SimTime t) { end_of_run_ = t; }
   SimTime end_of_run() const { return end_of_run_; }
   /// Fold the BSP profile into the registry and flush the Perfetto
-  /// timeline; no-op when profiling is off.
+  /// timeline; no-op when profiling is off. The timeline is written only
+  /// when the spec names one (`[engine] profile`), not when profiling was
+  /// enabled on the platform directly.
   void write_profile_outputs();
   /// Flush the flight recorder to outputs.trace_file; no-op when no trace
   /// file is declared.

@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -85,7 +86,10 @@ class InlineCallback {
     void (*invoke)(void*);
     /// Move-construct the target from `src` storage into `dst` storage and
     /// destroy the source (storage relocation for slab/queue moves).
+    /// nullptr: the target is trivially copyable (or a heap pointer), so a
+    /// byte copy of the buffer relocates it without an indirect call.
     void (*relocate)(void* dst, void* src) noexcept;
+    /// nullptr: trivially destructible, nothing to run.
     void (*destroy)(void*) noexcept;
     bool heap;
   };
@@ -96,15 +100,23 @@ class InlineCallback {
       std::is_nothrow_move_constructible_v<D>;
 
   template <typename D>
+  static void relocate_inline(void* dst, void* src) noexcept {
+    D* s = std::launder(reinterpret_cast<D*>(src));
+    ::new (dst) D(std::move(*s));
+    s->~D();
+  }
+
+  template <typename D>
+  static void destroy_inline(void* p) noexcept {
+    std::launder(reinterpret_cast<D*>(p))->~D();
+  }
+
+  template <typename D>
   static const Ops* inline_ops() {
     static constexpr Ops ops = {
         [](void* p) { (*std::launder(reinterpret_cast<D*>(p)))(); },
-        [](void* dst, void* src) noexcept {
-          D* s = std::launder(reinterpret_cast<D*>(src));
-          ::new (dst) D(std::move(*s));
-          s->~D();
-        },
-        [](void* p) noexcept { std::launder(reinterpret_cast<D*>(p))->~D(); },
+        std::is_trivially_copyable_v<D> ? nullptr : &relocate_inline<D>,
+        std::is_trivially_destructible_v<D> ? nullptr : &destroy_inline<D>,
         /*heap=*/false};
     return &ops;
   }
@@ -113,9 +125,7 @@ class InlineCallback {
   static const Ops* heap_ops() {
     static constexpr Ops ops = {
         [](void* p) { (**static_cast<D**>(p))(); },
-        [](void* dst, void* src) noexcept {
-          *static_cast<D**>(dst) = *static_cast<D**>(src);
-        },
+        /*relocate=*/nullptr,  // the buffer holds a plain D*
         [](void* p) noexcept { delete *static_cast<D**>(p); },
         /*heap=*/true};
     return &ops;
@@ -135,7 +145,11 @@ class InlineCallback {
 
   void steal(InlineCallback& other) noexcept {
     if (other.ops_ != nullptr) {
-      other.ops_->relocate(buf_, other.buf_);
+      if (other.ops_->relocate != nullptr) {
+        other.ops_->relocate(buf_, other.buf_);
+      } else {
+        std::memcpy(buf_, other.buf_, kInlineBytes);
+      }
       ops_ = other.ops_;
       other.ops_ = nullptr;
     }
@@ -143,7 +157,7 @@ class InlineCallback {
 
   void reset() noexcept {
     if (ops_ != nullptr) {
-      ops_->destroy(buf_);
+      if (ops_->destroy != nullptr) ops_->destroy(buf_);
       ops_ = nullptr;
     }
   }

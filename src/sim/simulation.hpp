@@ -1,24 +1,38 @@
 // Discrete-event simulation kernel.
 //
-// A Simulation owns the virtual clock and a 4-ary-heap event queue. Events
+// A Simulation owns the virtual clock and a two-tier event queue. Events
 // are closures scheduled at absolute or relative times; ties dispatch in
 // scheduling order (FIFO), which the rest of the platform relies on for
 // determinism.
 //
 // Storage is split: callbacks live in a slab (stable slots, recycled via a
-// free list) and the heap orders compact 24-byte {when, seq, slot} entries.
-// That makes cancel() a true O(1) slab store (no scan, no heap surgery —
-// the entry is dropped lazily at pop time) and keeps sift swaps small: a
-// swap moves 24 bytes instead of a whole closure, which matters because
-// dispatch cost dominates 10^8-event runs.
+// free list) and 4-ary heaps order compact 24-byte {when, seq, slot}
+// entries. That makes cancel() a true O(1) slab store (no scan, no heap
+// surgery — the entry is dropped lazily at pop time) and keeps sift swaps
+// small: a swap moves 24 bytes instead of a whole closure, which matters
+// because dispatch cost dominates 10^8-event runs.
+//
+// Two tiers. Entries before a *horizon* live in the near heap, entries at
+// or after it in the far heap. The parallel engine raises the horizon to
+// each BSP window's end (open_window), so the near heap holds about one
+// window of traffic — tens of entries — while long-period protocol
+// timers sit untouched in the far heap instead of deepening every sift on
+// the hot path. Raising the horizon moves the far entries it passes into the
+// near heap, so every near entry precedes every far entry: the next event
+// is the near top when the near heap is non-empty, else the far top. Both
+// heaps order by the same (when, seq) key, and an entry's seq is fixed
+// when it is scheduled, not when it changes tier — so the dispatch order
+// is exactly the single-heap order, ties across tiers included. Driven
+// only through step()/run()/run_until(), the horizon stays at zero and
+// the far heap is the whole queue.
 //
 // The kernel itself is single-threaded: one Simulation is one logical
 // timeline and must only ever be driven from one thread at a time. The
 // parallel engine (src/engine) runs K independent Simulations — one per
 // shard — and merges cross-shard traffic deterministically; see
 // engine/engine.hpp for the synchronization protocol, which uses
-// next_event_time() / advance_to() / run_before() to interleave a shard's
-// heap with its cross-shard ingress.
+// next_event_time() / open_window() / advance_to() / run_before() to
+// interleave a shard's queue with its cross-shard ingress.
 #pragma once
 
 #include <algorithm>
@@ -66,30 +80,35 @@ class Simulation {
 
   SimTime now() const { return now_; }
 
-  /// Schedule `cb` at absolute time `when` (>= now).
-  EventId schedule_at(SimTime when, Callback cb) {
+  /// Schedule `cb` at absolute time `when` (>= now). Taken by rvalue
+  /// reference: the closure is relocated once, into its slab slot.
+  EventId schedule_at(SimTime when, Callback&& cb) {
     P2PLAB_ASSERT_MSG(when >= now_, "cannot schedule into the past");
     if (cb.on_heap()) metrics_.callback_heap_fallbacks.inc();
     const std::uint64_t seq = ++next_seq_;
     std::uint32_t slot;
     if (free_slots_.empty()) {
       slot = static_cast<std::uint32_t>(slab_.size());
-      slab_.push_back(Slot{seq, std::move(cb), false});
+      slab_.emplace_back(seq, std::move(cb), false);
       metrics_.slab_capacity.set(static_cast<double>(slab_.capacity()));
     } else {
       slot = free_slots_.back();
       free_slots_.pop_back();
-      slab_[slot] = Slot{seq, std::move(cb), false};
+      // Field by field: one relocation of the closure, not two through a
+      // temporary Slot. A free slot's callback is already empty.
+      Slot& s = slab_[slot];
+      s.seq = seq;
+      s.cb = std::move(cb);
+      s.cancelled = false;
     }
-    heap_.push_back(HeapEntry{when, seq, slot});
-    sift_up(heap_.size() - 1);
+    (when < horizon_ ? near_ : far_).push(HeapEntry{when, seq, slot});
     ++live_events_;
     metrics_.scheduled.inc();
     return EventId{seq, slot};
   }
 
   /// Schedule `cb` after a relative delay (>= 0).
-  EventId schedule_after(Duration delay, Callback cb) {
+  EventId schedule_after(Duration delay, Callback&& cb) {
     return schedule_at(now_ + delay, std::move(cb));
   }
 
@@ -117,9 +136,26 @@ class Simulation {
   /// Time of the next pending event, skipping cancelled entries; nullopt if
   /// the queue is empty.
   std::optional<SimTime> next_event_time() {
-    prune_cancelled_top();
-    if (heap_.empty()) return std::nullopt;
-    return heap_.front().when;
+    const EventHeap* tier = live_top();
+    if (tier == nullptr) return std::nullopt;
+    return tier->top().when;
+  }
+
+  /// Raise the tier horizon to `horizon`: events before it go to the near
+  /// heap. The parallel engine calls this with each window's end before
+  /// merging the window's ingress. Monotone — a horizon at or below the
+  /// current one is ignored — and invisible to dispatch order.
+  void open_window(SimTime horizon) {
+    if (horizon <= horizon_) return;
+    horizon_ = horizon;
+    while (!far_.empty() && far_.top().when < horizon_) {
+      const HeapEntry e = far_.pop();
+      if (slab_[e.slot].cancelled) {
+        free_slots_.push_back(e.slot);
+      } else {
+        near_.push(e);
+      }
+    }
   }
 
   /// Advance the clock without running events. Used by the parallel engine
@@ -132,40 +168,11 @@ class Simulation {
 
   /// Run one event. Returns false if the queue is empty.
   bool step() {
-    for (;;) {
-      if (heap_.empty()) return false;
-      const HeapEntry top = pop_top();
-      Slot& s = slab_[top.slot];
-      if (s.cancelled) {
-        free_slots_.push_back(top.slot);
-        continue;
-      }
-      P2PLAB_ASSERT(top.when >= now_);
-      now_ = top.when;
-      Callback cb = std::move(s.cb);
-      s.cb = nullptr;
-      s.cancelled = true;  // slot is dead until recycled
-      free_slots_.push_back(top.slot);
-      --live_events_;
-      ++dispatched_;
-      metrics_.dispatched.inc();
-      metrics_.queue_depth.set(static_cast<double>(live_events_));
-      if (profile_dispatch_ &&
-          (dispatched_ & (kDispatchSamplePeriod - 1)) == 0) {
-        // Wall-clock one callback in kDispatchSamplePeriod: the histogram
-        // stays representative while the two clock reads are amortized to
-        // noise on the 10^8-event hot path.
-        const auto t0 = std::chrono::steady_clock::now();
-        cb();
-        const auto t1 = std::chrono::steady_clock::now();
-        metrics_.dispatch_ns.record(static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                .count()));
-      } else {
-        cb();
-      }
-      return true;
-    }
+    EventHeap* tier = live_top();
+    if (tier == nullptr) return false;
+    dispatch(tier->pop());
+    metrics_.queue_depth.set(static_cast<double>(live_events_));
+    return true;
   }
 
   /// Run until the queue drains.
@@ -177,22 +184,24 @@ class Simulation {
   /// Run until the clock would pass `deadline`; the clock is left at
   /// min(deadline, time of last event). Events at exactly `deadline` run.
   void run_until(SimTime deadline) {
-    for (;;) {
-      const auto next = next_event_time();
-      if (!next || *next > deadline) break;
-      step();
+    for (EventHeap* tier; (tier = live_top()) != nullptr &&
+                          tier->top().when <= deadline;) {
+      dispatch(tier->pop());
     }
+    metrics_.queue_depth.set(static_cast<double>(live_events_));
     if (now_ < deadline) now_ = deadline;
   }
 
   /// Run events strictly before `end`; the clock is NOT advanced to `end`
-  /// (the parallel engine owns window-boundary clock advancement).
+  /// (the parallel engine owns window-boundary clock advancement). One
+  /// fused loop: prune, compare with `end`, pop and dispatch, with the
+  /// queue-depth gauge refreshed once on the way out.
   void run_before(SimTime end) {
-    for (;;) {
-      const auto next = next_event_time();
-      if (!next || *next >= end) break;
-      step();
+    for (EventHeap* tier;
+         (tier = live_top()) != nullptr && tier->top().when < end;) {
+      dispatch(tier->pop());
     }
+    metrics_.queue_depth.set(static_cast<double>(live_events_));
   }
 
   /// Run while `predicate()` is true and events remain.
@@ -206,12 +215,12 @@ class Simulation {
   size_t slab_size() const { return slab_.size(); }
 
   /// Shrink kernel storage after a burst: recycle every cancelled heap
-  /// entry, pop dead trailing slab slots, and release excess vector
-  /// capacity. Dispatch order is untouched — the heap is rebuilt on the
-  /// same (when, seq) total order — so this is safe at any quiescent
-  /// point; the parallel engine calls maybe_compact() at window
-  /// boundaries, where each shard's kernel is between events by
-  /// construction.
+  /// entry in both tiers, pop dead trailing slab slots, and release excess
+  /// vector capacity. Dispatch order is untouched — each tier is rebuilt
+  /// on the same (when, seq) total order and keeps its entries — so this
+  /// is safe at any quiescent point; the parallel engine calls
+  /// maybe_compact() at window boundaries, where each shard's kernel is
+  /// between events by construction.
   void compact() {
     if (compact_hook_ != nullptr) {
       const auto t0 = std::chrono::steady_clock::now();
@@ -236,14 +245,8 @@ class Simulation {
 
  private:
   void compact_impl() {
-    std::erase_if(heap_, [this](const HeapEntry& e) {
-      if (!slab_[e.slot].cancelled) return false;
-      free_slots_.push_back(e.slot);
-      return true;
-    });
-    // A sorted array satisfies the heap invariant for any arity.
-    std::sort(heap_.begin(), heap_.end(),
-              [](const HeapEntry& a, const HeapEntry& b) { return a.before(b); });
+    near_.compact(slab_, free_slots_);
+    far_.compact(slab_, free_slots_);
     // Only trailing dead slots can be returned; interior ones must stay,
     // since live heap entries index into the slab.
     while (!slab_.empty() && slab_.back().cancelled) slab_.pop_back();
@@ -251,7 +254,6 @@ class Simulation {
       return s >= slab_.size();
     });
     if (slab_.capacity() > 2 * slab_.size()) slab_.shrink_to_fit();
-    if (heap_.capacity() > 2 * heap_.size()) heap_.shrink_to_fit();
     if (free_slots_.capacity() > 2 * free_slots_.size()) {
       free_slots_.shrink_to_fit();
     }
@@ -283,6 +285,7 @@ class Simulation {
     metrics_.dispatched = reg.counter("sim.events.dispatched");
     metrics_.cancelled = reg.counter("sim.events.cancelled");
     metrics_.queue_depth = reg.gauge("sim.queue.depth");
+    metrics_.queue_depth.set(static_cast<double>(live_events_));
     metrics_.callback_heap_fallbacks =
         reg.counter("sim.alloc.callback_heap_fallbacks");
     metrics_.slab_capacity = reg.gauge("sim.slab.capacity");
@@ -313,48 +316,107 @@ class Simulation {
     }
   };
 
-  // 4-ary heap: half the depth of a binary heap and fewer cache misses,
-  // which matters because dispatch cost dominates 10^8-event runs.
-  static constexpr size_t kArity = 4;
+  /// One tier: a 4-ary min-heap on (when, seq) — half the depth of a
+  /// binary heap and fewer cache misses.
+  class EventHeap {
+   public:
+    bool empty() const { return v_.empty(); }
+    const HeapEntry& top() const { return v_.front(); }
 
-  void sift_up(size_t i) {
-    while (i > 0) {
-      const size_t parent = (i - 1) / kArity;
-      if (!heap_[i].before(heap_[parent])) break;
-      std::swap(heap_[i], heap_[parent]);
-      i = parent;
-    }
-  }
-
-  void sift_down(size_t i) {
-    const size_t n = heap_.size();
-    for (;;) {
-      const size_t first_child = kArity * i + 1;
-      if (first_child >= n) break;
-      const size_t last_child = std::min(first_child + kArity, n);
-      size_t smallest = i;
-      for (size_t c = first_child; c < last_child; ++c) {
-        if (heap_[c].before(heap_[smallest])) smallest = c;
+    void push(HeapEntry e) {
+      v_.push_back(e);
+      size_t i = v_.size() - 1;
+      while (i > 0) {
+        const size_t parent = (i - 1) / kArity;
+        if (!v_[i].before(v_[parent])) break;
+        std::swap(v_[i], v_[parent]);
+        i = parent;
       }
-      if (smallest == i) break;
-      std::swap(heap_[i], heap_[smallest]);
-      i = smallest;
+    }
+
+    HeapEntry pop() {
+      P2PLAB_ASSERT(!v_.empty());
+      const HeapEntry top = v_.front();
+      v_.front() = v_.back();
+      v_.pop_back();
+      const size_t n = v_.size();
+      for (size_t i = 0;;) {
+        const size_t first_child = kArity * i + 1;
+        if (first_child >= n) break;
+        const size_t last_child = std::min(first_child + kArity, n);
+        size_t smallest = i;
+        for (size_t c = first_child; c < last_child; ++c) {
+          if (v_[c].before(v_[smallest])) smallest = c;
+        }
+        if (smallest == i) break;
+        std::swap(v_[i], v_[smallest]);
+        i = smallest;
+      }
+      return top;
+    }
+
+    /// Recycle cancelled entries' slots into `free_slots` and rebuild the
+    /// heap sorted — a sorted array satisfies the invariant for any arity.
+    void compact(const std::vector<Slot>& slab,
+                 std::vector<std::uint32_t>& free_slots) {
+      std::erase_if(v_, [&](const HeapEntry& e) {
+        if (!slab[e.slot].cancelled) return false;
+        free_slots.push_back(e.slot);
+        return true;
+      });
+      std::sort(v_.begin(), v_.end(), [](const HeapEntry& a,
+                                         const HeapEntry& b) {
+        return a.before(b);
+      });
+      if (v_.capacity() > 2 * v_.size()) v_.shrink_to_fit();
+    }
+
+   private:
+    static constexpr size_t kArity = 4;
+    std::vector<HeapEntry> v_;
+  };
+
+  /// Drop cancelled entries off a tier's top, recycling their slots.
+  void prune(EventHeap& tier) {
+    while (!tier.empty() && slab_[tier.top().slot].cancelled) {
+      free_slots_.push_back(tier.pop().slot);
     }
   }
 
-  HeapEntry pop_top() {
-    P2PLAB_ASSERT(!heap_.empty());
-    const HeapEntry top = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
-    return top;
+  /// The tier whose top is the next live event (near before far: every
+  /// near entry precedes every far one), or nullptr if none is pending.
+  EventHeap* live_top() {
+    prune(near_);
+    if (!near_.empty()) return &near_;
+    prune(far_);
+    return far_.empty() ? nullptr : &far_;
   }
 
-  /// Drop cancelled entries off the heap top so front() is a live event.
-  void prune_cancelled_top() {
-    while (!heap_.empty() && slab_[heap_.front().slot].cancelled) {
-      free_slots_.push_back(pop_top().slot);
+  /// Fire a popped live entry: advance the clock, retire its slot, run it.
+  void dispatch(const HeapEntry& top) {
+    Slot& s = slab_[top.slot];
+    P2PLAB_ASSERT(top.when >= now_);
+    now_ = top.when;
+    Callback cb = std::move(s.cb);
+    s.cb = nullptr;
+    s.cancelled = true;  // slot is dead until recycled
+    free_slots_.push_back(top.slot);
+    --live_events_;
+    ++dispatched_;
+    metrics_.dispatched.inc();
+    if (profile_dispatch_ &&
+        (dispatched_ & (kDispatchSamplePeriod - 1)) == 0) {
+      // Wall-clock one callback in kDispatchSamplePeriod: the histogram
+      // stays representative while the two clock reads are amortized to
+      // noise on the 10^8-event hot path.
+      const auto t0 = std::chrono::steady_clock::now();
+      cb();
+      const auto t1 = std::chrono::steady_clock::now();
+      metrics_.dispatch_ns.record(static_cast<double>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+              .count()));
+    } else {
+      cb();
     }
   }
 
@@ -373,10 +435,13 @@ class Simulation {
   static constexpr size_t kCompactMinSlots = 1024;
 
   SimTime now_ = SimTime::zero();
+  /// Near/far boundary: near_ holds exactly the entries before it.
+  SimTime horizon_ = SimTime::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
   size_t live_events_ = 0;
-  std::vector<HeapEntry> heap_;
+  EventHeap near_;
+  EventHeap far_;
   std::vector<Slot> slab_;
   std::vector<std::uint32_t> free_slots_;
   size_t last_compact_slots_ = 0;

@@ -7,6 +7,7 @@
 // via P2PLAB_DETERMINISM_CLIENTS up to the full 160) under K = 1, 2, 4 and
 // requires byte-identical trace JSONL, identical completion times and an
 // identical dispatched-event count.
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -53,7 +54,7 @@ struct RunOutput {
   std::vector<double> completion_sec;
   std::vector<std::string> trace;
   std::uint64_t dispatched = 0;
-  double merged_dispatched = 0;  // via the master registry (merge_from path)
+  double merged_dispatched = 0;  // via the master registry (fold_shards path)
 };
 
 RunOutput run_fig8(std::size_t shards, std::size_t clients,
@@ -268,6 +269,54 @@ TEST(EnginePlatform, DeadlineStopsOnTimeAndResumes) {
   swarm.run();
   EXPECT_TRUE(swarm.all_complete());
   EXPECT_GT(platform.now(), at_sec(10));
+}
+
+TEST(EnginePlatform, ShardGaugesFoldAsLevels) {
+  // Every run() folds the shard registries into the master. Gauges are
+  // levels, so after any number of folds the master holds the sum of the
+  // shards' current values — not the sum of every value ever folded.
+  metrics::Registry registry;  // outlives the platform
+  core::PlatformConfig pc;
+  pc.physical_nodes = 4;
+  pc.shards = 2;
+  const bt::SwarmConfig config = fig8_swarm(6);
+  core::Platform platform(topology::homogeneous_dsl(bt::swarm_vnodes(config)),
+                          pc);
+  platform.bind_metrics(registry);
+  bt::Swarm swarm(platform, config);
+  std::vector<sim::Simulation*> sims;
+  std::vector<metrics::Registry*> shard_regs;
+  for (std::size_t i = 0; i < platform.vnode_count(); ++i) {
+    sim::Simulation* sim = &platform.sim_of_vnode(i);
+    if (std::find(sims.begin(), sims.end(), sim) != sims.end()) continue;
+    sims.push_back(sim);
+    shard_regs.push_back(&platform.registry_of_vnode(i));
+  }
+  ASSERT_EQ(sims.size(), 2u);
+
+  for (int fold = 1; fold <= 4; ++fold) {
+    ASSERT_EQ(platform.run(at_sec(5.0 * fold)),
+              core::Platform::RunResult::kDeadline);
+    double pending = 0;
+    for (const sim::Simulation* sim : sims) {
+      pending += static_cast<double>(sim->pending_events());
+    }
+    ASSERT_GT(pending, 0.0);
+    EXPECT_DOUBLE_EQ(registry.value("sim.queue.depth"), pending)
+        << "fold " << fold;
+    for (const char* gauge : {"sim.slab.capacity", "net.pool.size"}) {
+      double summed = 0;
+      for (const metrics::Registry* reg : shard_regs) {
+        summed += reg->value(gauge);
+      }
+      EXPECT_GT(summed, 0.0) << gauge;
+      EXPECT_DOUBLE_EQ(registry.value(gauge), summed)
+          << gauge << " at fold " << fold;
+    }
+  }
+  // Counters stay exact across the same folds.
+  EXPECT_DOUBLE_EQ(registry.value("sim.events.dispatched"),
+                   static_cast<double>(platform.dispatched_events()));
 }
 
 TEST(EnginePlatform, PredicateStopFiresOnCheckGrid) {

@@ -73,6 +73,30 @@ TEST(MembershipTable, SuspectTimeoutSweep) {
   EXPECT_EQ(table.probe_candidates(), (std::vector<std::uint32_t>{2}));
 }
 
+TEST(MembershipTable, SuspectSweepFollowsEveryTransition) {
+  MembershipTable table(0, 4);
+  const auto swept = [&table] { return table.expired_suspects(at(100)); };
+  using Ids = std::vector<std::uint32_t>;
+  EXPECT_TRUE(swept().empty());
+  // First heard of as a suspect, then re-suspected at a newer incarnation.
+  ASSERT_TRUE(table.apply(Update{1, MemberState::kSuspect, 0}, at(1)));
+  ASSERT_TRUE(table.apply(Update{1, MemberState::kSuspect, 1}, at(2)));
+  EXPECT_EQ(swept(), (Ids{1}));
+  // Refuted: the sweep is empty again.
+  ASSERT_TRUE(table.apply(Update{1, MemberState::kAlive, 2}, at(3)));
+  EXPECT_TRUE(swept().empty());
+  ASSERT_TRUE(table.mark_suspect(1, at(4)));
+  ASSERT_TRUE(table.apply(Update{2, MemberState::kSuspect, 0}, at(4)));
+  EXPECT_EQ(swept(), (Ids{1, 2}));
+  ASSERT_TRUE(table.mark_confirmed(1, at(5)));
+  ASSERT_TRUE(table.apply(Update{2, MemberState::kConfirmed, 0}, at(5)));
+  EXPECT_TRUE(swept().empty());
+  // A confirmed member that rejoins and is suspected again re-enters.
+  ASSERT_TRUE(table.apply(Update{2, MemberState::kAlive, 1}, at(6)));
+  ASSERT_TRUE(table.mark_suspect(2, at(7)));
+  EXPECT_EQ(swept(), (Ids{2}));
+}
+
 TEST(MembershipTable, SelfSuspicionTriggersRefutation) {
   MembershipTable table(2, 4);
   EXPECT_EQ(table.incarnation(), 0u);

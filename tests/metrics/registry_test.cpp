@@ -85,17 +85,33 @@ TEST(Registry, ValueOfUnknownNameIsZero) {
   EXPECT_DOUBLE_EQ(reg.value("no.such.metric"), 0.0);
 }
 
-TEST(Registry, ResetZeroesButKeepsHandles) {
-  Registry reg;
-  Counter c = reg.counter("n");
-  Histogram h = reg.histogram("d", {1.0});
-  c.inc(7);
-  h.record(3.0);
-  reg.reset();
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.data().count, 0u);
-  c.inc();  // handle still points at live storage
-  EXPECT_DOUBLE_EQ(reg.value("n"), 1.0);
+TEST(Registry, FoldShardsMovesCountsAndSumsGaugeLevels) {
+  Registry master;
+  Registry a;
+  Registry b;
+  const Counter ca = a.counter("n");
+  const Counter cb = b.counter("n");
+  const Gauge ga = a.gauge("depth");
+  const Gauge gb = b.gauge("depth");
+  const Histogram ha = a.histogram("d", {1.0});
+  for (int fold = 1; fold <= 3; ++fold) {
+    ca.inc(2);
+    cb.inc(3);
+    ga.set(10.0 * fold);
+    gb.set(1.0);
+    ha.record(0.5);
+    master.fold_shards({&a, &b});
+    EXPECT_DOUBLE_EQ(master.value("n"), 5.0 * fold);
+    EXPECT_DOUBLE_EQ(master.value("depth"), 10.0 * fold + 1.0);
+    EXPECT_DOUBLE_EQ(master.value("d"), static_cast<double>(fold));
+    // Counts moved out of the shards, zeroed in place; gauge levels
+    // stayed.
+    EXPECT_EQ(ca.value(), 0u);
+    EXPECT_EQ(ha.data().count, 0u);
+    EXPECT_DOUBLE_EQ(ga.value(), 10.0 * fold);
+  }
+  ca.inc();  // the shard's handles still point at live storage
+  EXPECT_DOUBLE_EQ(a.value("n"), 1.0);
 }
 
 TEST(Registry, SimulationKernelMetricsMatchDispatchCount) {

@@ -4,6 +4,8 @@
 // it came from C++ or from DSL text, and at any shard count.
 #include "scenario/runner.hpp"
 
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -98,6 +100,35 @@ TEST(ExperimentRunner, ChurnDirectiveInjectsAndRecovers) {
   spec.engine.check_invariants = true;
   ExperimentRunner runner(std::move(spec));
   EXPECT_EQ(runner.run(), 0);  // invariant checks pass
+}
+
+TEST(ExperimentRunner, PlatformOnlyProfilingFoldsButWritesNothing) {
+  // Profiling enabled on the platform while `[engine] profile` stays off
+  // (how a harness collects the rollup): the rollup reaches the registry,
+  // but no timeline file is named, so none is written and none warned of.
+  char dir[] = "/tmp/p2plab_runner_profile_XXXXXX";
+  ASSERT_NE(mkdtemp(dir), nullptr);
+  setenv("P2PLAB_RESULTS_DIR", dir, 1);
+  ExperimentRunner runner(tiny_spec());
+  runner.setup();
+  runner.platform().enable_profiling();
+  testing::internal::CaptureStderr();
+  const int code = runner.execute();
+  const std::string err = testing::internal::GetCapturedStderr();
+  unsetenv("P2PLAB_RESULTS_DIR");
+  EXPECT_EQ(code, 0);
+  EXPECT_EQ(err.find("P2PLAB_RESULTS_DIR"), std::string::npos) << err;
+  std::vector<std::string> written;
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    written.push_back(file.path().filename().string());
+  }
+  EXPECT_TRUE(written.empty()) << written.front();
+  std::filesystem::remove_all(dir);
+  bool folded = false;
+  for (const auto& entry : runner.registry().snapshot()) {
+    folded = folded || entry.name == "profile.imbalance.ratio";
+  }
+  EXPECT_TRUE(folded);
 }
 
 TEST(ExperimentRunner, PingSweepProducesRttCurve) {

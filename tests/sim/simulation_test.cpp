@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -224,6 +229,162 @@ TEST(Simulation, CompactKeepsSchedulingUsable) {
   sim.schedule_after(Duration::ms(1), [&] { ++fired; });
   sim.run();
   EXPECT_EQ(fired, 1);
+}
+
+// Two-tier queue: an entry scheduled into the far tier before the horizon
+// passes its time, and one scheduled at the same time into the near tier
+// after, still dispatch in scheduling order.
+TEST(Simulation, CrossTierTieKeepsSchedulingOrder) {
+  Simulation sim;
+  std::vector<int> order;
+  const SimTime t = SimTime::zero() + Duration::ms(5);
+  sim.open_window(SimTime::zero() + Duration::ms(1));
+  sim.schedule_at(t, [&] { order.push_back(1); });  // far: t >= horizon
+  sim.open_window(SimTime::zero() + Duration::ms(10));
+  sim.schedule_at(t, [&] { order.push_back(2); });  // near: t < horizon
+  sim.open_window(t);  // a lower horizon is ignored
+  sim.schedule_at(t, [&] { order.push_back(3); });
+  EXPECT_EQ(sim.next_event_time(), t);
+  sim.run_before(SimTime::zero() + Duration::ms(10));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.now(), t);
+}
+
+// Property: under random interleavings of schedule_at, cancel,
+// open_window + run_before, compact and step — with callbacks that
+// schedule and cancel while they are dispatched — the two-tier kernel
+// dispatches exactly in the order of a reference std::map keyed on
+// (when, seq), and agrees with it on pending_events() and
+// next_event_time() after every operation.
+class ReferenceQueueModel {
+ public:
+  ReferenceQueueModel(Simulation& sim, std::uint64_t seed)
+      : sim_(sim), rng_(seed) {}
+
+  // Pick a time at or after now on a coarse 1 us grid, so ties are
+  // common: with a pending event, with the horizon, or a short or long
+  // delay (a window's traffic versus a protocol timer).
+  SimTime pick_when() {
+    const SimTime now = sim_.now();
+    if (!ref_.empty() && rng_.chance(0.2)) {
+      auto it = ref_.begin();
+      std::advance(it, static_cast<long>(rng_.uniform(ref_.size())));
+      return it->first.first;
+    }
+    if (horizon_ >= now && rng_.chance(0.15)) return horizon_;
+    const std::int64_t us = rng_.chance(0.7)
+                                ? rng_.uniform_int(0, 40)
+                                : rng_.uniform_int(100, 3'000);
+    return now + Duration::us(us);
+  }
+
+  void schedule() {
+    const SimTime when = pick_when();
+    const std::uint64_t seq = ++seq_;
+    // The action this event takes when it fires is drawn now, so a run is
+    // a pure function of the seed.
+    const std::uint64_t action = rng_.uniform(6);
+    const EventId id = sim_.schedule_at(when, [this, when, seq, action] {
+      fire(when, seq, action);
+    });
+    ref_.emplace(Key{when, seq}, id);
+    issued_.push_back({Key{when, seq}, id});
+  }
+
+  // Cancel a random id ever issued: live, fired or already cancelled.
+  void cancel() {
+    if (issued_.empty()) return;
+    const auto& [key, id] = issued_[rng_.uniform(issued_.size())];
+    const bool live = ref_.erase(key) > 0;
+    EXPECT_EQ(sim_.cancel(id), live);
+  }
+
+  // One engine window: raise the horizon, schedule the window's ingress,
+  // then run up to an end at, before or past the horizon.
+  void window() {
+    const SimTime now = sim_.now();
+    const SimTime h = now + Duration::us(rng_.uniform_int(0, 50));
+    sim_.open_window(h);
+    horizon_ = std::max(horizon_, h);
+    for (std::uint64_t n = rng_.uniform(4); n > 0; --n) schedule();
+    const SimTime end = h + Duration::us(rng_.uniform_int(-10, 10));
+    sim_.run_before(end);
+    EXPECT_TRUE(ref_.empty() || ref_.begin()->first.first >= end);
+    if (rng_.chance(0.5) && end > sim_.now()) sim_.advance_to(end);
+  }
+
+  void step() {
+    const std::uint64_t before = fired_;
+    const bool pending = !ref_.empty();
+    EXPECT_EQ(sim_.step(), pending);
+    EXPECT_EQ(fired_ - before, pending ? 1u : 0u);
+  }
+
+  void check() {
+    ASSERT_EQ(sim_.pending_events(), ref_.size());
+    const std::optional<SimTime> next = sim_.next_event_time();
+    if (ref_.empty()) {
+      EXPECT_FALSE(next.has_value());
+    } else {
+      ASSERT_TRUE(next.has_value());
+      EXPECT_EQ(*next, ref_.begin()->first.first);
+    }
+  }
+
+  std::uint64_t fired() const { return fired_; }
+
+ private:
+  using Key = std::pair<SimTime, std::uint64_t>;
+
+  void fire(SimTime when, std::uint64_t seq, std::uint64_t action) {
+    // The dispatched event must be the reference's minimum.
+    ASSERT_FALSE(ref_.empty());
+    ASSERT_EQ(ref_.begin()->first, (Key{when, seq})) << "dispatch order";
+    EXPECT_EQ(sim_.now(), when);
+    ref_.erase(ref_.begin());
+    ++fired_;
+    if (action == 0 || action == 1) schedule();  // reentrant schedule
+    if (action == 2) cancel();                   // reentrant cancel
+  }
+
+  Simulation& sim_;
+  Rng rng_;
+  std::map<Key, EventId> ref_;
+  std::vector<std::pair<Key, EventId>> issued_;
+  std::uint64_t seq_ = 0;
+  std::uint64_t fired_ = 0;
+  SimTime horizon_ = SimTime::zero();
+};
+
+TEST(Simulation, TwoTierQueueMatchesReferenceOrder) {
+  constexpr std::uint64_t kSeeds = 48;
+  std::uint64_t total_fired = 0;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE(seed);
+    Simulation sim;
+    ReferenceQueueModel model(sim, seed);
+    Rng ops(seed * 7919);
+    for (int i = 0; i < 600; ++i) {
+      const std::uint64_t op = ops.uniform(20);
+      if (op < 9) {
+        model.schedule();
+      } else if (op < 12) {
+        model.cancel();
+      } else if (op < 16) {
+        model.window();
+      } else if (op < 17) {
+        sim.compact();
+      } else {
+        model.step();
+      }
+      model.check();
+      if (testing::Test::HasFatalFailure()) return;
+    }
+    sim.run();
+    model.check();
+    total_fired += model.fired();
+  }
+  EXPECT_GT(total_fired, kSeeds * 100);
 }
 
 TEST(PeriodicTask, FiresOnCadence) {
