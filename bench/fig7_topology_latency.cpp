@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
-#include <string_view>
 
 #include "bench_env.hpp"
 #include "core/bench_report.hpp"
@@ -24,14 +23,6 @@ Ipv4Addr ip(const char* text) { return *Ipv4Addr::parse(text); }
 int main(int argc, char** argv) {
   bench::banner("Figure 7", "emulated topology latency decomposition");
   const bool profile = bench::profile_enabled(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg != "--profile" && arg.substr(0, 10) != "--profile=") {
-      std::fprintf(stderr, "unknown argument '%s' (supported: "
-                           "--profile[=on|off])\n", argv[i]);
-      return 2;
-    }
-  }
   bench::WallTimer timer;
   metrics::CsvWriter csv("fig7_topology_latency",
                          {"src", "dst", "rtt_ms", "paper_expected_ms"});

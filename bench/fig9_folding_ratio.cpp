@@ -4,11 +4,16 @@
 // ("results are nearly identical ... even with 80 virtual nodes on each
 // physical node").
 //
-// Each fold is one catalog::fig9_fold spec run through the
-// ExperimentRunner; this harness only interposes the cross-fold pieces —
-// one flight recorder and one health timeline spanning all five runs
-// (rows tagged by the label column), the merged per-fold byte curves, and
-// the divergence metric.
+//   fig9_folding_ratio scenarios/fig8.scn [--set section.key=value]...
+//
+// The swarm is the one the given scenario file describes (normally
+// fig8.scn; `--set workload.clients=24` shrinks it, `--set
+// engine.shards=2` runs it on the parallel engine). Each fold re-deploys
+// that spec on clients/fold + 1 physical nodes with its own outputs
+// cleared, through the ExperimentRunner; this harness only interposes the
+// cross-fold pieces — one flight recorder and one health timeline spanning
+// all five runs (rows tagged by the label column), the merged per-fold
+// byte curves, and the divergence metric.
 //
 // Output: one total-bytes-received column per folding ratio on a common
 // 10 s grid, plus the maximum relative divergence from the unfolded run.
@@ -16,6 +21,8 @@
 #include <cstdio>
 #include <iterator>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench_env.hpp"
@@ -23,16 +30,51 @@
 #include "metrics/health.hpp"
 #include "metrics/recorder.hpp"
 #include "metrics/trace.hpp"
-#include "scenario/catalog.hpp"
+#include "scenario/parser.hpp"
 #include "scenario/runner.hpp"
 
 using namespace p2plab;
 
+namespace {
+
+int usage() {
+  std::fprintf(stderr, "usage: fig9_folding_ratio <fig8.scn> "
+                       "[--set section.key=value]...\n");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
+  std::string path;
+  std::vector<std::string> overrides;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg(argv[i]);
+    if (arg == "--set" && i + 1 < argc) {
+      overrides.emplace_back(argv[++i]);
+    } else if (path.empty() && !arg.empty() && arg[0] != '-') {
+      path = arg;
+    } else {
+      std::fprintf(stderr, "fig9_folding_ratio: unexpected argument '%s'\n",
+                   argv[i]);
+      return usage();
+    }
+  }
+  if (path.empty()) return usage();
+  auto parsed = scenario::parse_scenario_file(path, overrides);
+  if (!parsed.spec) {
+    std::fprintf(stderr, "fig9_folding_ratio: %s: %s\n", path.c_str(),
+                 parsed.error.c_str());
+    return 2;
+  }
+  const scenario::ScenarioSpec swarm_spec = std::move(*parsed.spec);
+  if (swarm_spec.workload != "swarm") {
+    std::fprintf(stderr, "fig9_folding_ratio: %s: needs a swarm workload, "
+                         "not %s\n", path.c_str(), swarm_spec.workload.c_str());
+    return 2;
+  }
+
   bench::banner("Figure 9", "folding ratio: 1/10/20/40/80 vnodes per node");
-  const std::size_t clients = bench::env_size("P2PLAB_FIG9_CLIENTS", 160);
-  const std::size_t shards = bench::shards(argc, argv);
-  const bool profile = bench::profile_enabled(argc, argv);
   const std::size_t foldings[] = {1, 10, 20, 40, 80};
 
   const Duration step = Duration::sec(10);
@@ -53,9 +95,12 @@ int main(int argc, char** argv) {
   const std::size_t last_fold = foldings[std::size(foldings) - 1];
   for (const std::size_t fold : foldings) {
     bench::WallTimer fold_timer;
-    scenario::ScenarioSpec spec = scenario::catalog::fig9_fold(clients, fold);
-    spec.engine.shards = shards;
-    spec.engine.profile = profile;
+    // The paper's 160/16/8/4/2 deployments of the clients (tracker and
+    // seeders ride along); the cross-fold outputs are this harness's.
+    scenario::ScenarioSpec spec = swarm_spec;
+    spec.outputs = {};
+    spec.engine.fold.reset();
+    spec.engine.physical_nodes = spec.swarm.clients / fold + 1;
     scenario::ExperimentRunner runner(std::move(spec));
     content_seed = runner.spec().swarm.content_seed;
     runner.setup();
@@ -84,7 +129,8 @@ int main(int argc, char** argv) {
     monitor.print_report();
     if (fold == last_fold) {
       // Standard run summary from the densest deployment (the paper's
-      // stress case), profiler rollup included under --profile.
+      // stress case), profiler rollup included under
+      // `--set engine.profile=on`.
       core::write_bench_json(
           "fig9", "BENCH_fig9",
           core::bench_fields(platform, "fold", static_cast<double>(fold),

@@ -30,6 +30,7 @@
 #include "bench_env.hpp"
 #include "common/ipv4.hpp"
 #include "common/rng.hpp"
+#include "core/bench_report.hpp"
 #include "net/network.hpp"
 #include "profile/profiler.hpp"
 #include "sim/inline_callback.hpp"
@@ -206,7 +207,6 @@ PhaseResult run_packet_phase(profile::Profiler& prof, std::uint64_t warmup,
 }
 
 int run(int argc, char** argv) {
-  (void)bench::shards(argc, argv);  // accepted for interface parity; unused
   const bool profiling = bench::profile_enabled(argc, argv);
   const std::uint64_t event_total =
       bench::env_size("P2PLAB_HOTPATH_EVENTS", 4'000'000);
@@ -275,7 +275,7 @@ int run(int argc, char** argv) {
       // checks: fallbacks in the measured windows, not since process start.
       {"callback_heap_fallbacks",
        static_cast<double>(ev.fallbacks + pk.fallbacks)},
-      {"peak_rss_bytes", static_cast<double>(bench::peak_rss_bytes())}};
+      {"peak_rss_bytes", static_cast<double>(core::peak_rss_bytes())}};
   if (profiling) {
     const profile::Rollup roll = prof.rollup();
     fields.emplace_back("shard0_utilization_pct",
@@ -287,25 +287,7 @@ int run(int argc, char** argv) {
                         static_cast<double>(roll.ring_dropped));
     prof.write_perfetto_to_results("profile_hotpath.json");
   }
-  std::string json = "{\"scenario\": \"hotpath_alloc\"";
-  char buffer[64];
-  for (const auto& [key, value] : fields) {
-    std::snprintf(buffer, sizeof(buffer), "%.15g", value);
-    json += ", \"" + std::string(key) + "\": " + buffer;
-  }
-  json += "}";
-  std::printf("# BENCH_hotpath %s\n", json.c_str());
-  if (const char* dir = std::getenv("P2PLAB_RESULTS_DIR")) {
-    const std::string path = std::string(dir) + "/BENCH_hotpath.json";
-    if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-      std::fprintf(f, "%s\n", json.c_str());
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr,
-                   "# P2PLAB_RESULTS_DIR=%s is not writable; BENCH_hotpath "
-                   "only on stdout\n", dir);
-    }
-  }
+  core::write_bench_json("hotpath_alloc", "BENCH_hotpath", fields);
   return 0;
 }
 

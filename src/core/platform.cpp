@@ -42,10 +42,7 @@ Platform::Platform(const topology::Topology& topo, PlatformConfig config)
                     : engine::BarrierMode::kBlock));
   engine_->set_window_mode(config_.window);
   shard_of_pnode_ =
-      config_.partition == engine::PartitionMode::kTopo
-          ? engine::topo_partition(topo_, config_.physical_nodes, k,
-                                   config_.seed)
-          : engine::stripe_partition(config_.physical_nodes, k);
+      engine::topo_partition(topo_, config_.physical_nodes, k, config_.seed);
   for (std::size_t s = 0; s < k; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->network = std::make_unique<net::Network>(shard->sim, rng_.fork(1),

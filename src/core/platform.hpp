@@ -68,18 +68,16 @@ struct PlatformConfig {
   /// the process affinity mask holds at least as many cores as shards (a
   /// degraded box gains nothing from pinning everything to one core).
   std::optional<bool> pin_workers;
-  /// BSP barrier wait mode. Unset = automatic: spin when every worker can
-  /// own a core (same condition as pinning), block otherwise — spinning on
-  /// a time-sliced core only steals cycles from the thread it waits for.
+  /// BSP barrier wait mode. Unset (every production run) = automatic: spin
+  /// when every worker can own a core (same condition as pinning), block
+  /// otherwise — spinning on a time-sliced core only steals cycles from the
+  /// thread it waits for. Set only by the test that shows both modes replay
+  /// the same bytes.
   std::optional<engine::BarrierMode> barrier;
   /// BSP window sizing (engine/engine.hpp). kAdaptive changes traces (the
   /// documented stamp-floor staleness) but stays bit-identical across
   /// shard counts.
   engine::WindowMode window = engine::WindowMode::kFixed;
-  /// pnode -> shard assignment policy (engine/partition.hpp). Either mode
-  /// yields bit-identical results; kTopo co-locates zone neighborhoods to
-  /// cut cross-shard handoff traffic and per-shard event imbalance.
-  engine::PartitionMode partition = engine::PartitionMode::kTopo;
 };
 
 class Platform {

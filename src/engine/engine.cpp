@@ -260,7 +260,7 @@ void Engine::worker(std::size_t shard) {
                                       .window = window_index_,
                                       .events = 0,
                                       .queue_depth = sim.pending_events(),
-                                      .phase = profile::Phase::kBarrierWait});
+                                      .phase = profile::Phase::kBarrier});
     }
     if (phase_ != Phase::kRunWindow) break;
     // Raise the kernel's near-tier horizon first, so this window's merged

@@ -1,7 +1,7 @@
 // Topology-aware shard partitioning.
 //
-// The engine assigns whole physical nodes to shards. PR 3 striped them into
-// contiguous index blocks, which ignores the topology: a zone's nodes — the
+// The engine assigns whole physical nodes to shards. Striping them into
+// contiguous index blocks would ignore the topology: a zone's nodes — the
 // densest traffic neighborhoods, since zone members share subnets, latency
 // classes and (in the paper's deployments) racks — can land on different
 // shards, inflating cross-shard handoff volume and the per-shard event
@@ -16,7 +16,7 @@
 // produces bit-identical traces; a better one only produces them faster.
 // On homogeneous single-zone topologies (fig10's auto topology) all
 // affinities tie and the greedy pass degenerates to the same contiguous
-// blocks striping produced.
+// blocks stripe_partition() produces. Platform always uses topo_partition().
 #pragma once
 
 #include <cstddef>
@@ -27,14 +27,8 @@
 
 namespace p2plab::engine {
 
-/// How physical nodes are assigned to engine shards
-/// (`[engine] partition topo|stripe`).
-enum class PartitionMode {
-  kTopo,    // greedy zone-affinity partitioning (the default)
-  kStripe,  // PR 3's contiguous index blocks, topology-blind
-};
-
-/// The PR 3 striping: contiguous blocks, shard p * shards / pnodes.
+/// Contiguous index blocks, shard p * shards / pnodes: the topology-blind
+/// reference the partition tests compare topo_partition() against.
 std::vector<std::size_t> stripe_partition(std::size_t pnodes,
                                           std::size_t shards);
 

@@ -41,7 +41,7 @@ void crash_dump() {
 const char* phase_name(Phase phase) {
   switch (phase) {
     case Phase::kExecute: return "execute";
-    case Phase::kBarrierWait: return "barrier_wait";
+    case Phase::kBarrier: return "barrier_wait";
     case Phase::kMerge: return "merge";
     case Phase::kCompact: return "compact";
   }
@@ -113,7 +113,7 @@ Profiler::Rollup Profiler::rollup() const {
           shard.execute_s += dur_s;
           shard.events += s.events;
           break;
-        case Phase::kBarrierWait: shard.barrier_wait_s += dur_s; break;
+        case Phase::kBarrier: shard.barrier_wait_s += dur_s; break;
         case Phase::kCompact: shard.compact_s += dur_s; break;
         case Phase::kMerge: shard.merge_s += dur_s; break;
       }

@@ -39,7 +39,7 @@ namespace p2plab::profile {
 /// The BSP-window phases a worker's wall-time divides into.
 enum class Phase : std::uint8_t {
   kExecute,      // running the shard's events inside the window
-  kBarrierWait,  // parked at the window barrier (includes coordinator skew)
+  kBarrier,      // parked at the window barrier (includes coordinator skew)
   kMerge,        // cross-shard handoff work: ingress k-way merge at window
                  // start (destination side) and outbox presort at window
                  // end (source side)

@@ -141,7 +141,7 @@ bool claimed_by_other_plugin(const WorkloadRegistry& registry,
 const std::string& engine_keys() {
   static const std::string keys =
       "shards|transport|physical_nodes|fold|seed|stop|run_for|"
-      "check_invariants|trace|profile|pin|barrier|window|partition";
+      "check_invariants|trace|profile|pin|window";
   return keys;
 }
 
@@ -477,18 +477,6 @@ ParseResult parse_scenario(std::string_view text,
                  "profile", [&](bool v) { spec.engine.profile = v; });
   ok = ok && engine_params.take_bool(
                  "pin", [&](bool v) { spec.engine.pin_workers = v; });
-  const KvEntry* barrier_entry = c.engine.take("barrier");
-  if (ok && barrier_entry != nullptr) {
-    if (barrier_entry->value == "spin") {
-      spec.engine.barrier = BarrierWait::kSpin;
-    } else if (barrier_entry->value == "block") {
-      spec.engine.barrier = BarrierWait::kBlock;
-    } else {
-      return fail(barrier_entry->source,
-                  "unknown barrier '" + barrier_entry->value +
-                      "' (spin|block)");
-    }
-  }
   const KvEntry* window_entry = c.engine.take("window");
   if (ok && window_entry != nullptr) {
     if (window_entry->value == "fixed") {
@@ -499,18 +487,6 @@ ParseResult parse_scenario(std::string_view text,
       return fail(window_entry->source,
                   "unknown window '" + window_entry->value +
                       "' (fixed|adaptive)");
-    }
-  }
-  const KvEntry* partition_entry = c.engine.take("partition");
-  if (ok && partition_entry != nullptr) {
-    if (partition_entry->value == "topo") {
-      spec.engine.partition = PartitionPolicy::kTopo;
-    } else if (partition_entry->value == "stripe") {
-      spec.engine.partition = PartitionPolicy::kStripe;
-    } else {
-      return fail(partition_entry->source,
-                  "unknown partition '" + partition_entry->value +
-                      "' (topo|stripe)");
     }
   }
   if (!ok) return fail_with_error();

@@ -42,17 +42,9 @@ void ExperimentRunner::setup() {
   pc.seed = spec_.engine.seed;
   pc.shards = spec_.engine.shards;
   pc.pin_workers = spec_.engine.pin_workers;
-  if (spec_.engine.barrier) {
-    pc.barrier = *spec_.engine.barrier == BarrierWait::kSpin
-                     ? engine::BarrierMode::kSpin
-                     : engine::BarrierMode::kBlock;
-  }
   pc.window = spec_.engine.window == WindowPolicy::kAdaptive
                   ? engine::WindowMode::kAdaptive
                   : engine::WindowMode::kFixed;
-  pc.partition = spec_.engine.partition == PartitionPolicy::kStripe
-                     ? engine::PartitionMode::kStripe
-                     : engine::PartitionMode::kTopo;
   pc.stream.transport = spec_.engine.transport == TransportModel::kTcp
                             ? sockets::TransportModel::kTcp
                             : sockets::TransportModel::kFlow;

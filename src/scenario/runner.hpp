@@ -61,10 +61,6 @@ class ExperimentRunner {
   /// Median completion time (seconds) of the finished clients; -1 if none.
   /// Valid after execute(). Swarm workloads only.
   double median_completion_sec() const;
-  /// Reference median from a clean run, reported in the churn summary CSV
-  /// (-1 = no baseline was run).
-  void set_baseline_median(double median) { baseline_median_ = median; }
-  double baseline_median() const { return baseline_median_; }
 
   // Shared services for Workload implementations.
   /// Clock right after the stop condition (pre-drain); time-series outputs
@@ -97,7 +93,6 @@ class ExperimentRunner {
   const WorkloadPlugin* plugin_ = nullptr;
   std::unique_ptr<Workload> workload_;
 
-  double baseline_median_ = -1.0;
   SimTime end_of_run_;
   bool set_up_ = false;
 };

@@ -2,13 +2,13 @@
 //
 // A ScenarioSpec is everything one experiment needs, in one value: the
 // emulated topology, the studied workload, the fault schedule, how the
-// engine runs it and which result files it writes. Specs come from two
-// equivalent sources — the `.scn` scenario DSL (parser.hpp), which is how
-// `p2plab_run` and the shipped `scenarios/*.scn` work, and plain C++
-// construction (catalog.hpp, the bench mains) — and are executed by the
-// ExperimentRunner (runner.hpp). LiteLab (arXiv:1311.7422) and Becker et
-// al. (arXiv:2208.05862) motivate the shape: a large-scale network
-// experiment should be cheap to vary and fully captured in one artifact.
+// engine runs it and which result files it writes. Every shipped
+// experiment's spec is its `scenarios/*.scn` file, parsed by the scenario
+// DSL (parser.hpp) in `p2plab_run` and the fig9 fold sweep; tests build
+// small specs in plain C++. The ExperimentRunner (runner.hpp) executes
+// them. LiteLab (arXiv:1311.7422) and Becker et al. (arXiv:2208.05862)
+// motivate the shape: a large-scale network experiment should be cheap to
+// vary and fully captured in one artifact.
 #pragma once
 
 #include <cstdint>
@@ -82,13 +82,6 @@ enum class TransportModel {
   kTcp,   // NewReno-style slow start / AIMD / fast retransmit
 };
 
-/// `[engine] barrier spin|block`: how shard workers wait at the BSP window
-/// barrier; maps onto engine::BarrierMode (DESIGN.md §15).
-enum class BarrierWait {
-  kSpin,   // bounded spin-then-yield — lowest latency with a core per worker
-  kBlock,  // mutex + condvar — kind to oversubscribed boxes
-};
-
 /// `[engine] window fixed|adaptive`: BSP window sizing; maps onto
 /// engine::WindowMode. Adaptive grows windows past the lookahead grid while
 /// cross-shard traffic is sparse (fewer barriers, bounded stamp staleness);
@@ -97,14 +90,6 @@ enum class BarrierWait {
 enum class WindowPolicy {
   kFixed,
   kAdaptive,
-};
-
-/// `[engine] partition topo|stripe`: pnode -> shard assignment; maps onto
-/// engine::PartitionMode. Results are partition-independent; topo cuts
-/// cross-shard traffic by co-locating zone neighborhoods.
-enum class PartitionPolicy {
-  kTopo,
-  kStripe,
 };
 
 /// Parameters of the ping_sweep workload: two (or more) nodes, rules padded
@@ -174,11 +159,7 @@ struct EngineSection {
   /// Pin shard workers to cores; unset = automatic (pin when the process
   /// affinity mask holds at least `shards` online cores).
   std::optional<bool> pin_workers;
-  /// Barrier wait strategy; unset = automatic (spin exactly when pinning
-  /// would be automatic: every worker can own a core).
-  std::optional<BarrierWait> barrier;
   WindowPolicy window = WindowPolicy::kFixed;
-  PartitionPolicy partition = PartitionPolicy::kTopo;
 };
 
 struct OutputsSection {

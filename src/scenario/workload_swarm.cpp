@@ -227,8 +227,12 @@ int SwarmWorkload::execute(ExperimentRunner& runner) {
 void SwarmWorkload::write_outputs(ExperimentRunner& runner,
                                   double wall_seconds) {
   const OutputsSection& out = spec_.outputs;
+  // The median is the clean reference a churn run is read against: run
+  // fig8.scn at the churn run's client count and compare the two.
+  const double median = runner.median_completion_sec();
   runner.write_bench_json(wall_seconds, "clients",
-                          static_cast<double>(spec_.swarm.clients));
+                          static_cast<double>(spec_.swarm.clients),
+                          {{"median_completion_s", median}});
   // Time-series outputs sample on the grid up to one step past the stop
   // condition (not past the invariant drain).
   const Duration grid = out.grid;
@@ -298,15 +302,14 @@ void SwarmWorkload::write_outputs(ExperimentRunner& runner,
 
   if (!out.summary.empty()) {
     metrics::CsvWriter summary(out.summary,
-                               {"median_completion_s", "baseline_median_s",
-                                "failed_nodes", "rejoined_nodes",
-                                "faults_injected", "faults_recovered"});
+                               {"median_completion_s", "failed_nodes",
+                                "rejoined_nodes", "faults_injected",
+                                "faults_recovered"});
     std::size_t rejoined = 0;
     for (std::size_t c = 0; c < spec_.swarm.clients; ++c) {
       rejoined += rejoins_[c];
     }
-    summary.row({runner.median_completion_sec(), runner.baseline_median(),
-                 static_cast<double>(node_failures_),
+    summary.row({median, static_cast<double>(node_failures_),
                  static_cast<double>(rejoined),
                  static_cast<double>(injector_ ? injector_->stats().injected
                                                : 0),

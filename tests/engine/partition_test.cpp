@@ -4,7 +4,7 @@
 // assignment itself must be a pure function of (topology, pnodes, shards,
 // seed): deterministic, every pnode assigned exactly once, shard sizes
 // balanced to within one. And the engine's contract makes any partition
-// invisible to results — so topo vs. stripe, spin vs. block barriers and
+// invisible to results — so any shard count, spin vs. block barriers and
 // fixed vs. adaptive windows must all replay the same simulated bytes.
 #include <algorithm>
 #include <cstddef>
@@ -110,7 +110,6 @@ struct RunOutput {
 
 struct RunKnobs {
   std::size_t shards = 1;
-  engine::PartitionMode partition = engine::PartitionMode::kTopo;
   std::optional<engine::BarrierMode> barrier;
   engine::WindowMode window = engine::WindowMode::kFixed;
 };
@@ -121,7 +120,6 @@ RunOutput run_fig8(const RunKnobs& knobs) {
   pc.seed = 7;
   pc.shards = knobs.shards;
   if (knobs.shards == 1) pc.pin_workers = false;
-  pc.partition = knobs.partition;
   pc.barrier = knobs.barrier;
   pc.window = knobs.window;
   bt::SwarmConfig config;
@@ -159,18 +157,19 @@ void expect_same_run(const RunOutput& golden, const RunOutput& run,
 }
 
 TEST(PartitionDeterminism, TopoAndStripeReplayTheSameBytes) {
-  // The determinism suite re-run under both partition policies: K = 1, 2,
-  // 4 under topo and under stripe all replay the K=1 run bit for bit.
+  // The determinism suite re-run under the topology-aware partition: K = 2
+  // and 4 replay the K=1 run bit for bit. This used to run a stripe pass as
+  // well, but on this homogeneous topology topo_partition() returns the
+  // stripe blocks (Partition.HomogeneousDegeneratesToStriping), so that
+  // pass ran the same partition twice; Platform no longer offers stripe.
   const RunOutput golden = run_fig8({.shards = 1});
   ASSERT_FALSE(golden.trace.empty());
   for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
-    for (const engine::PartitionMode mode :
-         {engine::PartitionMode::kTopo, engine::PartitionMode::kStripe}) {
-      const char* name =
-          mode == engine::PartitionMode::kTopo ? "topo" : "stripe";
-      expect_same_run(golden, run_fig8({.shards = k, .partition = mode}),
-                      std::string(name) + " K=" + std::to_string(k));
-    }
+    // run_fig8's 11 vnodes (tracker, 2 seeders, 8 clients) on 8 pnodes.
+    EXPECT_EQ(engine::topo_partition(topology::homogeneous_dsl(11), 8, k, 7),
+              engine::stripe_partition(8, k));
+    expect_same_run(golden, run_fig8({.shards = k}),
+                    "topo K=" + std::to_string(k));
   }
 }
 

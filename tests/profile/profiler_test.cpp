@@ -58,7 +58,7 @@ TEST(SampleRing, OverflowDropsOldestWithoutBlocking) {
 
 TEST(SampleRing, NoDropsBelowCapacity) {
   SampleRing ring(8);
-  ring.push(sample_at(10, 5, Phase::kBarrierWait));
+  ring.push(sample_at(10, 5, Phase::kBarrier));
   ring.push(sample_at(20, 5, Phase::kExecute));
   EXPECT_EQ(ring.size(), 2u);
   EXPECT_EQ(ring.dropped(), 0u);
@@ -76,10 +76,10 @@ TEST(ProfilerRollup, SharesAndImbalanceFromHandBuiltSamples) {
   prof.shard_ring(0).push(
       sample_at(0, 60'000'000, Phase::kExecute, 300, /*queue=*/7));
   prof.shard_ring(0).push(
-      sample_at(60'000'000, 40'000'000, Phase::kBarrierWait));
+      sample_at(60'000'000, 40'000'000, Phase::kBarrier));
   prof.shard_ring(1).push(sample_at(0, 80'000'000, Phase::kExecute, 100));
   prof.shard_ring(1).push(
-      sample_at(80'000'000, 20'000'000, Phase::kBarrierWait));
+      sample_at(80'000'000, 20'000'000, Phase::kBarrier));
   prof.coordinator_ring().push(
       sample_at(40'000'000, 10'000'000, Phase::kMerge));
 
@@ -154,7 +154,7 @@ bool field_f64(const std::string& line, const std::string& key,
 TEST(ProfilerPerfetto, TimelineIsWellFormedPerTrack) {
   Profiler prof(2, 64);
   prof.shard_ring(0).push(sample_at(1000, 500, Phase::kExecute, 5, 2));
-  prof.shard_ring(0).push(sample_at(1500, 250, Phase::kBarrierWait));
+  prof.shard_ring(0).push(sample_at(1500, 250, Phase::kBarrier));
   prof.shard_ring(1).push(sample_at(900, 800, Phase::kExecute, 9));
   prof.coordinator_ring().push(sample_at(1750, 100, Phase::kMerge));
 
@@ -233,7 +233,7 @@ TEST(ProfilerEngine, WorkersRecordAllPhasesAtK2) {
     EXPECT_GT(prof.shard_ring(s).total(), 0u) << "shard " << s;
     for (const PhaseSample& sample : prof.shard_ring(s).samples()) {
       saw_execute = saw_execute || sample.phase == Phase::kExecute;
-      saw_wait = saw_wait || sample.phase == Phase::kBarrierWait;
+      saw_wait = saw_wait || sample.phase == Phase::kBarrier;
       saw_merge = saw_merge || sample.phase == Phase::kMerge;
     }
   }
