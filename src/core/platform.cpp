@@ -32,15 +32,10 @@ Platform::Platform(const topology::Topology& topo, PlatformConfig config)
                  "(degraded_parallelism)\n",
                  online, k);
   }
-  // Pin by default only when every worker can own a core; spin at the
-  // barrier under the same condition (spinning on a time-sliced core
-  // steals cycles from the very thread it waits for).
-  const bool cores_for_all = online >= static_cast<int>(k);
-  engine_->set_pin_workers(config_.pin_workers.value_or(cores_for_all));
-  engine_->set_barrier_mode(config_.barrier.value_or(
-      cores_for_all ? engine::BarrierMode::kSpin
-                    : engine::BarrierMode::kBlock));
-  engine_->set_window_mode(config_.window);
+  // Pin by default only when every worker can own a core (the engine
+  // spins at its barrier under the same condition).
+  engine_->set_pin_workers(
+      config_.pin_workers.value_or(online >= static_cast<int>(k)));
   shard_of_pnode_ =
       engine::topo_partition(topo_, config_.physical_nodes, k, config_.seed);
   for (std::size_t s = 0; s < k; ++s) {

@@ -9,12 +9,11 @@
 // application. A ping probe reproduces the paper's latency measurements.
 //
 // The platform runs on the parallel engine (src/engine): physical nodes
-// are partitioned across PlatformConfig::shards shards — by the
-// topology-aware zone-affinity partitioner by default, or plain contiguous
-// striping (engine/partition.hpp) — one Simulation + Network +
-// SocketManager per shard, driven by worker threads under conservative
-// synchronization. The partition is invisible to results: a K-shard run is
-// bit-identical to the 1-shard run under either partitioner (see
+// are partitioned across PlatformConfig::shards shards by the
+// topology-aware zone-affinity partitioner (engine/partition.hpp) — one
+// Simulation + Network + SocketManager per shard, driven by worker threads
+// under conservative synchronization. The partition is invisible to
+// results: a K-shard run is bit-identical to the 1-shard run (see
 // engine/engine.hpp and DESIGN.md §9).
 #pragma once
 
@@ -68,16 +67,6 @@ struct PlatformConfig {
   /// the process affinity mask holds at least as many cores as shards (a
   /// degraded box gains nothing from pinning everything to one core).
   std::optional<bool> pin_workers;
-  /// BSP barrier wait mode. Unset (every production run) = automatic: spin
-  /// when every worker can own a core (same condition as pinning), block
-  /// otherwise — spinning on a time-sliced core only steals cycles from the
-  /// thread it waits for. Set only by the test that shows both modes replay
-  /// the same bytes.
-  std::optional<engine::BarrierMode> barrier;
-  /// BSP window sizing (engine/engine.hpp). kAdaptive changes traces (the
-  /// documented stamp-floor staleness) but stays bit-identical across
-  /// shard counts.
-  engine::WindowMode window = engine::WindowMode::kFixed;
 };
 
 class Platform {

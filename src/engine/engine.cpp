@@ -36,16 +36,6 @@ void Engine::set_recorder(std::size_t shard,
   recorders_.at(shard) = recorder;
 }
 
-void Engine::set_barrier_mode(BarrierMode mode) {
-  P2PLAB_ASSERT_MSG(!running_, "cannot change the barrier mode mid-run");
-  barrier_mode_ = mode;
-}
-
-void Engine::set_window_mode(WindowMode mode) {
-  P2PLAB_ASSERT_MSG(!running_, "cannot change the window mode mid-run");
-  window_mode_ = mode;
-}
-
 void Engine::set_profiler(profile::Profiler* profiler) {
   P2PLAB_ASSERT_MSG(!running_, "cannot attach a profiler mid-run");
   P2PLAB_ASSERT_MSG(profiler == nullptr ||
@@ -91,13 +81,6 @@ bool Engine::push(std::size_t src_host, std::uint64_t seq, SimTime stamp,
   // The source address was routable on its shard moments ago, so it is
   // mapped; the lookup names the outbox row this worker exclusively owns.
   const std::size_t src_shard = shard_of_addr_.at(packet.src.to_u32());
-  if (window_mode_ == WindowMode::kAdaptive && stamp < window_end_) {
-    // A grown window out-ran the lookahead grid: floor the stamp to the
-    // window end. window_end_ is a global quantity, so the floored stamp
-    // is identical for every shard count — bounded staleness of at most
-    // (window_growth_ - 1) * L, paid only after sparse-traffic windows.
-    stamp = window_end_;
-  }
   P2PLAB_ASSERT_MSG(stamp >= window_end_,
                     "lookahead violated: handoff stamp inside the window");
   outbox_[write_parity_][src_shard][dst_it->second].push_back(
@@ -134,7 +117,13 @@ Engine::StopReason Engine::run(SimTime deadline,
   worker_cpus_.assign(sims_.size(), -1);
   if (pin_workers_) pin_cpu_list_ = profile::Profiler::online_cpu_list();
 
-  barrier_ = std::make_unique<PhaseBarrier>(sims_.size(), barrier_mode_);
+  // Spin only when every worker can own a core (the same condition under
+  // which the platform pins): on a time-sliced core a spinning waiter
+  // steals the cycles of the very thread it waits for.
+  const bool cores_for_all = profile::Profiler::online_cores() >=
+                             static_cast<int>(sims_.size());
+  barrier_ = std::make_unique<PhaseBarrier>(sims_.size(),
+                                            cores_for_all ? kSpinRounds : 0);
   std::vector<std::thread> threads;
   threads.reserve(sims_.size());
   for (std::size_t s = 0; s < sims_.size(); ++s) {
@@ -311,7 +300,6 @@ void Engine::worker(std::size_t shard) {
 
 void Engine::coordinate() {
   if (on_barrier_) on_barrier_();
-  const std::size_t k = sims_.size();
   // 1. Global minimum pending time over the simulations *and* the parked
   //    handoff runs (sorted by their producers, so each front is that run's
   //    minimum). This equals the minimum the old coordinator saw after its
@@ -325,17 +313,10 @@ void Engine::coordinate() {
     const auto t = sim->next_event_time();
     if (t.has_value()) consider(*t);
   }
-  // Handoffs pushed in the window that just finished: the adaptive window
-  // policy keys on this count, which is partition-independent (every
-  // inter-host packet takes the handoff path).
-  std::uint64_t fresh_handoffs = 0;
-  for (std::size_t parity = 0; parity < 2; ++parity) {
-    for (std::size_t s = 0; s < k; ++s) {
-      for (std::size_t d = 0; d < k; ++d) {
-        const auto& box = outbox_[parity][s][d];
-        if (box.empty()) continue;
-        consider(box.front().stamp);
-        if (parity == write_parity_) fresh_handoffs += box.size();
+  for (const auto& parity : outbox_) {
+    for (const auto& row : parity) {
+      for (const auto& box : row) {
+        if (!box.empty()) consider(box.front().stamp);
       }
     }
   }
@@ -361,32 +342,15 @@ void Engine::coordinate() {
     return;
   }
 
-  // 3. Next window. kFixed: fast-forward empty regions of the fixed L-grid
-  //    straight to the window [wL, (w+1)L) holding the earliest event —
-  //    every event executed in one satisfies t >= wL, so every handoff
-  //    stamp is >= wL + L >= window end, the push() contract. kAdaptive:
-  //    anchor at gmin and grow up to kMaxWindowGrowth * L while handoff
-  //    traffic is sparse (fewer barriers), shrinking back on merge
-  //    pressure; stamps that land inside a grown window are floored by
-  //    push(). Both policies derive from global quantities only, keeping
-  //    the window sequence identical for every shard count.
+  // 3. Next window: fast-forward empty regions of the fixed L-grid straight
+  //    to the window [wL, (w+1)L) holding the earliest event. Every event
+  //    executed in it satisfies t >= wL, so every handoff stamp is
+  //    >= wL + L >= window end — the push() contract. The grid and gmin
+  //    are global quantities, so the window sequence is identical for
+  //    every shard count.
   const std::int64_t l_ns = lookahead_.count_ns();
-  if (window_mode_ == WindowMode::kAdaptive) {
-    if (fresh_handoffs == 0) {
-      window_growth_ = std::min(window_growth_ * 2, kMaxWindowGrowth);
-    } else if (fresh_handoffs > kMergePressure) {
-      window_growth_ = 1;
-    } else {
-      window_growth_ = std::max(window_growth_ / 2, 1u);
-    }
-    window_end_ = std::min(
-        SimTime::from_ns(gmin->count_ns() +
-                         static_cast<std::int64_t>(window_growth_) * l_ns),
-        deadline_);
-  } else {
-    const std::int64_t w = gmin->count_ns() / l_ns;
-    window_end_ = std::min(SimTime::from_ns((w + 1) * l_ns), deadline_);
-  }
+  const std::int64_t w = gmin->count_ns() / l_ns;
+  window_end_ = std::min(SimTime::from_ns((w + 1) * l_ns), deadline_);
   cursor_ = window_end_;
   ++window_index_;
   // Flip the buffers: the window that starts now merges what the previous

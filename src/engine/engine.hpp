@@ -34,8 +34,7 @@
 // to the 1-shard engine run because every source of ordering is keyed on
 // shard-independent values:
 //   * the window schedule is derived only from global quantities (the fixed
-//     L-grid, or in adaptive mode the global minimum pending-event time and
-//     the global handoff count of the finished window),
+//     L-grid and the global minimum pending-event time),
 //   * all inter-host packets — even same-shard ones — take the handoff
 //     path, so the event sequence cannot depend on the partition,
 //   * merged ingress is ordered by (stamp, source host global index, per-
@@ -48,12 +47,10 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -68,24 +65,6 @@
 
 namespace p2plab::engine {
 
-/// How workers wait at the BSP window barrier.
-enum class BarrierMode {
-  kBlock,  // mutex + condition variable: workers sleep (kind to shared boxes)
-  kSpin,   // bounded spin-then-yield on atomics: lowest latency when every
-           // worker owns a core
-};
-
-/// How the barrier coordinator sizes the next BSP window.
-enum class WindowMode {
-  kFixed,     // fixed L-grid windows — the byte-golden default
-  kAdaptive,  // gmin-anchored windows that grow up to kMaxWindowGrowth * L
-              // while cross-shard traffic is sparse; stamps of handoffs
-              // landing inside a grown window are floored to the window end
-              // (bounded staleness). Still bit-identical across shard
-              // counts: growth and floors derive only from global simulated
-              // state — but traces differ from kFixed once a floor binds.
-};
-
 /// Pause-instruction hint for spin loops.
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -98,67 +77,47 @@ inline void cpu_relax() {
 }
 
 /// Reusable K-party barrier. The last thread to arrive runs `completion`
-/// while the others are still parked, giving it exclusive access to all
-/// shard state with happens-before edges in both directions (the mutex in
-/// kBlock mode; the arrival counter's release sequence and the generation
-/// word's release/acquire pair in kSpin mode).
+/// while the others are still waiting, giving it exclusive access to all
+/// shard state with happens-before edges in both directions: the arrival
+/// counter's release sequence, and the generation word's release/acquire
+/// pair. Waiters poll the generation with `spin_rounds` pause instructions,
+/// then fall back to yielding between polls. The engine derives the budget
+/// (Engine::run): spinning pays off only when every worker owns a core, and
+/// on a time-sliced core it steals cycles from the very thread it waits for.
 class PhaseBarrier {
  public:
-  PhaseBarrier(std::size_t parties, BarrierMode mode)
-      : parties_(parties), mode_(mode) {}
+  PhaseBarrier(std::size_t parties, std::uint32_t spin_rounds)
+      : parties_(parties), spin_rounds_(spin_rounds) {}
 
   PhaseBarrier(const PhaseBarrier&) = delete;
   PhaseBarrier& operator=(const PhaseBarrier&) = delete;
 
   template <typename Completion>
   void arrive_and_wait(Completion&& completion) {
-    if (mode_ == BarrierMode::kSpin) {
-      // A party re-enters only after observing the generation advance, so
-      // this relaxed read cannot see a stale round: the round cannot end
-      // without this thread's own arrival.
-      const std::uint64_t gen = generation_.load(std::memory_order_relaxed);
-      if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
-        completion();
-        arrived_.store(0, std::memory_order_relaxed);
-        generation_.store(gen + 1, std::memory_order_release);
-        return;
-      }
-      std::uint32_t spins = 0;
-      while (generation_.load(std::memory_order_acquire) == gen) {
-        if (++spins <= kSpinRounds) {
-          cpu_relax();
-        } else {
-          std::this_thread::yield();
-        }
-      }
+    // A party re-enters only after observing the generation advance, so
+    // this relaxed read cannot see a stale round: the round cannot end
+    // without this thread's own arrival.
+    const std::uint64_t gen = generation_.load(std::memory_order_relaxed);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
+      completion();
+      arrived_.store(0, std::memory_order_relaxed);
+      generation_.store(gen + 1, std::memory_order_release);
       return;
     }
-    std::unique_lock<std::mutex> lock(mu_);
-    if (++waiting_ == parties_) {
-      completion();
-      waiting_ = 0;
-      ++blocking_generation_;
-      cv_.notify_all();
-    } else {
-      const std::uint64_t gen = blocking_generation_;
-      cv_.wait(lock, [this, gen] { return blocking_generation_ != gen; });
+    const std::uint32_t budget = spin_rounds_;
+    std::uint32_t spins = 0;
+    while (generation_.load(std::memory_order_acquire) == gen) {
+      if (++spins <= budget) {
+        cpu_relax();
+      } else {
+        std::this_thread::yield();
+      }
     }
   }
 
  private:
-  /// Spin budget before falling back to yield between polls: long enough to
-  /// cover coordinator latency, short enough to bound waste on a stolen
-  /// core.
-  static constexpr std::uint32_t kSpinRounds = 1u << 14;
-
   std::size_t parties_;
-  BarrierMode mode_;
-  // kBlock state.
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::size_t waiting_ = 0;
-  std::uint64_t blocking_generation_ = 0;
-  // kSpin state.
+  std::uint32_t spin_rounds_;
   std::atomic<std::size_t> arrived_{0};
   std::atomic<std::uint64_t> generation_{0};
 };
@@ -203,15 +162,6 @@ class Engine final : public net::FabricHandoff {
   /// pinned). Valid after run() returns; empty before the first run.
   const std::vector<int>& worker_cpus() const { return worker_cpus_; }
 
-  /// Barrier wait strategy; the platform defaults to kSpin when every
-  /// worker can own a core and kBlock otherwise. Not changeable mid-run.
-  void set_barrier_mode(BarrierMode mode);
-  BarrierMode barrier_mode() const { return barrier_mode_; }
-
-  /// Window sizing policy (see WindowMode). Not changeable mid-run.
-  void set_window_mode(WindowMode mode);
-  WindowMode window_mode() const { return window_mode_; }
-
   /// Declare that `addr` lives on `shard`. Mappings are static: a crashed
   /// vnode's address stays mapped (withdrawal is the destination shard's
   /// business); push() returns false only for addresses never mapped.
@@ -244,18 +194,17 @@ class Engine final : public net::FabricHandoff {
 
   /// FabricHandoff: called by a shard's Network for every inter-host
   /// packet. `stamp` must land at or beyond the current window's end —
-  /// that is the lookahead contract, and it is asserted. In adaptive
-  /// window mode a stamp inside a grown window is floored to the window
-  /// end instead (the documented staleness bound).
+  /// that is the lookahead contract, and it is asserted. The stamp is
+  /// never moved: the emulated latency reaches the destination unchanged.
   bool push(std::size_t src_host, std::uint64_t seq, SimTime stamp,
             net::Packet packet) override;
 
-  /// Largest adaptive-window growth factor (multiples of L).
-  static constexpr std::uint32_t kMaxWindowGrowth = 8;
-  /// Handoff count per window above which adaptive growth resets to 1.
-  static constexpr std::uint64_t kMergePressure = 64;
-
  private:
+  /// Barrier spin budget while every worker owns a core: long enough to
+  /// cover coordinator latency, short enough to bound waste on a stolen
+  /// core. With fewer cores than shards the budget is 0 (yield at once).
+  static constexpr std::uint32_t kSpinRounds = 1u << 14;
+
   struct IngressEntry {
     SimTime stamp;
     std::size_t src_host;
@@ -319,12 +268,6 @@ class Engine final : public net::FabricHandoff {
   std::vector<std::vector<std::size_t>> merge_cursor_;
 
   std::unique_ptr<PhaseBarrier> barrier_;
-  BarrierMode barrier_mode_ = BarrierMode::kBlock;
-  WindowMode window_mode_ = WindowMode::kFixed;
-  /// Adaptive-mode growth factor; a deterministic function of the per-
-  /// window global handoff counts, so the window schedule stays shard-
-  /// count independent.
-  std::uint32_t window_growth_ = 1;
   /// Buffer index push() writes; flipped by the coordinator per window.
   std::size_t write_parity_ = 0;
   SimTime cursor_ = SimTime::zero();      // completed through here

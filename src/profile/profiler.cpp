@@ -98,36 +98,30 @@ Profiler::Rollup Profiler::rollup() const {
   r.shards.resize(shard_count());
   std::uint64_t span_begin_ns = UINT64_MAX;
   std::uint64_t span_end_ns = 0;
-  auto cover = [&](const PhaseSample& s) {
-    span_begin_ns = std::min(span_begin_ns, s.start_ns);
-    span_end_ns = std::max(span_end_ns, s.start_ns + s.dur_ns);
+  auto cover = [&](const SampleRing::Totals& t) {
+    span_begin_ns = std::min(span_begin_ns, t.first_start_ns);
+    span_end_ns = std::max(span_end_ns, t.last_end_ns);
+  };
+  auto seconds = [](const SampleRing::Totals& t, Phase phase) {
+    return static_cast<double>(t.phase_ns[static_cast<std::size_t>(phase)]) *
+           1e-9;
   };
 
   for (std::size_t k = 0; k < shard_count(); ++k) {
+    const SampleRing::Totals& t = shard_rings_[k]->totals();
+    cover(t);
     ShardRollup& shard = r.shards[k];
-    for (const PhaseSample& s : shard_rings_[k]->samples()) {
-      cover(s);
-      const double dur_s = static_cast<double>(s.dur_ns) * 1e-9;
-      switch (s.phase) {
-        case Phase::kExecute:
-          shard.execute_s += dur_s;
-          shard.events += s.events;
-          break;
-        case Phase::kBarrier: shard.barrier_wait_s += dur_s; break;
-        case Phase::kCompact: shard.compact_s += dur_s; break;
-        case Phase::kMerge: shard.merge_s += dur_s; break;
-      }
-      shard.max_queue_depth = std::max(shard.max_queue_depth, s.queue_depth);
-    }
+    shard.execute_s = seconds(t, Phase::kExecute);
+    shard.barrier_wait_s = seconds(t, Phase::kBarrier);
+    shard.merge_s = seconds(t, Phase::kMerge);
+    shard.compact_s = seconds(t, Phase::kCompact);
+    shard.events = t.execute_events;
+    shard.max_queue_depth = t.max_queue_depth;
     shard.stats = stats_[k];
     r.ring_dropped += shard_rings_[k]->dropped();
   }
-  for (const PhaseSample& s : coordinator_ring_.samples()) {
-    cover(s);
-    if (s.phase == Phase::kMerge) {
-      r.merge_s += static_cast<double>(s.dur_ns) * 1e-9;
-    }
-  }
+  cover(coordinator_ring_.totals());
+  r.merge_s = seconds(coordinator_ring_.totals(), Phase::kMerge);
   r.ring_dropped += coordinator_ring_.dropped();
 
   if (span_end_ns > span_begin_ns) {

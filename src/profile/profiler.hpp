@@ -4,12 +4,13 @@
 // shard wall-time go? Each engine worker records one sample per BSP-window
 // phase — barrier wait, ingress merge, window execute, outbox presort
 // (also kMerge: it is the source half of the merge), compaction — into
-// per-shard fixed-capacity rings of POD samples. The coordinator ring
-// remains for pre-PR-10 traces whose merge ran on the barrier thread. Nothing here touches virtual time, event order or
-// any simulation state: a profiled run is bit-identical to an unprofiled
-// one (the determinism suite asserts this at K = 1/2/4). The rings are
-// single-writer (one worker per ring; the coordinator ring is written under
-// the barrier mutex) and are drained after run() joins the workers — and
+// per-shard fixed-capacity rings of POD samples, plus a coordinator ring
+// (timeline track 0) for samples taken under the barrier; the engine's
+// workers record none there. Nothing here touches virtual time, event
+// order or any simulation state: a profiled run is bit-identical to an
+// unprofiled one (the determinism suite asserts this at K = 1/2/4). The
+// rings are single-writer (one worker per ring; the coordinator ring only
+// under the barrier) and are drained after run() joins the workers — and
 // best-effort on assertion failure, alongside the flight recorder.
 //
 // Two sinks:
@@ -22,10 +23,12 @@
 //     as `profile.*` metrics registry entries.
 //
 // Overflowing a ring drops the oldest sample without blocking the worker;
-// drops are counted (profile.ring.dropped) so a truncated rollup is never
-// silent.
+// drops are counted (profile.ring.dropped) so a truncated timeline is never
+// silent. The rollup is not truncated: it is built from running totals
+// each ring keeps in push(), so it covers the whole run at any capacity.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -60,9 +63,19 @@ struct PhaseSample {
 
 /// Fixed-capacity single-writer sample ring. push() never blocks and never
 /// allocates: overflow overwrites the oldest sample and counts the drop —
-/// a slow drain must not perturb the worker it is measuring.
+/// a slow drain must not perturb the worker it is measuring. Every push
+/// also lands in running totals that wraparound never evicts.
 class SampleRing {
  public:
+  /// Whole-ring aggregates over every sample ever pushed.
+  struct Totals {
+    std::uint64_t phase_ns[4] = {};  // Σ dur_ns, indexed by Phase
+    std::uint64_t execute_events = 0;
+    std::uint64_t max_queue_depth = 0;
+    std::uint64_t first_start_ns = UINT64_MAX;  // UINT64_MAX: no sample yet
+    std::uint64_t last_end_ns = 0;
+  };
+
   explicit SampleRing(std::size_t capacity);
 
   SampleRing(const SampleRing&) = delete;
@@ -72,7 +85,18 @@ class SampleRing {
     buf_[next_] = sample;
     next_ = (next_ + 1) % buf_.size();
     ++total_;
+    totals_.phase_ns[static_cast<std::size_t>(sample.phase)] += sample.dur_ns;
+    if (sample.phase == Phase::kExecute) {
+      totals_.execute_events += sample.events;
+    }
+    totals_.max_queue_depth =
+        std::max(totals_.max_queue_depth, sample.queue_depth);
+    totals_.first_start_ns = std::min(totals_.first_start_ns, sample.start_ns);
+    totals_.last_end_ns =
+        std::max(totals_.last_end_ns, sample.start_ns + sample.dur_ns);
   }
+
+  const Totals& totals() const { return totals_; }
 
   std::size_t capacity() const { return buf_.size(); }
   std::size_t size() const { return total_ < buf_.size() ? total_ : buf_.size(); }
@@ -90,6 +114,7 @@ class SampleRing {
   std::vector<PhaseSample> buf_;
   std::size_t next_ = 0;
   std::uint64_t total_ = 0;
+  Totals totals_;
 };
 
 class Profiler {

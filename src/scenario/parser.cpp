@@ -141,7 +141,7 @@ bool claimed_by_other_plugin(const WorkloadRegistry& registry,
 const std::string& engine_keys() {
   static const std::string keys =
       "shards|transport|physical_nodes|fold|seed|stop|run_for|"
-      "check_invariants|trace|profile|pin|window";
+      "check_invariants|trace|profile|pin";
   return keys;
 }
 
@@ -477,18 +477,6 @@ ParseResult parse_scenario(std::string_view text,
                  "profile", [&](bool v) { spec.engine.profile = v; });
   ok = ok && engine_params.take_bool(
                  "pin", [&](bool v) { spec.engine.pin_workers = v; });
-  const KvEntry* window_entry = c.engine.take("window");
-  if (ok && window_entry != nullptr) {
-    if (window_entry->value == "fixed") {
-      spec.engine.window = WindowPolicy::kFixed;
-    } else if (window_entry->value == "adaptive") {
-      spec.engine.window = WindowPolicy::kAdaptive;
-    } else {
-      return fail(window_entry->source,
-                  "unknown window '" + window_entry->value +
-                      "' (fixed|adaptive)");
-    }
-  }
   if (!ok) return fail_with_error();
   if (spec.engine.stop == StopMode::kTime &&
       spec.engine.run_for <= Duration::zero()) {

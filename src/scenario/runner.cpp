@@ -42,9 +42,6 @@ void ExperimentRunner::setup() {
   pc.seed = spec_.engine.seed;
   pc.shards = spec_.engine.shards;
   pc.pin_workers = spec_.engine.pin_workers;
-  pc.window = spec_.engine.window == WindowPolicy::kAdaptive
-                  ? engine::WindowMode::kAdaptive
-                  : engine::WindowMode::kFixed;
   pc.stream.transport = spec_.engine.transport == TransportModel::kTcp
                             ? sockets::TransportModel::kTcp
                             : sockets::TransportModel::kFlow;

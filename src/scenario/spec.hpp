@@ -82,16 +82,6 @@ enum class TransportModel {
   kTcp,   // NewReno-style slow start / AIMD / fast retransmit
 };
 
-/// `[engine] window fixed|adaptive`: BSP window sizing; maps onto
-/// engine::WindowMode. Adaptive grows windows past the lookahead grid while
-/// cross-shard traffic is sparse (fewer barriers, bounded stamp staleness);
-/// results stay bit-identical across shard counts either way, but adaptive
-/// traces differ from fixed ones.
-enum class WindowPolicy {
-  kFixed,
-  kAdaptive,
-};
-
 /// Parameters of the ping_sweep workload: two (or more) nodes, rules padded
 /// onto node 0's firewall in `rules_step` increments up to `rules_max`,
 /// `probes` pings per step.
@@ -159,7 +149,6 @@ struct EngineSection {
   /// Pin shard workers to cores; unset = automatic (pin when the process
   /// affinity mask holds at least `shards` online cores).
   std::optional<bool> pin_workers;
-  WindowPolicy window = WindowPolicy::kFixed;
 };
 
 struct OutputsSection {

@@ -4,8 +4,8 @@
 // assignment itself must be a pure function of (topology, pnodes, shards,
 // seed): deterministic, every pnode assigned exactly once, shard sizes
 // balanced to within one. And the engine's contract makes any partition
-// invisible to results — so any shard count, spin vs. block barriers and
-// fixed vs. adaptive windows must all replay the same simulated bytes.
+// invisible to results — so any shard count must replay the same
+// simulated bytes.
 #include <algorithm>
 #include <cstddef>
 #include <string>
@@ -15,7 +15,6 @@
 
 #include "bittorrent/swarm.hpp"
 #include "core/platform.hpp"
-#include "engine/engine.hpp"
 #include "engine/partition.hpp"
 #include "metrics/registry.hpp"
 #include "topology/topology.hpp"
@@ -100,7 +99,7 @@ TEST(Partition, StripeIsContiguousBlocks) {
   EXPECT_TRUE(std::is_sorted(part.begin(), part.end()));
 }
 
-// -- partition/barrier/window invisibility --------------------------------
+// -- partition invisibility -----------------------------------------------
 
 struct RunOutput {
   std::vector<double> completion_sec;
@@ -108,20 +107,12 @@ struct RunOutput {
   std::uint64_t dispatched = 0;
 };
 
-struct RunKnobs {
-  std::size_t shards = 1;
-  std::optional<engine::BarrierMode> barrier;
-  engine::WindowMode window = engine::WindowMode::kFixed;
-};
-
-RunOutput run_fig8(const RunKnobs& knobs) {
+RunOutput run_fig8(std::size_t shards) {
   core::PlatformConfig pc;
   pc.physical_nodes = 8;
   pc.seed = 7;
-  pc.shards = knobs.shards;
-  if (knobs.shards == 1) pc.pin_workers = false;
-  pc.barrier = knobs.barrier;
-  pc.window = knobs.window;
+  pc.shards = shards;
+  if (shards == 1) pc.pin_workers = false;
   bt::SwarmConfig config;
   config.file_size = DataSize::mib(1);
   config.seeders = 2;
@@ -162,40 +153,14 @@ TEST(PartitionDeterminism, TopoAndStripeReplayTheSameBytes) {
   // well, but on this homogeneous topology topo_partition() returns the
   // stripe blocks (Partition.HomogeneousDegeneratesToStriping), so that
   // pass ran the same partition twice; Platform no longer offers stripe.
-  const RunOutput golden = run_fig8({.shards = 1});
+  const RunOutput golden = run_fig8(1);
   ASSERT_FALSE(golden.trace.empty());
   for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
     // run_fig8's 11 vnodes (tracker, 2 seeders, 8 clients) on 8 pnodes.
     EXPECT_EQ(engine::topo_partition(topology::homogeneous_dsl(11), 8, k, 7),
               engine::stripe_partition(8, k));
-    expect_same_run(golden, run_fig8({.shards = k}),
+    expect_same_run(golden, run_fig8(k),
                     "topo K=" + std::to_string(k));
-  }
-}
-
-TEST(PartitionDeterminism, SpinBarrierReplaysBlockBarrier) {
-  // The barrier wait strategy is pure wall-clock mechanics; forcing spin
-  // (even time-sliced on one core) must not perturb simulated state.
-  const RunOutput golden =
-      run_fig8({.shards = 2, .barrier = engine::BarrierMode::kBlock});
-  ASSERT_FALSE(golden.trace.empty());
-  expect_same_run(
-      golden, run_fig8({.shards = 2, .barrier = engine::BarrierMode::kSpin}),
-      "spin barrier K=2");
-}
-
-TEST(PartitionDeterminism, AdaptiveWindowsAreShardCountInvariant) {
-  // Adaptive windows change the barrier schedule (and so may legally
-  // change the trace vs. fixed windows), but the schedule is a function of
-  // simulated state only — K = 1, 2, 4 must still agree bit for bit.
-  const RunOutput golden =
-      run_fig8({.shards = 1, .window = engine::WindowMode::kAdaptive});
-  ASSERT_FALSE(golden.trace.empty());
-  for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
-    expect_same_run(
-        golden,
-        run_fig8({.shards = k, .window = engine::WindowMode::kAdaptive}),
-        "adaptive K=" + std::to_string(k));
   }
 }
 

@@ -115,6 +115,61 @@ TEST(ProfilerRollup, RingDroppedSumsAllRings) {
   EXPECT_EQ(prof.rollup().ring_dropped, 3u);
 }
 
+TEST(ProfilerRollup, RollupIsRingCapacityInvariant) {
+  // The rollup describes the whole run, not the samples a small ring still
+  // holds: a 16-slot ring that dropped nearly everything must roll up
+  // exactly like a ring that kept it all.
+  Profiler small(2, /*ring_capacity=*/16);
+  Profiler large(2, /*ring_capacity=*/1 << 20);
+  constexpr Phase kPhases[] = {Phase::kBarrier, Phase::kMerge,
+                               Phase::kExecute, Phase::kMerge,
+                               Phase::kCompact};
+  std::uint64_t t = 0;
+  for (std::uint64_t window = 0; window < 200; ++window) {
+    for (std::size_t s = 0; s < 2; ++s) {
+      std::uint64_t start = t;
+      for (const Phase phase : kPhases) {
+        PhaseSample sample = sample_at(
+            start, 1000 + 37 * window + 11 * s, phase,
+            /*events=*/(window * 7 + s * 3) % 50,
+            /*queue=*/(window * 13 + s) % 97);
+        sample.window = window;
+        small.shard_ring(s).push(sample);
+        large.shard_ring(s).push(sample);
+        start += sample.dur_ns;
+      }
+    }
+    const PhaseSample merge = sample_at(t, 250 + window, Phase::kMerge);
+    small.coordinator_ring().push(merge);
+    large.coordinator_ring().push(merge);
+    t += 10'000;
+  }
+
+  const Rollup a = small.rollup();
+  const Rollup b = large.rollup();
+  EXPECT_GT(a.ring_dropped, 0u);
+  EXPECT_EQ(b.ring_dropped, 0u);
+  EXPECT_EQ(a.span_s, b.span_s);
+  EXPECT_EQ(a.merge_s, b.merge_s);
+  EXPECT_EQ(a.barrier_wait_share, b.barrier_wait_share);
+  EXPECT_EQ(a.merge_share, b.merge_share);
+  EXPECT_EQ(a.imbalance_ratio, b.imbalance_ratio);
+  ASSERT_EQ(a.shards.size(), b.shards.size());
+  for (std::size_t s = 0; s < a.shards.size(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    EXPECT_EQ(a.shards[s].execute_s, b.shards[s].execute_s);
+    EXPECT_EQ(a.shards[s].barrier_wait_s, b.shards[s].barrier_wait_s);
+    EXPECT_EQ(a.shards[s].merge_s, b.shards[s].merge_s);
+    EXPECT_EQ(a.shards[s].compact_s, b.shards[s].compact_s);
+    EXPECT_EQ(a.shards[s].utilization_pct, b.shards[s].utilization_pct);
+    EXPECT_EQ(a.shards[s].events, b.shards[s].events);
+    EXPECT_EQ(a.shards[s].max_queue_depth, b.shards[s].max_queue_depth);
+    EXPECT_EQ(a.shards[s].stats.user_s, b.shards[s].stats.user_s);
+    EXPECT_EQ(a.shards[s].stats.sys_s, b.shards[s].stats.sys_s);
+    EXPECT_EQ(a.shards[s].stats.pinned_cpu, b.shards[s].stats.pinned_cpu);
+  }
+}
+
 TEST(ProfilerRegistry, FoldInstallsProfileGaugesIdempotently) {
   Profiler prof(2, 16);
   prof.shard_ring(0).push(sample_at(0, 50'000'000, Phase::kExecute, 10));
@@ -253,6 +308,27 @@ TEST(ProfilerEngine, WorkersRecordAllPhasesAtK2) {
   }
   EXPECT_GT(roll.merge_s, 0.0);
   EXPECT_GE(roll.imbalance_ratio, 1.0);
+}
+
+TEST(ProfilerEngine, TinyRingRollupCountsEveryDispatchedEvent) {
+  // A 16-slot ring wraps within the first windows; the rollup's event
+  // count must still match what the kernels dispatched over the whole run.
+  core::PlatformConfig pc;
+  pc.physical_nodes = 4;
+  pc.shards = 2;
+  const bt::SwarmConfig config = tiny_swarm();
+  core::Platform platform(
+      topology::homogeneous_dsl(bt::swarm_vnodes(config)), pc);
+  platform.enable_profiling(16);
+  bt::Swarm swarm(platform, config);
+  swarm.run();
+  ASSERT_TRUE(swarm.all_complete());
+
+  const Rollup roll = platform.profiler().rollup();
+  EXPECT_GT(roll.ring_dropped, 0u);
+  std::uint64_t events = 0;
+  for (const ShardRollup& shard : roll.shards) events += shard.events;
+  EXPECT_EQ(events, platform.dispatched_events());
 }
 
 TEST(ProfilerEngine, SingleShardRecordsExecuteSamples) {

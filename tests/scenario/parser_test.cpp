@@ -494,7 +494,7 @@ TEST(ScenarioParserProfile, BadProfileValue) {
             "line 5: bad value 'maybe' for profile (expected on|off)");
 }
 
-// -- scaling keys (window; barrier and partition are gone) ----------------
+// -- scaling keys (window, barrier and partition are gone) ---------------
 
 /// The unknown-key error every removed [engine] key now gets.
 std::string unknown_engine_key(const std::string& where,
@@ -504,27 +504,21 @@ std::string unknown_engine_key(const std::string& where,
 }
 
 TEST(ScenarioParserScaling, BarrierWindowPartitionParse) {
-  // `window` is the one scaling key left: fixed and adaptive windows give
-  // different traces. The barrier mode is chosen automatically and the
-  // partition is always topology-aware, so both keys are refused.
-  const ScenarioSpec spec = parse_ok(
-      "scenario x\n"
-      "[workload]\n"
-      "type swarm\n"
-      "[engine]\n"
-      "window adaptive\n");
-  EXPECT_EQ(spec.engine.window, WindowPolicy::kAdaptive);
-  for (const std::string key : {"barrier", "partition"}) {
-    for (const char* value : {"spin", "block", "topo", "stripe"}) {
-      EXPECT_EQ(parse_error("scenario x\n"
-                            "[workload]\n"
-                            "type swarm\n"
-                            "[engine]\n"
-                            "window adaptive\n" +
-                            key + " " + value + "\n"),
-                unknown_engine_key("line 6", key))
-          << key << " " << value;
-    }
+  // Windows always follow the fixed lookahead grid, the barrier derives its
+  // spin budget from the core count and the partition is always
+  // topology-aware: no scaling key is left, so each is refused.
+  for (const std::string entry :
+       {"window fixed", "window adaptive", "barrier spin", "barrier block",
+        "partition topo", "partition stripe"}) {
+    const std::string key = entry.substr(0, entry.find(' '));
+    EXPECT_EQ(parse_error("scenario x\n"
+                          "[workload]\n"
+                          "type swarm\n"
+                          "[engine]\n"
+                          "shards 2\n" +
+                          entry + "\n"),
+              unknown_engine_key("line 6", key))
+        << entry;
   }
 }
 
@@ -542,7 +536,6 @@ TEST(ScenarioParserScaling, BlockBarrierParses) {
 TEST(ScenarioParserScaling, Defaults) {
   const ScenarioSpec spec =
       parse_ok("scenario x\n[workload]\ntype swarm\n");
-  EXPECT_EQ(spec.engine.window, WindowPolicy::kFixed);
   EXPECT_FALSE(spec.engine.pin_workers.has_value());  // auto: pin iff cores
 }
 
@@ -563,15 +556,6 @@ TEST(ScenarioParserScaling, BadBarrierValue) {
                         "[engine]\n"
                         "barrier busywait\n"),
             unknown_engine_key("line 5", "barrier"));
-}
-
-TEST(ScenarioParserScaling, BadWindowValue) {
-  EXPECT_EQ(parse_error("scenario x\n"
-                        "[workload]\n"
-                        "type swarm\n"
-                        "[engine]\n"
-                        "window huge\n"),
-            "line 5: unknown window 'huge' (fixed|adaptive)");
 }
 
 TEST(ScenarioParserScaling, BadPartitionValue) {
@@ -595,15 +579,15 @@ TEST(ScenarioParserScaling, UnknownEngineKeyEnumeratesTheKeyList) {
             unknown_engine_key("line 5", "warp"));
   EXPECT_EQ(engine_keys(),
             "shards|transport|physical_nodes|fold|seed|stop|run_for|"
-            "check_invariants|trace|profile|pin|window");
+            "check_invariants|trace|profile|pin");
 }
 
 TEST(ScenarioParserScaling, SetOverridesReachScalingKeys) {
-  const ScenarioSpec spec = parse_ok(
-      "scenario x\n[workload]\ntype swarm\n", {"engine.window=adaptive"});
-  EXPECT_EQ(spec.engine.window, WindowPolicy::kAdaptive);
-  for (const std::string key : {"barrier", "partition"}) {
-    const std::string set = "engine." + key + "=spin";
+  // --set reaches [engine] like a file line does, so a removed key fails
+  // there too, naming the override that carried it.
+  for (const std::string set :
+       {"engine.window=fixed", "engine.barrier=spin", "engine.partition=topo"}) {
+    const std::string key = set.substr(7, set.find('=') - 7);
     EXPECT_EQ(parse_error("scenario x\n[workload]\ntype swarm\n", {set}),
               unknown_engine_key("--set " + set, key));
   }
