@@ -7,9 +7,12 @@
 //   events:  self-rescheduling timer chains through the bare simulation
 //            kernel — isolates schedule/dispatch cost.
 //   packets: a ping-pong workload between two shaped hosts through the
-//            full emulated path (firewall scan, Dummynet pipes, NICs,
-//            switch, demux delivery) — the per-packet cost that bounds
-//            the paper's Figs 6/9/10 reproduction.
+//            route every Platform run takes (firewall scan, Dummynet pipes
+//            with deferred delays, NIC tx + switch folded into the fabric
+//            stamp, NIC rx, demux delivery) — the per-packet cost that
+//            bounds the paper's Figs 6/9/10 reproduction. The bare Network
+//            has no engine handoff, so it schedules its own fabric arrival
+//            at the same stamp.
 //
 // Allocations are counted by interposing the global operator new/delete of
 // this binary (an atomic tick per call; works in every build type). The
@@ -175,7 +178,6 @@ PhaseResult run_packet_phase(profile::Profiler& prof, std::uint64_t warmup,
     p.dst_port = 7;
     p.wire_size = DataSize::bytes(1500);
     p.flow = flow;
-    p.socket_demux = true;
     return p;
   };
   // The demux is the steady-state driver: every delivery sends the reply.

@@ -230,8 +230,7 @@ void Platform::compile_rules() {
            .delay = link.latency,
            .loss_rate = link.loss_rate,
            .burst_loss = burst,
-           .queue_limit = config_.vnode_pipe_queue,
-           .fair_queue = true});
+           .queue_limit = config_.vnode_pipe_queue});
       fw.add_rule({.number = rule_number++, .src = host_block,
                    .dst = CidrBlock::any(), .dir = ipfw::RuleDir::kOut,
                    .action = ipfw::RuleAction::kPipe, .pipe = up});
@@ -240,8 +239,7 @@ void Platform::compile_rules() {
            .delay = link.latency,
            .loss_rate = link.loss_rate,
            .burst_loss = burst,
-           .queue_limit = config_.vnode_pipe_queue,
-           .fair_queue = true});
+           .queue_limit = config_.vnode_pipe_queue});
       fw.add_rule({.number = rule_number++, .src = CidrBlock::any(),
                    .dst = host_block, .dir = ipfw::RuleDir::kIn,
                    .action = ipfw::RuleAction::kPipe, .pipe = down});
@@ -330,8 +328,7 @@ void Platform::apply_link_config(std::size_t i) {
                        .delay = link.latency + faults.extra_latency,
                        .loss_rate = link.loss_rate,
                        .burst_loss = burst,
-                       .queue_limit = config_.vnode_pipe_queue,
-                       .fair_queue = true};
+                       .queue_limit = config_.vnode_pipe_queue};
   fw.pipe(ap.up).reconfigure(cfg);
   cfg.bandwidth = link.down;
   fw.pipe(ap.down).reconfigure(cfg);

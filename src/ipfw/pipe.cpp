@@ -30,22 +30,17 @@ Pipe::Pipe(sim::Simulation& sim, PipeConfig config, Rng rng)
 }
 
 void Pipe::enqueue(Segment seg) {
-  ++stats_.segments_in;
-  stats_.bytes_in += seg.size.count_bytes();
   metrics_.segments_in.inc();
   metrics_.bytes_in.inc(seg.size.count_bytes());
   metrics_.queue_bytes.record(static_cast<double>(queued_bytes_));
 
   if (down_) {
-    ++stats_.segments_dropped;
-    ++stats_.segments_dropped_down;
     metrics_.drops_down.inc();
     if (seg.on_drop) seg.on_drop();
     return;
   }
 
   if (config_.loss_rate > 0.0 && rng_.chance(config_.loss_rate)) {
-    ++stats_.segments_dropped;
     metrics_.drops_loss.inc();
     if (seg.on_drop) seg.on_drop();
     return;
@@ -61,8 +56,6 @@ void Pipe::enqueue(Segment seg) {
     }
     const double p = burst_bad_ ? ge.loss_bad : ge.loss_good;
     if (p > 0.0 && rng_.chance(p)) {
-      ++stats_.segments_dropped;
-      ++stats_.segments_dropped_burst;
       metrics_.drops_burst.inc();
       if (seg.on_drop) seg.on_drop();
       return;
@@ -71,8 +64,6 @@ void Pipe::enqueue(Segment seg) {
 
   // Pure delay element: no queueing, no serialization.
   if (config_.bandwidth.is_unlimited()) {
-    ++stats_.segments_out;
-    stats_.bytes_out += seg.size.count_bytes();
     metrics_.segments_out.inc();
     metrics_.bytes_out.inc(seg.size.count_bytes());
     auto cb = std::move(seg.on_exit);
@@ -91,7 +82,6 @@ void Pipe::enqueue(Segment seg) {
           config_.queue_limit.count_bytes() &&
       busy_) {
     // Queue full (the in-service segment does not count against the queue).
-    ++stats_.segments_dropped;
     metrics_.drops_overflow.inc();
     if (seg.on_drop) seg.on_drop();
     return;
@@ -104,14 +94,9 @@ void Pipe::enqueue(Segment seg) {
   }
 
   queued_bytes_ += seg.size.count_bytes();
-  stats_.max_queue_bytes = std::max(stats_.max_queue_bytes, queued_bytes_);
-  if (config_.fair_queue) {
-    auto [it, inserted] = flows_.try_emplace(seg.flow);
-    if (it->second.segments.empty()) ring_add(seg.flow);
-    it->second.segments.push_back(std::move(seg));
-  } else {
-    fifo_.push_back(std::move(seg));
-  }
+  auto [it, inserted] = flows_.try_emplace(seg.flow);
+  if (it->second.segments.empty()) ring_add(seg.flow);
+  it->second.segments.push_back(std::move(seg));
 }
 
 void Pipe::ring_add(FlowId flow) {
@@ -141,18 +126,6 @@ void Pipe::maybe_sweep_flows() {
 
 void Pipe::serve_next() {
   P2PLAB_ASSERT(busy_);
-  if (!config_.fair_queue) {
-    if (fifo_.empty()) {
-      busy_ = false;
-      return;
-    }
-    Segment seg = std::move(fifo_.front());
-    fifo_.pop_front();
-    queued_bytes_ -= seg.size.count_bytes();
-    start_service(std::move(seg));
-    return;
-  }
-
   if (active_.empty()) {
     busy_ = false;
     return;
@@ -203,8 +176,6 @@ void Pipe::start_service(Segment seg) {
 }
 
 void Pipe::depart(Segment seg) {
-  ++stats_.segments_out;
-  stats_.bytes_out += seg.size.count_bytes();
   metrics_.segments_out.inc();
   metrics_.bytes_out.inc(seg.size.count_bytes());
   auto cb = std::move(seg.on_exit);

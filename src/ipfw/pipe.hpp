@@ -6,11 +6,14 @@
 // emulating the node<->ISP access link) plus pure-delay pipes for
 // inter-group latency.
 //
-// One deliberate refinement over FIFO Dummynet: the bandwidth server can
-// share the link across flows with deficit-round-robin. Real P2PLab relies
-// on TCP to share a Dummynet pipe fairly among a node's connections; we do
-// not simulate TCP congestion control, so DRR stands in for that fairness
-// (DESIGN.md §6). FIFO mode is available for faithfulness studies.
+// One deliberate refinement over FIFO Dummynet: the bandwidth server shares
+// the link across flows with deficit-round-robin. Real P2PLab relies on TCP
+// to share a Dummynet pipe fairly among a node's connections; the default
+// flow transport does not simulate TCP congestion control, so DRR stands in
+// for that fairness (DESIGN.md §6).
+//
+// Instrumentation goes only to the shared "ipfw.pipe.*" registry cells
+// (PipeMetrics).
 #pragma once
 
 #include <cstdint>
@@ -54,18 +57,6 @@ struct PipeConfig {
   /// Queue bound in bytes (Dummynet defaults to 50 slots; 50 full-size
   /// Ethernet frames is the equivalent here).
   DataSize queue_limit = DataSize::bytes(50 * 1500);
-  bool fair_queue = true;  // DRR across flows; false = strict FIFO
-};
-
-struct PipeStats {
-  std::uint64_t segments_in = 0;
-  std::uint64_t segments_out = 0;
-  std::uint64_t segments_dropped = 0;  // queue overflow + any loss + down
-  std::uint64_t segments_dropped_burst = 0;  // Gilbert-Elliott share
-  std::uint64_t segments_dropped_down = 0;   // administratively down share
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t max_queue_bytes = 0;
 };
 
 /// Registry handles shared by every pipe in a firewall: the same metric
@@ -115,7 +106,6 @@ class Pipe {
   void enqueue(Segment seg);
 
   const PipeConfig& config() const { return config_; }
-  const PipeStats& stats() const { return stats_; }
   DataSize queued() const { return DataSize::bytes(queued_bytes_); }
 
   /// Reconfigure bandwidth/delay/loss in place (ipfw pipe N config ...).
@@ -150,7 +140,6 @@ class Pipe {
   sim::Simulation& sim_;
   PipeConfig config_;
   Rng rng_;
-  PipeStats stats_;
   PipeMetrics metrics_;
 
   bool busy_ = false;
@@ -171,9 +160,6 @@ class Pipe {
   std::unordered_map<FlowId, FlowQueue> flows_;
   std::list<FlowId> active_;
   std::list<FlowId> spare_;  // recycled ring nodes
-
-  // FIFO state (fair_queue == false).
-  std::deque<Segment> fifo_;
 };
 
 }  // namespace p2plab::ipfw

@@ -65,8 +65,6 @@ void Network::reattach_address(Ipv4Addr addr, Host& host) {
 }
 
 void Network::send(Packet packet) {
-  ++stats_.packets_sent;
-  stats_.bytes_sent += packet.wire_size.count_bytes();
   metrics_.packets_sent.inc();
   metrics_.bytes_sent.inc(packet.wire_size.count_bytes());
   packet.sent_at = sim_.now();
@@ -76,38 +74,26 @@ void Network::send(Packet packet) {
     // Source address detached (crashed vnode with a send still queued, a
     // departed node's retransmission): the packet dies at the NIC instead
     // of wedging the run on an assertion.
-    ++stats_.packets_unroutable;
     metrics_.packets_unroutable.inc();
     return;
   }
-  if (handoff_ != nullptr) {
-    // Engine mode. Loopback (both endpoints on this host) stays entirely
-    // local; every other packet takes the deferred-delay handoff path —
-    // even when the destination is on this same shard, so that the event
-    // sequence does not depend on how hosts were partitioned into shards.
-    // Destination routability is checked on the destination shard (its
-    // address table cannot be read from here without a race); a withdrawn
-    // address therefore still costs the source its pipe bandwidth, which is
-    // also what a real NIC would do.
-    Host* local_dst = host_of(packet.dst);
-    const bool loopback = local_dst == src;
-    leave_source(pool_.acquire(std::move(packet)), *src,
-                 loopback ? PathStage::kSource : PathStage::kSourceDefer);
-    return;
-  }
-  if (host_of(packet.dst) == nullptr) {
-    ++stats_.packets_unroutable;
-    metrics_.packets_unroutable.inc();
-    return;
-  }
-  leave_source(pool_.acquire(std::move(packet)), *src, PathStage::kSource);
+  // Loopback (both endpoints on this host) stays entirely local; every
+  // other packet takes the deferred-delay handoff path — even when the
+  // destination is on this same shard, so that the event sequence does not
+  // depend on how hosts were partitioned into shards. Destination
+  // routability is checked on the destination shard (its address table
+  // cannot be read from here without a race); a withdrawn address therefore
+  // still costs the source its pipe bandwidth, which is also what a real
+  // NIC would do.
+  const bool loopback = host_of(packet.dst) == src;
+  leave_source(pool_.acquire(std::move(packet)), *src,
+               loopback ? PathStage::kLoopback : PathStage::kSource);
 }
 
 void Network::leave_source(PacketRef packet, Host& src, PathStage stage) {
   auto match = src.firewall().classify(packet->src, packet->dst,
                                        ipfw::RuleDir::kOut);
   if (match.denied) {
-    ++stats_.packets_dropped_fw;
     metrics_.packets_dropped_fw.inc();
     return;  // the ref dies here; the cell goes straight back to the pool
   }
@@ -137,20 +123,23 @@ void Network::handoff_exit(PacketRef packet, Host& src) {
   const SimTime now = sim_.now();
   const auto tx_delay = src.nic_tx().transmit(now, packet->wire_size);
   if (!tx_delay) {
-    ++stats_.packets_dropped_pipe;
     metrics_.packets_dropped_pipe.inc();
     return;
   }
   metrics_.nic_tx_bytes.inc(packet->wire_size.count_bytes());
-  P2PLAB_ASSERT_MSG(packet->socket_demux,
-                    "the parallel engine carries socket traffic only: an "
-                    "on_deliver closure could capture source-shard state");
   const SimTime stamp =
       now + packet->deferred_delay + *tx_delay + config_.switch_latency;
+  if (handoff_ == nullptr) {
+    // A bare Network is its own single shard: the same stamp, scheduled
+    // here, and the same cell carried on to the destination side.
+    sim_.schedule_at(stamp, [this, packet = std::move(packet)]() mutable {
+      fabric_arrive(std::move(packet));
+    });
+    return;
+  }
   if (!handoff_->push(src.global_index(), src.next_fabric_seq(), stamp,
                       std::move(*packet))) {
     // No shard ever deployed the address (as opposed to withdrawn).
-    ++stats_.packets_unroutable;
     metrics_.packets_unroutable.inc();
   }
   // The moved-out husk recycles as the ref dies here.
@@ -161,13 +150,11 @@ void Network::fabric_arrive(PacketRef packet) {
   if (dst == nullptr) {
     // Address withdrawn (crashed vnode) — discovered here, on the shard
     // that owns the destination's routing state.
-    ++stats_.packets_unroutable;
     metrics_.packets_unroutable.inc();
     return;
   }
   const auto rx_delay = dst->nic_rx().transmit(sim_.now(), packet->wire_size);
   if (!rx_delay) {
-    ++stats_.packets_dropped_pipe;
     metrics_.packets_dropped_pipe.inc();
     return;
   }
@@ -182,38 +169,10 @@ void Network::fabric_arrive(PacketRef packet) {
   }
 }
 
-void Network::traverse_fabric(PacketRef packet, Host& src, Host& dst) {
-  // Both NIC reservations are made analytically at send time; the whole
-  // fabric hop (tx serialization + switch + rx serialization) costs one
-  // scheduled event (see link_server.hpp for the approximation bound).
-  const SimTime now = sim_.now();
-  const auto tx_delay = src.nic_tx().transmit(now, packet->wire_size);
-  if (!tx_delay) {
-    ++stats_.packets_dropped_pipe;
-    metrics_.packets_dropped_pipe.inc();
-    return;
-  }
-  metrics_.nic_tx_bytes.inc(packet->wire_size.count_bytes());
-  const SimTime at_switch_out = now + *tx_delay + config_.switch_latency;
-  const auto rx_delay =
-      dst.nic_rx().transmit(at_switch_out, packet->wire_size);
-  if (!rx_delay) {
-    ++stats_.packets_dropped_pipe;
-    metrics_.packets_dropped_pipe.inc();
-    return;
-  }
-  metrics_.nic_rx_bytes.inc(packet->wire_size.count_bytes());
-  sim_.schedule_at(at_switch_out + *rx_delay,
-                   [this, packet = std::move(packet), &dst]() mutable {
-                     arrive_at_destination(std::move(packet), dst);
-                   });
-}
-
 void Network::arrive_at_destination(PacketRef packet, Host& dst) {
   auto match = dst.firewall().classify(packet->src, packet->dst,
                                        ipfw::RuleDir::kIn);
   if (match.denied) {
-    ++stats_.packets_dropped_fw;
     metrics_.packets_dropped_fw.inc();
     return;
   }
@@ -233,17 +192,12 @@ void Network::arrive_at_destination(PacketRef packet, Host& dst) {
 }
 
 void Network::deliver(PacketRef packet) {
-  ++stats_.packets_delivered;
-  stats_.bytes_delivered += packet->wire_size.count_bytes();
   metrics_.packets_delivered.inc();
   metrics_.bytes_delivered.inc(packet->wire_size.count_bytes());
-  if (packet->socket_demux && socket_demux_) {
+  if (socket_demux_) {
     socket_demux_(std::move(*packet));
-  } else if (packet->on_deliver) {
-    auto cb = std::move(packet->on_deliver);
-    cb(std::move(*packet));
   } else {
-    P2PLAB_LOG_DEBUG("packet to %s:%u had no deliver handler",
+    P2PLAB_LOG_DEBUG("packet to %s:%u arrived with no socket demux installed",
                      packet->dst.to_string().c_str(), packet->dst_port);
   }
   // The ref dies here: the cell returns to the pool after the handler has
@@ -262,7 +216,7 @@ void Network::pass_pipes(PacketRef packet, Host& host, ipfw::PipeList pipes,
   // Pool cells are address-stable, so the defer pointer survives the move
   // of the ref into the continuation below.
   Duration* const defer =
-      stage == PathStage::kSourceDefer ? &packet->deferred_delay : nullptr;
+      stage == PathStage::kSource ? &packet->deferred_delay : nullptr;
   // 61 bytes of capture — the closure InlineCallback's budget is sized for.
   // If a pipe drops the segment, the continuation (and the ref inside it)
   // is destroyed unexecuted and the cell recycles on its own.
@@ -275,32 +229,23 @@ void Network::pass_pipes(PacketRef packet, Host& host, ipfw::PipeList pipes,
             pass_pipes(std::move(packet), host, std::move(pipes), index + 1,
                        stage);
           },
-      .on_drop =
-          [this] {
-            ++stats_.packets_dropped_pipe;
-            metrics_.packets_dropped_pipe.inc();
-          },
+      .on_drop = [this] { metrics_.packets_dropped_pipe.inc(); },
       .defer_delay = defer});
 }
 
 void Network::finish_path(PacketRef packet, Host& host, PathStage stage) {
   switch (stage) {
-    case PathStage::kSourceDefer:
+    case PathStage::kSource:
       handoff_exit(std::move(packet), host);
       return;
-    case PathStage::kSource: {
+    case PathStage::kLoopback: {
+      // Co-located vnodes: skip NIC and switch.
       Host* dst = host_of(packet->dst);
       if (dst == nullptr) {  // address vanished mid-flight
-        ++stats_.packets_unroutable;
         metrics_.packets_unroutable.inc();
         return;
       }
-      if (dst == &host) {
-        // Loopback / co-located vnodes: skip NIC and switch.
-        arrive_at_destination(std::move(packet), *dst);
-      } else {
-        traverse_fabric(std::move(packet), host, *dst);
-      }
+      arrive_at_destination(std::move(packet), *dst);
       return;
     }
     case PathStage::kDest:

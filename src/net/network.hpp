@@ -1,10 +1,13 @@
 // The emulated network: hosts joined by a non-blocking switch.
 //
-// Network::send walks a packet through the full emulated path:
+// Network::send walks a packet through the emulated path:
 //
-//   source host:   firewall scan (CPU) -> matched Dummynet pipes
-//   fabric:        NIC tx pipe -> switch latency -> NIC rx pipe
-//   dest host:     firewall scan (CPU) -> matched Dummynet pipes -> deliver
+//   source host:   firewall scan (CPU) -> matched Dummynet pipes (their
+//                  fixed delays deferred into the packet)
+//   fabric:        NIC tx -> switch latency, folded into one arrival stamp
+//                  handed to the FabricHandoff
+//   dest host:     NIC rx -> firewall scan (CPU) -> matched Dummynet pipes
+//                  -> socket demux
 //
 // Packets between two virtual nodes folded onto the same physical host
 // skip the fabric but still traverse both firewalls — exactly like
@@ -17,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -36,19 +40,12 @@ struct NetworkConfig {
   Duration switch_latency = Duration::us(30);
 };
 
-struct NetworkStats {
-  std::uint64_t packets_sent = 0;
-  std::uint64_t packets_delivered = 0;
-  std::uint64_t packets_dropped_fw = 0;       // deny rules
-  std::uint64_t packets_dropped_pipe = 0;     // pipe queue overflow / loss
-  std::uint64_t packets_unroutable = 0;       // no host owns the address
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_delivered = 0;
-};
-
-/// Registry handles for the "net.*" metrics. The NIC byte counters are the
-/// per-link load view (fabric hops only — loopback between co-located
-/// vnodes never touches a NIC, which is the folding win being measured).
+/// Registry handles for the "net.*" metrics — the network's only counters.
+/// packets_dropped_fw counts deny rules; packets_dropped_pipe pipe loss,
+/// queue overflow and NIC tail drops; packets_unroutable addresses no host
+/// owns. The NIC byte counters are the per-link load view (fabric hops
+/// only — loopback between co-located vnodes never touches a NIC, which is
+/// the folding win being measured).
 struct NetMetrics {
   metrics::Counter packets_sent;
   metrics::Counter packets_delivered;
@@ -64,12 +61,12 @@ struct NetMetrics {
 };
 
 /// Cross-shard packet transport, implemented by the parallel engine
-/// (src/engine). When installed on a Network, every inter-host packet —
-/// same shard or not — leaves through push() with a precomputed arrival
-/// stamp (the instant the packet exits the switch toward the destination
-/// NIC), and re-enters the destination shard's Network via fabric_arrive().
-/// Routing all inter-host traffic through the same code path is what makes
-/// a K-shard run bit-identical to the 1-shard engine run.
+/// (src/engine). Every inter-host packet — same shard or not — leaves
+/// through push() with a precomputed arrival stamp (the instant the packet
+/// exits the switch toward the destination NIC), and re-enters the
+/// destination shard's Network via fabric_arrive(). Routing all inter-host
+/// traffic through the same code path is what makes a K-shard run
+/// bit-identical to the 1-shard run.
 class FabricHandoff {
  public:
   virtual ~FabricHandoff() = default;
@@ -90,7 +87,6 @@ class Network {
 
   sim::Simulation& sim() { return sim_; }
   const NetworkConfig& config() const { return config_; }
-  const NetworkStats& stats() const { return stats_; }
 
   static constexpr std::size_t kAutoIndex = static_cast<std::size_t>(-1);
 
@@ -99,7 +95,7 @@ class Network {
   /// administration purposes"). `global_index` is the platform-wide host
   /// index (see Host::global_index); it defaults to this network's local
   /// count, which is the right value whenever one Network spans the whole
-  /// platform (the legacy single-threaded mode and all unit tests).
+  /// platform (a 1-shard run, and every bare Network in tests and benches).
   Host& add_host(std::string name, Ipv4Addr admin_ip, HostConfig config = {},
                  std::size_t global_index = kAutoIndex);
 
@@ -117,19 +113,20 @@ class Network {
   /// Restore a previously detached alias of `host` (vnode rejoin).
   void reattach_address(Ipv4Addr addr, Host& host);
 
-  /// Send a packet through the emulated path. The packet's on_deliver runs
-  /// at the destination; dropped packets vanish (transports recover via
-  /// timeout, exactly like the real platform).
+  /// Send a packet through the emulated path. It is delivered through the
+  /// socket demux at the destination; dropped packets vanish (transports
+  /// recover via timeout, exactly like the real platform).
   void send(Packet packet);
 
   // -- parallel-engine hooks ----------------------------------------------
 
-  /// Route every inter-host packet through `handoff` (engine mode). The
-  /// source-side pipes then defer their fixed delays into the packet
+  /// Hand every inter-host packet to `handoff` at its arrival stamp. The
+  /// source-side pipes defer their fixed delays into the packet
   /// (Pipe::Segment::defer_delay) and the NIC-tx/switch hop is folded into
-  /// the handoff stamp; the destination side reserves its NIC-rx and runs
-  /// the inbound firewall on arrival. Engine mode requires socket_demux
-  /// traffic — an on_deliver closure could capture source-shard state.
+  /// the stamp; the destination side reserves its NIC-rx and runs the
+  /// inbound firewall on arrival. Without a handoff (a bare Network) the
+  /// packet takes the same walk: fabric_arrive is scheduled at the same
+  /// stamp on this network's own simulation.
   void set_fabric_handoff(FabricHandoff* handoff) { handoff_ = handoff; }
 
   /// Destination entry point for handed-off packets; the engine schedules
@@ -142,9 +139,10 @@ class Network {
   /// packet; cells never cross pools.
   PacketPool& pool() { return pool_; }
 
-  /// Deliver packets flagged socket_demux through this callback (installed
-  /// by the shard's SocketManager; per-shard, so delivery never touches
-  /// another shard's port table).
+  /// Deliver every packet through this callback (installed by the shard's
+  /// SocketManager; per-shard, so delivery resolves against
+  /// destination-shard state only and never touches another shard's port
+  /// table).
   void set_socket_demux(std::function<void(Packet&&)> demux);
 
   /// Resolve "net.*" handles from `reg` and bind the firewall of every
@@ -160,13 +158,12 @@ class Network {
   /// one byte of state replaces a std::function that the old code also
   /// re-copied at every pipe stage.
   enum class PathStage : std::uint8_t {
-    kSource,       // standalone/loopback source side: fabric or local arrival
-    kSourceDefer,  // engine mode: source side ends in handoff_exit
-    kDest,         // destination side: ends in deliver
+    kSource,    // source pipes defer their delays; ends in handoff_exit
+    kLoopback,  // both endpoints on this host: ends in local arrival
+    kDest,      // destination side: ends in deliver
   };
 
   void leave_source(PacketRef packet, Host& src, PathStage stage);
-  void traverse_fabric(PacketRef packet, Host& src, Host& dst);
   void handoff_exit(PacketRef packet, Host& src);
   void arrive_at_destination(PacketRef packet, Host& dst);
   void deliver(PacketRef packet);
@@ -180,7 +177,6 @@ class Network {
   sim::Simulation& sim_;
   Rng rng_;
   NetworkConfig config_;
-  NetworkStats stats_;
   NetMetrics metrics_;
   // Declared before hosts_: pipes hold queued segments whose closures own
   // PacketRefs, so hosts_ (destroyed first, reverse declaration order)

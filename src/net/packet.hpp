@@ -2,13 +2,13 @@
 //
 // A Packet models one transport segment (up to a whole application message;
 // the pipes serialize it proportionally to wire_size, which approximates a
-// burst of MTU-sized frames back to back). Delivery is a closure carried by
-// the packet itself: the simulation has no global demultiplexer at this
-// layer — the sockets layer installs one per port.
+// burst of MTU-sized frames back to back). A packet carries no code:
+// delivery goes through the destination network's socket demux, which the
+// sockets layer installs once per network (per shard), so a packet is plain
+// data that can cross shards by value.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "common/ipv4.hpp"
@@ -49,21 +49,10 @@ struct Packet {
   /// knows the concrete type from its protocol context.
   std::shared_ptr<const void> body;
 
-  /// Invoked at the destination host once the packet has traversed the
-  /// full emulated path. Not invoked for dropped packets.
-  std::function<void(Packet&&)> on_deliver;
-
-  /// Deliver through the destination network's registered socket demux
-  /// instead of `on_deliver`. The sockets layer sets this: a closure would
-  /// capture the *source* host's socket manager, which under the parallel
-  /// engine may live on another shard — the flag makes delivery resolve
-  /// against destination-shard state only.
-  bool socket_demux = false;
-
-  /// Fixed pipe delay accumulated but not yet served (parallel engine
-  /// only). Source-side pipes defer their config delay into the packet so
-  /// the cross-shard handoff stamp carries it; it is spent when the
-  /// destination shard schedules the arrival. Zero on the legacy path.
+  /// Fixed pipe delay accumulated but not yet served. Source-side pipes
+  /// defer their config delay into the packet so the fabric handoff stamp
+  /// carries it; it is spent when the destination shard schedules the
+  /// arrival. Zero on loopback, whose pipes serve their delays in place.
   Duration deferred_delay = Duration::zero();
 
   /// Stamped by Network::send; used for RTT estimation and diagnostics.

@@ -111,10 +111,9 @@ class PacketPool {
  private:
   friend class PacketRef;
   void release(Packet* cell) {
-    // Drop owned payload/closures promptly (frees application memory now);
+    // Drop the owned payload promptly (frees application memory now);
     // scalar fields are overwritten wholesale by the next acquire.
     cell->body.reset();
-    cell->on_deliver = nullptr;
     free_.push_back(cell);
   }
 

@@ -411,9 +411,9 @@ ParseResult parse_scenario(std::string_view text,
   const KvEntry* transport_entry = c.engine.take("transport");
   if (ok && transport_entry != nullptr) {
     if (transport_entry->value == "flow") {
-      spec.engine.transport = TransportModel::kFlow;
+      spec.engine.transport = sockets::TransportModel::kFlow;
     } else if (transport_entry->value == "tcp") {
-      spec.engine.transport = TransportModel::kTcp;
+      spec.engine.transport = sockets::TransportModel::kTcp;
     } else {
       return fail(transport_entry->source,
                   "unknown transport '" + transport_entry->value +

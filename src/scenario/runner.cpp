@@ -42,9 +42,7 @@ void ExperimentRunner::setup() {
   pc.seed = spec_.engine.seed;
   pc.shards = spec_.engine.shards;
   pc.pin_workers = spec_.engine.pin_workers;
-  pc.stream.transport = spec_.engine.transport == TransportModel::kTcp
-                            ? sockets::TransportModel::kTcp
-                            : sockets::TransportModel::kFlow;
+  pc.stream.transport = spec_.engine.transport;
   platform_ = std::make_unique<core::Platform>(topo, pc);
   if (spec_.engine.trace) platform_->enable_tracing();
   if (spec_.engine.profile) {

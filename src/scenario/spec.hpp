@@ -20,6 +20,7 @@
 #include "common/time.hpp"
 #include "fault/plan.hpp"
 #include "gossip/protocol.hpp"
+#include "sockets/socket.hpp"
 #include "topology/topology.hpp"
 
 namespace p2plab::scenario {
@@ -75,13 +76,6 @@ struct ValidateParams {
   Bandwidth expect_bandwidth = Bandwidth::unlimited();
 };
 
-/// Which congestion regime stream sockets run (DESIGN.md §13); maps onto
-/// sockets::TransportModel in PlatformConfig::stream.
-enum class TransportModel {
-  kFlow,  // windowed flow model; DRR in the pipes provides fairness
-  kTcp,   // NewReno-style slow start / AIMD / fast retransmit
-};
-
 /// Parameters of the ping_sweep workload: two (or more) nodes, rules padded
 /// onto node 0's firewall in `rules_step` increments up to `rules_max`,
 /// `probes` pings per step.
@@ -127,8 +121,9 @@ enum class StopMode {
 struct EngineSection {
   /// Parallel-engine shard count (>= 1).
   std::size_t shards = 1;
-  /// Stream-transport congestion regime (`transport tcp|flow`).
-  TransportModel transport = TransportModel::kFlow;
+  /// Stream-transport congestion regime (`transport tcp|flow`, DESIGN.md
+  /// §13); handed to PlatformConfig::stream as is.
+  sockets::TransportModel transport = sockets::TransportModel::kFlow;
   /// Physical cluster size; unset = one physical node per virtual node.
   std::optional<std::size_t> physical_nodes;
   /// Alternative: fold K virtual nodes per physical node (ceil division).

@@ -3,6 +3,7 @@
 // node 0's host firewall; Platform::ping probes from vnode 0 to vnode 1.
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -102,21 +103,31 @@ class PingSweepPlugin final : public WorkloadPlugin {
     if (ok && !nodes_ok) {
       return reader.fail(*nodes_entry, "ping_sweep needs nodes >= 2");
     }
-    ok = ok && reader.take_count("rules_max",
-                                 [&](std::uint64_t v, const KvEntry&) {
-                                   spec.ping.rules_max =
-                                       static_cast<std::uint32_t>(v);
-                                 });
-    const KvEntry* step_entry = nullptr;
-    ok = ok && reader.take_count("rules_step",
-                                 [&](std::uint64_t v, const KvEntry& entry) {
-                                   spec.ping.rules_step =
-                                       static_cast<std::uint32_t>(v);
-                                   step_entry = &entry;
-                                 });
-    if (ok && step_entry != nullptr && spec.ping.rules_step == 0) {
-      return reader.fail(*step_entry, "rules_step must be positive");
-    }
+    // Rule counts are 32-bit (Firewall::add_filler_rules): refuse a larger
+    // value instead of sweeping its truncation.
+    auto take_rules = [&](const char* key, std::uint32_t* target,
+                          bool positive) {
+      const KvEntry* seen = nullptr;
+      std::uint64_t value = 0;
+      if (!reader.take_count(key, [&](std::uint64_t v, const KvEntry& entry) {
+            value = v;
+            seen = &entry;
+          })) {
+        return false;
+      }
+      if (seen == nullptr) return true;
+      if (value > std::numeric_limits<std::uint32_t>::max()) {
+        return reader.fail(*seen,
+                           std::string(key) + " must be at most 4294967295");
+      }
+      if (positive && value == 0) {
+        return reader.fail(*seen, std::string(key) + " must be positive");
+      }
+      *target = static_cast<std::uint32_t>(value);
+      return true;
+    };
+    ok = ok && take_rules("rules_max", &spec.ping.rules_max, false);
+    ok = ok && take_rules("rules_step", &spec.ping.rules_step, true);
     ok = ok && reader.take_count("probes",
                                  [&](std::uint64_t v, const KvEntry&) {
                                    spec.ping.probes =

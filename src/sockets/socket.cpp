@@ -108,7 +108,6 @@ void SocketManager::send_rst(const net::Packet& original) {
   rst.flow = original.conn | (std::uint64_t{1} << 63);
   rst.kind = net::PacketKind::kRst;
   rst.conn = original.conn;
-  rst.socket_demux = true;
   network_.send(std::move(rst));
 }
 
@@ -292,7 +291,6 @@ void StreamSocket::transmit_data(std::uint64_t seq, const Message& message) {
   packet.conn = conn_id_;
   packet.seq = seq;
   packet.body = std::make_shared<Message>(message);
-  packet.socket_demux = true;
   mgr_.network().send(std::move(packet));
 }
 
@@ -312,7 +310,6 @@ void StreamSocket::send_control(net::PacketKind kind, std::uint64_t seq,
   packet.kind = kind;
   packet.conn = conn_id_;
   packet.seq = seq;
-  packet.socket_demux = true;
   mgr_.network().send(std::move(packet));
 }
 
@@ -863,7 +860,6 @@ void DatagramSocket::send_to(Ipv4Addr remote, std::uint16_t remote_port,
   packet.flow = flow_;
   packet.kind = net::PacketKind::kDatagram;
   packet.body = std::make_shared<Message>(std::move(message));
-  packet.socket_demux = true;
   mgr_.network().send(std::move(packet));
 }
 

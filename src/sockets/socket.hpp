@@ -118,8 +118,8 @@ class SocketManager {
   };
 
   /// Construction installs this manager as the network's socket demux:
-  /// packets flagged socket_demux deliver through dispatch(). One manager
-  /// per network (per shard under the parallel engine).
+  /// every delivered packet goes through dispatch(). One manager per
+  /// network (per shard under the parallel engine).
   SocketManager(net::Network& network, vnode::Interceptor interceptor = {},
                 StreamConfig config = {});
   ~SocketManager();

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
+
+#include "metrics/registry.hpp"
 
 namespace p2plab::ipfw {
 namespace {
@@ -41,29 +44,39 @@ class GilbertElliottTest : public ::testing::Test {
         .queue_limit = DataSize::mib(64)};
   }
 
+  std::uint64_t count(const char* name) {
+    return reg.counter(std::string("ipfw.pipe.") + name).value();
+  }
+  /// Every loss cause together: random, burst, link down, queue overflow.
+  std::uint64_t drops() {
+    return count("drops_loss") + count("drops_burst") + count("drops_down") +
+           count("drops_overflow");
+  }
+
+  metrics::Registry reg;
   sim::Simulation sim;
 };
 
 TEST_F(GilbertElliottTest, DisabledModelLosesNothing) {
   Pipe pipe(sim, PipeConfig{.bandwidth = Bandwidth::unlimited()}, Rng{7});
+  pipe.bind_metrics(PipeMetrics::resolve(reg));
   const auto dropped = run_segments(pipe, 2000);
   for (const bool d : dropped) EXPECT_FALSE(d);
-  EXPECT_EQ(pipe.stats().segments_dropped, 0u);
+  EXPECT_EQ(drops(), 0u);
 }
 
 TEST_F(GilbertElliottTest, LongRunLossMatchesStationaryBadShare) {
   // pgb=0.1, pbg=0.25, loss_bad=1: stationary loss = 0.1/(0.1+0.25) ~ 28.6%.
   Pipe pipe(sim, ge_config(0.1, 0.25, 1.0), Rng{42});
+  pipe.bind_metrics(PipeMetrics::resolve(reg));
   const int n = 40000;
   const auto dropped = run_segments(pipe, n);
   int losses = 0;
   for (const bool d : dropped) losses += d;
   const double rate = static_cast<double>(losses) / n;
   EXPECT_NEAR(rate, 0.1 / 0.35, 0.02);
-  EXPECT_EQ(pipe.stats().segments_dropped_burst,
-            static_cast<std::uint64_t>(losses));
-  EXPECT_EQ(pipe.stats().segments_dropped,
-            static_cast<std::uint64_t>(losses));
+  EXPECT_EQ(count("drops_burst"), static_cast<std::uint64_t>(losses));
+  EXPECT_EQ(drops(), static_cast<std::uint64_t>(losses));
 }
 
 TEST_F(GilbertElliottTest, MeanBurstLengthIsInverseRecoveryProbability) {
@@ -125,8 +138,9 @@ TEST_F(GilbertElliottTest, ChainStateSurvivesReconfigure) {
   // Reconfiguring bandwidth mid-run must not reset the chain (a latency
   // spike on a bursty link should not heal the link).
   Pipe pipe(sim, ge_config(0.5, 0.001, 1.0), Rng{9});
+  pipe.bind_metrics(PipeMetrics::resolve(reg));
   run_segments(pipe, 200);  // almost surely in the bad state now
-  const auto before = pipe.stats().segments_dropped_burst;
+  const auto before = count("drops_burst");
   EXPECT_GT(before, 0u);
   PipeConfig cfg = pipe.config();
   cfg.delay = Duration::ms(100);
@@ -195,15 +209,17 @@ TEST_F(GilbertElliottTest, BurstLengthsPassChiSquareAgainstGeometric) {
 
 TEST_F(GilbertElliottTest, AdminDownDropsEverythingUntilRestored) {
   Pipe pipe(sim, PipeConfig{.bandwidth = Bandwidth::unlimited()}, Rng{3});
+  pipe.bind_metrics(PipeMetrics::resolve(reg));
   pipe.set_down(true);
   EXPECT_TRUE(pipe.is_down());
   auto dropped = run_segments(pipe, 50);
   for (const bool d : dropped) EXPECT_TRUE(d);
-  EXPECT_EQ(pipe.stats().segments_dropped_down, 50u);
+  EXPECT_EQ(count("drops_down"), 50u);
+  EXPECT_EQ(drops(), 50u);
   pipe.set_down(false);
   dropped = run_segments(pipe, 50);
   for (const bool d : dropped) EXPECT_FALSE(d);
-  EXPECT_EQ(pipe.stats().segments_dropped_down, 50u);
+  EXPECT_EQ(count("drops_down"), 50u);
 }
 
 }  // namespace

@@ -2,15 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
+
+#include "metrics/registry.hpp"
 
 namespace p2plab::ipfw {
 namespace {
 
 class PipeTest : public ::testing::Test {
  protected:
+  metrics::Registry reg;
   sim::Simulation sim;
   Rng rng{1};
+
+  std::uint64_t count(const char* name) {
+    return reg.counter(std::string("ipfw.pipe.") + name).value();
+  }
+  /// Every loss cause together: random, burst, link down, queue overflow.
+  std::uint64_t drops() {
+    return count("drops_loss") + count("drops_burst") + count("drops_down") +
+           count("drops_overflow");
+  }
 
   Pipe::Segment seg(DataSize size, FlowId flow, std::vector<SimTime>* exits) {
     return Pipe::Segment{
@@ -78,23 +91,11 @@ TEST_F(PipeTest, DrrSharesBandwidthAcrossFlows) {
   EXPECT_NEAR(exits_b.back().to_seconds(), total, 0.1);
 }
 
-TEST_F(PipeTest, FifoServesInArrivalOrder) {
-  Pipe pipe(sim, {.bandwidth = Bandwidth::mbps(1),
-                  .queue_limit = DataSize::mib(10), .fair_queue = false},
-            rng);
-  std::vector<SimTime> exits_a;
-  std::vector<SimTime> exits_b;
-  for (int i = 0; i < 10; ++i) pipe.enqueue(seg(DataSize::kib(4), 1, &exits_a));
-  for (int i = 0; i < 10; ++i) pipe.enqueue(seg(DataSize::kib(4), 2, &exits_b));
-  sim.run();
-  // FIFO: flow 1 drains completely before flow 2's last segments.
-  EXPECT_LT(exits_a.back().to_seconds(), exits_b.front().to_seconds() + 0.04);
-}
-
 TEST_F(PipeTest, QueueOverflowDrops) {
   Pipe pipe(sim, {.bandwidth = Bandwidth::kbps(64),
                   .queue_limit = DataSize::bytes(3000)},
             rng);
+  pipe.bind_metrics(PipeMetrics::resolve(reg));
   int dropped = 0;
   std::vector<SimTime> exits;
   for (int i = 0; i < 10; ++i) {
@@ -106,7 +107,8 @@ TEST_F(PipeTest, QueueOverflowDrops) {
   // 1 in service + 2 queued fit; the rest drop.
   EXPECT_EQ(dropped, 7);
   EXPECT_EQ(exits.size(), 3u);
-  EXPECT_EQ(pipe.stats().segments_dropped, 7u);
+  EXPECT_EQ(count("drops_overflow"), 7u);
+  EXPECT_EQ(drops(), 7u);
 }
 
 TEST_F(PipeTest, RandomLossDropsExpectedFraction) {
@@ -125,15 +127,17 @@ TEST_F(PipeTest, RandomLossDropsExpectedFraction) {
 
 TEST_F(PipeTest, StatsAccounting) {
   Pipe pipe(sim, {.bandwidth = Bandwidth::mbps(1)}, rng);
+  pipe.bind_metrics(PipeMetrics::resolve(reg));
   std::vector<SimTime> exits;
   pipe.enqueue(seg(DataSize::kib(1), 1, &exits));
   pipe.enqueue(seg(DataSize::kib(2), 1, &exits));
   sim.run();
-  EXPECT_EQ(pipe.stats().segments_in, 2u);
-  EXPECT_EQ(pipe.stats().segments_out, 2u);
-  EXPECT_EQ(pipe.stats().bytes_in, 3u * 1024);
-  EXPECT_EQ(pipe.stats().bytes_out, 3u * 1024);
-  EXPECT_EQ(pipe.stats().segments_dropped, 0u);
+  EXPECT_EQ(count("segments_in"), 2u);
+  EXPECT_EQ(count("segments_out"), 2u);
+  EXPECT_EQ(count("bytes_in"), 3u * 1024);
+  EXPECT_EQ(count("bytes_out"), 3u * 1024);
+  EXPECT_EQ(drops(), 0u);
+  EXPECT_EQ(reg.value("ipfw.pipe.queue_bytes"), 2.0);  // one per arrival
 }
 
 TEST_F(PipeTest, ReconfigureChangesRate) {

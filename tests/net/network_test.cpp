@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "metrics/registry.hpp"
+
 namespace p2plab::net {
 namespace {
 
@@ -12,21 +14,28 @@ CidrBlock cidr(const char* text) { return *CidrBlock::parse(text); }
 
 class NetworkTest : public ::testing::Test {
  protected:
-  sim::Simulation sim;
-  Network network{sim, Rng{1}};
+  NetworkTest() {
+    network.bind_metrics(reg);
+    network.set_socket_demux([this](Packet&& p) {
+      deliveries.push_back(sim.now());
+      delivered_deferral.push_back(p.deferred_delay);
+    });
+  }
 
-  Packet packet(Ipv4Addr src, Ipv4Addr dst, DataSize size,
-                std::vector<SimTime>* deliveries) {
+  static Packet packet(Ipv4Addr src, Ipv4Addr dst, DataSize size) {
     Packet p;
     p.src = src;
     p.dst = dst;
     p.wire_size = size;
     p.flow = 1;
-    p.on_deliver = [this, deliveries](Packet&&) {
-      deliveries->push_back(sim.now());
-    };
     return p;
   }
+
+  metrics::Registry reg;  // outlives the network's bound counters
+  sim::Simulation sim;
+  Network network{sim, Rng{1}};
+  std::vector<SimTime> deliveries;           // demux arrival instants
+  std::vector<Duration> delivered_deferral;  // deferred_delay on arrival
 };
 
 TEST_F(NetworkTest, HostRegistration) {
@@ -42,10 +51,8 @@ TEST_F(NetworkTest, BasicDeliveryLatency) {
   Host& a = network.add_host("node1", ip("192.168.38.1"));
   network.add_host("node2", ip("192.168.38.2"));
   (void)a;
-  std::vector<SimTime> deliveries;
   network.send(
-      packet(ip("192.168.38.1"), ip("192.168.38.2"), DataSize::bytes(64),
-             &deliveries));
+      packet(ip("192.168.38.1"), ip("192.168.38.2"), DataSize::bytes(64)));
   sim.run();
   ASSERT_EQ(deliveries.size(), 1u);
   // Path: src cpu (10us/2cpus=5us) + NIC tx (64B@1Gbps + 20us) + switch
@@ -53,17 +60,16 @@ TEST_F(NetworkTest, BasicDeliveryLatency) {
   const double us = (deliveries[0] - SimTime::zero()).to_micros();
   EXPECT_GT(us, 50.0);
   EXPECT_LT(us, 200.0);
-  EXPECT_EQ(network.stats().packets_delivered, 1u);
+  EXPECT_EQ(reg.value("net.packets_delivered"), 1.0);
 }
 
 TEST_F(NetworkTest, UnroutableDropped) {
   network.add_host("node1", ip("192.168.38.1"));
-  std::vector<SimTime> deliveries;
   network.send(packet(ip("192.168.38.1"), ip("10.99.0.1"),
-                      DataSize::bytes(64), &deliveries));
+                      DataSize::bytes(64)));
   sim.run();
   EXPECT_TRUE(deliveries.empty());
-  EXPECT_EQ(network.stats().packets_unroutable, 1u);
+  EXPECT_EQ(reg.value("net.packets_unroutable"), 1.0);
 }
 
 TEST_F(NetworkTest, DenyRuleDrops) {
@@ -72,12 +78,11 @@ TEST_F(NetworkTest, DenyRuleDrops) {
   a.firewall().add_rule({.number = 10, .src = CidrBlock::any(),
                          .dst = cidr("192.168.38.2/32"),
                          .action = ipfw::RuleAction::kDeny});
-  std::vector<SimTime> deliveries;
   network.send(packet(ip("192.168.38.1"), ip("192.168.38.2"),
-                      DataSize::bytes(64), &deliveries));
+                      DataSize::bytes(64)));
   sim.run();
   EXPECT_TRUE(deliveries.empty());
-  EXPECT_EQ(network.stats().packets_dropped_fw, 1u);
+  EXPECT_EQ(reg.value("net.packets_dropped_fw"), 1.0);
 }
 
 TEST_F(NetworkTest, VnodePipesShapeTraffic) {
@@ -97,9 +102,8 @@ TEST_F(NetworkTest, VnodePipesShapeTraffic) {
                          .dst = cidr("10.0.0.51/32"),
                          .action = ipfw::RuleAction::kPipe, .pipe = down});
 
-  std::vector<SimTime> deliveries;
   network.send(
-      packet(ip("10.0.0.1"), ip("10.0.0.51"), DataSize::kib(16), &deliveries));
+      packet(ip("10.0.0.1"), ip("10.0.0.51"), DataSize::kib(16)));
   sim.run();
   ASSERT_EQ(deliveries.size(), 1u);
   // Uplink serialization 1.024 s + 30 ms + 30 ms + downlink serialization
@@ -119,9 +123,8 @@ TEST_F(NetworkTest, CoLocatedVnodesStillShaped) {
   a.firewall().add_rule({.number = 100, .src = cidr("10.0.0.1/32"),
                          .dst = CidrBlock::any(),
                          .action = ipfw::RuleAction::kPipe, .pipe = up});
-  std::vector<SimTime> deliveries;
   network.send(
-      packet(ip("10.0.0.1"), ip("10.0.0.2"), DataSize::kib(16), &deliveries));
+      packet(ip("10.0.0.1"), ip("10.0.0.2"), DataSize::kib(16)));
   sim.run();
   ASSERT_EQ(deliveries.size(), 1u);
   EXPECT_GT(deliveries[0].to_seconds(), 1.05);  // 1.024 s + 30 ms
@@ -143,9 +146,7 @@ TEST_F(NetworkTest, GroupLatencyPipeApplies) {
   a.firewall().add_rule({.number = 200, .src = cidr("10.1.0.0/16"),
                          .dst = cidr("10.2.0.0/16"),
                          .action = ipfw::RuleAction::kPipe, .pipe = group});
-  std::vector<SimTime> deliveries;
-  network.send(packet(ip("10.1.3.207"), ip("10.2.2.117"), DataSize::bytes(64),
-                      &deliveries));
+  network.send(packet(ip("10.1.3.207"), ip("10.2.2.117"), DataSize::bytes(64)));
   sim.run();
   ASSERT_EQ(deliveries.size(), 1u);
   EXPECT_NEAR(deliveries[0].to_millis(), 420.0, 1.0);
@@ -162,10 +163,9 @@ TEST_F(NetworkTest, NicIsSharedBottleneck) {
   a.add_alias(ip("10.0.0.1"));
   a.add_alias(ip("10.0.0.2"));
 
-  std::vector<SimTime> deliveries;
   for (int i = 0; i < 20; ++i) {
     Packet p = packet(i % 2 == 0 ? ip("10.0.0.1") : ip("10.0.0.2"),
-                      ip("10.0.1.1"), DataSize::kib(64), &deliveries);
+                      ip("10.0.1.1"), DataSize::kib(64));
     p.flow = static_cast<ipfw::FlowId>(i % 2);
     network.send(std::move(p));
   }
@@ -179,24 +179,100 @@ TEST_F(NetworkTest, ScanCostAddsLatency) {
   // Figure 6's mechanism end to end: filler rules slow every packet down.
   Host& a = network.add_host("node1", ip("192.168.38.1"));
   network.add_host("node2", ip("192.168.38.2"));
-  std::vector<SimTime> no_rules;
   const SimTime sent1 = sim.now();
   network.send(packet(ip("192.168.38.1"), ip("192.168.38.2"),
-                      DataSize::bytes(64), &no_rules));
+                      DataSize::bytes(64)));
   sim.run();
 
   a.firewall().add_filler_rules(1000, 20000);
-  std::vector<SimTime> with_rules;
   const SimTime sent2 = sim.now();
   network.send(packet(ip("192.168.38.1"), ip("192.168.38.2"),
-                      DataSize::bytes(64), &with_rules));
+                      DataSize::bytes(64)));
   sim.run();
-  ASSERT_EQ(no_rules.size(), 1u);
-  ASSERT_EQ(with_rules.size(), 1u);
-  const double baseline_us = (no_rules[0] - sent1).to_micros();
-  const double padded_us = (with_rules[0] - sent2).to_micros();
+  ASSERT_EQ(deliveries.size(), 2u);
+  const double baseline_us = (deliveries[0] - sent1).to_micros();
+  const double padded_us = (deliveries[1] - sent2).to_micros();
   // 20000 rules x 50 ns = 1 ms of serial scan latency, one-way.
   EXPECT_NEAR(padded_us - baseline_us, 1000.0, 50.0);
+}
+
+TEST_F(NetworkTest, HandoffStampCarriesSourcePipeDelays) {
+  // The route every Platform run takes: source pipes serve only their
+  // bandwidth stage and defer their fixed delays into the packet; the
+  // handoff stamp folds those delays, NIC tx and the switch in.
+  struct Pushed {
+    SimTime at;  // when the source side let go: its bandwidth exit
+    SimTime stamp;
+    Packet packet;
+  };
+  struct RecordingHandoff : FabricHandoff {
+    sim::Simulation* sim = nullptr;
+    std::vector<Pushed> pushed;
+    bool push(std::size_t, std::uint64_t, SimTime stamp,
+              Packet packet) override {
+      pushed.push_back({sim->now(), stamp, std::move(packet)});
+      return true;
+    }
+  } handoff;
+  handoff.sim = &sim;
+  network.set_fabric_handoff(&handoff);
+
+  // No CPU charges on the source, so its bandwidth exit is exactly the
+  // access pipe's serialization time.
+  Host& a = network.add_host(
+      "node1", ip("192.168.38.1"),
+      HostConfig{.packet_cpu_cost = Duration::zero(),
+                 .firewall = {.per_rule_cost = Duration::zero()}});
+  Host& b = network.add_host("node2", ip("192.168.38.2"));
+  a.add_alias(ip("10.1.0.1"));
+  a.add_alias(ip("10.1.0.2"));
+  b.add_alias(ip("10.2.0.1"));
+  const auto up = a.firewall().create_pipe(
+      {.bandwidth = Bandwidth::mbps(8), .delay = Duration::ms(20)});
+  const auto group = a.firewall().create_pipe({.delay = Duration::ms(400)});
+  a.firewall().add_rule({.number = 100, .src = cidr("10.1.0.1/32"),
+                         .dst = CidrBlock::any(), .dir = ipfw::RuleDir::kOut,
+                         .action = ipfw::RuleAction::kPipe, .pipe = up});
+  a.firewall().add_rule({.number = 200, .src = cidr("10.1.0.0/16"),
+                         .dst = cidr("10.2.0.0/16"),
+                         .dir = ipfw::RuleDir::kOut,
+                         .action = ipfw::RuleAction::kPipe, .pipe = group});
+  const auto down = b.firewall().create_pipe({.delay = Duration::ms(50)});
+  b.firewall().add_rule({.number = 100, .src = CidrBlock::any(),
+                         .dst = cidr("10.2.0.1/32"), .dir = ipfw::RuleDir::kIn,
+                         .action = ipfw::RuleAction::kPipe, .pipe = down});
+
+  network.send(packet(ip("10.1.0.1"), ip("10.2.0.1"), DataSize::bytes(1000)));
+  sim.run();
+  ASSERT_EQ(handoff.pushed.size(), 1u);
+  const Pushed& out = handoff.pushed[0];
+  const Duration nic_tx = Duration::us(8) + a.config().nic_latency;  // 1 Gb/s
+  EXPECT_EQ(out.at, SimTime::zero() + Duration::ms(1));  // 1000 B at 8 Mb/s
+  EXPECT_EQ(out.packet.deferred_delay, Duration::ms(420));
+  EXPECT_EQ(out.stamp, out.at + Duration::ms(20) + Duration::ms(400) + nic_tx +
+                           network.config().switch_latency);
+  EXPECT_TRUE(deliveries.empty());  // the handoff owns it now
+
+  // Re-enter at the stamp, as the engine's merge does: the destination's
+  // 50 ms pipe is served in simulated time, not deferred.
+  sim.schedule_at(out.stamp, [this, &out] {
+    network.fabric_arrive(network.pool().acquire(Packet(out.packet)));
+  });
+  sim.run();
+  ASSERT_EQ(deliveries.size(), 1u);
+  EXPECT_EQ(delivered_deferral[0], Duration::ms(420));  // unchanged
+  EXPECT_GE(deliveries[0], out.stamp + Duration::ms(50));
+  EXPECT_LT(deliveries[0], out.stamp + Duration::ms(51));
+
+  // Loopback between co-located vnodes never reaches the handoff; its
+  // access pipe serves the delay in place.
+  const SimTime sent = sim.now();
+  network.send(packet(ip("10.1.0.1"), ip("10.1.0.2"), DataSize::bytes(1000)));
+  sim.run();
+  EXPECT_EQ(handoff.pushed.size(), 1u);
+  ASSERT_EQ(deliveries.size(), 2u);
+  EXPECT_EQ(delivered_deferral[1], Duration::zero());
+  EXPECT_EQ(deliveries[1], sent + Duration::ms(1) + Duration::ms(20));
 }
 
 TEST_F(NetworkTest, CpuUtilizationTracksWork) {

@@ -133,7 +133,7 @@ TEST(ScenarioParserValidate, AllKeysParse) {
   EXPECT_DOUBLE_EQ(spec.validate.rtt_tolerance, 0.15);
   EXPECT_DOUBLE_EQ(spec.validate.loss_tolerance, 0.3);
   EXPECT_DOUBLE_EQ(spec.validate.jain_min, 0.9);
-  EXPECT_EQ(spec.engine.transport, TransportModel::kTcp);
+  EXPECT_EQ(spec.engine.transport, sockets::TransportModel::kTcp);
   EXPECT_EQ(spec.vnodes(), 6u);
   const std::vector<std::string> files = spec.declared_outputs();
   EXPECT_NE(std::find(files.begin(), files.end(), "ACC.json"), files.end());
@@ -146,7 +146,7 @@ TEST(ScenarioParserValidate, DefaultsAndFlowTransport) {
   EXPECT_EQ(spec.validate.flows, 4u);
   EXPECT_DOUBLE_EQ(spec.validate.goodput_tolerance, 0.12);
   EXPECT_DOUBLE_EQ(spec.validate.jain_min, 0.95);
-  EXPECT_EQ(spec.engine.transport, TransportModel::kFlow);
+  EXPECT_EQ(spec.engine.transport, sockets::TransportModel::kFlow);
   EXPECT_TRUE(spec.validate.expect_bandwidth.is_unlimited());
 }
 
@@ -414,6 +414,27 @@ TEST(ScenarioParserErrors, PingKeyInSwarmWorkload) {
                         "type swarm\n"
                         "rules_max 1000\n"),
             "line 4: key 'rules_max' is not valid for workload type swarm");
+}
+
+TEST(ScenarioParserErrors, PingRuleCountsOutOfRange) {
+  const std::string ping =
+      "scenario x\n"
+      "[workload]\n"
+      "type ping_sweep\n";
+  for (const std::string key : {"rules_max", "rules_step"}) {
+    EXPECT_EQ(parse_error(ping + key + " 4294967296\n"),
+              "line 4: " + key + " must be at most 4294967295");
+    EXPECT_EQ(parse_error(ping, {"workload." + key + "=4294967296"}),
+              "--set workload." + key + "=4294967296: " + key +
+                  " must be at most 4294967295");
+  }
+  EXPECT_EQ(parse_error(ping + "rules_step 0\n"),
+            "line 4: rules_step must be positive");
+  const ScenarioSpec spec =
+      parse_ok(ping, {"workload.rules_max=4294967295",
+                      "workload.rules_step=4294967295"});
+  EXPECT_EQ(spec.ping.rules_max, 4294967295u);
+  EXPECT_EQ(spec.ping.rules_step, 4294967295u);
 }
 
 TEST(ScenarioParserErrors, SwarmOutputInPingWorkload) {
@@ -837,7 +858,7 @@ TEST(ShippedScenarios, AccuracyMatchesCatalog) {
   EXPECT_EQ(spec.validate.message.count_bytes(),
             DataSize::kib(16).count_bytes());
   EXPECT_EQ(spec.validate.loss_datagrams, 20000u);
-  EXPECT_EQ(spec.engine.transport, TransportModel::kTcp);
+  EXPECT_EQ(spec.engine.transport, sockets::TransportModel::kTcp);
   EXPECT_EQ(spec.outputs.accuracy_json, "ACCURACY");
   EXPECT_EQ(spec.outputs.bench_json, "BENCH_accuracy");
 }

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "metrics/registry.hpp"
 #include "sockets/socket.hpp"
 
 namespace p2plab::sockets {
@@ -16,6 +17,7 @@ CidrBlock cidr(const char* text) { return *CidrBlock::parse(text); }
 class BackpressureTest : public ::testing::Test {
  protected:
   BackpressureTest() {
+    network.bind_metrics(reg);
     hostA = &network.add_host("node1", ip("192.168.38.1"));
     hostB = &network.add_host("node2", ip("192.168.38.2"));
     vnA = std::make_unique<vnode::VirtualNode>(*hostA, 1, ip("10.0.0.1"));
@@ -44,6 +46,7 @@ class BackpressureTest : public ::testing::Test {
     return m;
   }
 
+  metrics::Registry reg;  // outlives the network's bound counters
   sim::Simulation sim;
   net::Network network{sim, Rng{1}};
   SocketManager mgr{network};
@@ -144,9 +147,9 @@ TEST_F(BackpressureTest, NoSpuriousRetransmissionUnderQueueing) {
   std::uint64_t delivered_data = 0;
   (void)delivered_data;
   // All data packets that entered the network carried exactly `payload`
-  // bytes of application data plus headers; compare against stats.
-  EXPECT_LT(network.stats().bytes_sent,
-            payload + 12 * 40 + 20000 /* control segments */);
+  // bytes of application data plus headers; compare against net.*.
+  EXPECT_LT(reg.value("net.bytes_sent"),
+            static_cast<double>(payload + 12 * 40 + 20000) /* control */);
 }
 
 }  // namespace
