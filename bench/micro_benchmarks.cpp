@@ -170,6 +170,62 @@ void BM_PipeTransit(benchmark::State& state) {
 }
 BENCHMARK(BM_PipeTransit);
 
+// DRR with a standing backlog: state.range(0) flows x state.range(1)
+// segments queued behind a busy server, then drained. BM_PipeTransit above
+// never queues, so it does not reach the DRR bookkeeping.
+void BM_PipeDrrBacklog(benchmark::State& state) {
+  sim::Simulation sim;
+  ipfw::Pipe pipe(sim,
+                  {.bandwidth = Bandwidth::gbps(10),
+                   .queue_limit = DataSize::mib(64)},
+                  Rng{1});
+  const auto flows = static_cast<ipfw::FlowId>(state.range(0));
+  const auto per_flow = state.range(1);
+  std::uint64_t delivered = 0;
+  for (auto _ : state) {
+    for (std::int64_t k = 0; k < per_flow; ++k) {
+      for (ipfw::FlowId f = 0; f < flows; ++f) {
+        pipe.enqueue(ipfw::Pipe::Segment{
+            .size = DataSize::bytes(1500),
+            .flow = f,
+            .on_exit = [&delivered] { ++delivered; }});
+      }
+    }
+    sim.run();
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
+}
+BENCHMARK(BM_PipeDrrBacklog)->Args({8, 16})->Args({64, 4});
+
+// Connection churn: every burst is a flow id the pipe has never seen, so
+// each one joins the ring and the flow index and leaves them drained.
+void BM_PipeFlowChurn(benchmark::State& state) {
+  sim::Simulation sim;
+  ipfw::Pipe pipe(sim,
+                  {.bandwidth = Bandwidth::gbps(10),
+                   .queue_limit = DataSize::mib(64)},
+                  Rng{1});
+  const auto burst = state.range(0);
+  ipfw::FlowId next_flow = 0;
+  std::uint64_t delivered = 0;
+  for (auto _ : state) {
+    // Two fresh flows per burst, so the second one queues behind the first.
+    for (int f = 0; f < 2; ++f, ++next_flow) {
+      for (std::int64_t k = 0; k < burst; ++k) {
+        pipe.enqueue(ipfw::Pipe::Segment{
+            .size = DataSize::bytes(1500),
+            .flow = next_flow,
+            .on_exit = [&delivered] { ++delivered; }});
+      }
+    }
+    sim.run();
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(static_cast<std::int64_t>(delivered));
+}
+BENCHMARK(BM_PipeFlowChurn)->Arg(4);
+
 void BM_Sha1Throughput(benchmark::State& state) {
   std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)));
   Rng rng(1);

@@ -15,7 +15,7 @@
 # usage: scripts/bench_gate.sh <path-to-hotpath_alloc> [baseline-json]
 #        scripts/bench_gate.sh --scaling <bench-json>...
 # env:   P2PLAB_BENCH_GATE_THRESHOLD_PCT  throughput slack  (default 20)
-#        P2PLAB_BENCH_GATE_MAX_ALLOCS     max packet allocs/event (default 0.1)
+#        P2PLAB_BENCH_GATE_MAX_ALLOCS     max packet allocs/event (default 0.01)
 #        P2PLAB_BENCH_GATE_MAX_FALLBACKS  max heap fallbacks (default 0)
 #        P2PLAB_RESULTS_DIR               where BENCH_hotpath.json lands
 #                                         (default: a temp dir)
@@ -107,7 +107,7 @@ fi
 BENCH="${1:?usage: bench_gate.sh <path-to-hotpath_alloc> [baseline-json]}"
 BASELINE="${2:-$(dirname "$0")/../bench/BASELINE_hotpath.json}"
 THRESHOLD_PCT="${P2PLAB_BENCH_GATE_THRESHOLD_PCT:-20}"
-MAX_ALLOCS="${P2PLAB_BENCH_GATE_MAX_ALLOCS:-0.1}"
+MAX_ALLOCS="${P2PLAB_BENCH_GATE_MAX_ALLOCS:-0.01}"
 MAX_FALLBACKS="${P2PLAB_BENCH_GATE_MAX_FALLBACKS:-0}"
 RESULTS_DIR="${P2PLAB_RESULTS_DIR:-$(mktemp -d)}"
 

@@ -12,14 +12,19 @@
 // flow transport does not simulate TCP congestion control, so DRR stands in
 // for that fairness (DESIGN.md §6).
 //
+// The DRR state allocates nothing in steady state (DESIGN.md §11): queued
+// segments live in a pipe-owned slab and chain into per-flow FIFOs by slab
+// index; only backlogged flows hold a slot in the flow table, the ring and
+// the flow index, and an emptied flow gives all three back.
+//
 // Instrumentation goes only to the shared "ipfw.pipe.*" registry cells
 // (PipeMetrics).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <list>
-#include <unordered_map>
+#include <memory>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -80,13 +85,15 @@ struct PipeMetrics {
 
 class Pipe {
  public:
-  /// `on_exit` runs when the segment leaves the delay line; `on_drop` (may
-  /// be empty) runs if the segment is lost at enqueue. When `defer_delay`
-  /// is set, the fixed delay stage is not simulated here: the pipe adds its
-  /// configured delay to `*defer_delay` and runs `on_exit` as soon as the
-  /// bandwidth stage completes. The parallel engine uses this on source-side
-  /// pipes so the cross-shard handoff timestamp carries the delay — that is
-  /// what makes the inter-host latency usable as conservative lookahead.
+  /// `on_exit` runs when the segment leaves the delay line. When
+  /// `defer_delay` is set, the fixed delay stage is not simulated here: the
+  /// pipe adds its configured delay to `*defer_delay` and runs `on_exit` as
+  /// soon as the bandwidth stage completes. The parallel engine uses this
+  /// on source-side pipes so the cross-shard handoff timestamp carries the
+  /// delay — that is what makes the inter-host latency usable as
+  /// conservative lookahead. A queued segment is moved into the pipe's slab
+  /// and out again, so its size (112 bytes with gcc 12) is copied twice per
+  /// queued segment; drops are reported by enqueue's result, not a callback.
   struct Segment {
     DataSize size;
     FlowId flow = 0;
@@ -94,7 +101,6 @@ class Pipe {
     // carry a move-only pooled PacketRef, and the whole point of the pipe
     // walk is to move it stage to stage without touching the allocator.
     sim::InlineCallback on_exit;
-    sim::InlineCallback on_drop;
     Duration* defer_delay = nullptr;
   };
 
@@ -103,7 +109,10 @@ class Pipe {
   Pipe(const Pipe&) = delete;
   Pipe& operator=(const Pipe&) = delete;
 
-  void enqueue(Segment seg);
+  /// Returns false when the segment is dropped (link down, random or burst
+  /// loss, queue overflow). A dropped segment is not moved from: it stays
+  /// with the caller, and its `on_exit` is destroyed unrun with it.
+  bool enqueue(Segment&& seg);
 
   const PipeConfig& config() const { return config_; }
   DataSize queued() const { return DataSize::bytes(queued_bytes_); }
@@ -123,19 +132,48 @@ class Pipe {
   void bind_metrics(const PipeMetrics& metrics) { metrics_ = metrics; }
 
  private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  /// A slab cell. `next` chains the owning flow's FIFO, or the free list
+  /// while the cell is vacant.
+  struct QueuedSegment {
+    Segment seg;
+    std::uint32_t next = kNone;
+  };
+  /// A backlogged flow: its FIFO of slab cells and its DRR deficit. A
+  /// vacant slot chains the free list through `head`.
   struct FlowQueue {
-    std::deque<Segment> segments;
+    FlowId flow = 0;
     std::uint64_t deficit_bytes = 0;
+    std::uint32_t head = kNone;
+    std::uint32_t tail = kNone;
+  };
+  struct IndexEntry {
+    FlowId flow = 0;
+    std::uint32_t slot = kNone;  // kNone: empty bucket
   };
 
   void serve_next();
-  void start_service(Segment seg);
-  void depart(Segment seg);  // bandwidth stage done -> delay line
-  void ring_add(FlowId flow);
-  void maybe_sweep_flows();
+  void start_service(Segment&& seg);
+  void depart(Segment&& seg);  // bandwidth stage done -> delay line
+  /// The flow's slot, creating it at the ring's tail if it is not
+  /// backlogged yet.
+  std::uint32_t backlog_slot(FlowId flow);
+  /// Bucket holding `flow`, or the empty bucket that ends its probe.
+  std::size_t probe(FlowId flow) const;
+  void index_erase(FlowId flow);
+  void ring_push(std::uint32_t slot);
+  void ring_pop();
+  /// Double the ring and the index (kept at twice the ring's capacity, so
+  /// the index stays at most half full) and rebuild the index.
+  void grow_tables();
 
   static constexpr std::uint64_t kDrrQuantumBytes = 4096;
-  static constexpr std::size_t kSweepMinFlows = 64;
+  static constexpr std::uint32_t kBlockCells = 16;
+
+  QueuedSegment& slab(std::uint32_t cell) {
+    return blocks_[cell / kBlockCells][cell % kBlockCells];
+  }
 
   sim::Simulation& sim_;
   PipeConfig config_;
@@ -153,13 +191,25 @@ class Pipe {
   /// completion event moving it back out.
   Segment in_service_;
 
-  // DRR state: per-flow queues plus an active ring in service order.
-  // Entries whose queue is empty are parked (not erased) and their ring
-  // nodes rest on spare_, so a flow re-entering the ring costs nothing;
-  // maybe_sweep_flows bounds the parked population.
-  std::unordered_map<FlowId, FlowQueue> flows_;
-  std::list<FlowId> active_;
-  std::list<FlowId> spare_;  // recycled ring nodes
+  // DRR state. Nothing is freed before the pipe dies, so each table stays
+  // at the pipe's peak: the slab at its deepest backlog (bounded by
+  // queue_limit), the flow table, ring and index at the most flows
+  // backlogged at once. The slab grows in fixed blocks, so growing never
+  // moves a queued segment and a deep backlog costs the cells it holds
+  // rather than a doubled vector.
+  std::vector<std::unique_ptr<QueuedSegment[]>> blocks_;
+  std::uint32_t cells_ = 0;  // cells ever handed out
+  std::uint32_t free_segment_ = kNone;
+  std::vector<FlowQueue> flows_;
+  std::uint32_t free_flow_ = kNone;
+  /// Backlogged flow slots in service order (circular, power-of-two size).
+  std::vector<std::uint32_t> ring_;
+  std::size_t ring_head_ = 0;
+  std::size_t ring_len_ = 0;
+  /// FlowId -> slot for backlogged flows: linear probing on a Fibonacci
+  /// hash, backward-shift erase (no tombstones).
+  std::vector<IndexEntry> index_;
+  int index_shift_ = 64;
 };
 
 }  // namespace p2plab::ipfw

@@ -218,9 +218,10 @@ void Network::pass_pipes(PacketRef packet, Host& host, ipfw::PipeList pipes,
   Duration* const defer =
       stage == PathStage::kSource ? &packet->deferred_delay : nullptr;
   // 61 bytes of capture — the closure InlineCallback's budget is sized for.
-  // If a pipe drops the segment, the continuation (and the ref inside it)
-  // is destroyed unexecuted and the cell recycles on its own.
-  host.firewall().pipe(id).enqueue(ipfw::Pipe::Segment{
+  // If a pipe drops the segment, enqueue returns false and the continuation
+  // (and the ref inside it) dies unexecuted with the temporary, so the cell
+  // recycles on its own.
+  const bool kept = host.firewall().pipe(id).enqueue(ipfw::Pipe::Segment{
       .size = size,
       .flow = flow,
       .on_exit =
@@ -229,8 +230,8 @@ void Network::pass_pipes(PacketRef packet, Host& host, ipfw::PipeList pipes,
             pass_pipes(std::move(packet), host, std::move(pipes), index + 1,
                        stage);
           },
-      .on_drop = [this] { metrics_.packets_dropped_pipe.inc(); },
       .defer_delay = defer});
+  if (!kept) metrics_.packets_dropped_pipe.inc();
 }
 
 void Network::finish_path(PacketRef packet, Host& host, PathStage stage) {

@@ -26,8 +26,7 @@ class GilbertElliottTest : public ::testing::Test {
       pipe.enqueue(Pipe::Segment{
           .size = DataSize::bytes(1500),
           .flow = 1,
-          .on_exit = [&dropped, index] { dropped[index] = false; },
-          .on_drop = nullptr});
+          .on_exit = [&dropped, index] { dropped[index] = false; }});
     }
     sim.run();
     return dropped;
@@ -124,8 +123,7 @@ TEST_F(GilbertElliottTest, DeterministicUnderFixedSeed) {
       pipe.enqueue(Pipe::Segment{
           .size = DataSize::bytes(1500),
           .flow = 1,
-          .on_exit = [&dropped, index] { dropped[index] = false; },
-          .on_drop = nullptr});
+          .on_exit = [&dropped, index] { dropped[index] = false; }});
     }
     local_sim.run();
     return dropped;
