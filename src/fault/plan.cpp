@@ -1,9 +1,8 @@
 #include "fault/plan.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <map>
-#include <sstream>
+#include <array>
+#include <iterator>
 
 namespace p2plab::fault {
 
@@ -115,170 +114,104 @@ FaultPlan FaultPlan::churn(const ChurnConfig& config, Rng& rng) {
   return plan;
 }
 
-// Scenario files are written in human units: bare numbers are *seconds*
-// (unlike the topology DSL, where bare numbers are milliseconds — link
-// latencies live at the millisecond scale, fault schedules at seconds).
-std::optional<Duration> parse_scenario_duration(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  double to_seconds = 1.0;
-  std::string_view digits = text;
-  if (text.size() > 2 && text.substr(text.size() - 2) == "ms") {
-    to_seconds = 1e-3;
-    digits.remove_suffix(2);
-  } else if (text.size() > 2 && text.substr(text.size() - 2) == "us") {
-    to_seconds = 1e-6;
-    digits.remove_suffix(2);
-  } else if (text.back() == 's') {
-    digits.remove_suffix(1);
-  }
-  if (digits.empty()) return std::nullopt;
-  char* end = nullptr;
-  const std::string owned(digits);
-  const double value = std::strtod(owned.c_str(), &end);
-  if (end != owned.c_str() + owned.size() || value < 0) return std::nullopt;
-  return Duration::seconds(value * to_seconds);
-}
-
 namespace {
 
-std::optional<double> parse_probability(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  char* end = nullptr;
-  const std::string owned(text);
-  const double value = std::strtod(owned.c_str(), &end);
-  if (end != owned.c_str() + owned.size() || value < 0 || value > 1) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream stream(line);
-  std::string token;
-  while (stream >> token) {
-    if (token[0] == '#') break;
-    tokens.push_back(token);
-  }
-  return tokens;
-}
+/// The fault directives, their usage lines and required attributes.
+struct Directive {
+  const char* name;
+  const char* usage;
+  std::array<const char*, 5> required;
+};
+constexpr Directive kDirectives[] = {
+    {"crash", "crash node=N at=T [rejoin=D]", {"node", "at"}},
+    {"leave", "leave node=N at=T", {"node", "at"}},
+    {"linkdown", "linkdown node=N at=T for=D", {"node", "at", "for"}},
+    {"spike", "spike node=N at=T add=D for=D", {"node", "at", "add", "for"}},
+    {"burstloss",
+     "burstloss node=N at=T for=D pgb=P pbg=P [lossbad=P] [lossgood=P]",
+     {"node", "at", "for", "pgb", "pbg"}},
+    {"tracker_outage", "tracker_outage at=T for=D", {"at", "for"}},
+};
 
 }  // namespace
 
-PlanParseResult FaultPlan::parse(std::string_view text) {
+PlanParseResult FaultPlan::parse(std::span<const text::TokenLine> lines,
+                                 std::size_t max_node) {
   FaultPlan plan;
-  std::istringstream stream{std::string(text)};
-  std::string line;
-  int line_number = 0;
-
-  auto fail = [&](const std::string& message) {
-    PlanParseResult result;
-    result.error = "line " + std::to_string(line_number) + ": " + message;
-    return result;
-  };
-
-  while (std::getline(stream, line)) {
-    ++line_number;
-    const auto tokens = tokenize(line);
-    if (tokens.empty()) continue;
-    const std::string& directive = tokens[0];
-
-    // Collect key=value attributes common to all directives.
-    std::map<std::string, std::string> attrs;
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-      const auto eq = tokens[i].find('=');
-      if (eq == std::string::npos || eq == 0) {
-        return fail("expected key=value, got '" + tokens[i] + "'");
-      }
-      attrs[tokens[i].substr(0, eq)] = tokens[i].substr(eq + 1);
+  std::string error;
+  text::KvSection attributes("");
+  for (const text::TokenLine& line : lines) {
+    const std::string& directive = line.tokens[0];
+    const std::string source = text::line_source(line.number);
+    attributes.reset(directive.c_str());
+    if (!attributes.add_attributes(line.tokens.subspan(1), source, &error)) {
+      return PlanParseResult{std::nullopt, error};
     }
-    // Attribute readers consume their key so leftovers (typos like
-    // rejion=60, which would silently change the fault) are rejected below.
-    auto duration_attr = [&](const char* key) -> std::optional<Duration> {
-      const auto it = attrs.find(key);
-      if (it == attrs.end()) return std::nullopt;
-      const auto parsed = parse_scenario_duration(it->second);
-      attrs.erase(it);
-      return parsed;
-    };
-    auto probability_attr = [&](const char* key) -> std::optional<double> {
-      const auto it = attrs.find(key);
-      if (it == attrs.end()) return std::nullopt;
-      const auto parsed = parse_probability(it->second);
-      attrs.erase(it);
-      return parsed;
-    };
-    std::optional<std::size_t> node;
-    if (const auto it = attrs.find("node"); it != attrs.end()) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(it->second.c_str(), &end, 10);
-      if (end != it->second.c_str() + it->second.size()) {
-        return fail("bad node index '" + it->second + "'");
-      }
-      node = static_cast<std::size_t>(v);
-      attrs.erase(it);
+    text::ParamReader reader(attributes, error);
+    const auto form = std::find_if(
+        std::begin(kDirectives), std::end(kDirectives),
+        [&](const Directive& d) { return directive == d.name; });
+    if (form == std::end(kDirectives)) {
+      return PlanParseResult{std::nullopt, source + ": unknown directive '" +
+                                               directive + "'"};
     }
-    const auto at = duration_attr("at");
+    for (const char* key : form->required) {
+      if (key != nullptr && !reader.has(key)) {
+        return PlanParseResult{std::nullopt, source + ": " + form->usage};
+      }
+    }
 
+    std::size_t node = 0;
+    Duration at;
+    Duration window;
+    bool ok = reader.take_count("node", &node, max_node) &&
+              reader.take_duration("at", &at);
+    const SimTime when = SimTime::zero() + at;
     if (directive == "crash") {
-      if (!node || !at) return fail("crash node=N at=T [rejoin=D]");
-      if (attrs.count("rejoin") != 0) {
-        const auto rejoin = duration_attr("rejoin");
-        if (!rejoin) return fail("bad rejoin delay");
-        plan.crash_and_rejoin(*node, SimTime::zero() + *at, *rejoin);
-      } else {
-        plan.crash(*node, SimTime::zero() + *at);
+      Duration rejoin;
+      const bool rejoins = reader.has("rejoin");
+      ok = ok && reader.take_duration("rejoin", &rejoin);
+      if (ok && rejoins) {
+        plan.crash_and_rejoin(node, when, rejoin);
+      } else if (ok) {
+        plan.crash(node, when);
       }
     } else if (directive == "leave") {
-      if (!node || !at) return fail("leave node=N at=T");
-      plan.leave(*node, SimTime::zero() + *at);
+      if (ok) plan.leave(node, when);
     } else if (directive == "linkdown") {
-      const auto window = duration_attr("for");
-      if (!node || !at || !window) return fail("linkdown node=N at=T for=D");
-      plan.link_down(*node, SimTime::zero() + *at, *window);
+      ok = ok && reader.take_duration("for", &window);
+      if (ok) plan.link_down(node, when, window);
     } else if (directive == "spike") {
-      const auto extra = duration_attr("add");
-      const auto window = duration_attr("for");
-      if (!node || !at || !extra || !window) {
-        return fail("spike node=N at=T add=D for=D");
-      }
-      plan.latency_spike(*node, SimTime::zero() + *at, *extra, *window);
+      Duration extra;
+      ok = ok && reader.take_duration("add", &extra) &&
+           reader.take_duration("for", &window);
+      if (ok) plan.latency_spike(node, when, extra, window);
     } else if (directive == "burstloss") {
-      const auto window = duration_attr("for");
-      const auto pgb = probability_attr("pgb");
-      const auto pbg = probability_attr("pbg");
-      if (!node || !at || !window || !pgb || !pbg || *pbg <= 0) {
-        return fail("burstloss node=N at=T for=D pgb=P pbg=P"
-                    " [lossbad=P] [lossgood=P]");
-      }
-      ipfw::GilbertElliott ge{.p_good_to_bad = *pgb, .p_bad_to_good = *pbg};
-      if (attrs.count("lossbad") != 0) {
-        const auto p = probability_attr("lossbad");
-        if (!p) return fail("bad lossbad");
-        ge.loss_bad = *p;
-      }
-      if (attrs.count("lossgood") != 0) {
-        const auto p = probability_attr("lossgood");
-        if (!p) return fail("bad lossgood");
-        ge.loss_good = *p;
-      }
-      plan.burst_loss(*node, SimTime::zero() + *at, *window, ge);
-    } else if (directive == "tracker_outage") {
-      const auto window = duration_attr("for");
-      if (!at || !window) return fail("tracker_outage at=T for=D");
-      plan.tracker_outage(SimTime::zero() + *at, *window);
-    } else {
-      return fail("unknown directive '" + directive + "'");
+      ipfw::GilbertElliott ge;
+      ok = ok && reader.take_duration("for", &window) &&
+           reader.take_probability("pgb", &ge.p_good_to_bad) &&
+           reader.take_probability("pbg", &ge.p_bad_to_good) &&
+           reader.require("pbg", ge.p_bad_to_good > 0,
+                          "pbg must be positive") &&
+           reader.take_probability("lossbad", &ge.loss_bad) &&
+           reader.take_probability("lossgood", &ge.loss_good);
+      if (ok) plan.burst_loss(node, when, window, ge);
+    } else {  // tracker_outage
+      ok = ok && reader.take_duration("for", &window);
+      if (ok) plan.tracker_outage(when, window);
     }
-    if (!attrs.empty()) {
-      return fail("unknown attribute '" + attrs.begin()->first + "'");
-    }
+    if (!ok || !reader.finish()) return PlanParseResult{std::nullopt, error};
   }
 
   plan.sort();
-  PlanParseResult result;
-  result.plan = std::move(plan);
-  return result;
+  return PlanParseResult{std::move(plan), ""};
+}
+
+PlanParseResult FaultPlan::parse(std::string_view source,
+                                 std::size_t max_node) {
+  const text::Lexed lexed = text::lex(source);
+  if (!lexed.error.empty()) return PlanParseResult{std::nullopt, lexed.error};
+  return parse(lexed.lines, max_node);
 }
 
 }  // namespace p2plab::fault

@@ -8,7 +8,8 @@
 //
 // Plans come from three sources, all deterministic:
 //   * a builder API (plan.crash(4, SimTime::seconds(30)).link_down(...)),
-//   * a scenario file, one directive per line (see parse() below),
+//   * a fault file or a `.scn` [faults] block, one directive per line
+//     (see parse() below),
 //   * the churn generator, which expands a ChurnConfig + seeded Rng into a
 //     concrete schedule — same seed, same config => same plan, so churn
 //     experiments replay bit-identically.
@@ -16,11 +17,13 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/text.hpp"
 #include "common/time.hpp"
 #include "ipfw/pipe.hpp"
 
@@ -68,11 +71,6 @@ struct ChurnConfig {
 
 struct PlanParseResult;
 
-/// Parse a duration as fault/scenario files write them: bare numbers are
-/// *seconds* (30 == 30s), with ms/us/s suffixes accepted. Exposed so the
-/// scenario DSL (src/scenario) agrees with the .fault format byte for byte.
-std::optional<Duration> parse_scenario_duration(std::string_view text);
-
 class FaultPlan {
  public:
   // Builder API — each call appends one spec and returns *this.
@@ -103,7 +101,9 @@ class FaultPlan {
   /// the result is a pure function of (config, rng state).
   static FaultPlan churn(const ChurnConfig& config, Rng& rng);
 
-  /// Parse a scenario file. One directive per line; '#' starts a comment.
+  /// Parse a fault plan. One directive per line, in the shared grammar of
+  /// every experiment file (common/text.hpp: '#' comments anywhere outside
+  /// double quotes, key=value attributes, each given at most once):
   ///
   ///   crash node=N at=T [rejoin=D]
   ///   leave node=N at=T
@@ -113,8 +113,14 @@ class FaultPlan {
   ///   tracker_outage at=T for=D
   ///
   /// Times/durations accept s/ms/us suffixes (bare numbers are seconds,
-  /// matching how scenarios are written; 30 == 30s).
-  static PlanParseResult parse(std::string_view text);
+  /// matching how scenarios are written; 30 == 30s). A node index above
+  /// `max_node` (the workload's last vnode) is an error. The plan comes
+  /// back time-sorted.
+  static PlanParseResult parse(std::span<const text::TokenLine> lines,
+                               std::size_t max_node = SIZE_MAX);
+  /// Lex `source`, then parse it.
+  static PlanParseResult parse(std::string_view source,
+                               std::size_t max_node = SIZE_MAX);
 
  private:
   std::vector<FaultSpec> specs_;

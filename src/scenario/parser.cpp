@@ -1,64 +1,17 @@
 #include "scenario/parser.hpp"
 
-#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
+#include "common/text.hpp"
 #include "scenario/workload.hpp"
 #include "topology/parser.hpp"
 
 namespace p2plab::scenario {
 
 namespace {
-
-/// Whitespace tokenizer with '#' comments and double-quoted tokens (quotes
-/// keep spaces and '#'). Returns nullopt on an unterminated quote.
-std::optional<std::vector<std::string>> tokenize(std::string_view line) {
-  std::vector<std::string> tokens;
-  std::string token;
-  bool in_quotes = false;
-  bool quoted = false;  // current token came from quotes (may be empty)
-  auto flush = [&] {
-    if (!token.empty() || quoted) tokens.push_back(token);
-    token.clear();
-    quoted = false;
-  };
-  for (const char c : line) {
-    if (in_quotes) {
-      if (c == '"') {
-        in_quotes = false;
-      } else {
-        token.push_back(c);
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_quotes = true;
-      quoted = true;
-      continue;
-    }
-    if (c == '#') break;
-    if (c == ' ' || c == '\t' || c == '\r') {
-      flush();
-    } else {
-      token.push_back(c);
-    }
-  }
-  if (in_quotes) return std::nullopt;
-  flush();
-  return tokens;
-}
-
-/// "key=value" -> value for the expected key.
-std::optional<std::string_view> value_of(std::string_view token,
-                                         std::string_view key) {
-  if (token.size() <= key.size() + 1) return std::nullopt;
-  if (token.substr(0, key.size()) != key || token[key.size()] != '=') {
-    return std::nullopt;
-  }
-  return token.substr(key.size() + 1);
-}
 
 std::optional<std::string> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -74,49 +27,27 @@ std::string resolve_path(const std::string& base_dir,
   return base_dir + "/" + path;
 }
 
-struct RawLine {
+/// An `include <path>` directive.
+struct Include {
   int line = 0;
-  std::string text;
+  std::string path;
 };
 
-/// Reassemble inline [topology]/[faults] lines at their original line
-/// numbers (blank padding in between), so the sub-parser's "line N"
-/// messages point into the enclosing .scn file.
-std::string padded_text(const std::vector<RawLine>& lines) {
-  std::string text;
-  int emitted = 0;
-  for (const RawLine& raw : lines) {
-    while (emitted < raw.line - 1) {
-      text += '\n';
-      ++emitted;
-    }
-    text += raw.text;
-    text += '\n';
-    ++emitted;
-  }
-  return text;
-}
-
-/// Everything collected in the first (lexical) pass. KvEntry/KvSection
-/// live in workload.hpp now, shared with the plugins' ParamReaders.
+/// Everything the first pass routes out of the lexed file.
 struct Collected {
   std::string name;
 
-  bool topo_section = false;
-  std::optional<RawLine> topo_auto;
-  std::vector<std::string> topo_auto_tokens;
-  std::optional<RawLine> topo_include;  // text = path
-  std::vector<RawLine> topo_inline;
+  std::optional<text::TokenLine> topo_auto;
+  std::optional<Include> topo_include;
+  std::vector<text::TokenLine> topo_inline;
 
-  bool faults_section = false;
-  std::optional<RawLine> faults_include;  // text = path
-  std::vector<RawLine> faults_inline;
-  std::optional<RawLine> churn_directive;
-  std::vector<std::string> churn_tokens;
+  std::optional<Include> faults_include;
+  std::vector<text::TokenLine> faults_inline;
+  std::optional<text::TokenLine> churn;
 
-  KvSection workload{"workload", {}};
-  KvSection engine{"engine", {}};
-  KvSection outputs{"outputs", {}};
+  KvSection workload{"[workload]"};
+  KvSection engine{"[engine]"};
+  KvSection outputs{"[outputs]"};
 };
 
 /// The cross-type stray-key diagnostic: true when some *other* plugin
@@ -145,159 +76,114 @@ const std::string& engine_keys() {
   return keys;
 }
 
-std::optional<DataSize> parse_data_size(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  double multiplier = 1.0;
-  std::string_view digits = text;
-  const char suffix = text.back();
-  if (suffix == 'k' || suffix == 'K') {
-    multiplier = 1024.0;
-    digits.remove_suffix(1);
-  } else if (suffix == 'M') {
-    multiplier = 1024.0 * 1024.0;
-    digits.remove_suffix(1);
-  } else if (suffix == 'G') {
-    multiplier = 1024.0 * 1024.0 * 1024.0;
-    digits.remove_suffix(1);
-  }
-  if (digits.empty()) return std::nullopt;
-  double value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(digits.data(), digits.data() + digits.size(), value);
-  if (ec != std::errc{} || ptr != digits.data() + digits.size() ||
-      value <= 0) {
-    return std::nullopt;
-  }
-  return DataSize::bytes(static_cast<std::uint64_t>(value * multiplier));
-}
-
-ParseResult parse_scenario(std::string_view text,
+ParseResult parse_scenario(std::string_view source,
                            const ParseOptions& options) {
   Collected c;
   ParseResult result;
-  auto fail = [&](const std::string& source, const std::string& message) {
+  auto fail = [&](const std::string& where, const std::string& message) {
     result.spec.reset();
-    result.error = source + ": " + message;
+    result.error = where + ": " + message;
     return result;
   };
   auto fail_line = [&](int line, const std::string& message) {
-    return fail("line " + std::to_string(line), message);
+    return fail(text::line_source(line), message);
+  };
+  std::string error;
+  auto fail_with_error = [&] {
+    result.spec.reset();
+    result.error = error;
+    return result;
   };
 
-  // -- pass 1: lexical — route every line to its section -------------------
+  // -- pass 1: route every lexed line to its section ----------------------
+  const text::Lexed lexed = text::lex(source);
+  if (!lexed.error.empty()) {
+    error = lexed.error;
+    return fail_with_error();
+  }
   enum class Section { kNone, kTopology, kWorkload, kFaults, kEngine,
                        kOutputs };
   Section section = Section::kNone;
   bool seen[5] = {false, false, false, false, false};
-  std::istringstream stream{std::string(text)};
-  std::string line;
-  int line_number = 0;
-  while (std::getline(stream, line)) {
-    ++line_number;
-    const auto tokens = tokenize(line);
-    if (!tokens) return fail_line(line_number, "unterminated quote");
-    if (tokens->empty()) continue;
-    const std::string& head = tokens->front();
+  for (const text::TokenLine& line : lexed.lines) {
+    const int n = line.number;
+    const auto& tokens = line.tokens;
+    const std::string& head = tokens[0];
 
     if (head.size() >= 2 && head.front() == '[' && head.back() == ']') {
-      if (tokens->size() != 1) {
-        return fail_line(line_number, "unexpected tokens after " + head);
+      if (tokens.size() != 1) {
+        return fail_line(n, "unexpected tokens after " + head);
       }
       const std::string name = head.substr(1, head.size() - 2);
       if (c.name.empty()) {
-        return fail_line(line_number,
-                         "expected 'scenario <name>' before any section");
+        return fail_line(n, "expected 'scenario <name>' before any section");
       }
+      static constexpr std::pair<const char*, Section> kSections[] = {
+          {"topology", Section::kTopology}, {"workload", Section::kWorkload},
+          {"faults", Section::kFaults},     {"engine", Section::kEngine},
+          {"outputs", Section::kOutputs}};
       std::size_t index = 0;
-      if (name == "topology") {
-        section = Section::kTopology;
-        index = 0;
-        c.topo_section = true;
-      } else if (name == "workload") {
-        section = Section::kWorkload;
-        index = 1;
-      } else if (name == "faults") {
-        section = Section::kFaults;
-        index = 2;
-        c.faults_section = true;
-      } else if (name == "engine") {
-        section = Section::kEngine;
-        index = 3;
-      } else if (name == "outputs") {
-        section = Section::kOutputs;
-        index = 4;
-      } else {
-        return fail_line(line_number, "unknown section [" + name + "]");
-      }
+      while (index < 5 && name != kSections[index].first) ++index;
+      if (index == 5) return fail_line(n, "unknown section [" + name + "]");
       if (seen[index]) {
-        return fail_line(line_number, "duplicate section [" + name + "]");
+        return fail_line(n, "duplicate section [" + name + "]");
       }
       seen[index] = true;
+      section = kSections[index].second;
       continue;
     }
 
+    // `include <path>`, at most once per section; returns the error.
+    auto include = [&](std::optional<Include>& slot,
+                       const char* where) -> std::string {
+      if (tokens.size() != 2) return "include <path>";
+      if (slot) return std::string("duplicate 'include' in ") + where;
+      slot = Include{n, tokens[1]};
+      return "";
+    };
     switch (section) {
       case Section::kNone: {
         if (head == "scenario") {
           if (!c.name.empty()) {
-            return fail_line(line_number, "duplicate 'scenario' directive");
+            return fail_line(n, "duplicate 'scenario' directive");
           }
-          if (tokens->size() != 2 || (*tokens)[1].empty()) {
-            return fail_line(line_number, "scenario <name>");
+          if (tokens.size() != 2 || tokens[1].empty()) {
+            return fail_line(n, "scenario <name>");
           }
-          c.name = (*tokens)[1];
+          c.name = tokens[1];
           continue;
         }
-        return fail_line(line_number,
-                         c.name.empty()
-                             ? "expected 'scenario <name>' before any section"
-                             : "directive '" + head + "' outside a section");
+        return fail_line(n, c.name.empty()
+                                ? "expected 'scenario <name>' before any "
+                                  "section"
+                                : "directive '" + head + "' outside a section");
       }
       case Section::kTopology: {
         if (head == "auto") {
           if (c.topo_auto) {
-            return fail_line(line_number,
-                             "duplicate 'auto' directive in [topology]");
+            return fail_line(n, "duplicate 'auto' directive in [topology]");
           }
-          c.topo_auto = RawLine{line_number, line};
-          c.topo_auto_tokens = *tokens;
-          continue;
+          c.topo_auto = line;
+        } else if (head == "include") {
+          const std::string message = include(c.topo_include, "[topology]");
+          if (!message.empty()) return fail_line(n, message);
+        } else {
+          c.topo_inline.push_back(line);
         }
-        if (head == "include") {
-          if (tokens->size() != 2) {
-            return fail_line(line_number, "include <path>");
-          }
-          if (c.topo_include) {
-            return fail_line(line_number,
-                             "duplicate 'include' in [topology]");
-          }
-          c.topo_include = RawLine{line_number, (*tokens)[1]};
-          continue;
-        }
-        c.topo_inline.push_back(RawLine{line_number, line});
         continue;
       }
       case Section::kFaults: {
-        if (head == "include") {
-          if (tokens->size() != 2) {
-            return fail_line(line_number, "include <path>");
-          }
-          if (c.faults_include) {
-            return fail_line(line_number, "duplicate 'include' in [faults]");
-          }
-          c.faults_include = RawLine{line_number, (*tokens)[1]};
-          continue;
-        }
         if (head == "churn") {
-          if (c.churn_directive) {
-            return fail_line(line_number,
-                             "duplicate 'churn' directive in [faults]");
+          if (c.churn) {
+            return fail_line(n, "duplicate 'churn' directive in [faults]");
           }
-          c.churn_directive = RawLine{line_number, line};
-          c.churn_tokens = *tokens;
-          continue;
+          c.churn = line;
+        } else if (head == "include") {
+          const std::string message = include(c.faults_include, "[faults]");
+          if (!message.empty()) return fail_line(n, message);
+        } else {
+          c.faults_inline.push_back(line);
         }
-        c.faults_inline.push_back(RawLine{line_number, line});
         continue;
       }
       case Section::kWorkload:
@@ -306,16 +192,13 @@ ParseResult parse_scenario(std::string_view text,
         KvSection& kv = section == Section::kWorkload ? c.workload
                         : section == Section::kEngine ? c.engine
                                                       : c.outputs;
-        if (tokens->size() != 2) {
-          return fail_line(line_number, "expected '<key> <value>' in [" +
-                                            std::string(kv.name) + "]");
+        if (tokens.size() != 2) {
+          return fail_line(n, "expected '<key> <value>' in " +
+                                  std::string(kv.name()));
         }
-        if (kv.find(head) != nullptr) {
-          return fail_line(line_number, "duplicate key '" + head + "' in [" +
-                                            std::string(kv.name) + "]");
+        if (!kv.add(head, tokens[1], text::line_source(n), &error)) {
+          return fail_with_error();
         }
-        kv.entries.push_back(KvEntry{
-            head, (*tokens)[1], "line " + std::to_string(line_number)});
         continue;
       }
     }
@@ -326,52 +209,35 @@ ParseResult parse_scenario(std::string_view text,
 
   // -- pass 2: apply --set overrides ---------------------------------------
   for (const std::string& override_arg : options.overrides) {
-    const std::string source = "--set " + override_arg;
+    const std::string where = "--set " + override_arg;
     const auto eq = override_arg.find('=');
     const auto dot = override_arg.find('.');
     if (eq == std::string::npos || dot == std::string::npos || dot > eq ||
         dot == 0 || dot + 1 == eq) {
-      return fail(source, "expected section.key=value");
+      return fail(where, "expected section.key=value");
     }
     const std::string sect = override_arg.substr(0, dot);
-    const std::string key = override_arg.substr(dot + 1, eq - dot - 1);
-    const std::string value = override_arg.substr(eq + 1);
-    KvSection* kv = nullptr;
-    if (sect == "workload") {
-      kv = &c.workload;
-    } else if (sect == "engine") {
-      kv = &c.engine;
-    } else if (sect == "outputs") {
-      kv = &c.outputs;
-    } else if (sect == "topology" || sect == "faults") {
-      return fail(source, "section [" + sect +
-                              "] has no key=value entries to override");
-    } else {
-      return fail(source, "unknown section '" + sect + "'");
+    KvSection* kv = sect == "workload" ? &c.workload
+                    : sect == "engine" ? &c.engine
+                    : sect == "outputs" ? &c.outputs
+                                        : nullptr;
+    if (sect == "topology" || sect == "faults") {
+      return fail(where, "section [" + sect +
+                             "] has no key=value entries to override");
     }
-    if (KvEntry* existing = kv->find(key)) {
-      existing->value = value;
-      existing->source = source;
-    } else {
-      kv->entries.push_back(KvEntry{key, value, source});
-    }
+    if (kv == nullptr) return fail(where, "unknown section '" + sect + "'");
+    kv->set(std::string_view(override_arg).substr(dot + 1, eq - dot - 1),
+            std::string_view(override_arg).substr(eq + 1), where);
   }
 
   // -- pass 3: interpret ---------------------------------------------------
   ScenarioSpec spec;
   spec.name = c.name;
-
   const WorkloadRegistry& registry = WorkloadRegistry::instance();
-  std::string error;
-  auto fail_with_error = [&] {
-    result.spec.reset();
-    result.error = error;
-    return result;
-  };
 
   // [workload] — the type name picks the plugin; the plugin consumes its
-  // own keys through the shared typed readers (workload.hpp), so every
-  // workload gets identical error shapes and --set override behavior.
+  // own keys through the shared typed readers, so every workload gets
+  // identical error shapes and --set override behavior.
   const WorkloadPlugin* plugin = registry.find("swarm");
   if (KvEntry* entry = c.workload.take("type")) {
     plugin = registry.find(entry->value);
@@ -382,144 +248,118 @@ ParseResult parse_scenario(std::string_view text,
     }
   }
   spec.workload = plugin->name();
-  ParamReader workload_params(c.workload, error);
-  if (!plugin->parse_workload(workload_params, spec)) {
-    return fail_with_error();
-  }
-  if (const KvEntry* stray = c.workload.first_unconsumed()) {
-    if (claimed_by_other_plugin(registry, plugin, stray->key,
-                                /*outputs=*/false)) {
-      return fail(stray->source,
-                  "key '" + stray->key + "' is not valid for workload type " +
-                      std::string(plugin->name()));
+  // A stray key another plugin claims gets "not valid for workload type
+  // Y", which beats a bare "unknown key".
+  auto reject_strays = [&](ParamReader& reader, bool outputs) {
+    const KvEntry* stray = reader.section().first_unconsumed();
+    if (stray != nullptr &&
+        claimed_by_other_plugin(registry, plugin, stray->key, outputs)) {
+      return reader.fail(*stray, "key '" + stray->key +
+                                     "' is not valid for workload type " +
+                                     plugin->name());
     }
-    return fail(stray->source,
-                "unknown key '" + stray->key + "' in [workload]");
+    return reader.finish();
+  };
+  ParamReader workload_params(c.workload, error);
+  if (!plugin->parse_workload(workload_params, spec) ||
+      !reject_strays(workload_params, /*outputs=*/false)) {
+    return fail_with_error();
   }
 
   // [engine]
+  EngineSection& engine = spec.engine;
   ParamReader engine_params(c.engine, error);
-  const KvEntry* shards_entry = nullptr;
-  bool ok = engine_params.take_count(
-      "shards", [&](std::uint64_t v, const KvEntry& entry) {
-        spec.engine.shards = static_cast<std::size_t>(v);
-        shards_entry = &entry;
-      });
-  if (ok && shards_entry != nullptr && spec.engine.shards == 0) {
-    return fail(shards_entry->source, "shards must be positive");
+  if (!engine_params.take_count("shards", &engine.shards) ||
+      !engine_params.require("shards", engine.shards > 0,
+                             "shards must be positive")) {
+    return fail_with_error();
   }
-  const KvEntry* transport_entry = c.engine.take("transport");
-  if (ok && transport_entry != nullptr) {
-    if (transport_entry->value == "flow") {
-      spec.engine.transport = sockets::TransportModel::kFlow;
-    } else if (transport_entry->value == "tcp") {
-      spec.engine.transport = sockets::TransportModel::kTcp;
+  if (const KvEntry* entry = c.engine.take("transport")) {
+    if (entry->value == "flow") {
+      engine.transport = sockets::TransportModel::kFlow;
+    } else if (entry->value == "tcp") {
+      engine.transport = sockets::TransportModel::kTcp;
     } else {
-      return fail(transport_entry->source,
-                  "unknown transport '" + transport_entry->value +
-                      "' (tcp|flow)");
+      return fail(entry->source,
+                  "unknown transport '" + entry->value + "' (tcp|flow)");
     }
   }
-  const KvEntry* pnodes_entry = c.engine.take("physical_nodes");
-  if (ok && pnodes_entry != nullptr && pnodes_entry->value != "auto") {
-    const auto value = parse_u64(pnodes_entry->value);
+  if (const KvEntry* entry = c.engine.take("physical_nodes");
+      entry != nullptr && entry->value != "auto") {
+    const auto value = text::parse_count(entry->value);
     if (!value || *value == 0) {
-      return fail(pnodes_entry->source,
-                  "bad count '" + pnodes_entry->value +
+      return fail(entry->source,
+                  "bad count '" + entry->value +
                       "' for physical_nodes (a positive number, or auto)");
     }
-    spec.engine.physical_nodes = static_cast<std::size_t>(*value);
+    engine.physical_nodes = *value;
   }
-  const KvEntry* fold_entry = nullptr;
-  ok = ok && engine_params.take_count(
-                 "fold", [&](std::uint64_t v, const KvEntry& entry) {
-                   spec.engine.fold = static_cast<std::size_t>(v);
-                   fold_entry = &entry;
-                 });
-  if (ok && fold_entry != nullptr) {
-    if (*spec.engine.fold == 0) {
-      return fail(fold_entry->source, "fold must be positive");
-    }
-    if (spec.engine.physical_nodes) {
-      return fail(fold_entry->source,
-                  "fold and physical_nodes are mutually exclusive");
-    }
+  std::size_t fold = 0;
+  if (!engine_params.take_count("fold", &fold) ||
+      !engine_params.require("fold", fold > 0, "fold must be positive") ||
+      !engine_params.require("fold", !engine.physical_nodes,
+                             "fold and physical_nodes are mutually "
+                             "exclusive")) {
+    return fail_with_error();
   }
-  ok = ok && engine_params.take_count(
-                 "seed",
-                 [&](std::uint64_t v, const KvEntry&) { spec.engine.seed = v; });
+  if (engine_params.has("fold")) engine.fold = fold;
+  if (!engine_params.take_count("seed", &engine.seed)) {
+    return fail_with_error();
+  }
   const KvEntry* stop_entry = c.engine.take("stop");
-  if (ok && stop_entry != nullptr) {
+  if (stop_entry != nullptr) {
     if (stop_entry->value == "all_complete") {
-      spec.engine.stop = StopMode::kAllComplete;
+      engine.stop = StopMode::kAllComplete;
     } else if (stop_entry->value == "survivors_complete") {
-      spec.engine.stop = StopMode::kSurvivorsComplete;
+      engine.stop = StopMode::kSurvivorsComplete;
     } else if (stop_entry->value == "time") {
-      spec.engine.stop = StopMode::kTime;
+      engine.stop = StopMode::kTime;
     } else {
       return fail(stop_entry->source,
                   "unknown stop mode '" + stop_entry->value +
                       "' (all_complete|survivors_complete|time)");
     }
   }
-  const KvEntry* run_for_entry = nullptr;
-  ok = ok && engine_params.take_duration(
-                 "run_for", [&](Duration v, const KvEntry& entry) {
-                   spec.engine.run_for = v;
-                   run_for_entry = &entry;
-                 });
-  ok = ok && engine_params.take_bool("check_invariants", [&](bool v) {
-    spec.engine.check_invariants = v;
-  });
-  ok = ok && engine_params.take_bool(
-                 "trace", [&](bool v) { spec.engine.trace = v; });
-  ok = ok && engine_params.take_bool(
-                 "profile", [&](bool v) { spec.engine.profile = v; });
-  ok = ok && engine_params.take_bool(
-                 "pin", [&](bool v) { spec.engine.pin_workers = v; });
-  if (!ok) return fail_with_error();
-  if (spec.engine.stop == StopMode::kTime &&
-      spec.engine.run_for <= Duration::zero()) {
-    return fail(stop_entry != nullptr ? stop_entry->source : "[engine]",
-                "stop=time requires run_for");
+  // Whole-run checks blame the stop line, or the file as a whole.
+  const std::string stop_source =
+      stop_entry != nullptr ? stop_entry->source : text::line_source(0);
+  bool pin = false;
+  if (!engine_params.take_duration("run_for", &engine.run_for) ||
+      !engine_params.take_bool("check_invariants",
+                               &engine.check_invariants) ||
+      !engine_params.take_bool("trace", &engine.trace) ||
+      !engine_params.take_bool("profile", &engine.profile) ||
+      !engine_params.take_bool("pin", &pin)) {
+    return fail_with_error();
   }
-  if (run_for_entry != nullptr && spec.engine.stop != StopMode::kTime) {
-    return fail(run_for_entry->source, "run_for requires stop=time");
+  if (engine_params.has("pin")) engine.pin_workers = pin;
+  if (engine.stop == StopMode::kTime && engine.run_for <= Duration::zero()) {
+    return fail(stop_source, "stop=time requires run_for");
   }
-  if (const KvEntry* stray = c.engine.first_unconsumed()) {
-    return fail(stray->source, "unknown key '" + stray->key +
-                                   "' in [engine] (expected " +
-                                   engine_keys() + ")");
+  if (!engine_params.require("run_for", engine.stop == StopMode::kTime,
+                             "run_for requires stop=time") ||
+      !engine_params.finish(" (expected " + engine_keys() + ")")) {
+    return fail_with_error();
   }
 
-  // [outputs] — the plugin consumes its own keys; strays from another
-  // workload's surface get the "not valid for workload type" error below.
+  // [outputs] — the plugin consumes its own keys, then the cross-workload
+  // ones.
+  OutputsSection& outputs = spec.outputs;
   ParamReader output_params(c.outputs, error);
-  if (!plugin->parse_outputs(output_params, spec)) return fail_with_error();
-  ok = output_params.take_string("bench_json", &spec.outputs.bench_json);
-  ok = ok && output_params.take_string("profile_trace",
-                                       &spec.outputs.profile_trace);
-  ok = ok && output_params.take_bool(
-                 "report", [&](bool v) { spec.outputs.report = v; });
-  if (!ok) return fail_with_error();
-  if (const KvEntry* stray = c.outputs.first_unconsumed()) {
-    if (claimed_by_other_plugin(registry, plugin, stray->key,
-                                /*outputs=*/true)) {
-      return fail(stray->source,
-                  "key '" + stray->key + "' is not valid for workload type " +
-                      std::string(plugin->name()));
-    }
-    return fail(stray->source,
-                "unknown key '" + stray->key + "' in [outputs]");
+  if (!plugin->parse_outputs(output_params, spec) ||
+      !output_params.take_string("bench_json", &outputs.bench_json) ||
+      !output_params.take_string("profile_trace", &outputs.profile_trace) ||
+      !output_params.take_bool("report", &outputs.report) ||
+      !reject_strays(output_params, /*outputs=*/true)) {
+    return fail_with_error();
   }
-  if (!spec.outputs.trace_file.empty()) spec.engine.trace = true;
+  if (!outputs.trace_file.empty()) engine.trace = true;
   // Naming a profile output turns profiling on, mirroring trace.
-  if (!spec.outputs.profile_trace.empty()) spec.engine.profile = true;
+  if (!outputs.profile_trace.empty()) engine.profile = true;
 
   // [topology]
-  if (c.topo_auto &&
-      (c.topo_include.has_value() || !c.topo_inline.empty())) {
-    return fail_line(c.topo_auto->line,
+  if (c.topo_auto && (c.topo_include || !c.topo_inline.empty())) {
+    return fail_line(c.topo_auto->number,
                      "[topology] cannot mix 'auto' with other topology "
                      "sources");
   }
@@ -529,181 +369,143 @@ ParseResult parse_scenario(std::string_view text,
                      "directives");
   }
   if (c.topo_auto) {
+    // Link attributes follow the topology format: bare latencies are ms.
     spec.topology.source = TopologySource::kAuto;
-    for (std::size_t i = 1; i < c.topo_auto_tokens.size(); ++i) {
-      const std::string& token = c.topo_auto_tokens[i];
-      if (const auto v = value_of(token, "down")) {
-        const auto bw = topology::parse_bandwidth(*v);
-        if (!bw) return fail_line(c.topo_auto->line, "bad down bandwidth");
-        spec.topology.auto_link.down = *bw;
-      } else if (const auto v2 = value_of(token, "up")) {
-        const auto bw = topology::parse_bandwidth(*v2);
-        if (!bw) return fail_line(c.topo_auto->line, "bad up bandwidth");
-        spec.topology.auto_link.up = *bw;
-      } else if (const auto v3 = value_of(token, "latency")) {
-        const auto d = topology::parse_duration(*v3);
-        if (!d) return fail_line(c.topo_auto->line, "bad latency");
-        spec.topology.auto_link.latency = *d;
-      } else if (const auto v4 = value_of(token, "loss")) {
-        const auto p = parse_probability(*v4);
-        if (!p) return fail_line(c.topo_auto->line, "bad loss rate");
-        spec.topology.auto_link.loss_rate = *p;
-      } else {
-        return fail_line(c.topo_auto->line,
-                         "unknown auto attribute '" + token + "'");
+    topology::LinkClass& link = spec.topology.auto_link;
+    KvSection attributes("auto");
+    ParamReader reader(attributes, error, text::BareUnit::kMillis);
+    if (!attributes.add_attributes(c.topo_auto->tokens.subspan(1),
+                                   text::line_source(c.topo_auto->number),
+                                   &error) ||
+        !reader.take_bandwidth("down", &link.down) ||
+        !reader.take_bandwidth("up", &link.up) ||
+        !reader.take_duration("latency", &link.latency) ||
+        !reader.take_probability("loss", &link.loss_rate) ||
+        !reader.finish()) {
+      return fail_with_error();
+    }
+  } else if (c.topo_include || !c.topo_inline.empty()) {
+    topology::ParseResult sub;
+    if (c.topo_include) {
+      const Include& inc = *c.topo_include;
+      const auto contents = read_file(resolve_path(options.base_dir, inc.path));
+      if (!contents) {
+        return fail_line(inc.line,
+                         "include '" + inc.path + "': cannot read file");
       }
-    }
-  } else if (c.topo_include) {
-    const std::string path =
-        resolve_path(options.base_dir, c.topo_include->text);
-    const auto contents = read_file(path);
-    if (!contents) {
-      return fail_line(c.topo_include->line, "include '" +
-                                                 c.topo_include->text +
-                                                 "': cannot read file");
-    }
-    auto sub = topology::parse_topology(*contents);
-    if (!sub.topology) {
-      return fail_line(c.topo_include->line,
-                       "include '" + c.topo_include->text + "': " +
-                           sub.error);
-    }
-    spec.topology.source = TopologySource::kInline;
-    spec.topology.built = std::move(*sub.topology);
-  } else if (!c.topo_inline.empty()) {
-    auto sub = topology::parse_topology(padded_text(c.topo_inline));
-    if (!sub.topology) {
-      result.spec.reset();
-      result.error = sub.error;  // already "line N: ..." in our numbering
-      return result;
+      sub = topology::parse_topology(*contents);
+      if (!sub.topology) {
+        return fail_line(inc.line, "include '" + inc.path + "': " + sub.error);
+      }
+    } else {
+      sub = topology::parse_topology(c.topo_inline);
+      if (!sub.topology) {
+        error = sub.error;  // already "line N: ..." in this file's numbering
+        return fail_with_error();
+      }
     }
     spec.topology.source = TopologySource::kInline;
     spec.topology.built = std::move(*sub.topology);
   }
-  if (spec.topology.built &&
-      spec.topology.built->total_nodes() < spec.vnodes()) {
+  const std::size_t vnodes = spec.vnodes();
+  if (spec.topology.built && spec.topology.built->total_nodes() < vnodes) {
     return fail_line(0, "topology has " +
                             std::to_string(spec.topology.built->total_nodes()) +
                             " nodes but the workload needs " +
-                            std::to_string(spec.vnodes()));
+                            std::to_string(vnodes));
   }
 
-  // [faults]
+  // [faults] — node indexes must name one of the workload's vnodes.
+  const std::size_t max_node = vnodes - 1;
   if (c.faults_include && !c.faults_inline.empty()) {
     return fail_line(c.faults_include->line,
                      "[faults] cannot mix 'include' with inline directives");
   }
+  const int faults_line = c.faults_include ? c.faults_include->line
+                          : c.churn        ? c.churn->number
+                          : !c.faults_inline.empty()
+                              ? c.faults_inline.front().number
+                              : 0;
+  if (faults_line != 0 && !plugin->supports_faults()) {
+    return fail_line(faults_line, "[faults] requires workload type " +
+                                      registry.fault_capable_names());
+  }
   if (c.faults_include) {
-    const std::string path =
-        resolve_path(options.base_dir, c.faults_include->text);
-    const auto contents = read_file(path);
+    const Include& inc = *c.faults_include;
+    const auto contents = read_file(resolve_path(options.base_dir, inc.path));
     if (!contents) {
-      return fail_line(c.faults_include->line, "include '" +
-                                                   c.faults_include->text +
-                                                   "': cannot read file");
+      return fail_line(inc.line,
+                       "include '" + inc.path + "': cannot read file");
     }
-    auto sub = fault::FaultPlan::parse(*contents);
+    auto sub = fault::FaultPlan::parse(*contents, max_node);
     if (!sub.plan) {
-      return fail_line(c.faults_include->line,
-                       "include '" + c.faults_include->text + "': " +
-                           sub.error);
+      return fail_line(inc.line, "include '" + inc.path + "': " + sub.error);
     }
     spec.faults.plan = std::move(*sub.plan);
   } else if (!c.faults_inline.empty()) {
-    auto sub = fault::FaultPlan::parse(padded_text(c.faults_inline));
+    auto sub = fault::FaultPlan::parse(c.faults_inline, max_node);
     if (!sub.plan) {
-      result.spec.reset();
-      result.error = sub.error;  // already in our line numbering
-      return result;
+      error = sub.error;  // already "line N: ..." in this file's numbering
+      return fail_with_error();
     }
     spec.faults.plan = std::move(*sub.plan);
   }
-  if (c.churn_directive) {
+  if (c.churn) {
+    const int n = c.churn->number;
     ChurnDirective& churn = spec.faults.churn;
     churn.enabled = true;
-    bool window_seen = false;
-    for (std::size_t i = 1; i < c.churn_tokens.size(); ++i) {
-      const std::string& token = c.churn_tokens[i];
-      const int at = c.churn_directive->line;
-      if (const auto v = value_of(token, "fraction")) {
-        const auto p = parse_probability(*v);
-        if (!p) return fail_line(at, "bad churn fraction");
-        churn.fraction = *p;
-      } else if (const auto v2 = value_of(token, "window")) {
-        const std::string window(*v2);
-        const auto dots = window.find("..");
-        if (dots == std::string::npos) {
-          return fail_line(at, "churn window=START..END");
-        }
-        const auto start =
-            fault::parse_scenario_duration(window.substr(0, dots));
-        const auto end =
-            fault::parse_scenario_duration(window.substr(dots + 2));
-        if (!start || !end) {
-          return fail_line(at, "bad churn window '" + window + "'");
-        }
-        if (*end < *start) {
-          return fail_line(at, "churn window end before start");
-        }
-        churn.window_start = *start;
-        churn.window_end = *end;
-        window_seen = true;
-      } else if (const auto v3 = value_of(token, "rejoin")) {
-        const auto p = parse_probability(*v3);
-        if (!p) return fail_line(at, "bad churn rejoin fraction");
-        churn.rejoin_fraction = *p;
-      } else if (const auto v4 = value_of(token, "rejoin_min")) {
-        const auto d = fault::parse_scenario_duration(*v4);
-        if (!d) return fail_line(at, "bad churn rejoin_min");
-        churn.rejoin_min = *d;
-      } else if (const auto v5 = value_of(token, "rejoin_max")) {
-        const auto d = fault::parse_scenario_duration(*v5);
-        if (!d) return fail_line(at, "bad churn rejoin_max");
-        churn.rejoin_max = *d;
-      } else if (const auto v6 = value_of(token, "leave")) {
-        const auto p = parse_probability(*v6);
-        if (!p) return fail_line(at, "bad churn leave fraction");
-        churn.leave_fraction = *p;
-      } else if (const auto v7 = value_of(token, "first")) {
-        const auto n = parse_u64(*v7);
-        if (!n) return fail_line(at, "bad churn first node");
-        churn.first_node = static_cast<std::size_t>(*n);
-      } else if (const auto v8 = value_of(token, "last")) {
-        const auto n = parse_u64(*v8);
-        if (!n) return fail_line(at, "bad churn last node");
-        churn.last_node = static_cast<std::size_t>(*n);
-      } else if (const auto v9 = value_of(token, "seed")) {
-        const auto n = parse_u64(*v9);
-        if (!n) return fail_line(at, "bad churn seed");
-        churn.rng_stream = *n;
-      } else {
-        return fail_line(at, "unknown churn attribute '" + token + "'");
-      }
+    KvSection attributes("churn");
+    ParamReader reader(attributes, error);
+    if (!attributes.add_attributes(c.churn->tokens.subspan(1),
+                                   text::line_source(n), &error)) {
+      return fail_with_error();
     }
-    if (!window_seen) {
-      return fail_line(c.churn_directive->line,
-                       "churn needs window=START..END");
+    if (!reader.has("window")) {
+      return fail_line(n, "churn needs window=START..END");
     }
+    std::size_t first = 0;
+    std::size_t last = 0;
+    if (!reader.take_probability("fraction", &churn.fraction) ||
+        !reader.take_probability("rejoin", &churn.rejoin_fraction) ||
+        !reader.take_duration("rejoin_min", &churn.rejoin_min) ||
+        !reader.take_duration("rejoin_max", &churn.rejoin_max) ||
+        !reader.take_probability("leave", &churn.leave_fraction) ||
+        !reader.take_count("first", &first, max_node) ||
+        !reader.take_count("last", &last, max_node) ||
+        !reader.require("last", !reader.has("first") || first <= last,
+                        "churn needs first <= last") ||
+        !reader.take_count("seed", &churn.rng_stream)) {
+      return fail_with_error();
+    }
+    if (reader.has("first")) churn.first_node = first;
+    if (reader.has("last")) churn.last_node = last;
+    const KvEntry* window = reader.take("window");
+    const std::string_view range(window->value);
+    const auto dots = range.find("..");
+    if (dots == std::string_view::npos) {
+      return fail_line(n, "churn window=START..END");
+    }
+    const auto start =
+        text::parse_duration(range.substr(0, dots), text::BareUnit::kSeconds);
+    const auto end =
+        text::parse_duration(range.substr(dots + 2), text::BareUnit::kSeconds);
+    if (!start || !end) {
+      return fail_line(n, "bad churn window '" + window->value + "'");
+    }
+    if (*end < *start) return fail_line(n, "churn window end before start");
+    churn.window_start = *start;
+    churn.window_end = *end;
+    if (!reader.finish()) return fail_with_error();
   }
-  if (!spec.faults.empty() && !plugin->supports_faults()) {
-    const int at = c.faults_include ? c.faults_include->line
-                   : c.churn_directive ? c.churn_directive->line
-                   : !c.faults_inline.empty() ? c.faults_inline.front().line
-                                              : 0;
-    return fail_line(at, "[faults] requires workload type " +
-                             registry.fault_capable_names());
-  }
-  if (spec.engine.stop == StopMode::kSurvivorsComplete &&
+  if (engine.stop == StopMode::kSurvivorsComplete &&
       !plugin->supports_survivors_stop()) {
-    return fail(stop_entry != nullptr ? stop_entry->source : "[engine]",
-                "stop=survivors_complete requires workload type " +
-                    registry.survivors_stop_names());
+    return fail(stop_source, "stop=survivors_complete requires workload type " +
+                                 registry.survivors_stop_names());
   }
   // Whole-spec validation owned by the plugin (e.g. gossip requires
   // stop=time), blamed on the [engine] stop source like the stop checks.
   if (std::string message = plugin->validate_spec(spec); !message.empty()) {
-    return fail(stop_entry != nullptr ? stop_entry->source : "[engine]",
-                message);
+    return fail(stop_source, message);
   }
 
   result.spec = std::move(spec);

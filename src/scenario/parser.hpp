@@ -1,8 +1,10 @@
 // The scenario DSL: one file per experiment.
 //
 // A `.scn` file opens with `scenario <name>` and then holds up to five
-// bracketed sections; '#' starts a comment anywhere, values with spaces are
-// double-quoted. Grammar (DESIGN.md §10 documents every key):
+// bracketed sections, in the grammar every experiment file shares
+// (common/text.hpp): '#' starts a comment anywhere outside double quotes,
+// values with spaces are double-quoted, a key is given at most once.
+// Grammar (DESIGN.md §10 documents every key and value range):
 //
 //   scenario fig8
 //
@@ -40,10 +42,10 @@
 // matching entry after the file is read; errors they cause are reported
 // against the override, not a file line.
 //
-// Errors carry the line number of the offending directive; errors inside
-// inline [topology]/[faults] blocks keep the enclosing file's numbering,
-// and errors inside an `include`d file are prefixed with the including
-// line and path.
+// The file is lexed once; inline [topology]/[faults] lines go to the
+// topology and fault parsers as token lines. Errors carry the line number
+// of the offending directive, inline blocks included, and errors inside an
+// `include`d file are prefixed with the including line and path.
 #pragma once
 
 #include <optional>
@@ -67,15 +69,12 @@ struct ParseOptions {
   std::vector<std::string> overrides;
 };
 
-ParseResult parse_scenario(std::string_view text,
+ParseResult parse_scenario(std::string_view source,
                            const ParseOptions& options = {});
 
 /// Read and parse `path`; includes resolve against its directory.
 ParseResult parse_scenario_file(const std::string& path,
                                 const std::vector<std::string>& overrides = {});
-
-/// Building blocks, exposed for reuse and tests.
-std::optional<DataSize> parse_data_size(std::string_view text);
 
 /// The pipe-joined `[engine]` key list — the single source the unknown-key
 /// parser error and `p2plab_run --list-workloads` both print.

@@ -12,7 +12,6 @@
 #include "metrics/stats.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/workload.hpp"
-#include "topology/parser.hpp"
 
 namespace p2plab::scenario {
 
@@ -522,69 +521,29 @@ class ValidatePlugin final : public WorkloadPlugin {
 
   bool parse_workload(ParamReader& reader,
                       ScenarioSpec& spec) const override {
-    bool nodes_ok = true;
-    const KvEntry* nodes_entry = nullptr;
-    bool ok = reader.take_count("nodes",
-                                [&](std::uint64_t v, const KvEntry& entry) {
-                                  spec.validate.nodes =
-                                      static_cast<std::size_t>(v);
-                                  nodes_entry = &entry;
-                                  nodes_ok = v >= 3;
-                                });
-    if (ok && !nodes_ok) {
-      return reader.fail(*nodes_entry, "validate needs nodes >= 3");
-    }
-    bool flows_ok = true;
-    const KvEntry* flows_entry = nullptr;
-    ok = ok && reader.take_count("flows",
-                                 [&](std::uint64_t v, const KvEntry& entry) {
-                                   spec.validate.flows =
-                                       static_cast<std::size_t>(v);
-                                   flows_entry = &entry;
-                                   flows_ok = v >= 1;
-                                 });
-    if (ok && !flows_ok) {
-      return reader.fail(*flows_entry, "validate needs flows >= 1");
-    }
-    ok = ok && reader.take_size("transfer", [&](DataSize v) {
-      spec.validate.transfer = v;
-    });
-    ok = ok && reader.take_size("message", [&](DataSize v) {
-      spec.validate.message = v;
-    });
-    ok = ok && reader.take_count("loss_datagrams",
-                                 [&](std::uint64_t v, const KvEntry&) {
-                                   spec.validate.loss_datagrams =
-                                       static_cast<std::size_t>(v);
-                                 });
-    ok = ok && reader.take_probability("ge_p_good_bad",
-                                       &spec.validate.ge_p_good_bad);
-    ok = ok && reader.take_probability("ge_p_bad_good",
-                                       &spec.validate.ge_p_bad_good);
-    ok = ok && reader.take_probability("ge_loss_bad",
-                                       &spec.validate.ge_loss_bad);
-    ok = ok && reader.take_probability("goodput_tolerance",
-                                       &spec.validate.goodput_tolerance);
-    ok = ok && reader.take_probability("rtt_tolerance",
-                                       &spec.validate.rtt_tolerance);
-    ok = ok && reader.take_probability("loss_tolerance",
-                                       &spec.validate.loss_tolerance);
-    ok = ok && reader.take_probability("jain_min",
-                                       &spec.validate.jain_min);
+    ValidateParams& v = spec.validate;
+    const bool ok =
+        reader.take_count("nodes", &v.nodes) &&
+        reader.require("nodes", v.nodes >= 3, "validate needs nodes >= 3") &&
+        reader.take_count("flows", &v.flows) &&
+        reader.require("flows", v.flows >= 1, "validate needs flows >= 1") &&
+        reader.take_size("transfer", &v.transfer) &&
+        reader.take_size("message", &v.message) &&
+        reader.take_count("loss_datagrams", &v.loss_datagrams) &&
+        reader.take_probability("ge_p_good_bad", &v.ge_p_good_bad) &&
+        reader.take_probability("ge_p_bad_good", &v.ge_p_bad_good) &&
+        reader.take_probability("ge_loss_bad", &v.ge_loss_bad) &&
+        reader.take_probability("goodput_tolerance", &v.goodput_tolerance) &&
+        reader.take_probability("rtt_tolerance", &v.rtt_tolerance) &&
+        reader.take_probability("loss_tolerance", &v.loss_tolerance) &&
+        reader.take_probability("jain_min", &v.jain_min) &&
+        reader.take_bandwidth("expect_bandwidth", &v.expect_bandwidth);
     if (!ok) return false;
-    if (KvEntry* entry = reader.take("expect_bandwidth")) {
-      const auto bw = topology::parse_bandwidth(entry->value);
-      if (!bw) {
-        return reader.fail(*entry, "bad bandwidth '" + entry->value +
-                                       "' for expect_bandwidth");
-      }
-      spec.validate.expect_bandwidth = *bw;
-    }
-    if (spec.validate.flows + 1 > spec.validate.nodes) {
-      const KvEntry* blame =
-          flows_entry != nullptr ? flows_entry : nodes_entry;
+    if (v.flows + 1 > v.nodes) {
+      const KvEntry* blame = reader.section().find("flows");
+      if (blame == nullptr) blame = reader.section().find("nodes");
       return reader.fail_at(
-          blame != nullptr ? blame->source : "[workload]",
+          blame != nullptr ? blame->source : text::line_source(0),
           "validate needs nodes > flows (a fairness sink besides "
           "the sources)");
     }

@@ -18,95 +18,24 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/time.hpp"
-#include "common/units.hpp"
+#include "common/text.hpp"
 
 namespace p2plab::scenario {
 
 struct ScenarioSpec;
 class ExperimentRunner;
 
-/// One `key value` line of a [workload]/[engine]/[outputs] section (or a
-/// `--set section.key=value` override), with the source string the golden
-/// error messages blame.
-struct KvEntry {
-  std::string key;
-  std::string value;
-  std::string source;  // "line 12" or "--set workload.clients=8"
-  bool consumed = false;
-};
-
-struct KvSection {
-  const char* name = "";
-  std::vector<KvEntry> entries;
-
-  KvEntry* find(std::string_view key) {
-    for (KvEntry& entry : entries) {
-      if (entry.key == key) return &entry;
-    }
-    return nullptr;
-  }
-  KvEntry* take(std::string_view key) {
-    KvEntry* entry = find(key);
-    if (entry != nullptr) entry->consumed = true;
-    return entry;
-  }
-  const KvEntry* first_unconsumed() const {
-    for (const KvEntry& entry : entries) {
-      if (!entry.consumed) return &entry;
-    }
-    return nullptr;
-  }
-};
-
-// Shared value parsers (also used by the scenario parser's non-kv
-// directives). All return nullopt on malformed input.
-std::optional<std::uint64_t> parse_u64(std::string_view text);
-std::optional<double> parse_probability(std::string_view text);
-std::optional<bool> parse_bool(std::string_view text);
-
-/// Typed readers over one KvSection. Every error names the source (file
-/// line or --set flag) exactly like the parser always has; a false return
-/// means `error()` is set and parsing must stop.
-class ParamReader {
- public:
-  ParamReader(KvSection& section, std::string& error)
-      : section_(section), error_(error) {}
-
-  using CountSetter = std::function<void(std::uint64_t, const KvEntry&)>;
-  using SizeSetter = std::function<void(DataSize)>;
-  using DurationSetter = std::function<void(Duration, const KvEntry&)>;
-  using BoolSetter = std::function<void(bool)>;
-
-  bool take_count(const char* key, const CountSetter& setter);
-  bool take_size(const char* key, const SizeSetter& setter);
-  bool take_duration(const char* key, const DurationSetter& setter);
-  bool take_bool(const char* key, const BoolSetter& setter);
-  bool take_string(const char* key, std::string* out);
-  bool take_probability(const char* key, double* out);
-
-  /// Mark `key` consumed and return its entry (nullptr when absent), for
-  /// keys with plugin-specific value grammars.
-  KvEntry* take(const char* key) { return section_.take(key); }
-
-  /// Record "<source>: <message>" and return false.
-  bool fail(const KvEntry& entry, const std::string& message);
-  bool fail_at(const std::string& source, const std::string& message);
-
-  const std::string& error() const { return error_; }
-  KvSection& section() { return section_; }
-
- private:
-  KvSection& section_;
-  std::string& error_;
-};
+// The plugins read their keys through the shared typed readers of the
+// experiment-file grammar (common/text.hpp).
+using text::KvEntry;
+using text::KvSection;
+using text::ParamReader;
 
 /// A running workload instance, created per experiment by its plugin.
 /// setup() builds the application on the runner's platform (the platform,

@@ -280,60 +280,25 @@ class GossipPlugin final : public WorkloadPlugin {
 
   bool parse_workload(ParamReader& reader,
                       ScenarioSpec& spec) const override {
-    bool nodes_ok = true;
-    const KvEntry* nodes_entry = nullptr;
-    bool ok = reader.take_count("nodes",
-                                [&](std::uint64_t v, const KvEntry& entry) {
-                                  spec.gossip.nodes =
-                                      static_cast<std::size_t>(v);
-                                  nodes_entry = &entry;
-                                  nodes_ok = v >= 2;
-                                });
-    if (ok && !nodes_ok) {
-      return reader.fail(*nodes_entry, "gossip needs nodes >= 2");
-    }
+    gossip::Config& config = spec.gossip;
     auto take_positive = [&](const char* key, Duration* target) {
-      const KvEntry* seen = nullptr;
-      if (!reader.take_duration(key, [&](Duration v, const KvEntry& entry) {
-            *target = v;
-            seen = &entry;
-          })) {
-        return false;
-      }
-      if (seen != nullptr && *target <= Duration::zero()) {
-        return reader.fail(*seen,
-                           std::string(key) + " must be positive");
-      }
-      return true;
+      return reader.take_duration(key, target) &&
+             reader.require(key, *target > Duration::zero(),
+                            std::string(key) + " must be positive");
     };
-    ok = ok && take_positive("period", &spec.gossip.period);
-    ok = ok && take_positive("ping_timeout", &spec.gossip.ping_timeout);
-    ok = ok && take_positive("suspect_timeout", &spec.gossip.suspect_timeout);
-    const KvEntry* indirect_entry = nullptr;
-    ok = ok && reader.take_count("indirect",
-                                 [&](std::uint64_t v, const KvEntry& entry) {
-                                   spec.gossip.indirect_k =
-                                       static_cast<std::size_t>(v);
-                                   indirect_entry = &entry;
-                                 });
-    if (ok && indirect_entry != nullptr && spec.gossip.indirect_k == 0) {
-      return reader.fail(*indirect_entry, "indirect must be positive");
-    }
-    const KvEntry* piggyback_entry = nullptr;
-    ok = ok && reader.take_count("piggyback",
-                                 [&](std::uint64_t v, const KvEntry& entry) {
-                                   spec.gossip.piggyback =
-                                       static_cast<std::size_t>(v);
-                                   piggyback_entry = &entry;
-                                 });
-    if (ok && piggyback_entry != nullptr && spec.gossip.piggyback == 0) {
-      return reader.fail(*piggyback_entry, "piggyback must be positive");
-    }
-    ok = ok && reader.take_duration("join_interval",
-                                    [&](Duration v, const KvEntry&) {
-                                      spec.gossip.join_interval = v;
-                                    });
-    return ok;
+    return reader.take_count("nodes", &config.nodes) &&
+           reader.require("nodes", config.nodes >= 2,
+                          "gossip needs nodes >= 2") &&
+           take_positive("period", &config.period) &&
+           take_positive("ping_timeout", &config.ping_timeout) &&
+           take_positive("suspect_timeout", &config.suspect_timeout) &&
+           reader.take_count("indirect", &config.indirect_k) &&
+           reader.require("indirect", config.indirect_k > 0,
+                          "indirect must be positive") &&
+           reader.take_count("piggyback", &config.piggyback) &&
+           reader.require("piggyback", config.piggyback > 0,
+                          "piggyback must be positive") &&
+           reader.take_duration("join_interval", &config.join_interval);
   }
 
   bool parse_outputs(ParamReader& reader, ScenarioSpec& spec) const override {

@@ -91,49 +91,17 @@ class PingSweepPlugin final : public WorkloadPlugin {
 
   bool parse_workload(ParamReader& reader,
                       ScenarioSpec& spec) const override {
-    bool nodes_ok = true;
-    const KvEntry* nodes_entry = nullptr;
-    bool ok = reader.take_count("nodes",
-                                [&](std::uint64_t v, const KvEntry& entry) {
-                                  spec.ping.nodes =
-                                      static_cast<std::size_t>(v);
-                                  nodes_entry = &entry;
-                                  nodes_ok = v >= 2;
-                                });
-    if (ok && !nodes_ok) {
-      return reader.fail(*nodes_entry, "ping_sweep needs nodes >= 2");
-    }
-    // Rule counts are 32-bit (Firewall::add_filler_rules): refuse a larger
-    // value instead of sweeping its truncation.
-    auto take_rules = [&](const char* key, std::uint32_t* target,
-                          bool positive) {
-      const KvEntry* seen = nullptr;
-      std::uint64_t value = 0;
-      if (!reader.take_count(key, [&](std::uint64_t v, const KvEntry& entry) {
-            value = v;
-            seen = &entry;
-          })) {
-        return false;
-      }
-      if (seen == nullptr) return true;
-      if (value > std::numeric_limits<std::uint32_t>::max()) {
-        return reader.fail(*seen,
-                           std::string(key) + " must be at most 4294967295");
-      }
-      if (positive && value == 0) {
-        return reader.fail(*seen, std::string(key) + " must be positive");
-      }
-      *target = static_cast<std::uint32_t>(value);
-      return true;
-    };
-    ok = ok && take_rules("rules_max", &spec.ping.rules_max, false);
-    ok = ok && take_rules("rules_step", &spec.ping.rules_step, true);
-    ok = ok && reader.take_count("probes",
-                                 [&](std::uint64_t v, const KvEntry&) {
-                                   spec.ping.probes =
-                                       static_cast<std::size_t>(v);
-                                 });
-    return ok;
+    PingSweepParams& ping = spec.ping;
+    // Rule counts are 32-bit (Firewall::add_filler_rules): take_count
+    // refuses a larger value instead of sweeping its truncation.
+    return reader.take_count("nodes", &ping.nodes) &&
+           reader.require("nodes", ping.nodes >= 2,
+                          "ping_sweep needs nodes >= 2") &&
+           reader.take_count("rules_max", &ping.rules_max) &&
+           reader.take_count("rules_step", &ping.rules_step) &&
+           reader.require("rules_step", ping.rules_step > 0,
+                          "rules_step must be positive") &&
+           reader.take_count("probes", &ping.probes);
   }
 
   bool parse_outputs(ParamReader& reader, ScenarioSpec& spec) const override {

@@ -1,119 +1,11 @@
-// The workload plugin registry and the shared typed parameter readers.
+// The workload plugin registry.
 #include "scenario/workload.hpp"
 
 #include <algorithm>
-#include <charconv>
 
 #include "common/assert.hpp"
-#include "fault/plan.hpp"
-#include "scenario/parser.hpp"
 
 namespace p2plab::scenario {
-
-std::optional<std::uint64_t> parse_u64(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size()) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-std::optional<double> parse_probability(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  double value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size() || value < 0 ||
-      value > 1) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-std::optional<bool> parse_bool(std::string_view text) {
-  if (text == "on" || text == "true" || text == "1") return true;
-  if (text == "off" || text == "false" || text == "0") return false;
-  return std::nullopt;
-}
-
-bool ParamReader::fail(const KvEntry& entry, const std::string& message) {
-  return fail_at(entry.source, message);
-}
-
-bool ParamReader::fail_at(const std::string& source,
-                          const std::string& message) {
-  error_ = source + ": " + message;
-  return false;
-}
-
-bool ParamReader::take_count(const char* key, const CountSetter& setter) {
-  if (KvEntry* entry = section_.take(key)) {
-    const auto value = parse_u64(entry->value);
-    if (!value) {
-      return fail(*entry,
-                  "bad count '" + entry->value + "' for " + std::string(key));
-    }
-    setter(*value, *entry);
-  }
-  return true;
-}
-
-bool ParamReader::take_size(const char* key, const SizeSetter& setter) {
-  if (KvEntry* entry = section_.take(key)) {
-    const auto value = parse_data_size(entry->value);
-    if (!value) {
-      return fail(*entry, "bad size '" + entry->value + "' for " +
-                              std::string(key) + " (use k/M/G suffixes)");
-    }
-    setter(*value);
-  }
-  return true;
-}
-
-bool ParamReader::take_duration(const char* key,
-                                const DurationSetter& setter) {
-  if (KvEntry* entry = section_.take(key)) {
-    const auto value = fault::parse_scenario_duration(entry->value);
-    if (!value) {
-      return fail(*entry, "bad duration '" + entry->value + "' for " +
-                              std::string(key));
-    }
-    setter(*value, *entry);
-  }
-  return true;
-}
-
-bool ParamReader::take_bool(const char* key, const BoolSetter& setter) {
-  if (KvEntry* entry = section_.take(key)) {
-    const auto value = parse_bool(entry->value);
-    if (!value) {
-      return fail(*entry, "bad value '" + entry->value + "' for " +
-                              std::string(key) + " (expected on|off)");
-    }
-    setter(*value);
-  }
-  return true;
-}
-
-bool ParamReader::take_string(const char* key, std::string* out) {
-  if (KvEntry* entry = section_.take(key)) *out = entry->value;
-  return true;
-}
-
-bool ParamReader::take_probability(const char* key, double* out) {
-  if (KvEntry* entry = section_.take(key)) {
-    const auto value = parse_probability(entry->value);
-    if (!value) {
-      return fail(*entry, "bad value '" + entry->value + "' for " +
-                              std::string(key) + " (expected 0..1)");
-    }
-    *out = *value;
-  }
-  return true;
-}
 
 WorkloadRegistry::WorkloadRegistry() {
   register_swarm_workload(*this);

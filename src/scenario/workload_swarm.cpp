@@ -343,76 +343,35 @@ class SwarmPlugin final : public WorkloadPlugin {
 
   bool parse_workload(ParamReader& reader,
                       ScenarioSpec& spec) const override {
-    bool ok = reader.take_count("clients",
-                                [&](std::uint64_t v, const KvEntry&) {
-                                  spec.swarm.clients =
-                                      static_cast<std::size_t>(v);
-                                });
-    ok = ok && reader.take_count("seeders",
-                                 [&](std::uint64_t v, const KvEntry&) {
-                                   spec.swarm.seeders =
-                                       static_cast<std::size_t>(v);
-                                 });
-    ok = ok && reader.take_size("file_size", [&](DataSize v) {
-      spec.swarm.file_size = v;
-    });
-    ok = ok && reader.take_size("piece_length", [&](DataSize v) {
-      spec.swarm.piece_length = v;
-    });
-    ok = ok && reader.take_duration("start_interval",
-                                    [&](Duration v, const KvEntry&) {
-                                      spec.swarm.start_interval = v;
-                                    });
-    ok = ok && reader.take_count("content_seed",
-                                 [&](std::uint64_t v, const KvEntry&) {
-                                   spec.swarm.content_seed = v;
-                                 });
-    ok = ok && reader.take_bool("verify_hashes", [&](bool v) {
-      spec.swarm.verify_hashes = v;
-    });
-    ok = ok && reader.take_duration("max_duration",
-                                    [&](Duration v, const KvEntry&) {
-                                      spec.swarm.max_duration = v;
-                                    });
-    return ok;
+    bt::SwarmConfig& swarm = spec.swarm;
+    return reader.take_count("clients", &swarm.clients) &&
+           reader.take_count("seeders", &swarm.seeders) &&
+           reader.take_size("file_size", &swarm.file_size) &&
+           reader.take_size("piece_length", &swarm.piece_length) &&
+           reader.take_duration("start_interval", &swarm.start_interval) &&
+           reader.take_count("content_seed", &swarm.content_seed) &&
+           reader.take_bool("verify_hashes", &swarm.verify_hashes) &&
+           reader.take_duration("max_duration", &swarm.max_duration);
   }
 
   bool parse_outputs(ParamReader& reader, ScenarioSpec& spec) const override {
-    const KvEntry* grid_entry = nullptr;
-    bool ok = reader.take_duration("grid",
-                                   [&](Duration v, const KvEntry& entry) {
-                                     spec.outputs.grid = v;
-                                     grid_entry = &entry;
-                                   });
-    if (ok && grid_entry != nullptr &&
-        spec.outputs.grid <= Duration::zero()) {
-      return reader.fail(*grid_entry, "grid must be positive");
-    }
-    ok = ok && reader.take_string("progress_envelope",
-                                  &spec.outputs.progress_envelope);
-    ok = ok && reader.take_string("completions", &spec.outputs.completions);
-    ok = ok && reader.take_string("completions_note",
-                                  &spec.outputs.completions_note);
-    ok = ok && reader.take_string("sampled_progress",
-                                  &spec.outputs.sampled_progress);
-    const KvEntry* every_entry = nullptr;
-    ok = ok && reader.take_count("sampled_every",
-                                 [&](std::uint64_t v, const KvEntry& entry) {
-                                   spec.outputs.sampled_every =
-                                       static_cast<std::size_t>(v);
-                                   every_entry = &entry;
-                                 });
-    if (ok && every_entry != nullptr && spec.outputs.sampled_every == 0) {
-      return reader.fail(*every_entry, "sampled_every must be positive");
-    }
-    ok = ok && reader.take_string("completion_curve",
-                                  &spec.outputs.completion_curve);
-    ok = ok && reader.take_string("completion_curve_note",
-                                  &spec.outputs.completion_curve_note);
-    ok = ok && reader.take_string("summary", &spec.outputs.summary);
-    ok = ok && reader.take_string("metrics", &spec.outputs.metrics);
-    ok = ok && reader.take_string("trace", &spec.outputs.trace_file);
-    return ok;
+    OutputsSection& out = spec.outputs;
+    return reader.take_duration("grid", &out.grid) &&
+           reader.require("grid", out.grid > Duration::zero(),
+                          "grid must be positive") &&
+           reader.take_string("progress_envelope", &out.progress_envelope) &&
+           reader.take_string("completions", &out.completions) &&
+           reader.take_string("completions_note", &out.completions_note) &&
+           reader.take_string("sampled_progress", &out.sampled_progress) &&
+           reader.take_count("sampled_every", &out.sampled_every) &&
+           reader.require("sampled_every", out.sampled_every > 0,
+                          "sampled_every must be positive") &&
+           reader.take_string("completion_curve", &out.completion_curve) &&
+           reader.take_string("completion_curve_note",
+                              &out.completion_curve_note) &&
+           reader.take_string("summary", &out.summary) &&
+           reader.take_string("metrics", &out.metrics) &&
+           reader.take_string("trace", &out.trace_file);
   }
 
   std::size_t vnodes(const ScenarioSpec& spec) const override {

@@ -1,15 +1,19 @@
 // Text format for experiment topologies.
 //
 // The real P2PLab configures experiments from description files; this is
-// our equivalent. One directive per line, '#' comments:
+// our equivalent. One directive per line, in the shared grammar of every
+// experiment file (common/text.hpp: '#' comments anywhere outside double
+// quotes, key=value attributes, each given at most once):
 //
 //   zone <name> <cidr> nodes=<n> down=<bw> up=<bw> latency=<dur> [loss=<p>]
+//        [burst=<p_good_bad>:<p_bad_good>[:<loss_bad>]]
 //   container <name> <cidr>
 //   latency <nameA> <nameB> <dur>
 //
 // Bandwidths accept 56k / 512k / 2M / 1G / plain bits-per-second, or
-// `unlimited` (a pure delay element: no serialization); durations accept 30ms / 2s / 400ms / plain milliseconds. Example — the
-// paper's Figure 7 topology:
+// `unlimited` (a pure delay element: no serialization); durations accept
+// 30ms / 2s / 250us / plain milliseconds. Example — the paper's Figure 7
+// topology:
 //
 //   container isp1 10.1.0.0/16
 //   zone modems 10.1.1.0/24 nodes=250 down=56k  up=33600 latency=100ms
@@ -26,9 +30,11 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
+#include "common/text.hpp"
 #include "topology/topology.hpp"
 
 namespace p2plab::topology {
@@ -38,10 +44,11 @@ struct ParseResult {
   std::string error;                 // human-readable, with line number
 };
 
-ParseResult parse_topology(std::string_view text);
+/// Parse already-lexed lines; errors quote each line's own number (the
+/// scenario parser hands over its inline [topology] block this way).
+ParseResult parse_topology(std::span<const text::TokenLine> lines);
 
-/// Building blocks, exposed for reuse and tests.
-std::optional<Bandwidth> parse_bandwidth(std::string_view text);
-std::optional<Duration> parse_duration(std::string_view text);
+/// Lex `source`, then parse it.
+ParseResult parse_topology(std::string_view source);
 
 }  // namespace p2plab::topology

@@ -159,7 +159,7 @@ TEST(FaultPlanParse, RejectsMalformedInputWithLineNumbers) {
   auto expect_error = [](std::string_view text) {
     const auto result = FaultPlan::parse(text);
     EXPECT_FALSE(result.plan.has_value()) << "accepted: " << text;
-    EXPECT_NE(result.error.find("line"), std::string::npos) << result.error;
+    EXPECT_EQ(result.error.rfind("line 1: ", 0), 0u) << result.error;
   };
   expect_error("explode node=1 at=3");            // unknown directive
   expect_error("crash at=3");                     // missing node
@@ -170,6 +170,32 @@ TEST(FaultPlanParse, RejectsMalformedInputWithLineNumbers) {
   expect_error("burstloss node=1 at=3 for=5 pgb=1.5 pbg=0.5");  // p > 1
   expect_error("burstloss node=1 at=3 for=5 pgb=0.5 pbg=0");    // pbg = 0
   expect_error("crash node=1 at=3 bogus=7");      // unknown attribute
+  // Each of these used to parse and then abort the run or change it.
+  expect_error("burstloss node=1 at=3 for=5 pgb=nan pbg=0.5");  // NaN
+  expect_error("spike node=1 at=3 add=1e30 for=5");  // past the ns clock
+  expect_error("tracker_outage at=1e300 for=5");
+  expect_error("crash node=1 at=inf");
+  expect_error("crash node=-1 at=3");             // wrapped to 2^64-1
+  expect_error("crash node=1.5 at=3");            // truncated to 1
+  expect_error("crash node=1 node=2 at=3");       // last one won
+}
+
+TEST(FaultPlanParse, NodeIndexesAreBoundedByTheCaller) {
+  EXPECT_TRUE(FaultPlan::parse("crash node=7 at=1", 7).plan.has_value());
+  EXPECT_EQ(FaultPlan::parse("crash node=8 at=1", 7).error,
+            "line 1: node must be at most 7");
+  // tracker_outage names no node, so the bound does not apply.
+  EXPECT_TRUE(FaultPlan::parse("tracker_outage at=1 for=2", 0)
+                  .plan.has_value());
+}
+
+TEST(FaultPlanParse, HashStartsACommentInsideAToken) {
+  // Same comment rule as .scn and topology files: `at=5#x` is `at=5`.
+  const auto result = FaultPlan::parse("crash node=3 at=5#x rejoin=9\n");
+  ASSERT_TRUE(result.plan.has_value()) << result.error;
+  ASSERT_EQ(result.plan->size(), 1u);
+  EXPECT_EQ(result.plan->specs()[0].at, at_sec(5));
+  EXPECT_FALSE(result.plan->specs()[0].rejoin);
 }
 
 TEST(FaultPlanParse, KindNamesAreStable) {

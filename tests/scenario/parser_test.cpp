@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -84,15 +86,15 @@ TEST(ScenarioParser, SizesAndDurations) {
 }
 
 TEST(ScenarioParser, ParseDataSizeUnits) {
-  EXPECT_EQ(parse_data_size("100")->count_bytes(), 100u);
-  EXPECT_EQ(parse_data_size("256k")->count_bytes(), 256u * 1024);
-  EXPECT_EQ(parse_data_size("256K")->count_bytes(), 256u * 1024);
-  EXPECT_EQ(parse_data_size("16M")->count_bytes(), 16u * 1024 * 1024);
-  EXPECT_EQ(parse_data_size("1G")->count_bytes(), 1024u * 1024 * 1024);
-  EXPECT_FALSE(parse_data_size("0"));    // sizes must be positive
-  EXPECT_FALSE(parse_data_size(""));
-  EXPECT_FALSE(parse_data_size("12T"));  // unknown suffix
-  EXPECT_FALSE(parse_data_size("bogus"));
+  EXPECT_EQ(text::parse_size("100")->count_bytes(), 100u);
+  EXPECT_EQ(text::parse_size("256k")->count_bytes(), 256u * 1024);
+  EXPECT_EQ(text::parse_size("256K")->count_bytes(), 256u * 1024);
+  EXPECT_EQ(text::parse_size("16M")->count_bytes(), 16u * 1024 * 1024);
+  EXPECT_EQ(text::parse_size("1G")->count_bytes(), 1024u * 1024 * 1024);
+  EXPECT_FALSE(text::parse_size("0"));    // sizes must be positive
+  EXPECT_FALSE(text::parse_size(""));
+  EXPECT_FALSE(text::parse_size("12T"));  // unknown suffix
+  EXPECT_FALSE(text::parse_size("bogus"));
 }
 
 // -- validate workload (the accuracy harness) -----------------------------
@@ -275,7 +277,7 @@ TEST(ScenarioParserGossip, GossipDefaultStopRejected) {
   EXPECT_EQ(parse_error("scenario x\n"
                         "[workload]\n"
                         "type gossip\n"),
-            "[engine]: gossip requires stop=time (membership has no "
+            "line 0: gossip requires stop=time (membership has no "
             "completion; run_for bounds the experiment)");
 }
 
@@ -463,6 +465,127 @@ TEST(ScenarioParserErrors, UnterminatedQuote) {
                         "[outputs]\n"
                         "completions_note \"oops\n"),
             "line 5: unterminated quote");
+}
+
+TEST(ScenarioParserErrors, FaultNodesOutsideTheWorkload) {
+  // Each of these used to parse and then abort the run with an uncaught
+  // std::out_of_range. A swarm of 8 clients has 13 vnodes (0..12), an
+  // 8-member gossip 8.
+  const std::string swarm =
+      "scenario x\n"
+      "[workload]\n"
+      "type swarm\n"
+      "clients 8\n"
+      "[faults]\n";
+  const std::string gossip =
+      "scenario x\n"
+      "[workload]\n"
+      "type gossip\n"
+      "nodes 8\n"
+      "[engine]\n"
+      "stop time\n"
+      "run_for 60\n"
+      "[faults]\n";
+  EXPECT_EQ(parse_error(swarm + "linkdown node=50 at=1 for=5\n"),
+            "line 6: node must be at most 12");
+  EXPECT_EQ(parse_error(swarm + "crash node=-1 at=1\n"),
+            "line 6: bad count '-1' for node");
+  EXPECT_EQ(parse_error(swarm +
+                        "churn fraction=0.5 window=1..20 first=5 last=500\n"),
+            "line 6: last must be at most 12");
+  EXPECT_EQ(parse_error(swarm + "churn window=1..20 first=9 last=5\n"),
+            "line 6: churn needs first <= last");
+  EXPECT_EQ(parse_error(gossip + "crash node=20 at=5\n"),
+            "line 9: node must be at most 7");
+  EXPECT_EQ(parse_error(gossip + "churn window=1..20 first=8\n"),
+            "line 9: first must be at most 7");
+  const ScenarioSpec edge = parse_ok(gossip + "crash node=7 at=5\n");
+  EXPECT_EQ(edge.faults.plan.specs()[0].node, 7u);
+
+  // An included fault file keeps the "include '...': line N" shape.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "p2plab_parser_test";
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream plan(dir / "far.fault");
+    plan << "# plan\ncrash node=3 at=1\ncrash node=20 at=5\n";
+  }
+  ParseOptions options;
+  options.base_dir = dir.string();
+  EXPECT_EQ(parse_scenario(gossip + "include far.fault\n", options).error,
+            "line 9: include 'far.fault': line 3: node must be at most 7");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ScenarioParserErrors, MalformedValuesCarryTheirLine) {
+  // NaN, infinity, values past their 64-bit field, fractional counts and
+  // repeated attributes parsed on the old code and then aborted the run
+  // or changed it silently; each is now refused on its own line.
+  const std::string head =
+      "scenario x\n"
+      "[workload]\n"
+      "type swarm\n";
+  const std::pair<std::string, std::string> cases[] = {
+      {head + "file_size 1e30G\n", "line 4: bad size '1e30G'"},
+      {head + "max_duration inf\n", "line 4: bad duration 'inf'"},
+      {head + "start_interval nan\n", "line 4: bad duration 'nan'"},
+      {head + "clients 5.7\n", "line 4: bad count '5.7'"},
+      {head + "[faults]\nchurn fraction=nan window=1..20\n",
+       "line 5: bad value 'nan' for fraction"},
+      {head + "[faults]\nchurn window=1..20 window=2..30\n",
+       "line 5: duplicate key 'window' in churn"},
+      {head + "[faults]\ntracker_outage at=1e300 for=5\n",
+       "line 5: bad duration '1e300' for at"},
+      {head + "[faults]\nspike node=5 at=1 add=1e30 for=5\n",
+       "line 5: bad duration '1e30' for add"},
+      {head + "[faults]\nburstloss node=5 at=1 for=5 pgb=nan pbg=0.3\n",
+       "line 5: bad value 'nan' for pgb"},
+      {head + "[topology]\nauto latency=nan\n",
+       "line 5: bad duration 'nan' for latency"},
+      {head + "[topology]\nauto loss=nan\n",
+       "line 5: bad value 'nan' for loss"},
+      {head + "[topology]\nauto down=1e30G\n",
+       "line 5: bad bandwidth '1e30G' for down"},
+      {head + "[topology]\nauto up=1M up=2M\n",
+       "line 5: duplicate key 'up' in auto"},
+      {head + "[topology]\nauto jitter=5ms\n",
+       "line 5: unknown key 'jitter' in auto"},
+      {head + "[topology]\n"
+              "zone a 10.1.0.0/24 nodes=5.7 down=2M up=1M latency=1ms\n",
+       "line 5: bad count '5.7' for nodes"},
+      {head + "[topology]\n"
+              "zone a 10.1.0.0/24 nodes=20 down=2M up=1M latency=1e30s\n",
+       "line 5: bad duration '1e30s' for latency"},
+      {head + "[topology]\n"
+              "zone a 10.1.0.0/24 nodes=20 down=2M up=1M latency=1ms\n"
+              "zone b 10.2.0.0/24 nodes=20 down=2M up=1M latency=1ms\n"
+              "latency a b 1e300\n",
+       "line 7: bad latency '1e300'"},
+  };
+  for (const auto& [text, expected] : cases) {
+    const std::string error = parse_error(text);
+    EXPECT_EQ(error.rfind(expected, 0), 0u) << text << " -> " << error;
+  }
+}
+
+TEST(ScenarioParser, HashStartsACommentInEverySection) {
+  // `#` outside quotes ends the line in [faults] and [topology] just as in
+  // the key/value sections: `at=5#x` is `at=5`.
+  const ScenarioSpec spec = parse_ok(
+      "scenario x\n"
+      "[workload]\n"
+      "type swarm\n"
+      "clients 8#0\n"
+      "[topology]\n"
+      "zone a 10.1.0.0/24 nodes=20 down=2M up=1M latency=7ms#x loss=1\n"
+      "[faults]\n"
+      "crash node=3 at=5#x rejoin=9\n");
+  EXPECT_EQ(spec.swarm.clients, 8u);
+  EXPECT_EQ(spec.topology.built->zones()[0].link.latency, Duration::ms(7));
+  EXPECT_EQ(spec.topology.built->zones()[0].link.loss_rate, 0.0);
+  ASSERT_EQ(spec.faults.plan.size(), 1u);
+  EXPECT_EQ(spec.faults.plan.specs()[0].at, SimTime::zero() + Duration::sec(5));
+  EXPECT_FALSE(spec.faults.plan.specs()[0].rejoin);
 }
 
 // -- profiling keys -------------------------------------------------------

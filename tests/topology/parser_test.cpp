@@ -24,28 +24,29 @@ latency g2 g3 1s
 )";
 
 TEST(ParseBandwidth, UnitsAndErrors) {
-  EXPECT_EQ(*parse_bandwidth("56k"), Bandwidth::kbps(56));
-  EXPECT_EQ(*parse_bandwidth("512K"), Bandwidth::kbps(512));
-  EXPECT_EQ(*parse_bandwidth("2M"), Bandwidth::mbps(2));
-  EXPECT_EQ(*parse_bandwidth("1G"), Bandwidth::gbps(1));
-  EXPECT_EQ(*parse_bandwidth("33600"), Bandwidth::bps(33600));
-  EXPECT_EQ(*parse_bandwidth("1.5M"), Bandwidth::bps(1500000));
-  EXPECT_TRUE(parse_bandwidth("unlimited")->is_unlimited());
-  EXPECT_FALSE(parse_bandwidth("").has_value());
-  EXPECT_FALSE(parse_bandwidth("fast").has_value());
-  EXPECT_FALSE(parse_bandwidth("-2M").has_value());
-  EXPECT_FALSE(parse_bandwidth("M").has_value());
+  EXPECT_EQ(*text::parse_bandwidth("56k"), Bandwidth::kbps(56));
+  EXPECT_EQ(*text::parse_bandwidth("512K"), Bandwidth::kbps(512));
+  EXPECT_EQ(*text::parse_bandwidth("2M"), Bandwidth::mbps(2));
+  EXPECT_EQ(*text::parse_bandwidth("1G"), Bandwidth::gbps(1));
+  EXPECT_EQ(*text::parse_bandwidth("33600"), Bandwidth::bps(33600));
+  EXPECT_EQ(*text::parse_bandwidth("1.5M"), Bandwidth::bps(1500000));
+  EXPECT_TRUE(text::parse_bandwidth("unlimited")->is_unlimited());
+  EXPECT_FALSE(text::parse_bandwidth("").has_value());
+  EXPECT_FALSE(text::parse_bandwidth("fast").has_value());
+  EXPECT_FALSE(text::parse_bandwidth("-2M").has_value());
+  EXPECT_FALSE(text::parse_bandwidth("M").has_value());
 }
 
 TEST(ParseDuration, UnitsAndErrors) {
-  EXPECT_EQ(*parse_duration("30ms"), Duration::ms(30));
-  EXPECT_EQ(*parse_duration("1s"), Duration::sec(1));
-  EXPECT_EQ(*parse_duration("2.5s"), Duration::ms(2500));
-  EXPECT_EQ(*parse_duration("250us"), Duration::us(250));
-  EXPECT_EQ(*parse_duration("400"), Duration::ms(400));  // bare = ms
-  EXPECT_FALSE(parse_duration("").has_value());
-  EXPECT_FALSE(parse_duration("soon").has_value());
-  EXPECT_FALSE(parse_duration("-1s").has_value());
+  constexpr auto kMs = text::BareUnit::kMillis;
+  EXPECT_EQ(*text::parse_duration("30ms", kMs), Duration::ms(30));
+  EXPECT_EQ(*text::parse_duration("1s", kMs), Duration::sec(1));
+  EXPECT_EQ(*text::parse_duration("2.5s", kMs), Duration::ms(2500));
+  EXPECT_EQ(*text::parse_duration("250us", kMs), Duration::us(250));
+  EXPECT_EQ(*text::parse_duration("400", kMs), Duration::ms(400));  // bare = ms
+  EXPECT_FALSE(text::parse_duration("", kMs).has_value());
+  EXPECT_FALSE(text::parse_duration("soon", kMs).has_value());
+  EXPECT_FALSE(text::parse_duration("-1s", kMs).has_value());
 }
 
 TEST(ParseTopology, Figure7RoundTrip) {
@@ -69,9 +70,13 @@ TEST(ParseTopology, Figure7RoundTrip) {
 TEST(ParseTopology, CommentsAndBlankLines) {
   const auto result = parse_topology(
       "# just a comment\n\n"
-      "zone a 10.0.0.0/24 nodes=3 down=2M up=128k latency=30ms # inline\n");
+      "zone a 10.0.0.0/24 nodes=3 down=2M up=128k latency=30ms # inline\n"
+      // '#' ends the line even inside a token, as in every experiment file.
+      "zone b 10.1.0.0/24 nodes=2 down=2M up=128k latency=7ms#x loss=0.5\n");
   ASSERT_TRUE(result.topology.has_value()) << result.error;
-  EXPECT_EQ(result.topology->total_nodes(), 3u);
+  EXPECT_EQ(result.topology->total_nodes(), 5u);
+  EXPECT_EQ(result.topology->zones()[1].link.latency, Duration::ms(7));
+  EXPECT_EQ(result.topology->zones()[1].link.loss_rate, 0.0);
 }
 
 TEST(ParseTopology, LossAttribute) {
@@ -92,6 +97,34 @@ TEST(ParseTopology, ErrorsCarryLineNumbers) {
       std::make_pair("zone a 10.0.0.0/30 nodes=9 down=2M up=1M latency=1ms\n",
                      "too small"),
       std::make_pair("", "no nodes"),
+      // Each of these used to parse and then abort the run or change it:
+      // NaN, values past their 64-bit field, a truncated fractional count,
+      // a repeated attribute where the last one won.
+      std::make_pair("zone a 10.0.0.0/24 nodes=3 down=2M up=1M latency=nan\n",
+                     "line 1: bad duration 'nan'"),
+      std::make_pair(
+          "zone a 10.0.0.0/24 nodes=3 down=2M up=1M latency=1ms loss=nan\n",
+          "line 1: bad value 'nan' for loss"),
+      std::make_pair(
+          "zone a 10.0.0.0/24 nodes=3 down=2M up=1M latency=1e30s\n",
+          "line 1: bad duration '1e30s'"),
+      std::make_pair(
+          "zone a 10.0.0.0/24 nodes=3 down=1e30G up=1M latency=1ms\n",
+          "line 1: bad bandwidth '1e30G'"),
+      std::make_pair(
+          "zone a 10.0.0.0/24 nodes=5.7 down=2M up=1M latency=1ms\n",
+          "line 1: bad count '5.7'"),
+      std::make_pair(
+          "zone a 10.0.0.0/24 nodes=3 down=1M down=2M up=1M latency=1ms\n",
+          "line 1: duplicate key 'down' in zone"),
+      std::make_pair(
+          "zone a 10.0.0.0/24 nodes=3 down=2M up=1M latency=1ms "
+          "burst=0.1:nan\n",
+          "line 1: bad burst"),
+      std::make_pair("zone a 10.0.0.0/24 nodes=3 down=2M up=1M latency=1ms\n"
+                     "zone b 10.1.0.0/24 nodes=3 down=2M up=1M latency=1ms\n"
+                     "latency a b 1e300\n",
+                     "line 3: bad latency '1e300'"),
   };
   for (const auto& [text, expected] : cases) {
     const auto result = parse_topology(text);
