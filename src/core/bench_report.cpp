@@ -3,8 +3,8 @@
 #include <sys/resource.h>
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "metrics/trace.hpp"
 #include "profile/profiler.hpp"
 
 namespace p2plab::core {
@@ -72,17 +72,7 @@ void write_bench_json(
   }
   json += "}";
   std::printf("# %s %s\n", name.c_str(), json.c_str());
-  if (const char* dir = std::getenv("P2PLAB_RESULTS_DIR")) {
-    const std::string path = std::string(dir) + "/" + name + ".json";
-    if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-      std::fprintf(f, "%s\n", json.c_str());
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr,
-                   "# P2PLAB_RESULTS_DIR=%s is not writable; %s only on "
-                   "stdout\n", dir, name.c_str());
-    }
-  }
+  metrics::write_results_file(name + ".json", json + "\n");
 }
 
 }  // namespace p2plab::core

@@ -30,8 +30,8 @@ std::vector<std::pair<std::string, double>> bench_fields(
 
 /// Serialize `{"scenario": "<scenario>", fields...}` (15 significant
 /// digits, so event counts up to 2^53 survive the double round-trip),
-/// echo `# <name> <json>` to stdout and write $P2PLAB_RESULTS_DIR/
-/// <name>.json when the results dir is set.
+/// echo `# <name> <json>` to stdout and write it to <name>.json in the
+/// results directory (metrics::ResultsFile).
 void write_bench_json(const std::string& scenario, const std::string& name,
                       const std::vector<std::pair<std::string, double>>&
                           fields);

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
+#include "metrics/trace.hpp"
 
 namespace p2plab::core {
 
@@ -442,17 +442,13 @@ bool Platform::flush_profile_to_results(const char* filename) const {
 
 bool Platform::flush_trace_to_results(const char* filename) const {
   if (!tracing()) return false;
-  const char* dir = std::getenv("P2PLAB_RESULTS_DIR");
-  if (dir == nullptr || *dir == '\0') return false;
-  const std::string path = std::string(dir) + "/" + filename;
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) return false;
+  metrics::ResultsFile out(filename);
+  if (out.stream() == nullptr) return false;
   for (const std::string& line : trace_lines()) {
-    std::fputs(line.c_str(), out);
-    std::fputc('\n', out);
+    std::fputs(line.c_str(), out.stream());
+    std::fputc('\n', out.stream());
   }
-  const bool write_failed = std::ferror(out) != 0;
-  return (std::fclose(out) == 0) && !write_failed;
+  return out.close();
 }
 
 }  // namespace p2plab::core

@@ -75,6 +75,22 @@ void FaultPlan::sort() {
                    });
 }
 
+std::vector<FailureWindow> FaultPlan::failure_windows() const {
+  std::vector<FailureWindow> windows;
+  for (const FaultSpec& spec : specs_) {
+    if (spec.kind != FaultKind::kCrash && spec.kind != FaultKind::kLeave) {
+      continue;
+    }
+    windows.push_back(
+        {.node = spec.node,
+         .down = spec.at,
+         .up = spec.kind == FaultKind::kCrash && spec.rejoin
+                   ? spec.at + spec.duration
+                   : SimTime::max()});
+  }
+  return windows;
+}
+
 FaultPlan FaultPlan::churn(const ChurnConfig& config, Rng& rng) {
   FaultPlan plan;
   P2PLAB_ASSERT(config.first_node <= config.last_node);

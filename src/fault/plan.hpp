@@ -69,6 +69,15 @@ struct ChurnConfig {
   double leave_fraction = 0.0;
 };
 
+/// One scheduled node failure (a crash or a leave): the node is down from
+/// `down` until `up`, which is SimTime::max() when it never comes back.
+struct FailureWindow {
+  std::size_t node = 0;
+  SimTime down;
+  SimTime up;
+  bool rejoins() const { return up != SimTime::max(); }
+};
+
 struct PlanParseResult;
 
 class FaultPlan {
@@ -91,6 +100,10 @@ class FaultPlan {
   /// Append every spec of `other` (used to combine an explicit plan with a
   /// generated churn schedule). Call sort() afterwards.
   FaultPlan& append(const FaultPlan& other);
+
+  /// Every crash and leave, in plan order. A crash rejoins iff `rejoin`;
+  /// a leave never does.
+  std::vector<FailureWindow> failure_windows() const;
 
   /// Time-order the specs (stable: equal-time faults keep insertion order,
   /// matching the sim kernel's FIFO tie-break). The injector calls this.

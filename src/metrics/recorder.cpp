@@ -1,10 +1,7 @@
 #include "metrics/recorder.hpp"
 
-#include <cstdlib>
-#include <filesystem>
-#include <system_error>
-
 #include "common/assert.hpp"
+#include "metrics/trace.hpp"
 
 namespace p2plab::metrics {
 
@@ -141,16 +138,10 @@ std::vector<FlightRecorder::RenderedEvent> FlightRecorder::rendered_events()
 }
 
 bool FlightRecorder::flush_to_results(const char* filename) const {
-  const char* dir = std::getenv("P2PLAB_RESULTS_DIR");
-  if (dir == nullptr) return false;
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);  // best effort; fopen decides
-  const std::string path = std::string(dir) + "/" + filename;
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) return false;
-  flush(out);
-  const bool write_failed = std::ferror(out) != 0;
-  return std::fclose(out) == 0 && !write_failed;
+  ResultsFile out(filename);
+  if (out.stream() == nullptr) return false;
+  flush(out.stream());
+  return out.close();
 }
 
 void FlightRecorder::set_active(FlightRecorder* recorder) {

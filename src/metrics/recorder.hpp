@@ -62,8 +62,8 @@ class FlightRecorder {
 
   /// Write held events, oldest first, one JSON object per line.
   void flush(std::FILE* out) const;
-  /// Flush to $P2PLAB_RESULTS_DIR/<filename>; false if the env var is
-  /// unset, the file cannot be opened or any write fails.
+  /// Flush to $P2PLAB_RESULTS_DIR/<filename> (a metrics::ResultsFile);
+  /// true iff written.
   bool flush_to_results(const char* filename = "trace.jsonl") const;
 
   /// One held event rendered to the exact bytes flush() would write for it

@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "common/assert.hpp"
-#include "common/log.hpp"
 
 namespace p2plab::metrics {
 
@@ -25,39 +24,52 @@ std::string format_double(double v) {
   return buf;
 }
 
+void warn_unwritten(const std::string& path) {
+  std::fprintf(stderr, "# P2PLAB_RESULTS_DIR: writing %s failed\n",
+               path.c_str());
+}
+
 }  // namespace
+
+ResultsFile::ResultsFile(const std::string& name) {
+  const char* dir = std::getenv("P2PLAB_RESULTS_DIR");
+  if (dir == nullptr || *dir == '\0') return;
+  path_ = std::string(dir) + "/" + name;
+  file_ = std::fopen(path_.c_str(), "w");
+  if (file_ == nullptr) warn_unwritten(path_);
+}
+
+bool ResultsFile::close() {
+  if (file_ == nullptr) return false;
+  const bool write_failed = std::ferror(file_) != 0;
+  const bool close_failed = std::fclose(file_) != 0;
+  file_ = nullptr;
+  if (write_failed || close_failed) {
+    warn_unwritten(path_);
+    return false;
+  }
+  return true;
+}
+
+bool write_results_file(const std::string& name, std::string_view text) {
+  ResultsFile file(name);
+  if (file.stream() == nullptr) return false;
+  std::fwrite(text.data(), 1, text.size(), file.stream());
+  return file.close();
+}
 
 CsvWriter::CsvWriter(const std::string& name,
                      const std::vector<std::string>& columns)
-    : n_columns_(columns.size()) {
+    : n_columns_(columns.size()), mirror_(name + ".csv") {
   P2PLAB_ASSERT(n_columns_ > 0);
-  if (const char* dir = std::getenv("P2PLAB_RESULTS_DIR")) {
-    const std::string path = std::string(dir) + "/" + name + ".csv";
-    file_ = std::fopen(path.c_str(), "w");
-    if (file_ == nullptr) {
-      // Unwritable results dir: degrade to stdout-only, and complain once
-      // per process rather than once per table.
-      static bool warned = false;
-      if (!warned) {
-        warned = true;
-        P2PLAB_LOG_WARN(
-            "P2PLAB_RESULTS_DIR=%s is not writable (%s); CSV mirrors "
-            "disabled, stdout only",
-            dir, path.c_str());
-      }
-    }
-  }
   emit(join(columns));
 }
 
 CsvWriter::~CsvWriter() {
-  // Flush both sinks even when no data rows were written: a header-only
-  // (or comment-only) table must still land on disk for post-mortems.
+  // Flush stdout even when no data rows were written: a header-only (or
+  // comment-only) table must still land for post-mortems. The mirror
+  // flushes as it closes.
   std::fflush(stdout);
-  if (file_ != nullptr) {
-    std::fflush(file_);
-    std::fclose(file_);
-  }
 }
 
 void CsvWriter::row(const std::vector<double>& values) {
@@ -78,15 +90,15 @@ void CsvWriter::comment(const std::string& text) { emit("# " + text); }
 
 void CsvWriter::flush() {
   std::fflush(stdout);
-  if (file_ != nullptr) std::fflush(file_);
+  if (mirror_.stream() != nullptr) std::fflush(mirror_.stream());
 }
 
 void CsvWriter::emit(const std::string& line) {
   std::fputs(line.c_str(), stdout);
   std::fputc('\n', stdout);
-  if (file_ != nullptr) {
-    std::fputs(line.c_str(), file_);
-    std::fputc('\n', file_);
+  if (std::FILE* file = mirror_.stream()) {
+    std::fputs(line.c_str(), file);
+    std::fputc('\n', file);
   }
 }
 

@@ -6,10 +6,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 
 #include "common/assert.hpp"
+#include "metrics/trace.hpp"
 
 namespace p2plab::profile {
 
@@ -200,15 +200,10 @@ std::string Profiler::perfetto_json() const {
 
 bool Profiler::write_perfetto_to_results(const char* filename) const {
   if (filename == nullptr) filename = crash_filename_.c_str();
-  const char* dir = std::getenv("P2PLAB_RESULTS_DIR");
-  if (dir == nullptr || *dir == '\0') return false;
-  const std::string path = std::string(dir) + "/" + filename;
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) return false;
-  const std::string json = perfetto_json();
-  std::fputs(json.c_str(), out);
-  const bool write_failed = std::ferror(out) != 0;
-  return std::fclose(out) == 0 && !write_failed;
+  metrics::ResultsFile out(filename);
+  if (out.stream() == nullptr) return false;
+  std::fputs(perfetto_json().c_str(), out.stream());
+  return out.close();
 }
 
 void Profiler::fold_into(metrics::Registry& reg) const {

@@ -186,8 +186,8 @@ class Profiler {
   /// microseconds, one pid, tid 0 = coordinator, tid s+1 = shard s. One
   /// event per line, so line-oriented tools can grep the timeline.
   std::string perfetto_json() const;
-  /// Write perfetto_json() to $P2PLAB_RESULTS_DIR/<filename>; false if the
-  /// env var is unset, the file cannot be opened or any write fails.
+  /// Write perfetto_json() to $P2PLAB_RESULTS_DIR/<filename> (a
+  /// metrics::ResultsFile); true iff written.
   bool write_perfetto_to_results(const char* filename) const;
 
   /// Merge the rollup into `reg` as `profile.*` gauges (idempotent — set,

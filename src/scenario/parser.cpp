@@ -472,13 +472,20 @@ ParseResult parse_scenario(std::string_view source,
         !reader.take_probability("leave", &churn.leave_fraction) ||
         !reader.take_count("first", &first, max_node) ||
         !reader.take_count("last", &last, max_node) ||
-        !reader.require("last", !reader.has("first") || first <= last,
-                        "churn needs first <= last") ||
         !reader.take_count("seed", &churn.rng_stream)) {
       return fail_with_error();
     }
     if (reader.has("first")) churn.first_node = first;
     if (reader.has("last")) churn.last_node = last;
+    // A bound left out comes from the workload's default victims, so the
+    // one given must still sit on the right side of it.
+    const NodeRange victims = churn_range(spec);
+    if (victims.first > victims.last) {
+      return fail_line(n, "churn needs first <= last");
+    }
+    if (churn.rejoin_min > churn.rejoin_max) {
+      return fail_line(n, "churn needs rejoin_min <= rejoin_max");
+    }
     const KvEntry* window = reader.take("window");
     const std::string_view range(window->value);
     const auto dots = range.find("..");

@@ -1,26 +1,13 @@
 #include "scenario/runner.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "core/bench_report.hpp"
+#include "metrics/health.hpp"
 
 namespace p2plab::scenario {
-
-namespace {
-
-/// The flush_*_to_results calls also return false when no results dir is
-/// set; only a failed write into a set one is worth a warning.
-void warn_unwritten(const std::string& file) {
-  const char* dir = std::getenv("P2PLAB_RESULTS_DIR");
-  if (dir == nullptr || *dir == '\0') return;
-  std::fprintf(stderr, "# P2PLAB_RESULTS_DIR=%s: writing %s failed\n", dir,
-               file.c_str());
-}
-
-}  // namespace
 
 ExperimentRunner::ExperimentRunner(ScenarioSpec spec)
     : spec_(std::move(spec)) {}
@@ -31,7 +18,6 @@ void ExperimentRunner::setup() {
   P2PLAB_ASSERT(!set_up_);
   set_up_ = true;
 
-  plugin_ = &WorkloadRegistry::instance().require(spec_.workload);
   const topology::Topology topo =
       spec_.topology.built
           ? *spec_.topology.built
@@ -50,13 +36,19 @@ void ExperimentRunner::setup() {
     platform_->profiler().set_crash_filename(spec_.resolved_profile_trace());
   }
 
-  workload_ = plugin_->create(spec_);
+  workload_ =
+      WorkloadRegistry::instance().require(spec_.workload).create(spec_);
+  workload_->build(*this);
+  platform_->bind_metrics(registry_);
   workload_->setup(*this);
 }
 
 int ExperimentRunner::execute() {
   P2PLAB_ASSERT(set_up_);
-  return workload_->execute(*this);
+  run_start_ = std::chrono::steady_clock::now();
+  const int code = workload_->execute(*this);
+  close_outputs();
+  return code == 0 && failed_checks_ == 0 ? 0 : 1;
 }
 
 int ExperimentRunner::run() {
@@ -64,35 +56,103 @@ int ExperimentRunner::run() {
   return execute();
 }
 
-void ExperimentRunner::write_profile_outputs() {
-  if (!platform_->profiling()) return;
-  // Fold first so the rollup shows up in the registry report and any
-  // later metrics consumers; gauges are set, not added — idempotent.
-  platform_->profiler().fold_into(registry_);
-  // Profiling switched on through the platform alone (not `[engine]
-  // profile`) names no timeline file: fold the rollup, write nothing.
-  const std::string file = spec_.resolved_profile_trace();
-  if (file.empty()) return;
-  if (!platform_->flush_profile_to_results(file.c_str())) {
-    warn_unwritten(file);
+void ExperimentRunner::arm_faults(fault::NodeHooks nodes,
+                                  fault::ServiceHooks services) {
+  P2PLAB_ASSERT(injector_ == nullptr);
+  if (spec_.faults.empty()) return;
+
+  // Churn schedules expand first, forked off the platform RNG at exactly
+  // this point of construction, and the explicit plan appends behind them;
+  // the stable time sort then keeps equal-time faults in that order.
+  fault::FaultPlan plan;
+  if (const ChurnDirective& d = spec_.faults.churn; d.enabled) {
+    Rng churn_rng = platform_->rng().fork(d.rng_stream);
+    const NodeRange victims = churn_range(spec_);
+    plan = fault::FaultPlan::churn(
+        fault::ChurnConfig{.first_node = victims.first,
+                           .last_node = victims.last,
+                           .fraction = d.fraction,
+                           .window_start = SimTime::zero() + d.window_start,
+                           .window_end = SimTime::zero() + d.window_end,
+                           .rejoin_fraction = d.rejoin_fraction,
+                           .rejoin_min = d.rejoin_min,
+                           .rejoin_max = d.rejoin_max,
+                           .leave_fraction = d.leave_fraction},
+        churn_rng);
   }
+  plan.append(spec_.faults.plan);
+  plan.sort();
+  failures_ = plan.failure_windows();
+  std::printf("# plan: %zu faults, %zu node failures (%zu vnodes)\n",
+              plan.size(), failures_.size(), spec_.vnodes());
+
+  injector_ = std::make_unique<fault::FaultInjector>(*platform_,
+                                                     std::move(plan));
+  injector_->bind_metrics(registry_);
+  injector_->set_node_hooks(std::move(nodes));
+  injector_->set_service_hooks(std::move(services));
+  injector_->arm();
 }
 
-void ExperimentRunner::write_trace_output() {
-  const std::string& file = spec_.outputs.trace_file;
-  if (file.empty()) return;
-  if (!platform_->flush_trace_to_results(file.c_str())) warn_unwritten(file);
+fault::InjectorStats ExperimentRunner::fault_stats() const {
+  return injector_ ? injector_->stats() : fault::InjectorStats{};
+}
+
+void ExperimentRunner::stop_clock() {
+  wall_seconds_ = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - run_start_)
+                      .count();
+  end_of_run_ = platform_->now();
+}
+
+void ExperimentRunner::check(bool ok, const char* what) {
+  std::printf("# check %-46s %s\n", what, ok ? "ok" : "FAIL");
+  failed_checks_ += !ok;
+}
+
+void ExperimentRunner::check_faults_and_drain(
+    const std::function<void()>& halt) {
+  if (injector_) {
+    const fault::InjectorStats& stats = injector_->stats();
+    check(stats.unrecovered() == 0, "every injected fault recovered");
+    std::printf("# faults: injected=%llu recovered=%llu\n",
+                static_cast<unsigned long long>(stats.injected),
+                static_cast<unsigned long long>(stats.recovered));
+  }
+  // Nothing wedged: stop the application and the event queue must drain —
+  // any surviving retransmit timer, periodic task or join retry would keep
+  // it non-empty.
+  halt();
+  check(platform_->run(platform_->now() + Duration::sec(700)) ==
+            core::Platform::RunResult::kDrained,
+        "event queue drains after halt (no wedged timers)");
 }
 
 void ExperimentRunner::write_bench_json(
-    double wall_seconds, const char* scale_key, double scale_value,
+    const char* scale_key, double scale_value,
     const std::vector<std::pair<std::string, double>>& extra) {
   if (spec_.outputs.bench_json.empty()) return;
   std::vector<std::pair<std::string, double>> fields =
       core::bench_fields(*platform_, scale_key, scale_value,
-                         spec_.engine.seed, wall_seconds);
+                         spec_.engine.seed, wall_seconds_);
   fields.insert(fields.end(), extra.begin(), extra.end());
   core::write_bench_json(spec_.name, spec_.outputs.bench_json, fields);
+}
+
+void ExperimentRunner::close_outputs() {
+  if (!spec_.outputs.trace_file.empty()) {
+    platform_->flush_trace_to_results(spec_.outputs.trace_file.c_str());
+  }
+  if (platform_->profiling()) {
+    // Fold first so the rollup shows up in the registry report and any
+    // later metrics consumers; gauges are set, not added — idempotent.
+    platform_->profiler().fold_into(registry_);
+    // Profiling switched on through the platform alone (not `[engine]
+    // profile`) names no timeline file: fold the rollup, write nothing.
+    const std::string file = spec_.resolved_profile_trace();
+    if (!file.empty()) platform_->flush_profile_to_results(file.c_str());
+  }
+  if (spec_.outputs.report) metrics::print_registry_report(registry_);
 }
 
 }  // namespace p2plab::scenario

@@ -1,25 +1,35 @@
 // The experiment runner: one ScenarioSpec in, one finished experiment out.
 //
-// ExperimentRunner owns only the workload-agnostic stack — metrics
-// registry, topology, platform, tracing/profiling — and delegates
-// everything workload-specific to the plugin the spec's `[workload] type`
-// resolves to (workload.hpp). setup() builds the platform and asks the
-// plugin's Workload to build itself on it; execute() hands control to the
-// workload, which drives the run to its stop condition and writes its
-// outputs. The runner contains zero workload-specific branches: adding a
-// protocol never touches this file.
+// ExperimentRunner owns the workload-agnostic stack — metrics registry,
+// topology, platform, tracing/profiling — and every run step all
+// experiments share:
+//   * fault arming: churn expansion over the plugin's churn_victims(), the
+//     explicit plan appended, the `# plan:` line, one FaultInjector;
+//   * the failure list (FaultPlan::failure_windows) of the armed plan;
+//   * the shared invariants: `# check` lines, fault/recovery pairing and
+//     the event-queue drain after halt;
+//   * run timing (wall clock and end of run) and the BENCH_*.json summary;
+//   * the closing tail: trace.jsonl, the profile, the registry report.
+// Everything else is the plugin's (workload.hpp): it builds its
+// application, drives it to its stop condition, runs its own checks and
+// writes its own files, calling the services below at the points its run
+// needs them. The runner contains zero workload-specific branches: adding
+// a protocol never touches this file.
 //
-// Lifecycle: setup() builds the stack, execute() drives the run and writes
-// every declared output, run() does both and returns the process exit code
-// (nonzero iff an enabled invariant check failed). The split exists for
-// callers that interpose between construction and execution — fig9 runs
-// one external HealthMonitor across five runner instances.
+// Lifecycle: setup() builds the stack (Workload::build, bind the platform's
+// metrics, Workload::setup); execute() times the workload's run, closes
+// the outputs and returns the process exit code (nonzero iff a check
+// failed); run() does both. The split exists for callers that interpose
+// between construction and execution — fig9 runs one external
+// HealthMonitor across five runner instances.
 //
 // A results file that cannot be written (full disk, unwritable
-// $P2PLAB_RESULTS_DIR) gets one stderr warning; the run still completes.
+// $P2PLAB_RESULTS_DIR) gets one stderr warning (metrics::ResultsFile); the
+// run still completes.
 #pragma once
 
-#include <cstdint>
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -27,6 +37,7 @@
 
 #include "bittorrent/swarm.hpp"
 #include "core/platform.hpp"
+#include "fault/injector.hpp"
 #include "metrics/registry.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/workload.hpp"
@@ -58,42 +69,65 @@ class ExperimentRunner {
   /// Valid after setup(), swarm workloads only (defined in
   /// workload_swarm.cpp beside the type it casts to).
   bt::Swarm& swarm();
-  /// Median completion time (seconds) of the finished clients; -1 if none.
-  /// Valid after execute(). Swarm workloads only.
-  double median_completion_sec() const;
 
-  // Shared services for Workload implementations.
-  /// Clock right after the stop condition (pre-drain); time-series outputs
-  /// sample up to here.
-  void set_end_of_run(SimTime t) { end_of_run_ = t; }
+  // Services for Workload implementations, in the order a run uses them.
+
+  /// Expand the spec's churn (forking its Rng off platform().rng() here),
+  /// append the explicit plan, sort, print the `# plan:` line, then build,
+  /// bind and arm the injector with the application's hooks. No-op when
+  /// the spec has no faults. Call once, from Workload::setup().
+  void arm_faults(fault::NodeHooks nodes, fault::ServiceHooks services = {});
+  /// Every crash and leave of the armed plan; empty without faults.
+  const std::vector<fault::FailureWindow>& failures() const {
+    return failures_;
+  }
+  /// Faults injected and recovered so far (zero without faults).
+  fault::InjectorStats fault_stats() const;
+
+  /// Call right after the stop condition: fixes the run's wall time (from
+  /// the start of execute()) and end_of_run().
+  void stop_clock();
+  /// Clock at stop_clock() (pre-drain); time-series outputs sample up to
+  /// here.
   SimTime end_of_run() const { return end_of_run_; }
-  /// Fold the BSP profile into the registry and flush the Perfetto
-  /// timeline; no-op when profiling is off. The timeline is written only
-  /// when the spec names one (`[engine] profile`), not when profiling was
-  /// enabled on the platform directly.
-  void write_profile_outputs();
-  /// Flush the flight recorder to outputs.trace_file; no-op when no trace
-  /// file is declared.
-  void write_trace_output();
+
+  /// Print `# check <what> ok|FAIL`; a FAIL makes execute() return 1.
+  void check(bool ok, const char* what);
+  /// The invariants every fault-capable workload shares: each injected
+  /// fault recovered (then the `# faults:` line), and once `halt` has
+  /// stopped the application the event queue drains within 700 s.
+  void check_faults_and_drain(const std::function<void()>& halt);
+
   /// The standardized BENCH_*.json run summary (core/bench_report.hpp):
   /// the run economics plus the workload's scale field and any extra
-  /// workload metrics. No-op when outputs.bench_json is empty.
+  /// workload metrics. No-op when outputs.bench_json is empty. Call after
+  /// stop_clock().
   void write_bench_json(
-      double wall_seconds, const char* scale_key, double scale_value,
+      const char* scale_key, double scale_value,
       const std::vector<std::pair<std::string, double>>& extra = {});
 
  private:
+  /// The tail of every run: flush the flight recorder to
+  /// outputs.trace_file, fold the profile and write its timeline, print
+  /// the registry report if asked.
+  void close_outputs();
+
   ScenarioSpec spec_;
   // Declaration order is destruction-order-critical: the registry must
-  // outlive the platform (teardown increments bound counters), and the
-  // platform must outlive the workload (swarm/injector/monitor users) —
-  // workload_ is declared last so it is destroyed first.
+  // outlive the platform (teardown increments bound counters), the
+  // platform must outlive the workload (swarm/monitor users), and the
+  // workload its fault injector, whose hooks point into it — injector_ is
+  // declared after the workload so it is destroyed first.
   metrics::Registry registry_;
   std::unique_ptr<core::Platform> platform_;
-  const WorkloadPlugin* plugin_ = nullptr;
   std::unique_ptr<Workload> workload_;
+  std::unique_ptr<fault::FaultInjector> injector_;
 
+  std::vector<fault::FailureWindow> failures_;
+  std::chrono::steady_clock::time_point run_start_;
+  double wall_seconds_ = 0.0;
   SimTime end_of_run_;
+  int failed_checks_ = 0;
   bool set_up_ = false;
 };
 

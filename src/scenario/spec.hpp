@@ -86,9 +86,10 @@ struct PingSweepParams {
   std::size_t probes = 10;
 };
 
-/// A `churn` directive: expanded into concrete FaultSpecs by the runner,
-/// which knows the swarm layout (default victim range = the client vnodes)
-/// and owns the platform RNG the schedule is forked from.
+/// A `churn` directive: expanded into concrete FaultSpecs by the runner
+/// (ExperimentRunner::arm_faults), which owns the platform RNG the schedule
+/// is forked from. Unset first/last default to the plugin's
+/// churn_victims(); churn_range() resolves them.
 struct ChurnDirective {
   bool enabled = false;
   double fraction = 0.3;
@@ -98,8 +99,8 @@ struct ChurnDirective {
   Duration rejoin_min = Duration::sec(30);
   Duration rejoin_max = Duration::sec(120);
   double leave_fraction = 0.0;
-  std::optional<std::size_t> first_node;  // default: first client vnode
-  std::optional<std::size_t> last_node;   // default: last client vnode
+  std::optional<std::size_t> first_node;
+  std::optional<std::size_t> last_node;
   /// Stream id forked off the platform RNG; same spec + seed => same plan.
   std::uint64_t rng_stream = 0xfa017;
 };

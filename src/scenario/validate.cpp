@@ -1,15 +1,13 @@
 #include "scenario/validate.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "ipfw/pipe.hpp"
-#include "metrics/health.hpp"
 #include "metrics/stats.hpp"
+#include "metrics/trace.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/workload.hpp"
 
@@ -438,37 +436,18 @@ void write_accuracy_json(const ScenarioSpec& spec,
   }
   json += "]}";
   std::printf("# %s %s\n", name.c_str(), json.c_str());
-  if (const char* dir = std::getenv("P2PLAB_RESULTS_DIR")) {
-    const std::string path = std::string(dir) + "/" + name + ".json";
-    if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-      std::fprintf(f, "%s\n", json.c_str());
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr,
-                   "# P2PLAB_RESULTS_DIR=%s is not writable; %s only on "
-                   "stdout\n", dir, name.c_str());
-    }
-  }
+  metrics::write_results_file(name + ".json", json + "\n");
 }
 
 class ValidateWorkload final : public Workload {
  public:
   explicit ValidateWorkload(const ScenarioSpec& spec) : spec_(spec) {}
 
-  void setup(ExperimentRunner& runner) override {
-    runner.platform().bind_metrics(runner.registry());
-  }
-
   int execute(ExperimentRunner& runner) override {
     core::Platform& platform = runner.platform();
-    const auto wall_start = std::chrono::steady_clock::now();
     ValidateHarness harness(platform, spec_);
     const std::vector<InvariantResult> results = harness.run();
-    runner.set_end_of_run(platform.now());
-    const double wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
+    runner.stop_clock();
 
     int failures = 0;
     for (const InvariantResult& r : results) {
@@ -487,12 +466,8 @@ class ValidateWorkload final : public Workload {
                     platform.dispatched_events()));
 
     write_accuracy_json(spec_, results, failures == 0);
-    runner.write_bench_json(wall_seconds, "flows",
+    runner.write_bench_json("flows",
                             static_cast<double>(spec_.validate.flows));
-    runner.write_profile_outputs();
-    if (spec_.outputs.report) {
-      metrics::print_registry_report(runner.registry());
-    }
     return failures == 0 ? 0 : 1;
   }
 

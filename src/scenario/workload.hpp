@@ -5,11 +5,15 @@
 // Each plugin owns (a) its parameter surface — the [workload] and
 // [outputs] keys it consumes, read through the shared ParamReader so
 // `--set workload.*` overrides and the golden "line N: ..." error shapes
-// behave identically for every workload — and (b) a factory for the
-// Workload object the ExperimentRunner drives. The runner carries zero
-// workload-specific branches: adding a protocol (Chord, a relay service)
-// is one plugin .cpp plus one registration line, and never touches
-// runner.cpp again.
+// behave identically for every workload — (b) its default churn victims,
+// and (c) a factory for the Workload object the ExperimentRunner drives.
+// A Workload owns only its own work: build its application, drive it to
+// its stop condition, run its own checks and write its own files. Every
+// step all experiments share (fault arming, the fault-pairing and drain
+// invariants, run timing, the BENCH/trace/profile/report tail) is a
+// runner service (runner.hpp). The runner carries zero workload-specific
+// branches: adding a protocol (Chord, a relay service) is one plugin .cpp
+// plus one registration line, and never touches runner.cpp again.
 //
 // Registration is explicit: the registry constructor calls one named
 // register_*_workload() function per built-in. Self-registration from
@@ -37,16 +41,28 @@ using text::KvEntry;
 using text::KvSection;
 using text::ParamReader;
 
-/// A running workload instance, created per experiment by its plugin.
-/// setup() builds the application on the runner's platform (the platform,
-/// metrics registry and spec are reachable through the runner); execute()
-/// drives the run to its stop condition and writes the workload's outputs,
-/// returning the process exit code.
+/// A running workload instance, created per experiment by its plugin and
+/// driven by the runner:
+///   build()   constructs what the platform's counters must not see being
+///             constructed (runs before the runner binds them);
+///   setup()   builds the rest of the application, with the counters
+///             bound, and calls runner.arm_faults() if it takes faults;
+///   execute() drives the run to its stop condition, calls
+///             runner.stop_clock(), runs the workload's checks and writes
+///             its own files. It returns 1 iff a check of its own (one not
+///             made through runner.check()) failed, else 0.
 class Workload {
  public:
   virtual ~Workload() = default;
-  virtual void setup(ExperimentRunner& runner) = 0;
+  virtual void build(ExperimentRunner& runner) { (void)runner; }
+  virtual void setup(ExperimentRunner& runner) { (void)runner; }
   virtual int execute(ExperimentRunner& runner) = 0;
+};
+
+/// An inclusive range of vnode indexes.
+struct NodeRange {
+  std::size_t first = 0;
+  std::size_t last = 0;
 };
 
 /// Everything the scenario layer asks about one workload type.
@@ -87,12 +103,22 @@ class WorkloadPlugin {
 
   /// True when the workload participates in [faults] / churn schedules.
   virtual bool supports_faults() const { return false; }
+  /// The vnodes a `churn` line picks its victims from when it names no
+  /// first=/last= (default: every vnode of the workload).
+  virtual NodeRange churn_victims(const ScenarioSpec& spec) const {
+    return {0, vnodes(spec) - 1};
+  }
   /// True when `stop survivors_complete` is meaningful for this workload.
   virtual bool supports_survivors_stop() const { return false; }
 
   virtual std::unique_ptr<Workload> create(
       const ScenarioSpec& spec) const = 0;
 };
+
+/// The victim range of `spec`'s churn line: its first=/last= where given,
+/// its plugin's churn_victims() otherwise. The parser checks this range and
+/// the runner expands churn over it.
+NodeRange churn_range(const ScenarioSpec& spec);
 
 /// The process-wide plugin registry. Lookup is by `.scn` type name;
 /// plugins() is sorted by name so every enumeration (CLI listing, error

@@ -4,19 +4,12 @@
 // scheduled crash, and how often it wrongly confirms a node that was
 // online (the false-positive rate the SWIM paper bounds via indirect
 // probing + suspicion).
-#include <algorithm>
-#include <chrono>
-#include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "fault/injector.hpp"
 #include "gossip/cluster.hpp"
-#include "metrics/health.hpp"
 #include "metrics/trace.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
@@ -26,36 +19,10 @@ namespace p2plab::scenario {
 
 namespace {
 
-/// One scheduled failure, with the instant the victim is back (rejoin
-/// time, or +inf for permanent departures). Confirms inside the window
-/// are true detections; confirms outside every window are false
-/// positives.
-struct FailureWindow {
-  std::uint32_t victim = 0;
-  SimTime down;
-  SimTime up;  // SimTime::from_ns(max) when the victim never returns
-};
-
-std::vector<FailureWindow> failure_windows(const fault::FaultPlan& plan,
-                                           std::size_t nodes) {
-  const SimTime never =
-      SimTime::from_ns(std::numeric_limits<std::int64_t>::max());
-  std::vector<FailureWindow> windows;
-  for (const fault::FaultSpec& spec : plan.specs()) {
-    if (spec.kind != fault::FaultKind::kCrash &&
-        spec.kind != fault::FaultKind::kLeave) {
-      continue;
-    }
-    if (spec.node >= nodes) continue;
-    FailureWindow w;
-    w.victim = static_cast<std::uint32_t>(spec.node);
-    w.down = spec.at;
-    w.up = spec.kind == fault::FaultKind::kCrash && spec.rejoin
-               ? spec.at + spec.duration
-               : never;
-    windows.push_back(w);
-  }
-  return windows;
+/// A confirm is true iff it falls inside one of its victim's downtime
+/// windows (the victim was offline when it fired).
+bool inside(const fault::FailureWindow& w, const gossip::ConfirmRecord& r) {
+  return w.node == r.victim && r.at > w.down && r.at < w.up;
 }
 
 class GossipWorkload final : public Workload {
@@ -66,66 +33,19 @@ class GossipWorkload final : public Workload {
   int execute(ExperimentRunner& runner) override;
 
  private:
-  void setup_faults(ExperimentRunner& runner);
-  void write_outputs(ExperimentRunner& runner, double wall_seconds,
+  void write_outputs(ExperimentRunner& runner,
                      const std::vector<gossip::ConfirmRecord>& confirms,
                      std::size_t false_confirms);
 
   const ScenarioSpec& spec_;
   std::unique_ptr<gossip::Cluster> cluster_;
-  std::unique_ptr<fault::FaultInjector> injector_;
 };
 
 void GossipWorkload::setup(ExperimentRunner& runner) {
-  core::Platform& platform = runner.platform();
-  // Platform metrics first: registry_of_vnode (the per-shard registries
-  // the cluster binds its gossip.* counters to) exists only after this.
-  platform.bind_metrics(runner.registry());
-  cluster_ = std::make_unique<gossip::Cluster>(platform, spec_.gossip);
+  cluster_ = std::make_unique<gossip::Cluster>(runner.platform(), spec_.gossip);
   cluster_->bind_metrics();
-  setup_faults(runner);
-  cluster_->start();
-}
-
-void GossipWorkload::setup_faults(ExperimentRunner& runner) {
-  core::Platform& platform = runner.platform();
-  if (spec_.faults.empty()) return;
-
-  fault::FaultPlan plan;
-  if (spec_.faults.churn.enabled) {
-    const ChurnDirective& d = spec_.faults.churn;
-    Rng churn_rng = platform.rng().fork(d.rng_stream);
-    fault::ChurnConfig churn;
-    // Default victim range spares the introducer (node 0): with it down,
-    // rejoining members could not re-enter and every detection after the
-    // outage would measure the join path instead of the gossip path.
-    churn.first_node = d.first_node.value_or(1);
-    churn.last_node = d.last_node.value_or(spec_.gossip.nodes - 1);
-    churn.fraction = d.fraction;
-    churn.window_start = SimTime::zero() + d.window_start;
-    churn.window_end = SimTime::zero() + d.window_end;
-    churn.rejoin_fraction = d.rejoin_fraction;
-    churn.rejoin_min = d.rejoin_min;
-    churn.rejoin_max = d.rejoin_max;
-    churn.leave_fraction = d.leave_fraction;
-    plan = fault::FaultPlan::churn(churn, churn_rng);
-  }
-  plan.append(spec_.faults.plan);
-  plan.sort();
-
-  std::size_t node_failures = 0;
-  for (const fault::FaultSpec& fault_spec : plan.specs()) {
-    node_failures += fault_spec.kind == fault::FaultKind::kCrash ||
-                     fault_spec.kind == fault::FaultKind::kLeave;
-  }
-  std::printf("# plan: %zu faults, %zu node failures (%zu members)\n",
-              plan.size(), node_failures, spec_.gossip.nodes);
-
-  injector_ = std::make_unique<fault::FaultInjector>(platform,
-                                                     std::move(plan));
-  injector_->bind_metrics(runner.registry());
   gossip::Cluster* cluster = cluster_.get();
-  injector_->set_node_hooks(fault::NodeHooks{
+  runner.arm_faults(fault::NodeHooks{
       .on_crash = [cluster](std::size_t v) {
         if (v < cluster->size()) cluster->node(v).crash();
       },
@@ -135,32 +55,21 @@ void GossipWorkload::setup_faults(ExperimentRunner& runner) {
       .on_rejoin = [cluster](std::size_t v) {
         if (v < cluster->size()) cluster->node(v).restart();
       }});
-  injector_->arm();
+  cluster_->start();
 }
 
 int GossipWorkload::execute(ExperimentRunner& runner) {
   core::Platform& platform = runner.platform();
-  const auto wall_start = std::chrono::steady_clock::now();
   platform.run(SimTime::zero() + spec_.engine.run_for);
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  runner.set_end_of_run(platform.now());
+  runner.stop_clock();
 
   const std::vector<gossip::ConfirmRecord> confirms =
       cluster_->confirm_log();
-  const std::vector<FailureWindow> windows =
-      injector_ ? failure_windows(injector_->plan(), cluster_->size())
-                : std::vector<FailureWindow>{};
-  // A confirm is false iff its victim was online when it fired — that is,
-  // it falls inside none of the victim's downtime windows.
   std::size_t false_confirms = 0;
   for (const gossip::ConfirmRecord& record : confirms) {
     bool down = false;
-    for (const FailureWindow& w : windows) {
-      down |= w.victim == record.victim && record.at > w.down &&
-              record.at < w.up;
+    for (const fault::FailureWindow& w : runner.failures()) {
+      down |= inside(w, record);
     }
     false_confirms += !down;
   }
@@ -176,35 +85,16 @@ int GossipWorkload::execute(ExperimentRunner& runner) {
               static_cast<unsigned long long>(platform.dispatched_events()),
               platform.physical_node_count(), platform.folding_ratio());
 
-  int failures = 0;
   if (spec_.engine.check_invariants) {
-    auto check = [&](bool ok, const char* what) {
-      std::printf("# check %-46s %s\n", what, ok ? "ok" : "FAIL");
-      if (!ok) ++failures;
-    };
-    if (injector_) {
-      check(injector_->stats().unrecovered() == 0,
-            "every injected fault recovered");
-      std::printf("# faults: injected=%llu recovered=%llu\n",
-                  static_cast<unsigned long long>(
-                      injector_->stats().injected),
-                  static_cast<unsigned long long>(
-                      injector_->stats().recovered));
-    }
-    // Stop every member and the event queue must drain — a leaked tick
-    // or join retry would keep it alive forever.
-    cluster_->schedule_halt_all();
-    check(platform.run(platform.now() + Duration::sec(700)) ==
-              core::Platform::RunResult::kDrained,
-          "event queue drains after halt (no wedged timers)");
+    runner.check_faults_and_drain([this] { cluster_->schedule_halt_all(); });
   }
 
-  write_outputs(runner, wall_seconds, confirms, false_confirms);
-  return failures == 0 ? 0 : 1;
+  write_outputs(runner, confirms, false_confirms);
+  return 0;
 }
 
 void GossipWorkload::write_outputs(
-    ExperimentRunner& runner, double wall_seconds,
+    ExperimentRunner& runner,
     const std::vector<gossip::ConfirmRecord>& confirms,
     std::size_t false_confirms) {
   const OutputsSection& out = spec_.outputs;
@@ -218,19 +108,15 @@ void GossipWorkload::write_outputs(
                            {"victim", "crash_s", "first_confirm_s",
                             "detect_latency_s"});
     csv.comment("seed=" + std::to_string(spec_.engine.seed));
-    const std::vector<FailureWindow> windows =
-        injector_ ? failure_windows(injector_->plan(), cluster_->size())
-                  : std::vector<FailureWindow>{};
-    for (const FailureWindow& w : windows) {
+    for (const fault::FailureWindow& w : runner.failures()) {
       double first_confirm = -1.0;
       for (const gossip::ConfirmRecord& record : confirms) {
-        if (record.victim == w.victim && record.at > w.down &&
-            record.at < w.up) {
+        if (inside(w, record)) {
           first_confirm = record.at.to_seconds();
           break;  // confirm_log is time-sorted
         }
       }
-      csv.row({static_cast<double>(w.victim), w.down.to_seconds(),
+      csv.row({static_cast<double>(w.node), w.down.to_seconds(),
                first_confirm,
                first_confirm >= 0 ? first_confirm - w.down.to_seconds()
                                   : -1.0});
@@ -250,16 +136,13 @@ void GossipWorkload::write_outputs(
   }
 
   runner.write_bench_json(
-      wall_seconds, "nodes", static_cast<double>(spec_.gossip.nodes),
+      "nodes", static_cast<double>(spec_.gossip.nodes),
       {{"gossip.pings", reg.value("gossip.pings")},
        {"gossip.ping_reqs", reg.value("gossip.ping_reqs")},
        {"gossip.suspects", reg.value("gossip.suspects")},
        {"gossip.confirms", static_cast<double>(confirms.size())},
        {"gossip.refutations", reg.value("gossip.refutations")},
        {"gossip.false_positives", static_cast<double>(false_confirms)}});
-  runner.write_trace_output();
-  runner.write_profile_outputs();
-  if (out.report) metrics::print_registry_report(reg);
 }
 
 class GossipPlugin final : public WorkloadPlugin {
@@ -321,6 +204,12 @@ class GossipPlugin final : public WorkloadPlugin {
     return spec.gossip.nodes;
   }
   bool supports_faults() const override { return true; }
+  // The default victims spare the introducer (node 0): with it down,
+  // rejoining members could not re-enter and every detection after the
+  // outage would measure the join path instead of the gossip path.
+  NodeRange churn_victims(const ScenarioSpec& spec) const override {
+    return {1, spec.gossip.nodes - 1};
+  }
 
   std::unique_ptr<Workload> create(const ScenarioSpec& spec) const override {
     return std::make_unique<GossipWorkload>(spec);

@@ -1,14 +1,11 @@
 // The `ping_sweep` workload plugin: RTT vs. installed firewall rules
 // (the paper's Fig 6 microbenchmark). Between ping rounds the sweep pads
 // node 0's host firewall; Platform::ping probes from vnode 0 to vnode 1.
-#include <chrono>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "metrics/health.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/trace.hpp"
 #include "scenario/runner.hpp"
@@ -23,13 +20,8 @@ class PingWorkload final : public Workload {
  public:
   explicit PingWorkload(const ScenarioSpec& spec) : spec_(spec) {}
 
-  void setup(ExperimentRunner& runner) override {
-    runner.platform().bind_metrics(runner.registry());
-  }
-
   int execute(ExperimentRunner& runner) override {
     core::Platform& platform = runner.platform();
-    const auto wall_start = std::chrono::steady_clock::now();
     const OutputsSection& out = spec_.outputs;
     std::unique_ptr<metrics::CsvWriter> csv;
     if (!out.csv.empty()) {
@@ -59,15 +51,9 @@ class PingWorkload final : public Workload {
       }
     }
     if (csv && !out.csv_note.empty()) csv->comment(out.csv_note);
-    runner.set_end_of_run(platform.now());
-    const double wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
-    runner.write_bench_json(wall_seconds, "rules_max",
+    runner.stop_clock();
+    runner.write_bench_json("rules_max",
                             static_cast<double>(spec_.ping.rules_max));
-    runner.write_profile_outputs();
-    if (out.report) metrics::print_registry_report(runner.registry());
     return 0;
   }
 

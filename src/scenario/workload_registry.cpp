@@ -4,8 +4,17 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "scenario/spec.hpp"
 
 namespace p2plab::scenario {
+
+NodeRange churn_range(const ScenarioSpec& spec) {
+  const NodeRange defaults =
+      WorkloadRegistry::instance().require(spec.workload).churn_victims(spec);
+  const ChurnDirective& churn = spec.faults.churn;
+  return {churn.first_node.value_or(defaults.first),
+          churn.last_node.value_or(defaults.last)};
+}
 
 WorkloadRegistry::WorkloadRegistry() {
   register_swarm_workload(*this);

@@ -1,17 +1,15 @@
 // The `swarm` workload plugin: the BitTorrent swarm experiments
 // (Figs 8-11, churn). Construction order matters and is preserved from
-// the pre-registry runner exactly — registry before platform so teardown
-// still counts, churn RNG forked after the swarm exists — so spec-driven
-// runs stay bit-identical to the hand-written benches they replaced.
-#include <chrono>
+// the pre-registry runner exactly — the swarm is built before the
+// platform's counters are bound, the churn RNG forked after the swarm
+// exists — so spec-driven runs stay bit-identical to the hand-written
+// benches they replaced.
 #include <cstdio>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "bittorrent/swarm.hpp"
 #include "common/assert.hpp"
-#include "fault/injector.hpp"
 #include "metrics/health.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/trace.hpp"
@@ -23,99 +21,46 @@ namespace p2plab::scenario {
 
 namespace {
 
-double wall_seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
+/// Median completion time (seconds) of the finished clients; -1 if none.
+double median_completion_sec(const bt::Swarm& swarm) {
+  metrics::Distribution d;
+  for (const double t : swarm.completion_times_sec()) d.add(t);
+  return d.count() > 0 ? d.median() : -1.0;
 }
 
 class SwarmWorkload final : public Workload {
  public:
   explicit SwarmWorkload(const ScenarioSpec& spec) : spec_(spec) {}
 
+  void build(ExperimentRunner& runner) override;
   void setup(ExperimentRunner& runner) override;
   int execute(ExperimentRunner& runner) override;
 
   bt::Swarm& swarm() { return *swarm_; }
-  const bt::Swarm& swarm() const { return *swarm_; }
 
  private:
-  void setup_faults(ExperimentRunner& runner);
-  void write_outputs(ExperimentRunner& runner, double wall_seconds);
+  void write_outputs(ExperimentRunner& runner);
 
   const ScenarioSpec& spec_;
   std::unique_ptr<bt::Swarm> swarm_;
-  std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<metrics::HealthMonitor> monitor_;
   std::size_t first_client_vnode_ = 0;
   std::vector<bool> faulted_;  // per client: scheduled to crash or leave
   std::vector<bool> rejoins_;  // per client: scheduled to come back
-  std::size_t node_failures_ = 0;
 };
+
+// The counters have never seen the swarm's construction (the tracker's
+// start, the seeders' and the staggered client starts): Swarm binds the
+// platform's metrics itself, after it is built.
+void SwarmWorkload::build(ExperimentRunner& runner) {
+  swarm_ = std::make_unique<bt::Swarm>(runner.platform(), spec_.swarm);
+}
 
 void SwarmWorkload::setup(ExperimentRunner& runner) {
   core::Platform& platform = runner.platform();
-  swarm_ = std::make_unique<bt::Swarm>(platform, spec_.swarm);
   swarm_->bind_metrics(runner.registry());
   first_client_vnode_ = 1 + spec_.swarm.seeders;
-  setup_faults(runner);
-  if (!spec_.outputs.metrics.empty()) {
-    monitor_ = std::make_unique<metrics::HealthMonitor>(
-        metrics::HealthMonitor::Options{.csv_name = spec_.outputs.metrics});
-    platform.attach_monitor(*monitor_);
-  }
-}
 
-void SwarmWorkload::setup_faults(ExperimentRunner& runner) {
-  core::Platform& platform = runner.platform();
-  faulted_.assign(spec_.swarm.clients, false);
-  rejoins_.assign(spec_.swarm.clients, false);
-  if (spec_.faults.empty()) return;
-
-  // Churn schedules expand first (forked off the platform RNG at exactly
-  // this point of construction — the pre-refactor churn bench's order), and
-  // the explicit plan appends behind them; the stable time sort then
-  // reproduces the bench's spec order exactly.
-  fault::FaultPlan plan;
-  if (spec_.faults.churn.enabled) {
-    const ChurnDirective& d = spec_.faults.churn;
-    Rng churn_rng = platform.rng().fork(d.rng_stream);
-    fault::ChurnConfig churn;
-    churn.first_node = d.first_node.value_or(first_client_vnode_);
-    churn.last_node = d.last_node.value_or(first_client_vnode_ +
-                                           spec_.swarm.clients - 1);
-    churn.fraction = d.fraction;
-    churn.window_start = SimTime::zero() + d.window_start;
-    churn.window_end = SimTime::zero() + d.window_end;
-    churn.rejoin_fraction = d.rejoin_fraction;
-    churn.rejoin_min = d.rejoin_min;
-    churn.rejoin_max = d.rejoin_max;
-    churn.leave_fraction = d.leave_fraction;
-    plan = fault::FaultPlan::churn(churn, churn_rng);
-  }
-  plan.append(spec_.faults.plan);
-  plan.sort();
-
-  // Which clients fail, and which of those come back.
-  for (const fault::FaultSpec& fault_spec : plan.specs()) {
-    if (fault_spec.kind != fault::FaultKind::kCrash &&
-        fault_spec.kind != fault::FaultKind::kLeave) {
-      continue;
-    }
-    ++node_failures_;
-    if (fault_spec.node < first_client_vnode_ ||
-        fault_spec.node >= first_client_vnode_ + spec_.swarm.clients) {
-      continue;  // seeder/tracker fault: no survivor accounting
-    }
-    faulted_[fault_spec.node - first_client_vnode_] = true;
-    rejoins_[fault_spec.node - first_client_vnode_] = fault_spec.rejoin;
-  }
-  std::printf("# plan: %zu faults, %zu node failures (%zu clients)\n",
-              plan.size(), node_failures_, spec_.swarm.clients);
-
-  injector_ = std::make_unique<fault::FaultInjector>(platform,
-                                                     std::move(plan));
-  injector_->bind_metrics(runner.registry());
   // vnode layout contract: 0 = tracker, 1..seeders = seeders, rest clients.
   auto process_of = [this](std::size_t v) -> bt::Client* {
     if (v >= first_client_vnode_) {
@@ -124,25 +69,46 @@ void SwarmWorkload::setup_faults(ExperimentRunner& runner) {
     if (v >= 1) return &swarm_->seeder(v - 1);
     return nullptr;  // tracker: infrastructure-only, use tracker_outage
   };
-  injector_->set_node_hooks(fault::NodeHooks{
-      .on_crash = [process_of](std::size_t v) {
-        if (bt::Client* c = process_of(v)) c->crash();
-      },
-      .on_leave = [process_of](std::size_t v) {
-        if (bt::Client* c = process_of(v)) c->stop();
-      },
-      .on_rejoin = [process_of](std::size_t v) {
-        if (bt::Client* c = process_of(v)) c->start();
-      }});
-  injector_->set_service_hooks(fault::ServiceHooks{
-      .on_tracker_outage = [this] { swarm_->tracker().set_online(false); },
-      .on_tracker_restore = [this] { swarm_->tracker().set_online(true); }});
-  injector_->arm();
+  runner.arm_faults(
+      fault::NodeHooks{
+          .on_crash = [process_of](std::size_t v) {
+            if (bt::Client* c = process_of(v)) c->crash();
+          },
+          .on_leave = [process_of](std::size_t v) {
+            if (bt::Client* c = process_of(v)) c->stop();
+          },
+          .on_rejoin = [process_of](std::size_t v) {
+            if (bt::Client* c = process_of(v)) c->start();
+          }},
+      fault::ServiceHooks{
+          .on_tracker_outage = [this] { swarm_->tracker().set_online(false); },
+          .on_tracker_restore = [this] {
+            swarm_->tracker().set_online(true);
+          }});
+
+  // Which clients fail, and which of those come back (a client's last
+  // failure decides). Seeder and tracker failures get no survivor
+  // accounting.
+  faulted_.assign(spec_.swarm.clients, false);
+  rejoins_.assign(spec_.swarm.clients, false);
+  for (const fault::FailureWindow& w : runner.failures()) {
+    if (w.node < first_client_vnode_ ||
+        w.node >= first_client_vnode_ + spec_.swarm.clients) {
+      continue;
+    }
+    faulted_[w.node - first_client_vnode_] = true;
+    rejoins_[w.node - first_client_vnode_] = w.rejoins();
+  }
+
+  if (!spec_.outputs.metrics.empty()) {
+    monitor_ = std::make_unique<metrics::HealthMonitor>(
+        metrics::HealthMonitor::Options{.csv_name = spec_.outputs.metrics});
+    platform.attach_monitor(*monitor_);
+  }
 }
 
 int SwarmWorkload::execute(ExperimentRunner& runner) {
   core::Platform& platform = runner.platform();
-  const auto wall_start = std::chrono::steady_clock::now();
   auto count_survivors = [this] {
     std::size_t done = 0;
     for (std::size_t c = 0; c < spec_.swarm.clients; ++c) {
@@ -169,8 +135,7 @@ int SwarmWorkload::execute(ExperimentRunner& runner) {
       platform.run(SimTime::zero() + spec_.engine.run_for);
       break;
   }
-  const double wall_seconds = wall_seconds_since(wall_start);
-  runner.set_end_of_run(platform.now());
+  runner.stop_clock();
   if (monitor_) {
     platform.detach_monitor();
     monitor_->print_report();
@@ -182,55 +147,37 @@ int SwarmWorkload::execute(ExperimentRunner& runner) {
               static_cast<unsigned long long>(platform.dispatched_events()),
               platform.physical_node_count(), platform.folding_ratio());
 
-  int failures = 0;
   if (spec_.engine.check_invariants) {
-    auto check = [&](bool ok, const char* what) {
-      std::printf("# check %-46s %s\n", what, ok ? "ok" : "FAIL");
-      if (!ok) ++failures;
-    };
     if (spec_.engine.stop == StopMode::kSurvivorsComplete) {
       const std::size_t survivors = count_survivors();
-      check(survivors == expected_survivors,
-            "churn: every surviving leecher completes");
+      runner.check(survivors == expected_survivors,
+                   "churn: every surviving leecher completes");
       std::printf("# survivors complete: %zu/%zu (of %zu clients)\n",
                   survivors, expected_survivors, spec_.swarm.clients);
     } else {
-      check(swarm_->all_complete(), "all clients complete");
+      runner.check(swarm_->all_complete(), "all clients complete");
     }
-    if (injector_) {
-      check(injector_->stats().unrecovered() == 0,
-            "every injected fault recovered");
-      std::printf("# faults: injected=%llu recovered=%llu\n",
-                  static_cast<unsigned long long>(
-                      injector_->stats().injected),
-                  static_cast<unsigned long long>(
-                      injector_->stats().recovered));
-    }
-    // Nothing wedged: stop the world and the event queue must drain — any
-    // surviving retransmit timer or periodic task would keep it non-empty.
-    for (std::size_t c = 0; c < spec_.swarm.clients; ++c) {
-      swarm_->client(c).stop();
-    }
-    for (std::size_t s = 0; s < spec_.swarm.seeders; ++s) {
-      swarm_->seeder(s).stop();
-    }
-    swarm_->tracker().set_online(false);
-    check(platform.run(platform.now() + Duration::sec(700)) ==
-              core::Platform::RunResult::kDrained,
-          "event queue drains after stop (no wedged timers)");
+    runner.check_faults_and_drain([this] {
+      for (std::size_t c = 0; c < spec_.swarm.clients; ++c) {
+        swarm_->client(c).stop();
+      }
+      for (std::size_t s = 0; s < spec_.swarm.seeders; ++s) {
+        swarm_->seeder(s).stop();
+      }
+      swarm_->tracker().set_online(false);
+    });
   }
 
-  write_outputs(runner, wall_seconds);
-  return failures == 0 ? 0 : 1;
+  write_outputs(runner);
+  return 0;
 }
 
-void SwarmWorkload::write_outputs(ExperimentRunner& runner,
-                                  double wall_seconds) {
+void SwarmWorkload::write_outputs(ExperimentRunner& runner) {
   const OutputsSection& out = spec_.outputs;
   // The median is the clean reference a churn run is read against: run
   // fig8.scn at the churn run's client count and compare the two.
-  const double median = runner.median_completion_sec();
-  runner.write_bench_json(wall_seconds, "clients",
+  const double median = median_completion_sec(*swarm_);
+  runner.write_bench_json("clients",
                           static_cast<double>(spec_.swarm.clients),
                           {{"median_completion_s", median}});
   // Time-series outputs sample on the grid up to one step past the stop
@@ -309,17 +256,12 @@ void SwarmWorkload::write_outputs(ExperimentRunner& runner,
     for (std::size_t c = 0; c < spec_.swarm.clients; ++c) {
       rejoined += rejoins_[c];
     }
-    summary.row({median, static_cast<double>(node_failures_),
+    const fault::InjectorStats faults = runner.fault_stats();
+    summary.row({median, static_cast<double>(runner.failures().size()),
                  static_cast<double>(rejoined),
-                 static_cast<double>(injector_ ? injector_->stats().injected
-                                               : 0),
-                 static_cast<double>(injector_ ? injector_->stats().recovered
-                                               : 0)});
+                 static_cast<double>(faults.injected),
+                 static_cast<double>(faults.recovered)});
   }
-
-  runner.write_trace_output();
-  runner.write_profile_outputs();
-  if (out.report) metrics::print_registry_report(runner.registry());
 }
 
 class SwarmPlugin final : public WorkloadPlugin {
@@ -378,6 +320,9 @@ class SwarmPlugin final : public WorkloadPlugin {
     return bt::swarm_vnodes(spec.swarm);
   }
   bool supports_faults() const override { return true; }
+  NodeRange churn_victims(const ScenarioSpec& spec) const override {
+    return {1 + spec.swarm.seeders, spec.swarm.seeders + spec.swarm.clients};
+  }
   bool supports_survivors_stop() const override { return true; }
 
   std::unique_ptr<Workload> create(const ScenarioSpec& spec) const override {
@@ -391,21 +336,12 @@ void register_swarm_workload(WorkloadRegistry& registry) {
   registry.add(std::make_unique<SwarmPlugin>());
 }
 
-// The swarm-only runner facades live beside the concrete type they cast
+// The swarm-only runner facade lives beside the concrete type it casts
 // to; the assert keeps the cast honest without RTTI.
 bt::Swarm& ExperimentRunner::swarm() {
   P2PLAB_ASSERT_MSG(spec_.workload == "swarm",
                     "swarm() is only valid for swarm workloads");
   return static_cast<SwarmWorkload&>(*workload_).swarm();
-}
-
-double ExperimentRunner::median_completion_sec() const {
-  P2PLAB_ASSERT_MSG(spec_.workload == "swarm",
-                    "median_completion_sec() is swarm-only");
-  const auto& workload = static_cast<const SwarmWorkload&>(*workload_);
-  metrics::Distribution d;
-  for (const double t : workload.swarm().completion_times_sec()) d.add(t);
-  return d.count() > 0 ? d.median() : -1.0;
 }
 
 }  // namespace p2plab::scenario

@@ -5,7 +5,9 @@
 #include "profile/profiler.hpp"
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <sstream>
@@ -18,6 +20,7 @@
 #include "core/platform.hpp"
 #include "metrics/recorder.hpp"
 #include "metrics/registry.hpp"
+#include "metrics/trace.hpp"
 #include "topology/topology.hpp"
 
 namespace p2plab::profile {
@@ -364,6 +367,14 @@ TEST(ResultsWriters, FullDiskIsReportedAsFailure) {
   // /dev/full accepts the open and fails every write: a truncated trace or
   // profile must not pass as written.
   setenv("P2PLAB_RESULTS_DIR", "/dev", 1);
+  {
+    metrics::ResultsFile file("full");
+    ASSERT_NE(file.stream(), nullptr);
+    std::fputs("row\n", file.stream());
+    EXPECT_FALSE(file.close());
+  }
+  EXPECT_FALSE(metrics::write_results_file("full", "{}\n"));
+
   metrics::FlightRecorder rec(4);
   rec.record(SimTime::zero(), "t", "e");
   EXPECT_FALSE(rec.flush_to_results("full"));
@@ -384,6 +395,23 @@ TEST(ResultsWriters, FullDiskIsReportedAsFailure) {
     EXPECT_FALSE(platform.flush_trace_to_results("full"));
   }
   unsetenv("P2PLAB_RESULTS_DIR");
+}
+
+TEST(ResultsWriters, EmptyDirectoryVariableWritesNothing) {
+  // Set but empty means unset: no file lands at "/<name>".
+  const std::string name = "p2plab_empty_results_dir_probe";
+  std::filesystem::remove("/" + name + ".csv");
+  setenv("P2PLAB_RESULTS_DIR", "", 1);
+  {
+    metrics::ResultsFile file(name + ".csv");
+    EXPECT_EQ(file.stream(), nullptr);
+    EXPECT_FALSE(file.close());
+  }
+  EXPECT_FALSE(metrics::write_results_file(name + ".csv", "x\n"));
+  { metrics::CsvWriter csv(name, {"a"}); }
+  unsetenv("P2PLAB_RESULTS_DIR");
+  EXPECT_FALSE(std::filesystem::exists("/" + name + ".csv"));
+  std::filesystem::remove("/" + name + ".csv");
 }
 
 }  // namespace

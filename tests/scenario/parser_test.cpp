@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "scenario/workload.hpp"
+
 namespace p2plab::scenario {
 namespace {
 
@@ -515,6 +517,47 @@ TEST(ScenarioParserErrors, FaultNodesOutsideTheWorkload) {
   EXPECT_EQ(parse_scenario(gossip + "include far.fault\n", options).error,
             "line 9: include 'far.fault': line 3: node must be at most 7");
   std::filesystem::remove_all(dir);
+}
+
+TEST(ScenarioParserErrors, ChurnBoundsMeetTheWorkloadDefaults) {
+  // A bound left out defaults to the workload's churn victims (swarm: the
+  // clients, 5..12 here; gossip: 1..nodes-1), so the given one is checked
+  // against it. Both first two inputs used to parse and then abort the
+  // run on FaultPlan::churn's assertion.
+  const std::string swarm =
+      "scenario x\n"
+      "[workload]\n"
+      "type swarm\n"
+      "clients 8\n"
+      "[faults]\n";
+  const std::string gossip =
+      "scenario x\n"
+      "[workload]\n"
+      "type gossip\n"
+      "nodes 8\n"
+      "[engine]\n"
+      "stop time\n"
+      "run_for 60\n"
+      "[faults]\n";
+  EXPECT_EQ(parse_error(swarm + "churn fraction=0.5 window=1..20 last=2\n"),
+            "line 6: churn needs first <= last");
+  EXPECT_EQ(parse_error(gossip + "churn fraction=0.5 window=1..20 last=0\n"),
+            "line 9: churn needs first <= last");
+  EXPECT_EQ(parse_error(swarm + "churn window=1..20 first=12 last=5\n"),
+            "line 6: churn needs first <= last");
+  // Rejoin downtimes are drawn from [rejoin_min, rejoin_max).
+  EXPECT_EQ(parse_error(swarm +
+                        "churn window=1..20 rejoin_min=100 rejoin_max=5\n"),
+            "line 6: churn needs rejoin_min <= rejoin_max");
+  EXPECT_EQ(parse_error(swarm + "churn window=1..20 rejoin_min=200\n"),
+            "line 6: churn needs rejoin_min <= rejoin_max");
+
+  const ScenarioSpec low = parse_ok(swarm + "churn window=1..20 last=5\n");
+  EXPECT_EQ(churn_range(low).first, 5u);
+  EXPECT_EQ(churn_range(low).last, 5u);
+  const ScenarioSpec all = parse_ok(gossip + "churn window=1..20 first=0\n");
+  EXPECT_EQ(churn_range(all).first, 0u);
+  EXPECT_EQ(churn_range(all).last, 7u);
 }
 
 TEST(ScenarioParserErrors, MalformedValuesCarryTheirLine) {

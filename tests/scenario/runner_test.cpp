@@ -39,7 +39,9 @@ TEST(ExperimentRunner, TinySwarmRunsToCompletion) {
   ExperimentRunner runner(tiny_spec());
   EXPECT_EQ(runner.run(), 0);
   EXPECT_TRUE(runner.swarm().all_complete());
-  EXPECT_GT(runner.median_completion_sec(), 0.0);
+  const std::vector<double> times = completion_times(runner);
+  ASSERT_EQ(times.size(), 6u);
+  for (const double t : times) EXPECT_GT(t, 0.0);
 }
 
 TEST(ExperimentRunner, DslAndCatalogSpecsProduceIdenticalRuns) {
@@ -100,6 +102,73 @@ TEST(ExperimentRunner, ChurnDirectiveInjectsAndRecovers) {
   spec.engine.check_invariants = true;
   ExperimentRunner runner(std::move(spec));
   EXPECT_EQ(runner.run(), 0);  // invariant checks pass
+}
+
+/// Run `spec`'s text and return its stdout; `code` gets the exit code.
+std::string run_capturing_stdout(const std::string& text, int* code) {
+  ParseResult parsed = parse_scenario(text, {});
+  EXPECT_TRUE(parsed.spec) << parsed.error;
+  if (!parsed.spec) return "";
+  ExperimentRunner runner(std::move(*parsed.spec));
+  testing::internal::CaptureStdout();
+  *code = runner.run();
+  return testing::internal::GetCapturedStdout();
+}
+
+int failed_checks(const std::string& out) {
+  int failed = 0;
+  for (std::size_t at = out.find(" FAIL\n"); at != std::string::npos;
+       at = out.find(" FAIL\n", at + 1)) {
+    ++failed;
+  }
+  return failed;
+}
+
+constexpr const char* kUnrecoveredFail =
+    "# check every injected fault recovered                 FAIL";
+
+// A fault window still open when the stop condition fires is an injected
+// fault that never recovered: the shared invariant fails the run (and is
+// the only check that fails), for either fault-capable workload.
+TEST(ExperimentRunner, GossipFaultOpenAtStopFailsTheRun) {
+  int code = 0;
+  const std::string out = run_capturing_stdout(
+      "scenario open_fault\n"
+      "[workload]\n"
+      "type gossip\n"
+      "nodes 4\n"
+      "[faults]\n"
+      "linkdown node=2 at=2 for=100\n"
+      "[engine]\n"
+      "stop time\n"
+      "run_for 5\n"
+      "pin off\n"
+      "check_invariants on\n",
+      &code);
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(out.find(kUnrecoveredFail), std::string::npos) << out;
+  EXPECT_EQ(failed_checks(out), 1) << out;
+}
+
+TEST(ExperimentRunner, SwarmFaultOpenAtStopFailsTheRun) {
+  int code = 0;
+  const std::string out = run_capturing_stdout(
+      "scenario open_fault\n"
+      "[workload]\n"
+      "type swarm\n"
+      "clients 4\n"
+      "seeders 2\n"
+      "file_size 1M\n"
+      "start_interval 1\n"
+      "[faults]\n"
+      "linkdown node=2 at=1 for=300\n"  // a seeder, down past completion
+      "[engine]\n"
+      "pin off\n"
+      "check_invariants on\n",
+      &code);
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(out.find(kUnrecoveredFail), std::string::npos) << out;
+  EXPECT_EQ(failed_checks(out), 1) << out;
 }
 
 TEST(ExperimentRunner, PlatformOnlyProfilingFoldsButWritesNothing) {

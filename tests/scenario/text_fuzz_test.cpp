@@ -21,6 +21,7 @@
 #include "common/rng.hpp"
 #include "fault/plan.hpp"
 #include "scenario/parser.hpp"
+#include "scenario/workload.hpp"
 #include "topology/parser.hpp"
 
 namespace p2plab {
@@ -136,17 +137,20 @@ std::string plan_problem(const fault::FaultPlan& plan, std::size_t vnodes) {
 std::string spec_problem(const scenario::ScenarioSpec& spec) {
   const std::size_t vnodes = spec.vnodes();
   const scenario::ChurnDirective& churn = spec.faults.churn;
-  if (churn.first_node.value_or(0) >= vnodes ||
-      churn.last_node.value_or(0) >= vnodes ||
-      churn.first_node.value_or(0) > churn.last_node.value_or(vnodes)) {
-    return "accepted churn range outside the workload";
+  if (churn.enabled) {
+    // Resolved the way the runner expands it: unset bounds come from the
+    // workload's default victims.
+    const scenario::NodeRange victims = scenario::churn_range(spec);
+    if (victims.first > victims.last || victims.last >= vnodes) {
+      return "accepted churn range outside the workload";
+    }
   }
   if (!is_probability(churn.fraction) ||
       !is_probability(churn.rejoin_fraction) ||
       !is_probability(churn.leave_fraction) ||
       churn.window_start < Duration::zero() ||
       churn.rejoin_min < Duration::zero() ||
-      churn.rejoin_max < Duration::zero()) {
+      churn.rejoin_max < churn.rejoin_min) {
     return "accepted churn value out of range";
   }
   if (spec.swarm.file_size == DataSize::zero() ||
