@@ -1,10 +1,11 @@
-// Ablation: linear vs hash-based rule classification.
+// Ablation: linear vs hash-based rule evaluation cost.
 //
 // The paper laments that IPFW cannot "evaluate the rules in a hierarchical
 // way, or with a hash table" — the linear scan is P2PLab's main
 // scalability limit (Figure 6). This ablation re-runs the Figure 6 sweep
-// with a classifier that indexes host-addressed rules: the RTT curve
-// flattens, quantifying what a better firewall would buy the platform.
+// charging the probes of the rule table's host-address index instead of
+// ipfw's linear walk: the RTT curve flattens, quantifying what a better
+// firewall would buy the platform.
 #include "bench_env.hpp"
 #include "core/platform.hpp"
 #include "metrics/stats.hpp"
@@ -14,10 +15,10 @@ using namespace p2plab;
 
 namespace {
 
-double rtt_with(bool use_hash, std::uint32_t rules) {
+double rtt_with(bool indexed_scan_cost, std::uint32_t rules) {
   core::PlatformConfig config;
   config.physical_nodes = 2;
-  config.host.firewall.use_hash_classifier = use_hash;
+  config.host.firewall.indexed_scan_cost = indexed_scan_cost;
   // Figure 6's delay-free LAN link: the RTT is the rule scan plus the NIC,
   // switch and socket path.
   const topology::LinkClass lan{.down = Bandwidth::unlimited(),

@@ -3,6 +3,8 @@
 // These are engineering benchmarks, not paper figures: they bound the
 // wall-clock cost of the mechanisms that the 10^8-event experiments lean
 // on (event queue, rule scan, pipes, SHA-1, picker).
+#include <algorithm>
+
 #include <benchmark/benchmark.h>
 
 #include "bittorrent/bencode.hpp"
@@ -127,31 +129,83 @@ void BM_EventQueueWindowed(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueWindowed)->Arg(200);
 
-void BM_LinearClassifierScan(benchmark::State& state) {
+// One pnode's rule table as Platform::compile_rules lays it out: two /32
+// access rules per hosted vnode (out on the source, in on the
+// destination), then four outbound inter-zone group rules.
+void add_fold_rules(ipfw::Firewall& fw, std::uint32_t vnodes) {
+  const ipfw::PipeId up = fw.create_pipe({});
+  const ipfw::PipeId down = fw.create_pipe({});
+  const Ipv4Addr zone = *Ipv4Addr::parse("10.1.0.0");
+  std::uint32_t number = 100;
+  for (std::uint32_t i = 0; i < vnodes; ++i) {
+    const CidrBlock host{zone.offset(i + 1), 32};
+    fw.add_rule({.number = number++, .src = host, .dst = CidrBlock::any(),
+                 .dir = ipfw::RuleDir::kOut,
+                 .action = ipfw::RuleAction::kPipe, .pipe = up});
+    fw.add_rule({.number = number++, .src = CidrBlock::any(), .dst = host,
+                 .dir = ipfw::RuleDir::kIn,
+                 .action = ipfw::RuleAction::kPipe, .pipe = down});
+  }
+  for (std::uint32_t z = 0; z < 4; ++z) {
+    fw.add_rule({.number = 60000 + z, .src = CidrBlock{zone, 16},
+                 .dst = CidrBlock{zone.offset((z + 1) << 16), 16},
+                 .dir = ipfw::RuleDir::kOut,
+                 .action = ipfw::RuleAction::kPipe, .pipe = up});
+  }
+}
+
+// Per-packet classification. Args {vnodes, fillers}: a fold-shaped table
+// whose packets alternate outbound and inbound over every hosted vnode,
+// or the Figure 6 table of never-matching fillers that a ping walks end
+// to end.
+void BM_FirewallClassify(benchmark::State& state) {
   sim::Simulation sim;
   ipfw::Firewall fw(sim, {}, Rng{1});
-  fw.add_filler_rules(1000, static_cast<std::uint32_t>(state.range(0)));
-  const auto src = *Ipv4Addr::parse("10.0.0.1");
-  const auto dst = *Ipv4Addr::parse("10.0.0.2");
+  const auto vnodes = static_cast<std::uint32_t>(state.range(0));
+  add_fold_rules(fw, vnodes);
+  fw.add_filler_rules(100000, static_cast<std::uint32_t>(state.range(1)));
+  const Ipv4Addr zone = *Ipv4Addr::parse("10.1.0.0");
+  const Ipv4Addr remote = *Ipv4Addr::parse("10.3.0.7");
+  std::uint32_t i = 0;
+  std::uint64_t scanned = 0;
   for (auto _ : state) {
+    const Ipv4Addr local = zone.offset(i % std::max(vnodes, 1u) + 1);
+    const bool out = (i++ & 1) == 0;
+    const auto result =
+        out ? fw.classify(local, remote, ipfw::RuleDir::kOut)
+            : fw.classify(remote, local, ipfw::RuleDir::kIn);
+    scanned += result.rules_scanned;
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["rules_scanned"] = benchmark::Counter(
+      static_cast<double>(scanned), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_FirewallClassify)
+    ->Args({32, 0})
+    ->Args({1000, 0})
+    ->Args({0, 50000});
+
+// Rule setup: a fold-shaped table of N vnodes (2N + 4 add_rule calls)
+// plus the first classify, which builds the index. Linear in N.
+void BM_FirewallSetup(benchmark::State& state) {
+  const auto vnodes = static_cast<std::uint32_t>(state.range(0));
+  const Ipv4Addr src = *Ipv4Addr::parse("10.1.0.1");
+  const Ipv4Addr dst = *Ipv4Addr::parse("10.3.0.7");
+  for (auto _ : state) {
+    sim::Simulation sim;
+    ipfw::Firewall fw(sim, {}, Rng{1});
+    add_fold_rules(fw, vnodes);
     benchmark::DoNotOptimize(fw.classify(src, dst, ipfw::RuleDir::kOut));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
+                          (2 * state.range(0) + 4));
 }
-BENCHMARK(BM_LinearClassifierScan)->Arg(64)->Arg(1000)->Arg(50000);
-
-void BM_HashClassifierScan(benchmark::State& state) {
-  sim::Simulation sim;
-  ipfw::Firewall fw(sim, {.use_hash_classifier = true}, Rng{1});
-  fw.add_filler_rules(1000, static_cast<std::uint32_t>(state.range(0)));
-  const auto src = *Ipv4Addr::parse("10.0.0.1");
-  const auto dst = *Ipv4Addr::parse("10.0.0.2");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fw.classify(src, dst, ipfw::RuleDir::kOut));
-  }
-}
-BENCHMARK(BM_HashClassifierScan)->Arg(50000);
+BENCHMARK(BM_FirewallSetup)
+    ->Arg(2000)
+    ->Arg(8000)
+    ->Arg(16000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PipeTransit(benchmark::State& state) {
   sim::Simulation sim;

@@ -246,7 +246,10 @@ void Platform::compile_rules() {
       access_pipes_[i] = AccessPipes{.pnode = p, .up = up, .down = down};
     }
 
-    std::uint32_t group_rule_number = 60000;
+    // Group rules sort after every access rule, however many vnodes this
+    // pnode hosts: the packet crosses its own access pipe first.
+    std::uint32_t group_rule_number = std::max<std::uint32_t>(60000,
+                                                              rule_number);
     for (const topology::LatencyPair& pair : topo_.latencies()) {
       // Does this pnode host nodes belonging to either side of the pair?
       // (Container zones match via subnet containment.)

@@ -1,20 +1,11 @@
 #include "ipfw/firewall.hpp"
 
-#include <algorithm>
-
 #include "common/assert.hpp"
 
 namespace p2plab::ipfw {
 
 Firewall::Firewall(sim::Simulation& sim, FirewallConfig config, Rng rng)
-    : sim_(sim), config_(config), rng_(rng) {
-  if (config_.use_hash_classifier) {
-    classifier_ = std::make_unique<HashClassifier>();
-  } else {
-    classifier_ = std::make_unique<LinearClassifier>();
-  }
-  classifier_->rebuild(rules_);
-}
+    : sim_(sim), config_(config), rng_(rng) {}
 
 PipeId Firewall::create_pipe(const PipeConfig& config) {
   pipes_.push_back(std::make_unique<Pipe>(
@@ -38,12 +29,7 @@ void Firewall::add_rule(Rule rule) {
     P2PLAB_ASSERT_MSG(rule.pipe != kNoPipe && rule.pipe <= pipes_.size(),
                       "pipe rule references unknown pipe");
   }
-  // Insert before the first rule with a larger number (stable for equals).
-  auto pos = std::upper_bound(
-      rules_.begin(), rules_.end(), rule,
-      [](const Rule& a, const Rule& b) { return a.number < b.number; });
-  rules_.insert(pos, rule);
-  rebuild_classifier();
+  rules_.add(rule);
 }
 
 void Firewall::add_filler_rules(std::uint32_t first_number,
@@ -52,24 +38,18 @@ void Firewall::add_filler_rules(std::uint32_t first_number,
   const CidrBlock nomatch{Ipv4Addr::from_octets(255, 255, 255, 255), 32};
   rules_.reserve(rules_.size() + count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    Rule rule;
-    rule.number = first_number + i;
-    rule.src = nomatch;
-    rule.action = RuleAction::kDeny;
-    auto pos = std::upper_bound(
-        rules_.begin(), rules_.end(), rule,
-        [](const Rule& a, const Rule& b) { return a.number < b.number; });
-    rules_.insert(pos, rule);
+    rules_.add({.number = first_number + i,
+                .src = nomatch,
+                .action = RuleAction::kDeny});
   }
-  rebuild_classifier();
 }
 
-MatchResult Firewall::classify(Ipv4Addr src, Ipv4Addr dst,
-                               RuleDir pass) const {
-  MatchResult result = classifier_->classify(src, dst, pass);
+MatchResult Firewall::classify(Ipv4Addr src, Ipv4Addr dst, RuleDir pass) {
+  MatchResult result = rules_.classify(src, dst, pass);
+  const std::uint32_t charged = charged_rules(result);
   metrics_.packets_classified.inc();
-  metrics_.rules_scanned.inc(result.rules_scanned);
-  metrics_.scan_len.record(static_cast<double>(result.rules_scanned));
+  metrics_.rules_scanned.inc(charged);
+  metrics_.scan_len.record(static_cast<double>(charged));
   metrics_.scan_cpu_ns.inc(
       static_cast<std::uint64_t>(scan_cost(result).count_ns()));
   if (result.denied) metrics_.denied.inc();
@@ -86,7 +66,5 @@ void Firewall::bind_metrics(metrics::Registry& reg) {
   pipe_metrics_ = PipeMetrics::resolve(reg);
   for (auto& pipe : pipes_) pipe->bind_metrics(pipe_metrics_);
 }
-
-void Firewall::rebuild_classifier() { classifier_->rebuild(rules_); }
 
 }  // namespace p2plab::ipfw

@@ -2,8 +2,9 @@
 //
 // Each physical node runs its own firewall (P2PLab's decentralized network
 // emulation): it shapes the traffic of the virtual nodes it hosts and adds
-// inter-group latency, and charges CPU time proportional to the number of
-// rules scanned (the linear-evaluation cost behind Figure 6).
+// inter-group latency, and charges CPU time proportional to the rule count
+// its RuleTable reports for each packet: ipfw's linear walk (the cost behind
+// Figure 6), or the first-match index's probes under the ablation.
 #pragma once
 
 #include <cstdint>
@@ -22,17 +23,19 @@ namespace p2plab::ipfw {
 struct FirewallConfig {
   /// CPU cost of examining one rule; the Figure 6 calibration constant.
   Duration per_rule_cost = Duration::ns(50);
-  bool use_hash_classifier = false;  // ablation switch
+  /// Ablation: charge the index's probes (MatchResult::rules_probed)
+  /// instead of ipfw's linear walk. Verdicts and pipes are the same.
+  bool indexed_scan_cost = false;
 };
 
 /// Shared "ipfw.*" registry handles; one set aggregates every per-host
 /// firewall (same names resolve to the same cells).
 struct FirewallMetrics {
   metrics::Counter packets_classified;
-  metrics::Counter rules_scanned;  // sum over packets; Figure 6's x-axis
+  metrics::Counter rules_scanned;  // charged rules, summed; Fig 6's x-axis
   metrics::Counter denied;
   metrics::Counter scan_cpu_ns;  // CPU charged for rule scans, in sim ns
-  metrics::Histogram scan_len;   // rules scanned per packet
+  metrics::Histogram scan_len;   // charged rules per packet
 };
 
 class Firewall {
@@ -53,32 +56,34 @@ class Firewall {
   void add_filler_rules(std::uint32_t first_number, std::uint32_t count);
   size_t rule_count() const { return rules_.size(); }
 
-  /// Classify a packet. The scan itself costs
-  /// result.rules_scanned * per_rule_cost of CPU latency; scan_cost() turns
-  /// a MatchResult into that Duration.
+  /// Classify a packet. The scan costs charged_rules(result) *
+  /// per_rule_cost of CPU latency; scan_cost() turns a MatchResult into
+  /// that Duration.
   MatchResult classify(Ipv4Addr src, Ipv4Addr dst,
-                       RuleDir pass = RuleDir::kAny) const;
+                       RuleDir pass = RuleDir::kAny);
+  /// The rules this firewall charges for `result`: ipfw's linear walk, or
+  /// the index's probes under indexed_scan_cost.
+  std::uint32_t charged_rules(const MatchResult& result) const {
+    return config_.indexed_scan_cost ? result.rules_probed
+                                     : result.rules_scanned;
+  }
   Duration scan_cost(const MatchResult& result) const {
     return config_.per_rule_cost *
-           static_cast<std::int64_t>(result.rules_scanned);
+           static_cast<std::int64_t>(charged_rules(result));
   }
 
   const FirewallConfig& config() const { return config_; }
-  const char* classifier_name() const { return classifier_->name(); }
 
   /// Resolve "ipfw.*" handles from `reg` for this firewall and all of its
   /// pipes (present and future).
   void bind_metrics(metrics::Registry& reg);
 
  private:
-  void rebuild_classifier();
-
   sim::Simulation& sim_;
   FirewallConfig config_;
   Rng rng_;
-  std::vector<Rule> rules_;
+  RuleTable rules_;
   std::vector<std::unique_ptr<Pipe>> pipes_;  // index = PipeId - 1
-  std::unique_ptr<Classifier> classifier_;
   FirewallMetrics metrics_;
   PipeMetrics pipe_metrics_;  // copied into each pipe
 };

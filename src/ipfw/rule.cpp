@@ -1,98 +1,102 @@
 #include "ipfw/rule.hpp"
 
 #include <algorithm>
-
-#include "common/assert.hpp"
+#include <limits>
 
 namespace p2plab::ipfw {
 
-MatchResult LinearClassifier::classify(Ipv4Addr src, Ipv4Addr dst,
-                                       RuleDir pass) const {
-  MatchResult result;
-  for (const Rule& rule : rules_) {
-    ++result.rules_scanned;
-    if (!rule.matches(src, dst, pass)) continue;
-    switch (rule.action) {
-      case RuleAction::kPipe:
-        result.pipes.push_back(rule.pipe);
-        break;  // one_pass=0: keep scanning
-      case RuleAction::kAllow:
-        return result;
-      case RuleAction::kDeny:
-        result.denied = true;
-        return result;
-    }
-  }
-  return result;  // implicit allow at end of list
+namespace {
+
+constexpr std::uint32_t kEnd = std::numeric_limits<std::uint32_t>::max();
+
+}  // namespace
+
+void RuleTable::add(const Rule& rule) {
+  auto pos = std::upper_bound(
+      rules_.begin(), rules_.end(), rule,
+      [](const Rule& a, const Rule& b) { return a.number < b.number; });
+  rules_.insert(pos, rule);
+  index_stale_ = true;
 }
 
-void HashClassifier::rebuild(const std::vector<Rule>& rules) {
-  by_src_host_.clear();
-  by_dst_host_.clear();
-  residual_.clear();
-  sorted_ = false;
-  for (size_t i = 0; i < rules.size(); ++i) {
-    IndexedRule ir{rules[i], i};
-    if (rules[i].src.prefix_len() == 32) {
-      by_src_host_.emplace_back(rules[i].src.base().to_u32(), ir);
-    } else if (rules[i].dst.prefix_len() == 32) {
-      by_dst_host_.emplace_back(rules[i].dst.base().to_u32(), ir);
+void RuleTable::build_index() {
+  by_src_.clear();
+  by_dst_.clear();
+  group_.clear();
+  for (std::uint32_t pos = 0; pos < rules_.size(); ++pos) {
+    const Rule& rule = rules_[pos];
+    if (rule.src.prefix_len() == 32) {
+      by_src_.push_back({rule.src.base().to_u32(), pos});
+    } else if (rule.dst.prefix_len() == 32) {
+      by_dst_.push_back({rule.dst.base().to_u32(), pos});
     } else {
-      residual_.push_back(ir);
+      group_.push_back(pos);
     }
   }
-  sort_buckets();
-}
-
-void HashClassifier::sort_buckets() {
-  auto by_key = [](const auto& a, const auto& b) { return a.first < b.first; };
-  std::sort(by_src_host_.begin(), by_src_host_.end(), by_key);
-  std::sort(by_dst_host_.begin(), by_dst_host_.end(), by_key);
-  sorted_ = true;
-}
-
-MatchResult HashClassifier::classify(Ipv4Addr src, Ipv4Addr dst,
-                                     RuleDir pass) const {
-  P2PLAB_ASSERT(sorted_);
-  MatchResult result;
-
-  // Gather candidate rules: host-indexed hits plus all residual rules.
-  // Candidates must then be applied in original rule order to preserve
-  // allow/deny semantics, so collect (order, rule) and sort. Candidate sets
-  // are tiny (a handful), which is the point of the ablation.
-  std::vector<const IndexedRule*> candidates;
-  auto collect = [&](const std::vector<std::pair<std::uint32_t, IndexedRule>>&
-                         bucket,
-                     std::uint32_t key) {
-    auto [lo, hi] = std::equal_range(
-        bucket.begin(), bucket.end(), std::make_pair(key, IndexedRule{}),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (auto it = lo; it != hi; ++it) candidates.push_back(&it->second);
+  auto by_addr_then_pos = [](const HostRule& a, const HostRule& b) {
+    return a.addr != b.addr ? a.addr < b.addr : a.pos < b.pos;
   };
-  collect(by_src_host_, src.to_u32());
-  collect(by_dst_host_, dst.to_u32());
-  for (const IndexedRule& ir : residual_) candidates.push_back(&ir);
+  std::sort(by_src_.begin(), by_src_.end(), by_addr_then_pos);
+  std::sort(by_dst_.begin(), by_dst_.end(), by_addr_then_pos);
+  // Sentinels: a lookup lands on a real entry or on these, and every range
+  // ends at position kEnd, so the walk needs no bounds checks.
+  by_src_.push_back({kEnd, kEnd});
+  by_dst_.push_back({kEnd, kEnd});
+  group_.push_back(kEnd);
+  index_stale_ = false;
+}
 
-  std::sort(candidates.begin(), candidates.end(),
-            [](const IndexedRule* a, const IndexedRule* b) {
-              return a->order < b->order;
-            });
+MatchResult RuleTable::classify(Ipv4Addr src, Ipv4Addr dst, RuleDir pass) {
+  if (index_stale_) build_index();
+  // The first entry of a host index keyed by `addr` (or the sentinel), and
+  // the position of the entry `r` if it is keyed by `addr`.
+  auto first = [](const std::vector<HostRule>& index, std::uint32_t addr) {
+    return &*std::partition_point(
+        index.begin(), index.end() - 1,
+        [addr](const HostRule& r) { return r.addr < addr; });
+  };
+  auto pos_of = [](const HostRule* r, std::uint32_t addr) {
+    return r->addr == addr ? r->pos : kEnd;
+  };
+  const std::uint32_t s_addr = src.to_u32();
+  const std::uint32_t d_addr = dst.to_u32();
+  const HostRule* s = first(by_src_, s_addr);
+  const HostRule* d = first(by_dst_, d_addr);
+  const std::uint32_t* g = group_.data();
+  std::uint32_t ps = pos_of(s, s_addr);
+  std::uint32_t pd = pos_of(d, d_addr);
+  std::uint32_t pg = *g;
 
-  for (const IndexedRule* ir : candidates) {
-    ++result.rules_scanned;
-    if (!ir->rule.matches(src, dst, pass)) continue;
-    switch (ir->rule.action) {
-      case RuleAction::kPipe:
-        result.pipes.push_back(ir->rule.pipe);
-        break;
-      case RuleAction::kAllow:
-        return result;
-      case RuleAction::kDeny:
-        result.denied = true;
-        return result;
+  // Merge the three ascending position ranges: every rule lives in exactly
+  // one of them, so this visits the candidates in rule order.
+  MatchResult result;
+  for (;;) {
+    std::uint32_t pos;
+    if (ps < pd && ps < pg) {
+      pos = ps;
+      ps = pos_of(++s, s_addr);
+    } else if (pd < pg) {
+      pos = pd;
+      pd = pos_of(++d, d_addr);
+    } else if (pg != kEnd) {
+      pos = pg;
+      pg = *++g;
+    } else {
+      break;
     }
+    ++result.rules_probed;
+    const Rule& rule = rules_[pos];
+    if (!rule.matches(src, dst, pass)) continue;
+    if (rule.action == RuleAction::kPipe) {
+      result.pipes.push_back(rule.pipe);  // one_pass=0: keep walking
+      continue;
+    }
+    result.denied = rule.action == RuleAction::kDeny;
+    result.rules_scanned = pos + 1;
+    return result;
   }
-  return result;
+  result.rules_scanned = static_cast<std::uint32_t>(rules_.size());
+  return result;  // implicit allow at end of list
 }
 
 }  // namespace p2plab::ipfw

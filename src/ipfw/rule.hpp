@@ -1,15 +1,16 @@
-// IPFW-style firewall rules and classifiers.
+// IPFW-style firewall rules and the rule table that classifies packets.
 //
 // The paper's scalability limit is the firewall: "latency increases nearly
 // linearly with the number of rules, because the rules are evaluated
 // linearly by the firewall. With IPFW, it is not possible to evaluate the
 // rules in a hierarchical way, or with a hash table." (Figure 6.)
 //
-// LinearClassifier is the faithful model: every packet walks the rule list
-// in rule-number order, and the walk length is reported so the network
-// layer can charge per-rule CPU latency. HashClassifier is the ablation the
-// paper wishes IPFW had: host-addressed rules are indexed by exact IP, so
-// the walk length stays O(#group rules).
+// The faithful model is the *charged count*, not the walk. RuleTable finds
+// the verdict through an exact first-match index and reports two counts for
+// it: the linear walk length ipfw would pay (rules_scanned, which the
+// network layer charges as per-rule CPU latency) and the candidates the
+// index examined (rules_probed, the hash-table firewall the paper wishes
+// IPFW had; the ablation charges it instead).
 //
 // Matching semantics follow Dummynet with net.inet.ip.fw.one_pass=0: a
 // matching pipe rule shapes the packet and the scan *continues* (the paper
@@ -134,60 +135,48 @@ struct Rule {
 };
 
 struct MatchResult {
-  /// Rules examined during classification; the linear classifier's latency
-  /// cost is proportional to this (Figure 6).
+  /// ipfw's linear walk length: the terminal rule's position + 1, or the
+  /// whole list when no rule terminates. Figure 6 charges this.
   std::uint32_t rules_scanned = 0;
+  /// Candidates the first-match index examined to reach the same verdict:
+  /// what a firewall with a hash table would charge (the ablation).
+  std::uint32_t rules_probed = 0;
   bool denied = false;
   /// Matched pipe rules in rule order; the packet traverses them in order.
   PipeList pipes;
 };
 
-/// Classification strategy interface.
-class Classifier {
+/// The rules in evaluation order plus an exact first-match index: /32-src
+/// rules keyed by source address, /32-dst rules by destination address,
+/// and the positions of every other (group) rule. A mutation only marks
+/// the index stale; the next classify() rebuilds it once. Only the shard
+/// that owns the host classifies, and mutations happen between runs.
+class RuleTable {
  public:
-  virtual ~Classifier() = default;
-  /// Called whenever the rule set changed.
-  virtual void rebuild(const std::vector<Rule>& rules) = 0;
-  virtual MatchResult classify(Ipv4Addr src, Ipv4Addr dst,
-                               RuleDir pass) const = 0;
-  virtual const char* name() const = 0;
-};
+  /// Insert before the first rule with a larger number: equal numbers keep
+  /// insertion order, matching ipfw add semantics.
+  void add(const Rule& rule);
+  void reserve(std::size_t count) { rules_.reserve(count); }
+  std::size_t size() const { return rules_.size(); }
 
-/// Faithful IPFW behaviour: O(#rules) scan per packet.
-class LinearClassifier final : public Classifier {
- public:
-  void rebuild(const std::vector<Rule>& rules) override { rules_ = rules; }
-  MatchResult classify(Ipv4Addr src, Ipv4Addr dst,
-                       RuleDir pass) const override;
-  const char* name() const override { return "linear"; }
+  /// Walk the candidates for (src, dst) in rule order: pipe rules
+  /// accumulate, the first allow or deny ends the walk (an implicit allow
+  /// ends the list). Allocates nothing once the index is built.
+  MatchResult classify(Ipv4Addr src, Ipv4Addr dst, RuleDir pass);
 
  private:
-  std::vector<Rule> rules_;
-};
-
-/// Ablation: rules whose src or dst is a /32 host address are indexed by
-/// that address; only the remaining (group-level) rules are scanned. The
-/// scan-count reported reflects the cheap lookup, so the Figure-6 curve
-/// flattens.
-class HashClassifier final : public Classifier {
- public:
-  void rebuild(const std::vector<Rule>& rules) override;
-  MatchResult classify(Ipv4Addr src, Ipv4Addr dst,
-                       RuleDir pass) const override;
-  const char* name() const override { return "hash"; }
-
- private:
-  struct IndexedRule {
-    Rule rule;
-    size_t order = 0;  // original position, to preserve rule-order semantics
+  struct HostRule {
+    std::uint32_t addr;
+    std::uint32_t pos;  // index into rules_
   };
-  // Host-keyed buckets (keyed by the /32 side of the rule).
-  std::vector<std::pair<std::uint32_t, IndexedRule>> by_src_host_;
-  std::vector<std::pair<std::uint32_t, IndexedRule>> by_dst_host_;
-  std::vector<IndexedRule> residual_;  // group-level rules, scanned linearly
-  bool sorted_ = false;
 
-  void sort_buckets();
+  void build_index();
+
+  std::vector<Rule> rules_;
+  std::vector<HostRule> by_src_;  // sorted by (addr, pos), then a sentinel
+  std::vector<HostRule> by_dst_;  // sorted by (addr, pos), then a sentinel
+  std::vector<std::uint32_t> group_;  // ascending, then a sentinel
+  bool index_stale_ = true;
 };
 
 }  // namespace p2plab::ipfw

@@ -157,6 +157,31 @@ TEST(Platform, SingleMachineFoldsEverything) {
   EXPECT_EQ(platform.host(0).firewall().rule_count(), 160u);
 }
 
+TEST(Platform, GroupRulesFollowEveryAccessRule) {
+  // Two rules per vnode from number 100 pass 60000 once a pnode hosts
+  // more than 29 950 vnodes; the group rules must still sort after the
+  // last vnode's access rules, so its packets cross [up, group].
+  topology::Topology topo;
+  const auto a = topo.add_zone("a", *CidrBlock::parse("10.1.0.0/16"), 15000,
+                               topology::dsl_2m());
+  const auto b = topo.add_zone("b", *CidrBlock::parse("10.2.0.0/16"), 15000,
+                               topology::dsl_2m());
+  topo.add_latency(a, b, Duration::ms(100));
+  Platform platform(topo, PlatformConfig{.physical_nodes = 1});
+  ipfw::Firewall& fw = platform.host(0).firewall();
+  EXPECT_EQ(fw.rule_count(), 2u * 30000 + 2);
+
+  const topology::Topology& t = platform.topology();
+  const auto out = fw.classify(t.node_address(29999), t.node_address(0),
+                               ipfw::RuleDir::kOut);
+  ASSERT_EQ(out.pipes.size(), 2u);
+  EXPECT_EQ(fw.pipe(out.pipes[0]).config().bandwidth,
+            t.link_of_node(29999).up);
+  EXPECT_EQ(fw.pipe(out.pipes[0]).config().delay,
+            t.link_of_node(29999).latency);
+  EXPECT_EQ(fw.pipe(out.pipes[1]).config().delay, Duration::ms(100));
+}
+
 TEST(Platform, TotalRulesAccounting) {
   Platform platform(topology::homogeneous_dsl(40),
                     PlatformConfig{.physical_nodes = 4});

@@ -45,17 +45,23 @@ TEST_F(FirewallTest, ScanCostScalesWithRules) {
   fw.add_filler_rules(1000, 5000);
   const auto result = fw.classify(ip("10.0.0.1"), ip("10.0.0.2"));
   EXPECT_EQ(result.rules_scanned, 5000u);
+  EXPECT_EQ(fw.charged_rules(result), 5000u);
   // 5000 rules at 50 ns each = 250 us of scan latency.
   EXPECT_NEAR(fw.scan_cost(result).to_micros(), 250.0, 1e-9);
 }
 
-TEST_F(FirewallTest, HashClassifierAblationFlattens) {
+TEST_F(FirewallTest, IndexedScanCostAblationFlattens) {
+  // The ablation charges the index's probes; the linear walk length is
+  // still reported, and the verdict does not change.
   sim::Simulation sim2;
-  Firewall hash_fw{sim2, FirewallConfig{.use_hash_classifier = true}, Rng{1}};
-  hash_fw.add_filler_rules(1000, 5000);
-  const auto result = hash_fw.classify(ip("10.0.0.1"), ip("10.0.0.2"));
-  EXPECT_LE(result.rules_scanned, 1u);
-  EXPECT_STREQ(hash_fw.classifier_name(), "hash");
+  Firewall indexed_fw{sim2, FirewallConfig{.indexed_scan_cost = true},
+                      Rng{1}};
+  indexed_fw.add_filler_rules(1000, 5000);
+  const auto result = indexed_fw.classify(ip("10.0.0.1"), ip("10.0.0.2"));
+  EXPECT_LE(indexed_fw.charged_rules(result), 1u);
+  EXPECT_EQ(indexed_fw.scan_cost(result), Duration::zero());
+  EXPECT_EQ(result.rules_scanned, 5000u);
+  EXPECT_FALSE(result.denied);
 }
 
 TEST_F(FirewallTest, VnodeShapingScenario) {
@@ -82,7 +88,7 @@ TEST_F(FirewallTest, VnodeShapingScenario) {
 
 TEST_F(FirewallTest, DefaultPerRuleCostMatchesCalibration) {
   EXPECT_EQ(fw.config().per_rule_cost, Duration::ns(50));
-  EXPECT_STREQ(fw.classifier_name(), "linear");
+  EXPECT_FALSE(fw.config().indexed_scan_cost);  // charge the linear walk
 }
 
 }  // namespace
