@@ -36,8 +36,16 @@ Platform::Platform(const topology::Topology& topo, PlatformConfig config)
   // spins at its barrier under the same condition).
   engine_->set_pin_workers(
       config_.pin_workers.value_or(online >= static_cast<int>(k)));
-  shard_of_pnode_ =
-      engine::topo_partition(topo_, config_.physical_nodes, k, config_.seed);
+  // Contiguous capacity blocks: shard s owns the next P/K pnodes, and the
+  // first P % K shards one more. Traffic locality is no input: every
+  // inter-host packet is handed off, on the same shard or not (DESIGN.md
+  // §15).
+  shard_of_pnode_.reserve(config_.physical_nodes);
+  for (std::size_t s = 0; s < k; ++s) {
+    const std::size_t size = config_.physical_nodes / k +
+                             (s < config_.physical_nodes % k ? 1 : 0);
+    shard_of_pnode_.insert(shard_of_pnode_.end(), size, s);
+  }
   for (std::size_t s = 0; s < k; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->network = std::make_unique<net::Network>(shard->sim, rng_.fork(1),

@@ -9,12 +9,12 @@
 // application. A ping probe reproduces the paper's latency measurements.
 //
 // The platform runs on the parallel engine (src/engine): physical nodes
-// are partitioned across PlatformConfig::shards shards by the
-// topology-aware zone-affinity partitioner (engine/partition.hpp) — one
-// Simulation + Network + SocketManager per shard, driven by worker threads
-// under conservative synchronization. The partition is invisible to
-// results: a K-shard run is bit-identical to the 1-shard run (see
-// engine/engine.hpp and DESIGN.md §9).
+// are split across PlatformConfig::shards shards in contiguous capacity
+// blocks (the first P % K shards own one pnode more) — one Simulation +
+// Network + SocketManager per shard, driven by worker threads under
+// conservative synchronization. The layout is invisible to results: a
+// K-shard run is bit-identical to the 1-shard run (see engine/engine.hpp
+// and DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,6 @@
 
 #include "common/rng.hpp"
 #include "engine/engine.hpp"
-#include "engine/partition.hpp"
 #include "ipfw/pipe.hpp"
 #include "metrics/health.hpp"
 #include "metrics/recorder.hpp"
@@ -270,7 +269,8 @@ class Platform {
   std::unique_ptr<profile::Profiler> profiler_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<engine::Engine> engine_;
-  /// pnode -> shard table (see PlatformConfig::partition).
+  /// pnode -> shard table: contiguous capacity blocks, built once by the
+  /// constructor.
   std::vector<std::size_t> shard_of_pnode_;
   /// vnode -> owning shard, built at deploy time: sim_of_vnode() sits on
   /// the application's per-send and per-timer path.

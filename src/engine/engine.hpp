@@ -168,9 +168,6 @@ class Engine final : public net::FabricHandoff {
   void map_address(Ipv4Addr addr, std::size_t shard);
 
   std::size_t shard_count() const { return sims_.size(); }
-  std::size_t shard_of_address(Ipv4Addr addr) const {
-    return shard_of_addr_.at(addr.to_u32());
-  }
   Duration lookahead() const { return lookahead_; }
   /// Barrier time: every shard has executed all its events before this.
   SimTime now() const { return cursor_; }

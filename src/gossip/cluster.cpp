@@ -38,6 +38,9 @@ void Node::bind_socket() {
 }
 
 void Node::start() {
+  // A fault that fired before this staggered start already owns the
+  // member's lifecycle: a crash left it down, and a rejoin bound its port.
+  if (epoch_ != 0) return;
   running_ = true;
   bind_socket();
   if (id_ == 0) {

@@ -58,7 +58,8 @@ class Node {
 
   /// Bring the member up for the first time (runs as a sim event on the
   /// owning shard). The introducer (id 0) starts joined; everyone else
-  /// asks it for a membership snapshot, retrying every period.
+  /// asks it for a membership snapshot, retrying every period. A no-op
+  /// once a fault hook has run: the fault then owns the lifecycle.
   void start();
 
   // Fault-injector hooks; callers run them on the owning shard.

@@ -38,7 +38,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -202,12 +201,6 @@ class Simulation {
       dispatch(tier->pop());
     }
     metrics_.queue_depth.set(static_cast<double>(live_events_));
-  }
-
-  /// Run while `predicate()` is true and events remain.
-  void run_while(const std::function<bool()>& predicate) {
-    while (predicate() && step()) {
-    }
   }
 
   /// Slots currently allocated in the slab (capacity watermark; the gauge

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace p2plab::core {
 namespace {
 
@@ -25,6 +28,43 @@ TEST(Platform, DeploysVnodesInBlocks) {
   // Every pnode hosts exactly 10 aliases.
   for (std::size_t p = 0; p < 16; ++p) {
     EXPECT_EQ(platform.host(p).aliases().size(), 10u);
+  }
+}
+
+/// pnode -> shard table of a P-pnode, K-shard platform. Worker threads
+/// start only in run(), so constructing one is cheap.
+std::vector<std::size_t> shard_layout(std::size_t pnodes, std::size_t shards) {
+  const Platform platform(
+      topology::homogeneous_dsl(pnodes),
+      PlatformConfig{.physical_nodes = pnodes, .shards = shards});
+  std::vector<std::size_t> layout;
+  for (std::size_t p = 0; p < pnodes; ++p) {
+    layout.push_back(platform.shard_of_pnode(p));
+  }
+  return layout;
+}
+
+TEST(Platform, ShardsOwnContiguousCapacityBlocks) {
+  // Shard s owns the next P/K pnodes, the first P % K shards one more.
+  // Not p*K/P striping, which gives 0 0 0 1 1 2 2 2 3 3 at P=10, K=4.
+  EXPECT_EQ(shard_layout(10, 4),
+            (std::vector<std::size_t>{0, 0, 0, 1, 1, 1, 2, 2, 3, 3}));
+  // The emubench swarm-k2 shape.
+  EXPECT_EQ(shard_layout(3, 2), (std::vector<std::size_t>{0, 0, 1}));
+  // Fig 10 at 1440 clients: 46 pnodes split 12/12/11/11.
+  const std::vector<std::size_t> fig10 = shard_layout(46, 4);
+  EXPECT_TRUE(std::is_sorted(fig10.begin(), fig10.end()));
+  std::vector<std::size_t> sizes(4, 0);
+  for (const std::size_t s : fig10) ++sizes.at(s);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{12, 12, 11, 11}));
+}
+
+TEST(Platform, ShardCountIsClampedToPnodes) {
+  const Platform platform(topology::homogeneous_dsl(6),
+                          PlatformConfig{.physical_nodes = 3, .shards = 8});
+  EXPECT_EQ(platform.shard_count(), 3u);
+  for (std::size_t p = 0; p < 3; ++p) {
+    EXPECT_EQ(platform.shard_of_pnode(p), p);
   }
 }
 

@@ -1,12 +1,13 @@
 // Parallel-engine determinism and lifecycle tests.
 //
-// The engine's contract (engine/engine.hpp) is that the shard partition is
+// The engine's contract (engine/engine.hpp) is that the shard layout is
 // invisible: a K-shard run replays the 1-shard engine run bit for bit. The
 // golden-trace test drives the paper's Figure 8 scenario (BitTorrent swarm
 // on folded physical nodes; client count scaled down for CI, overridable
 // via P2PLAB_DETERMINISM_CLIENTS up to the full 160) under K = 1, 2, 4 and
 // requires byte-identical trace JSONL, identical completion times and an
-// identical dispatched-event count.
+// identical dispatched-event count. A two-zone swarm whose shard blocks
+// cut through a zone holds to the same bar.
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
@@ -57,17 +58,14 @@ struct RunOutput {
   double merged_dispatched = 0;  // via the master registry (fold_shards path)
 };
 
-RunOutput run_fig8(std::size_t shards, std::size_t clients,
-                   bool profile = false, bool tcp = false) {
-  core::PlatformConfig pc;
-  pc.physical_nodes = 8;
-  pc.seed = 7;
+/// One traced swarm run on `topo`, with pnodes, seed and transport from
+/// `pc`; only the shard count varies between the runs a test compares.
+RunOutput run_swarm(const topology::Topology& topo, core::PlatformConfig pc,
+                    std::size_t shards, const bt::SwarmConfig& config,
+                    bool profile = false) {
   pc.shards = shards;
   if (shards == 1) pc.pin_workers = false;
-  if (tcp) pc.stream.transport = sockets::TransportModel::kTcp;
-  const bt::SwarmConfig config = fig8_swarm(clients);
-  core::Platform platform(topology::homogeneous_dsl(bt::swarm_vnodes(config)),
-                          pc);
+  core::Platform platform(topo, pc);
   platform.enable_tracing(1 << 18);
   if (profile) platform.enable_profiling();
   metrics::Registry registry;
@@ -93,6 +91,31 @@ RunOutput run_fig8(std::size_t shards, std::size_t clients,
   return out;
 }
 
+RunOutput run_fig8(std::size_t shards, std::size_t clients,
+                   bool profile = false, bool tcp = false) {
+  core::PlatformConfig pc;
+  pc.physical_nodes = 8;
+  pc.seed = 7;
+  if (tcp) pc.stream.transport = sockets::TransportModel::kTcp;
+  const bt::SwarmConfig config = fig8_swarm(clients);
+  return run_swarm(topology::homogeneous_dsl(bt::swarm_vnodes(config)), pc,
+                   shards, config, profile);
+}
+
+void expect_same_run(const RunOutput& golden, const RunOutput& run,
+                     const std::string& what) {
+  EXPECT_EQ(golden.completion_sec, run.completion_sec)
+      << "completion times diverged " << what;
+  EXPECT_EQ(golden.dispatched, run.dispatched)
+      << "event counts diverged " << what;
+  ASSERT_EQ(golden.trace.size(), run.trace.size())
+      << "trace lengths diverged " << what;
+  for (std::size_t i = 0; i < golden.trace.size(); ++i) {
+    ASSERT_EQ(golden.trace[i], run.trace[i])
+        << "first trace divergence " << what << ", line " << i;
+  }
+}
+
 TEST(EngineDeterminism, GoldenTraceIsShardCountInvariant) {
   const std::size_t clients = scenario_clients();
   const RunOutput golden = run_fig8(1, clients);
@@ -100,18 +123,39 @@ TEST(EngineDeterminism, GoldenTraceIsShardCountInvariant) {
   ASSERT_EQ(golden.completion_sec.size(), clients);
 
   for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
-    const RunOutput run = run_fig8(k, clients);
-    EXPECT_EQ(golden.completion_sec, run.completion_sec)
-        << "completion times diverged at K=" << k;
-    EXPECT_EQ(golden.dispatched, run.dispatched)
-        << "event counts diverged at K=" << k;
-    ASSERT_EQ(golden.trace.size(), run.trace.size())
-        << "trace lengths diverged at K=" << k;
-    for (std::size_t i = 0; i < golden.trace.size(); ++i) {
-      ASSERT_EQ(golden.trace[i], run.trace[i])
-          << "first trace divergence at K=" << k << ", line " << i;
-    }
+    expect_same_run(golden, run_fig8(k, clients),
+                    "at K=" + std::to_string(k));
   }
+}
+
+TEST(EngineDeterminism, ZoneCutByShardBlocksIsShardCountInvariant) {
+  // Two 6-vnode zones folded two vnodes per pnode: 6 pnodes, zone a on
+  // pnodes 0-2 and zone b on 3-5. The K=3 blocks {0,1} {2,3} {4,5} split
+  // both zones, and pnode 2's zone-a vnodes share a shard with zone b.
+  topology::Topology topo;
+  topo.add_zone("isp-a", *CidrBlock::parse("10.1.0.0/16"), 6,
+                topology::dsl_2m());
+  topo.add_zone("isp-b", *CidrBlock::parse("10.2.0.0/16"), 6,
+                topology::dsl_2m());
+  topo.add_latency(0, 1, Duration::ms(100));
+  const bt::SwarmConfig config = fig8_swarm(9);
+  ASSERT_EQ(bt::swarm_vnodes(config), topo.total_nodes());
+  core::PlatformConfig pc;
+  pc.physical_nodes = 6;
+  pc.seed = 7;
+  {
+    pc.shards = 3;
+    const core::Platform platform(topo, pc);
+    ASSERT_EQ(platform.folding_ratio(), 2u);
+    EXPECT_NE(platform.shard_of_pnode(platform.pnode_of_vnode(0)),
+              platform.shard_of_pnode(platform.pnode_of_vnode(5)));
+    EXPECT_EQ(platform.shard_of_pnode(platform.pnode_of_vnode(5)),
+              platform.shard_of_pnode(platform.pnode_of_vnode(6)));
+  }
+  const RunOutput golden = run_swarm(topo, pc, 1, config);
+  ASSERT_FALSE(golden.trace.empty());
+  ASSERT_EQ(golden.completion_sec.size(), config.clients);
+  expect_same_run(golden, run_swarm(topo, pc, 3, config), "at K=3");
 }
 
 TEST(EngineDeterminism, TcpTransportIsShardCountInvariant) {
@@ -126,17 +170,9 @@ TEST(EngineDeterminism, TcpTransportIsShardCountInvariant) {
   ASSERT_EQ(golden.completion_sec.size(), clients);
 
   for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
-    const RunOutput run = run_fig8(k, clients, /*profile=*/false, /*tcp=*/true);
-    EXPECT_EQ(golden.completion_sec, run.completion_sec)
-        << "completion times diverged at K=" << k << " under tcp";
-    EXPECT_EQ(golden.dispatched, run.dispatched)
-        << "event counts diverged at K=" << k << " under tcp";
-    ASSERT_EQ(golden.trace.size(), run.trace.size())
-        << "trace lengths diverged at K=" << k << " under tcp";
-    for (std::size_t i = 0; i < golden.trace.size(); ++i) {
-      ASSERT_EQ(golden.trace[i], run.trace[i])
-          << "first trace divergence at K=" << k << " under tcp, line " << i;
-    }
+    expect_same_run(golden,
+                    run_fig8(k, clients, /*profile=*/false, /*tcp=*/true),
+                    "at K=" + std::to_string(k) + " under tcp");
   }
 }
 
@@ -151,18 +187,8 @@ TEST(EngineDeterminism, ProfilingIsInvisibleToSimulatedState) {
 
   for (const std::size_t k : {std::size_t{1}, std::size_t{2},
                               std::size_t{4}}) {
-    const RunOutput run = run_fig8(k, clients, /*profile=*/true);
-    EXPECT_EQ(golden.completion_sec, run.completion_sec)
-        << "completion times diverged with profiling at K=" << k;
-    EXPECT_EQ(golden.dispatched, run.dispatched)
-        << "event counts diverged with profiling at K=" << k;
-    ASSERT_EQ(golden.trace.size(), run.trace.size())
-        << "trace lengths diverged with profiling at K=" << k;
-    for (std::size_t i = 0; i < golden.trace.size(); ++i) {
-      ASSERT_EQ(golden.trace[i], run.trace[i])
-          << "first trace divergence with profiling at K=" << k
-          << ", line " << i;
-    }
+    expect_same_run(golden, run_fig8(k, clients, /*profile=*/true),
+                    "with profiling at K=" + std::to_string(k));
   }
 }
 

@@ -178,6 +178,47 @@ TEST(GossipCluster, RejoinRefutesSuspicionAndHeals) {
   }
 }
 
+TEST(GossipCluster, FaultsBeforeTheStaggeredStartOwnTheLifecycle) {
+  // Members start at i x 200 ms, so node 6 starts at 1.2 s and node 7 at
+  // 1.4 s. Node 6 crashes before its start and rejoins after it; node 7
+  // crashes and rejoins before its start. Either way the rejoin binds the
+  // member's port, and the start event that fires in between or after
+  // must not bind it a second time.
+  core::PlatformConfig pc;
+  pc.physical_nodes = 2;
+  pc.seed = 13;
+  pc.pin_workers = false;
+  const Config config = small_cluster(8);
+  core::Platform platform(topology::homogeneous_dsl(8), pc);
+  metrics::Registry registry;
+  platform.bind_metrics(registry);
+  Cluster cluster(platform, config);
+  cluster.bind_metrics();
+
+  fault::FaultPlan plan;
+  plan.crash_and_rejoin(6, at_sec(0.5), Duration::sec(5));
+  plan.crash_and_rejoin(7, at_sec(0.5), Duration::millis(400));
+  plan.sort();
+  fault::FaultInjector injector(platform, std::move(plan));
+  injector.set_node_hooks(fault::NodeHooks{
+      .on_crash = [&](std::size_t v) { cluster.node(v).crash(); },
+      .on_leave = [&](std::size_t v) { cluster.node(v).stop(); },
+      .on_rejoin = [&](std::size_t v) { cluster.node(v).restart(); }});
+  injector.arm();
+  cluster.start();
+  platform.run(at_sec(60));
+
+  EXPECT_EQ(injector.stats().unrecovered(), 0u);
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    EXPECT_TRUE(cluster.node(i).joined()) << "node " << i;
+    for (const std::uint32_t victim : {6u, 7u}) {
+      EXPECT_EQ(cluster.node(i).table().entry(victim).state,
+                MemberState::kAlive)
+          << "node " << i << " on " << victim;
+    }
+  }
+}
+
 TEST(GossipCluster, GossipIsShardCountInvariant) {
   const RunOutput golden = run_churn(1);
   ASSERT_FALSE(golden.event_log.empty());

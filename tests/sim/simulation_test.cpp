@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <optional>
@@ -115,16 +116,6 @@ TEST(Simulation, RunUntilAdvancesClockWhenIdle) {
   Simulation sim;
   sim.run_until(SimTime::zero() + Duration::sec(5));
   EXPECT_EQ(sim.now(), SimTime::zero() + Duration::sec(5));
-}
-
-TEST(Simulation, RunWhileHonorsPredicate) {
-  Simulation sim;
-  int fired = 0;
-  for (int i = 1; i <= 10; ++i) {
-    sim.schedule_after(Duration::ms(i), [&] { ++fired; });
-  }
-  sim.run_while([&] { return fired < 4; });
-  EXPECT_EQ(fired, 4);
 }
 
 TEST(Simulation, EventsScheduledDuringRunAreDispatched) {
