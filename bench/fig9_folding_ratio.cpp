@@ -9,11 +9,12 @@
 // The swarm is the one the given scenario file describes (normally
 // fig8.scn; `--set workload.clients=24` shrinks it, `--set
 // engine.shards=2` runs it on the parallel engine). Each fold re-deploys
-// that spec on clients/fold + 1 physical nodes with its own outputs
-// cleared, through the ExperimentRunner; this harness only interposes the
-// cross-fold pieces — one flight recorder and one health timeline spanning
-// all five runs (rows tagged by the label column), the merged per-fold
-// byte curves, and the divergence metric.
+// that spec on clients/fold + 1 physical nodes through the
+// ExperimentRunner, with one output of its own: the health timeline
+// fig9_metrics_fold<N>.csv (the paper watched every physical node's load;
+// this watches the emulator's). Each fold's run ends with the runner's
+// report. This harness adds only the merged per-fold byte curves and the
+// divergence metric.
 //
 // Output: one total-bytes-received column per folding ratio on a common
 // 10 s grid, plus the maximum relative divergence from the unfolded run.
@@ -27,8 +28,6 @@
 
 #include "bench_env.hpp"
 #include "core/bench_report.hpp"
-#include "metrics/health.hpp"
-#include "metrics/recorder.hpp"
 #include "metrics/trace.hpp"
 #include "scenario/parser.hpp"
 #include "scenario/runner.hpp"
@@ -82,33 +81,21 @@ int main(int argc, char** argv) {
   SimTime longest_end = SimTime::zero();
   std::uint64_t content_seed = 0;
 
-  // Observability: low-rate trace events land in trace.jsonl; one health
-  // timeline spans all folds (rows tagged by the label column).
-  metrics::FlightRecorder recorder;
-  metrics::FlightRecorder::set_active(&recorder);
-  metrics::HealthMonitor monitor(metrics::HealthMonitor::Options{
-      .period = Duration::sec(60),
-      .csv_name = "metrics",
-      .tracked = {"sim.events.dispatched", "ipfw.rules_scanned",
-                  "net.nic.tx_bytes", "net.nic.rx_bytes"}});
-
   const std::size_t last_fold = foldings[std::size(foldings) - 1];
   for (const std::size_t fold : foldings) {
     bench::WallTimer fold_timer;
     // The paper's 160/16/8/4/2 deployments of the clients (tracker and
-    // seeders ride along); the cross-fold outputs are this harness's.
+    // seeders ride along). The runner writes only the fold's timeline; the
+    // cross-fold outputs are this harness's.
     scenario::ScenarioSpec spec = swarm_spec;
     spec.outputs = {};
+    spec.outputs.metrics = "fig9_metrics_fold" + std::to_string(fold);
     spec.engine.fold.reset();
     spec.engine.physical_nodes = spec.swarm.clients / fold + 1;
     scenario::ExperimentRunner runner(std::move(spec));
     content_seed = runner.spec().swarm.content_seed;
-    runner.setup();
+    runner.run();
     core::Platform& platform = runner.platform();
-    monitor.set_label("fold=" + std::to_string(fold));
-    platform.attach_monitor(monitor);
-    runner.execute();
-    platform.detach_monitor();  // final sample; precedes destruction
     const SimTime end = platform.now() + step;
     longest_end = std::max(longest_end, end);
     curves.push_back(runner.swarm().total_bytes_curve(step, longest_end));
@@ -124,9 +111,6 @@ int main(int argc, char** argv) {
                 platform.now().to_seconds(),
                 runner.swarm().completed_count(),
                 runner.swarm().client_count(), 100.0 * max_cpu);
-    // End-of-run health report: sim-kernel throughput, ipfw scan totals and
-    // the per-link byte counters, per fold.
-    monitor.print_report();
     if (fold == last_fold) {
       // Standard run summary from the densest deployment (the paper's
       // stress case), profiler rollup included under
@@ -138,9 +122,6 @@ int main(int argc, char** argv) {
                              fold_timer.elapsed_seconds()));
     }
   }
-  recorder.flush_to_results();
-  metrics::FlightRecorder::set_active(nullptr);
-
   metrics::CsvWriter csv("fig9_folding_ratio",
                          {"time_s", "bytes_fold1", "bytes_fold10",
                           "bytes_fold20", "bytes_fold40", "bytes_fold80"});

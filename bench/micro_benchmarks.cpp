@@ -7,7 +7,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bittorrent/bencode.hpp"
 #include "bittorrent/picker.hpp"
 #include "bittorrent/sha1.hpp"
 #include "common/rng.hpp"
@@ -291,20 +290,6 @@ void BM_Sha1Throughput(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha1Throughput)->Arg(16 * 1024)->Arg(256 * 1024);
-
-void BM_BencodeRoundTrip(benchmark::State& state) {
-  bt::BDict info;
-  info.emplace("length", bt::BValue{16777216});
-  info.emplace("name", bt::BValue{"experiment.dat"});
-  info.emplace("piece length", bt::BValue{262144});
-  info.emplace("pieces", bt::BValue{std::string(20 * 64, 'x')});
-  const bt::BValue value{info};
-  for (auto _ : state) {
-    const std::string encoded = bt::bencode(value);
-    benchmark::DoNotOptimize(bt::bdecode(encoded));
-  }
-}
-BENCHMARK(BM_BencodeRoundTrip);
 
 void BM_PickerPick(benchmark::State& state) {
   const auto meta =

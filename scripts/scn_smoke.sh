@@ -3,6 +3,8 @@
 # engine shards. A run fails the matrix if it exits nonzero or if any
 # output it declares (per --print-outputs, which honors the same --set
 # overrides; the health timeline `metrics` included) is missing or empty.
+# The runner writes the timeline for every workload: gossip.scn, a
+# non-swarm run, must leave one with at least one data row.
 # Client counts are overridden downward so the whole matrix stays within
 # a CI minute; the code paths exercised are the full ones.
 #
@@ -55,6 +57,11 @@ for scn in "${scn_files[@]}"; do
       fi
     done < <("$RUN" "$scn" --set engine.shards="$shards" \
              ${extra[@]+"${extra[@]}"} --print-outputs)
+    if [ "$base" = gossip ] &&
+        ! tail -n +2 "$out/gossip_metrics.csv" 2>/dev/null | grep -q .; then
+      echo "FAIL: gossip shards=$shards wrote no timeline rows"
+      status=1
+    fi
   done
 done
 

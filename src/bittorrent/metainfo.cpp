@@ -2,7 +2,6 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
-#include "bittorrent/bencode.hpp"
 
 namespace p2plab::bt {
 
@@ -70,14 +69,15 @@ MetaInfo MetaInfo::make_synthetic(std::string name, DataSize total_size,
     pieces_blob = "unhashed:" + std::to_string(splitmix64(sm));
   }
 
-  BDict info;
-  info.emplace("length",
-               BValue{static_cast<std::int64_t>(total_size.count_bytes())});
-  info.emplace("name", BValue{meta.name});
-  info.emplace("piece length", BValue{static_cast<std::int64_t>(
-                                   piece_length.count_bytes())});
-  info.emplace("pieces", BValue{std::move(pieces_blob)});
-  meta.info_hash = Sha1::hash(bencode(BValue{std::move(info)}));
+  // The bencoded info dict, keys in sorted order as bencode requires.
+  auto bytes = [](const std::string& s) {
+    return std::to_string(s.size()) + ":" + s;
+  };
+  meta.info_hash = Sha1::hash(
+      "d6:lengthi" + std::to_string(total_size.count_bytes()) + "e4:name" +
+      bytes(meta.name) + "12:piece lengthi" +
+      std::to_string(piece_length.count_bytes()) + "e6:pieces" +
+      bytes(pieces_blob) + "e");
   return meta;
 }
 

@@ -42,29 +42,6 @@ void Engine::set_profiler(profile::Profiler* profiler) {
                         profiler->shard_count() >= sims_.size(),
                     "profiler needs one ring per shard: add shards first");
   profiler_ = profiler;
-  compact_ctx_.clear();
-  for (std::size_t s = 0; s < sims_.size(); ++s) {
-    if (profiler == nullptr) {
-      sims_[s]->set_compact_hook(nullptr, nullptr);
-      continue;
-    }
-    compact_ctx_.push_back(std::make_unique<CompactCtx>(CompactCtx{this, s}));
-    sims_[s]->set_compact_hook(&Engine::compact_hook, compact_ctx_.back().get());
-  }
-}
-
-void Engine::compact_hook(void* ctx, std::uint64_t wall_dur_ns) {
-  const auto* c = static_cast<const CompactCtx*>(ctx);
-  Engine* const eng = c->engine;
-  if (eng->profiler_ == nullptr) return;
-  const std::uint64_t end_ns = eng->profiler_->now_ns();
-  eng->profiler_->shard_ring(c->shard).push(profile::PhaseSample{
-      .start_ns = end_ns > wall_dur_ns ? end_ns - wall_dur_ns : 0,
-      .dur_ns = wall_dur_ns,
-      .window = eng->window_index_,
-      .events = 0,
-      .queue_depth = eng->sims_[c->shard]->pending_events(),
-      .phase = profile::Phase::kCompact});
 }
 
 void Engine::map_address(Ipv4Addr addr, std::size_t shard) {
@@ -289,7 +266,15 @@ void Engine::worker(std::size_t shard) {
     }
     // Window boundaries derive only from global quantities, so shrinking
     // here is partition-independent (slot-reuse order is unobservable).
-    sim.maybe_compact();
+    const std::uint64_t t5 = ring != nullptr ? prof->now_ns() : 0;
+    if (sim.maybe_compact() && ring != nullptr) {
+      ring->push(profile::PhaseSample{.start_ns = t5,
+                                      .dur_ns = prof->now_ns() - t5,
+                                      .window = window_index_,
+                                      .events = 0,
+                                      .queue_depth = sim.pending_events(),
+                                      .phase = profile::Phase::kCompact});
+    }
   }
   if (prof != nullptr) {
     prof->add_worker_time(shard, profile::Profiler::thread_rusage());

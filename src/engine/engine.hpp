@@ -219,14 +219,6 @@ class Engine final : public net::FabricHandoff {
 
   enum class Phase { kRunWindow, kStopDrained, kStopPredicate, kStopDeadline };
 
-  /// Context for the kernel's compact-timing hook (one per shard; the bare
-  /// function pointer cannot capture).
-  struct CompactCtx {
-    Engine* engine = nullptr;
-    std::size_t shard = 0;
-  };
-  static void compact_hook(void* ctx, std::uint64_t wall_dur_ns);
-
   void worker(std::size_t shard);
   void pin_worker(std::size_t shard);
   /// Barrier completion: decide the next window or a stop from the global
@@ -247,7 +239,6 @@ class Engine final : public net::FabricHandoff {
   std::vector<net::Network*> networks_;
   std::vector<metrics::FlightRecorder*> recorders_;
   profile::Profiler* profiler_ = nullptr;
-  std::vector<std::unique_ptr<CompactCtx>> compact_ctx_;
   bool pin_workers_ = false;
   std::vector<int> worker_cpus_;
   std::vector<int> pin_cpu_list_;  // affinity mask snapshot, per run

@@ -1,5 +1,7 @@
 #include "metrics/health.hpp"
 
+#include <iterator>
+
 #include "common/assert.hpp"
 
 namespace p2plab::metrics {
@@ -35,48 +37,38 @@ void print_registry_report(const Registry& reg, std::FILE* out) {
   }
 }
 
-HealthMonitor::HealthMonitor() : HealthMonitor(Options{}) {}
-
-HealthMonitor::HealthMonitor(Options options) : opt_(std::move(options)) {
-  std::vector<std::string> columns{"label",           "sim_s",
-                                   "wall_s",          "events",
-                                   "queue_depth",     "events_per_wall_s",
+HealthMonitor::HealthMonitor(const std::string& csv_name, Duration period)
+    : period_(period) {
+  P2PLAB_ASSERT(period_ > Duration::zero());
+  std::vector<std::string> columns{"sim_s",       "wall_s",
+                                   "events",      "queue_depth",
+                                   "events_per_wall_s",
                                    "sim_s_per_wall_s"};
-  columns.insert(columns.end(), opt_.tracked.begin(), opt_.tracked.end());
-  csv_ = std::make_unique<CsvWriter>(opt_.csv_name, columns);
+  columns.insert(columns.end(), std::begin(kTrackedColumns),
+                 std::end(kTrackedColumns));
+  csv_ = std::make_unique<CsvWriter>(csv_name, columns);
 }
 
 void HealthMonitor::start(Registry& reg, const HealthProbe& at) {
-  P2PLAB_ASSERT_MSG(!running(), "HealthMonitor already started");
-  P2PLAB_ASSERT(opt_.period > Duration::zero());
+  P2PLAB_ASSERT_MSG(!running() && samples_ == 0,
+                    "a HealthMonitor watches one run");
   reg_ = &reg;
-  run_wall_start_ = Clock::now();
-  last_wall_ = run_wall_start_;
-  run_events_start_ = at.events;
+  wall_start_ = Clock::now();
+  last_wall_ = wall_start_;
   last_events_ = at.events;
   last_sim_time_ = at.now;
-  next_due_ = next_multiple(at.now, opt_.period);
+  next_due_ = next_multiple(at.now, period_);
 }
 
 void HealthMonitor::stop(const HealthProbe& at) {
   if (!running()) return;
   sample(at, true);
-  done_wall_s_ += wall_s(Clock::now() - run_wall_start_);
-  done_events_ += at.events - run_events_start_;
-  last_reg_ = reg_;
   reg_ = nullptr;
-}
-
-double HealthMonitor::wall_seconds() const {
-  double total = done_wall_s_;
-  if (running()) total += wall_s(Clock::now() - run_wall_start_);
-  return total;
 }
 
 void HealthMonitor::sample(const HealthProbe& at, bool final_sample) {
   const Clock::time_point wall_now = Clock::now();
-  const double wall_total_s =
-      done_wall_s_ + wall_s(wall_now - run_wall_start_);
+  const double wall_total_s = wall_s(wall_now - wall_start_);
   const double wall_delta_s = wall_s(wall_now - last_wall_);
   const std::uint64_t events_delta = at.events - last_events_;
   const Duration sim_delta = at.now - last_sim_time_;
@@ -93,14 +85,13 @@ void HealthMonitor::sample(const HealthProbe& at, bool final_sample) {
   // each row out immediately and holds no timeline in memory, so a
   // multi-hour run's footprint does not grow with its sample count.
   row_.clear();
-  row_.push_back(label_);
   row_.push_back(std::to_string(at.now.to_seconds()));
   row_.push_back(std::to_string(wall_total_s));
   row_.push_back(std::to_string(at.events));
   row_.push_back(std::to_string(at.queue_depth));
   row_.push_back(std::to_string(events_per_wall_s));
   row_.push_back(std::to_string(sim_per_wall));
-  for (const std::string& name : opt_.tracked) {
+  for (const char* name : kTrackedColumns) {
     row_.push_back(std::to_string(reg_->value(name)));
   }
   csv_->row(row_);
@@ -108,8 +99,8 @@ void HealthMonitor::sample(const HealthProbe& at, bool final_sample) {
 
   // Heartbeat: wall-clock rate limited, so a stalled simulation stays
   // quiet and a fast one does not spam (one line per ~10 wall seconds).
-  if (opt_.heartbeat_wall_seconds > 0.0 && !final_sample &&
-      wall_total_s - last_heartbeat_wall_s_ >= opt_.heartbeat_wall_seconds) {
+  if (!final_sample &&
+      wall_total_s - last_heartbeat_wall_s_ >= kHeartbeatWallSeconds) {
     last_heartbeat_wall_s_ = wall_total_s;
     std::fprintf(stderr,
                  "[p2plab health] sim=%.0fs wall=%.0fs %.3g ev/s "
@@ -124,26 +115,7 @@ void HealthMonitor::sample(const HealthProbe& at, bool final_sample) {
   last_wall_ = wall_now;
   last_events_ = at.events;
   last_sim_time_ = at.now;
-  next_due_ = next_multiple(at.now, opt_.period);
-}
-
-void HealthMonitor::print_report(std::FILE* out) const {
-  const double wall = wall_seconds();
-  const std::uint64_t events = events_observed();
-  std::fprintf(out, "# --- metrics report ---\n");
-  std::fprintf(out,
-               "# wall_s=%.2f events=%llu events_per_wall_s=%.4g "
-               "samples=%llu\n",
-               wall, static_cast<unsigned long long>(events),
-               wall > 1e-9 ? static_cast<double>(events) / wall : 0.0,
-               static_cast<unsigned long long>(samples_));
-  // reg_ is null once stopped; report the registry seen last if available.
-  if (reg_ != nullptr) {
-    print_registry_report(*reg_, out);
-  } else if (last_reg_ != nullptr) {
-    print_registry_report(*last_reg_, out);
-  }
-  std::fprintf(out, "# --- end metrics report ---\n");
+  next_due_ = next_multiple(at.now, period_);
 }
 
 }  // namespace p2plab::metrics

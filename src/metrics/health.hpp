@@ -2,20 +2,21 @@
 //
 // Becker et al. (arXiv:2208.05862) caution that an overloaded emulator
 // silently produces wrong results; the health monitor makes overload
-// visible. The platform samples it every `period` of simulated time (under
-// the engine's BSP barrier, core::Platform::attach_monitor) and it emits:
+// visible. The experiment runner attaches one to every run that names an
+// `[outputs] metrics` file; the platform samples it every `period` of
+// simulated time (under the engine's BSP barrier,
+// core::Platform::attach_monitor) and it emits:
 //
-//   - a `metrics.csv` timeline (CsvWriter: stdout + $P2PLAB_RESULTS_DIR):
+//   - a timeline (CsvWriter: stdout + $P2PLAB_RESULTS_DIR/<name>.csv) of
 //     sim time, wall time, events dispatched, queue depth, events per wall
-//     second, sim seconds per wall second, plus any tracked registry
-//     metrics — the folding-ratio benches watch sim-per-wall collapse here;
-//   - a wall-clock-rate-limited stderr heartbeat so a multi-hour bench run
-//     is observable from a terminal;
-//   - an end-of-run report (print_report) of overall rates and every
-//     registry metric.
+//     second and sim seconds per wall second, then the layer counters of
+//     kTrackedColumns — the folding-ratio runs watch sim-per-wall
+//     collapse here;
+//   - a stderr heartbeat at most every kHeartbeatWallSeconds, so a
+//     multi-hour run is observable from a terminal.
 //
 // The monitor schedules nothing: it is a passive sink fed HealthProbes, so
-// drain-style runs finish with a monitor attached.
+// drain-style runs finish with a monitor attached. It watches one run.
 #pragma once
 
 #include <chrono>
@@ -43,74 +44,52 @@ struct HealthProbe {
 
 class HealthMonitor {
  public:
-  struct Options {
-    /// Simulated time between samples: a row falls due at every multiple
-    /// of it and is taken at the first barrier at or past that time.
-    Duration period = Duration::sec(60);
-    /// CsvWriter name; the timeline lands in $P2PLAB_RESULTS_DIR/<name>.csv.
-    std::string csv_name = "metrics";
-    /// Registry metric names appended as extra timeline columns.
-    std::vector<std::string> tracked;
-    /// Minimum wall seconds between stderr heartbeats; <= 0 disables.
-    double heartbeat_wall_seconds = 10.0;
-  };
+  /// Registry counters appended to every row, after the probe columns:
+  /// the rule-scan, packet and NIC byte work of the run so far.
+  static constexpr const char* kTrackedColumns[] = {
+      "ipfw.rules_scanned", "net.packets_sent", "net.nic.tx_bytes",
+      "net.nic.rx_bytes"};
+  /// Minimum wall seconds between stderr heartbeats.
+  static constexpr double kHeartbeatWallSeconds = 10.0;
 
-  HealthMonitor();
-  explicit HealthMonitor(Options options);
+  /// The timeline lands in $P2PLAB_RESULTS_DIR/<csv_name>.csv. A row falls
+  /// due at every multiple of `period` of simulated time and is taken at
+  /// the first barrier at or past it.
+  HealthMonitor(const std::string& csv_name, Duration period);
 
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
-  /// Begin a monitored run against `reg`, at the state `at`. May be called
-  /// again after stop() for a successive run (the fig9 fold sweep); rows
-  /// append to the same timeline, distinguished by the label column.
+  /// Begin the monitored run against `reg`, at the state `at`.
   void start(Registry& reg, const HealthProbe& at);
-  /// Tag subsequent rows (e.g. "fold=40"). Empty by default.
-  void set_label(std::string label) { label_ = std::move(label); }
   /// True when a periodic sample is owed at simulated time `now`.
   bool due(SimTime now) const { return running() && now >= next_due_; }
   /// Record one timeline row; the next one falls due at the first
   /// multiple of the period past `at.now`.
   void sample(const HealthProbe& at) { sample(at, false); }
-  /// Take a final sample and detach from the registry.
+  /// Take the final sample and detach from the registry.
   void stop(const HealthProbe& at);
 
   bool running() const { return reg_ != nullptr; }
   std::uint64_t samples() const { return samples_; }
-  /// Wall seconds spent between start() and stop(), summed over runs.
-  double wall_seconds() const;
-  /// Events dispatched while monitored, summed over completed runs.
-  std::uint64_t events_observed() const { return done_events_; }
-
-  /// Overall rates plus the full registry dump, as '#' comment lines.
-  /// After stop(), dumps the registry of the last run — call it before
-  /// that registry is destroyed.
-  void print_report(std::FILE* out = stdout) const;
 
  private:
   using Clock = std::chrono::steady_clock;
 
   void sample(const HealthProbe& at, bool final_sample);
 
-  Options opt_;
+  Duration period_;
   std::unique_ptr<CsvWriter> csv_;
   Registry* reg_ = nullptr;
-  Registry* last_reg_ = nullptr;  // registry of the last stopped run
-  std::string label_;
   std::vector<std::string> row_;  // reused per sample; nothing accumulates
   SimTime next_due_;
 
-  Clock::time_point run_wall_start_;
+  Clock::time_point wall_start_;
   Clock::time_point last_wall_;
   double last_heartbeat_wall_s_ = 0.0;
-  std::uint64_t run_events_start_ = 0;
   std::uint64_t last_events_ = 0;
   SimTime last_sim_time_;
   std::uint64_t samples_ = 0;
-
-  // Totals accumulated across completed runs (start/stop pairs).
-  double done_wall_s_ = 0.0;
-  std::uint64_t done_events_ = 0;
 };
 
 }  // namespace p2plab::metrics

@@ -4,14 +4,14 @@
 // shard wall-time go? Each engine worker records one sample per BSP-window
 // phase — barrier wait, ingress merge, window execute, outbox presort
 // (also kMerge: it is the source half of the merge), compaction — into
-// per-shard fixed-capacity rings of POD samples, plus a coordinator ring
-// (timeline track 0) for samples taken under the barrier; the engine's
-// workers record none there. Nothing here touches virtual time, event
-// order or any simulation state: a profiled run is bit-identical to an
-// unprofiled one (the determinism suite asserts this at K = 1/2/4). The
-// rings are single-writer (one worker per ring; the coordinator ring only
-// under the barrier) and are drained after run() joins the workers — and
-// best-effort on assertion failure, alongside the flight recorder.
+// per-shard fixed-capacity rings of POD samples. A coordinator ring
+// (timeline track 0) is also kept, but nothing writes to it: it stays
+// because the emubench harness reads its totals. Nothing here touches
+// virtual time, event order or any simulation state: a profiled run is
+// bit-identical to an unprofiled one (the determinism suite asserts this
+// at K = 1/2/4). The rings are single-writer (one worker per ring) and
+// are drained after run() joins the workers — and best-effort on
+// assertion failure, alongside the flight recorder.
 //
 // Two sinks:
 //   * perfetto_json(): a Chrome trace-event / Perfetto-compatible timeline,

@@ -349,7 +349,8 @@ ParseResult parse_scenario(std::string_view source,
   if (!plugin->parse_outputs(output_params, spec) ||
       !output_params.take_string("bench_json", &outputs.bench_json) ||
       !output_params.take_string("profile_trace", &outputs.profile_trace) ||
-      !output_params.take_bool("report", &outputs.report) ||
+      !output_params.take_string("metrics", &outputs.metrics) ||
+      !output_params.take_string("trace", &outputs.trace_file) ||
       !reject_strays(output_params, /*outputs=*/true)) {
     return fail_with_error();
   }

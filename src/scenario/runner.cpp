@@ -5,7 +5,6 @@
 
 #include "common/assert.hpp"
 #include "core/bench_report.hpp"
-#include "metrics/health.hpp"
 
 namespace p2plab::scenario {
 
@@ -41,6 +40,11 @@ void ExperimentRunner::setup() {
   workload_->build(*this);
   platform_->bind_metrics(registry_);
   workload_->setup(*this);
+  if (!spec_.outputs.metrics.empty()) {
+    monitor_ = std::make_unique<metrics::HealthMonitor>(spec_.outputs.metrics,
+                                                        Duration::sec(60));
+    platform_->attach_monitor(*monitor_);
+  }
 }
 
 int ExperimentRunner::execute() {
@@ -102,7 +106,9 @@ void ExperimentRunner::stop_clock() {
   wall_seconds_ = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - run_start_)
                       .count();
+  events_ = platform_->dispatched_events();
   end_of_run_ = platform_->now();
+  platform_->detach_monitor();
 }
 
 void ExperimentRunner::check(bool ok, const char* what) {
@@ -144,15 +150,20 @@ void ExperimentRunner::close_outputs() {
     platform_->flush_trace_to_results(spec_.outputs.trace_file.c_str());
   }
   if (platform_->profiling()) {
-    // Fold first so the rollup shows up in the registry report and any
-    // later metrics consumers; gauges are set, not added — idempotent.
+    // Fold first so the rollup shows up in the run report and any later
+    // metrics consumers; gauges are set, not added — idempotent.
     platform_->profiler().fold_into(registry_);
     // Profiling switched on through the platform alone (not `[engine]
     // profile`) names no timeline file: fold the rollup, write nothing.
     const std::string file = spec_.resolved_profile_trace();
     if (!file.empty()) platform_->flush_profile_to_results(file.c_str());
   }
-  if (spec_.outputs.report) metrics::print_registry_report(registry_);
+  std::printf("# run: wall_s=%.3f events=%llu events_per_wall_s=%.4g\n",
+              wall_seconds_, static_cast<unsigned long long>(events_),
+              wall_seconds_ > 1e-9 ? static_cast<double>(events_) /
+                                         wall_seconds_
+                                   : 0.0);
+  metrics::print_registry_report(registry_);
 }
 
 }  // namespace p2plab::scenario

@@ -9,7 +9,11 @@
 //   * the shared invariants: `# check` lines, fault/recovery pairing and
 //     the event-queue drain after halt;
 //   * run timing (wall clock and end of run) and the BENCH_*.json summary;
-//   * the closing tail: trace.jsonl, the profile, the registry report.
+//   * the run record: the health timeline (`[outputs] metrics`, one row
+//     per 60 simulated seconds up to the stop condition), trace.jsonl, the
+//     profile, and the closing report every run ends with — a `# run:`
+//     line (wall seconds, events, events per wall second) and the
+//     registry dump.
 // Everything else is the plugin's (workload.hpp): it builds its
 // application, drives it to its stop condition, runs its own checks and
 // writes its own files, calling the services below at the points its run
@@ -19,9 +23,9 @@
 // Lifecycle: setup() builds the stack (Workload::build, bind the platform's
 // metrics, Workload::setup); execute() times the workload's run, closes
 // the outputs and returns the process exit code (nonzero iff a check
-// failed); run() does both. The split exists for callers that interpose
-// between construction and execution — fig9 runs one external
-// HealthMonitor across five runner instances.
+// failed); run() does both. The split exists for callers that time the two
+// apart or interpose between them: the emubench harness times set-up on
+// its own and switches the profiler on before execute().
 //
 // A results file that cannot be written (full disk, unwritable
 // $P2PLAB_RESULTS_DIR) gets one stderr warning (metrics::ResultsFile); the
@@ -38,6 +42,7 @@
 #include "bittorrent/swarm.hpp"
 #include "core/platform.hpp"
 #include "fault/injector.hpp"
+#include "metrics/health.hpp"
 #include "metrics/registry.hpp"
 #include "scenario/spec.hpp"
 #include "scenario/workload.hpp"
@@ -85,7 +90,8 @@ class ExperimentRunner {
   fault::InjectorStats fault_stats() const;
 
   /// Call right after the stop condition: fixes the run's wall time (from
-  /// the start of execute()) and end_of_run().
+  /// the start of execute()), its event count and end_of_run(), and takes
+  /// the health timeline's final row.
   void stop_clock();
   /// Clock at stop_clock() (pre-drain); time-series outputs sample up to
   /// here.
@@ -109,23 +115,25 @@ class ExperimentRunner {
  private:
   /// The tail of every run: flush the flight recorder to
   /// outputs.trace_file, fold the profile and write its timeline, print
-  /// the registry report if asked.
+  /// the run report.
   void close_outputs();
 
   ScenarioSpec spec_;
   // Declaration order is destruction-order-critical: the registry must
   // outlive the platform (teardown increments bound counters), the
-  // platform must outlive the workload (swarm/monitor users), and the
-  // workload its fault injector, whose hooks point into it — injector_ is
-  // declared after the workload so it is destroyed first.
+  // platform must outlive the workload (swarm users), and the workload its
+  // fault injector, whose hooks point into it — injector_ is declared
+  // after the workload so it is destroyed first.
   metrics::Registry registry_;
   std::unique_ptr<core::Platform> platform_;
   std::unique_ptr<Workload> workload_;
   std::unique_ptr<fault::FaultInjector> injector_;
+  std::unique_ptr<metrics::HealthMonitor> monitor_;
 
   std::vector<fault::FailureWindow> failures_;
   std::chrono::steady_clock::time_point run_start_;
   double wall_seconds_ = 0.0;
+  std::uint64_t events_ = 0;  // dispatched by stop_clock()
   SimTime end_of_run_;
   int failed_checks_ = 0;
   bool set_up_ = false;

@@ -159,8 +159,6 @@ struct OutputsSection {
   std::string completion_curve;   // (t, clients complete) steps
   std::string completion_curve_note;
   std::string summary;            // one-row churn/robustness summary
-  std::string metrics;     // health-monitor timeline
-  std::string trace_file;  // flight-recorder JSONL flush
   // Ping-sweep output.
   std::string csv;
   std::string csv_note;
@@ -171,9 +169,10 @@ struct OutputsSection {
   std::string detection_csv;
   std::string fp_summary;
   // Cross-workload outputs.
-  std::string bench_json;  // standardized BENCH_*.json run summary
+  std::string bench_json;     // standardized BENCH_*.json run summary
   std::string profile_trace;  // Perfetto timeline (full filename)
-  bool report = false;     // end-of-run registry report on stdout
+  std::string metrics;        // health-monitor timeline (name + ".csv")
+  std::string trace_file;     // flight-recorder JSONL flush (full filename)
 };
 
 struct ScenarioSpec {

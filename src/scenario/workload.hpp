@@ -10,8 +10,8 @@
 // A Workload owns only its own work: build its application, drive it to
 // its stop condition, run its own checks and write its own files. Every
 // step all experiments share (fault arming, the fault-pairing and drain
-// invariants, run timing, the BENCH/trace/profile/report tail) is a
-// runner service (runner.hpp). The runner carries zero workload-specific
+// invariants, run timing, the health timeline and the
+// BENCH/trace/profile/report tail) is a runner service (runner.hpp). The runner carries zero workload-specific
 // branches: adding a protocol (Chord, a relay service) is one plugin .cpp
 // plus one registration line, and never touches runner.cpp again.
 //

@@ -4,6 +4,7 @@
 // scheduled crash, and how often it wrongly confirms a node that was
 // online (the false-positive rate the SWIM paper bounds via indirect
 // probing + suspicion).
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -158,7 +159,7 @@ class GossipPlugin final : public WorkloadPlugin {
             "indirect", "piggyback",     "join_interval"};
   }
   std::vector<const char*> output_keys() const override {
-    return {"detection_csv", "fp_summary", "trace"};
+    return {"detection_csv", "fp_summary"};
   }
 
   bool parse_workload(ParamReader& reader,
@@ -185,17 +186,34 @@ class GossipPlugin final : public WorkloadPlugin {
   }
 
   bool parse_outputs(ParamReader& reader, ScenarioSpec& spec) const override {
-    bool ok = reader.take_string("detection_csv",
-                                 &spec.outputs.detection_csv);
-    ok = ok && reader.take_string("fp_summary", &spec.outputs.fp_summary);
-    ok = ok && reader.take_string("trace", &spec.outputs.trace_file);
-    return ok;
+    return reader.take_string("detection_csv", &spec.outputs.detection_csv) &&
+           reader.take_string("fp_summary", &spec.outputs.fp_summary);
   }
 
   std::string validate_spec(const ScenarioSpec& spec) const override {
     if (spec.engine.stop != StopMode::kTime) {
       return "gossip requires stop=time (membership has no completion; "
              "run_for bounds the experiment)";
+    }
+    // Member i starts at i x join_interval: one that starts at or after
+    // the end of the run never joins and only skews the join count. The
+    // test divides instead of multiplying, so no node count overflows it.
+    const std::uint64_t last = spec.gossip.nodes - 1;
+    const auto interval =
+        static_cast<std::uint64_t>(spec.gossip.join_interval.count_ns());
+    const auto run = static_cast<std::uint64_t>(spec.engine.run_for.count_ns());
+    if (interval >= run / last + (run % last != 0)) {
+      char message[160];
+      const double start_s =
+          spec.gossip.join_interval.to_seconds() * static_cast<double>(last);
+      std::snprintf(message, sizeof message,
+                    "gossip member %llu starts at %.6gs (join_interval x "
+                    "%llu), not before run_for %.6gs ends: run_for must "
+                    "exceed %.6gs",
+                    static_cast<unsigned long long>(last), start_s,
+                    static_cast<unsigned long long>(last),
+                    spec.engine.run_for.to_seconds(), start_s);
+      return message;
     }
     return "";
   }

@@ -10,7 +10,6 @@
 
 #include "bittorrent/swarm.hpp"
 #include "common/assert.hpp"
-#include "metrics/health.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/trace.hpp"
 #include "scenario/runner.hpp"
@@ -43,7 +42,6 @@ class SwarmWorkload final : public Workload {
 
   const ScenarioSpec& spec_;
   std::unique_ptr<bt::Swarm> swarm_;
-  std::unique_ptr<metrics::HealthMonitor> monitor_;
   std::size_t first_client_vnode_ = 0;
   std::vector<bool> faulted_;  // per client: scheduled to crash or leave
   std::vector<bool> rejoins_;  // per client: scheduled to come back
@@ -57,7 +55,6 @@ void SwarmWorkload::build(ExperimentRunner& runner) {
 }
 
 void SwarmWorkload::setup(ExperimentRunner& runner) {
-  core::Platform& platform = runner.platform();
   swarm_->bind_metrics(runner.registry());
   first_client_vnode_ = 1 + spec_.swarm.seeders;
 
@@ -99,12 +96,6 @@ void SwarmWorkload::setup(ExperimentRunner& runner) {
     faulted_[w.node - first_client_vnode_] = true;
     rejoins_[w.node - first_client_vnode_] = w.rejoins();
   }
-
-  if (!spec_.outputs.metrics.empty()) {
-    monitor_ = std::make_unique<metrics::HealthMonitor>(
-        metrics::HealthMonitor::Options{.csv_name = spec_.outputs.metrics});
-    platform.attach_monitor(*monitor_);
-  }
 }
 
 int SwarmWorkload::execute(ExperimentRunner& runner) {
@@ -136,10 +127,6 @@ int SwarmWorkload::execute(ExperimentRunner& runner) {
       break;
   }
   runner.stop_clock();
-  if (monitor_) {
-    platform.detach_monitor();
-    monitor_->print_report();
-  }
   std::printf("# %zu/%zu clients complete at t=%.0f s; %llu events; "
               "%zu pnodes x %zu vnodes\n",
               swarm_->completed_count(), swarm_->client_count(),
@@ -279,8 +266,7 @@ class SwarmPlugin final : public WorkloadPlugin {
   std::vector<const char*> output_keys() const override {
     return {"grid",          "progress_envelope", "completions",
             "completions_note", "sampled_progress",  "sampled_every",
-            "completion_curve", "completion_curve_note", "summary",
-            "metrics",       "trace"};
+            "completion_curve", "completion_curve_note", "summary"};
   }
 
   bool parse_workload(ParamReader& reader,
@@ -311,9 +297,7 @@ class SwarmPlugin final : public WorkloadPlugin {
            reader.take_string("completion_curve", &out.completion_curve) &&
            reader.take_string("completion_curve_note",
                               &out.completion_curve_note) &&
-           reader.take_string("summary", &out.summary) &&
-           reader.take_string("metrics", &out.metrics) &&
-           reader.take_string("trace", &out.trace_file);
+           reader.take_string("summary", &out.summary);
   }
 
   std::size_t vnodes(const ScenarioSpec& spec) const override {

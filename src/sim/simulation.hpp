@@ -215,29 +215,6 @@ class Simulation {
   /// maybe_compact() at window boundaries, where each shard's kernel is
   /// between events by construction.
   void compact() {
-    if (compact_hook_ != nullptr) {
-      const auto t0 = std::chrono::steady_clock::now();
-      compact_impl();
-      const auto dur = std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0);
-      compact_hook_(compact_ctx_, static_cast<std::uint64_t>(dur.count()));
-      return;
-    }
-    compact_impl();
-  }
-
-  /// Wall-clock observer for compact(): invoked after each compaction with
-  /// the wall nanoseconds it took. A bare function pointer + context keeps
-  /// the kernel dependency-free (the BSP profiler installs itself here);
-  /// virtual time and event order are untouched. nullptr clears the hook.
-  using CompactHook = void (*)(void* ctx, std::uint64_t wall_dur_ns);
-  void set_compact_hook(CompactHook hook, void* ctx) {
-    compact_hook_ = hook;
-    compact_ctx_ = ctx;
-  }
-
- private:
-  void compact_impl() {
     near_.compact(slab_, free_slots_);
     far_.compact(slab_, free_slots_);
     // Only trailing dead slots can be returned; interior ones must stay,
@@ -254,17 +231,18 @@ class Simulation {
     metrics_.slab_capacity.set(static_cast<double>(slab_.capacity()));
   }
 
- public:
   /// compact() when the slab is mostly dead after a burst (occupancy
   /// < 25% over at least kCompactMinSlots). The slab-size memo makes the
   /// check O(1) between growths: a compact that could not shrink (a live
   /// slot pins the tail) is not retried until the slab grows again.
-  void maybe_compact() {
-    if (slab_.size() >= kCompactMinSlots &&
-        live_events_ * 4 < slab_.size() &&
-        slab_.size() != last_compact_slots_) {
-      compact();
+  /// Returns whether it compacted (the engine times the ones that do).
+  bool maybe_compact() {
+    if (slab_.size() < kCompactMinSlots || live_events_ * 4 >= slab_.size() ||
+        slab_.size() == last_compact_slots_) {
+      return false;
     }
+    compact();
+    return true;
   }
 
   /// Resolve kernel metrics from `reg`. Call before running: the counters
@@ -440,8 +418,6 @@ class Simulation {
   size_t last_compact_slots_ = 0;
   KernelMetrics metrics_;
   bool profile_dispatch_ = false;
-  CompactHook compact_hook_ = nullptr;
-  void* compact_ctx_ = nullptr;
 };
 
 /// A repeating task: reschedules itself every `period` until stopped.

@@ -64,6 +64,18 @@ TEST(MetaInfo, UnhashedInfohashStillUniquePerSeed) {
   EXPECT_TRUE(a.piece_hashes.empty());
 }
 
+TEST(MetaInfo, InfohashPinsTheCanonicalInfoDict) {
+  // The infohash is the SHA-1 of the bencoded info dict (sorted keys:
+  // length, name, piece length, pieces); these digests pin its bytes.
+  const auto hashed = MetaInfo::make_synthetic("f", DataSize::mib(1), 3, true);
+  const auto unhashed =
+      MetaInfo::make_synthetic("swarm", DataSize::mib(16), 42, false);
+  EXPECT_EQ(to_hex(hashed.info_hash),
+            "0441b630abc8391b42603db4824191f666b070e2");
+  EXPECT_EQ(to_hex(unhashed.info_hash),
+            "14580c8075bc94756061c66b273c25d366edaed0");
+}
+
 TEST(MetaInfo, PieceBytesMatchDeclaredSizes) {
   const auto meta = MetaInfo::make_synthetic(
       "f", DataSize::bytes(300 * 1024), 9, false);

@@ -3,7 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
+
+#include "metrics/health.hpp"
 
 namespace p2plab::core {
 namespace {
@@ -258,14 +266,16 @@ TEST(Platform, SocketsWorkAcrossTheDeployment) {
 TEST(Platform, DrainRunFinishesWithMonitorAttached) {
   // The monitor is sampled at barriers and schedules nothing, so a
   // drain-style run still drains.
+  char dir[] = "/tmp/p2plab_platform_drain_XXXXXX";
+  ASSERT_NE(mkdtemp(dir), nullptr);
+  setenv("P2PLAB_RESULTS_DIR", dir, 1);
   metrics::Registry registry;
   Platform platform(topology::homogeneous_dsl(4),
                     PlatformConfig{.physical_nodes = 2, .shards = 2});
   platform.bind_metrics(registry);
-  metrics::HealthMonitor monitor({.period = Duration::sec(1),
-                                  .csv_name = "platform_drain_test",
-                                  .heartbeat_wall_seconds = 0.0});
-  platform.attach_monitor(monitor);
+  std::optional<metrics::HealthMonitor> monitor;
+  monitor.emplace("platform_drain_test", Duration::sec(1));
+  platform.attach_monitor(*monitor);
   auto listener = platform.api(0).listen(7000, [](sockets::StreamSocketPtr) {});
   platform.api(1).connect(platform.vnode(0).ip(), 7000,
                           [](sockets::StreamSocketPtr s) {
@@ -274,9 +284,20 @@ TEST(Platform, DrainRunFinishesWithMonitorAttached) {
                           });
   EXPECT_EQ(platform.run(SimTime::max()), Platform::RunResult::kDrained);
   EXPECT_GT(platform.now(), SimTime::zero() + Duration::sec(2));
-  EXPECT_GE(monitor.samples(), 2u);  // the transfer spans several periods
+  EXPECT_GE(monitor->samples(), 2u);  // the transfer spans several periods
   platform.detach_monitor();
-  EXPECT_EQ(monitor.events_observed(), platform.dispatched_events());
+  monitor.reset();  // flushes the timeline
+  unsetenv("P2PLAB_RESULTS_DIR");
+  // The final row, taken at detach, counts every event of the run.
+  std::ifstream file(std::string(dir) + "/platform_drain_test.csv");
+  std::string line;
+  std::string last;
+  while (std::getline(file, line)) last = line;
+  std::stringstream fields(last);
+  std::string field;
+  for (int column = 0; column <= 2; ++column) std::getline(fields, field, ',');
+  EXPECT_EQ(field, std::to_string(platform.dispatched_events())) << last;
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 // cut through a zone holds to the same bar.
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -200,12 +201,11 @@ TEST(EngineDeterminism, MergedRegistryMatchesAggregateCounters) {
 }
 
 /// One monitored fig8-shaped run: the health timeline's data rows, split
-/// into fields, plus the final merged registry values of its tracked
-/// counters.
+/// into fields, plus the final merged registry values of its layer
+/// columns.
 struct Timeline {
   std::vector<std::vector<std::string>> rows;
-  double final_dispatched = 0;
-  double final_packets = 0;
+  std::vector<double> final_tracked;
 };
 
 Timeline monitored_run(std::size_t shards, const std::string& dir) {
@@ -223,17 +223,14 @@ Timeline monitored_run(std::size_t shards, const std::string& dir) {
         topology::homogeneous_dsl(bt::swarm_vnodes(config)), pc);
     bt::Swarm swarm(platform, config);
     swarm.bind_metrics(registry);
-    metrics::HealthMonitor monitor(
-        {.period = Duration::sec(20),
-         .csv_name = "timeline",
-         .tracked = {"sim.events.dispatched", "net.packets_sent"},
-         .heartbeat_wall_seconds = 0.0});
+    metrics::HealthMonitor monitor("timeline", Duration::sec(20));
     platform.attach_monitor(monitor);
     swarm.run();
     platform.detach_monitor();
     EXPECT_TRUE(swarm.all_complete()) << shards << " shard(s)";
-    out.final_dispatched = registry.value("sim.events.dispatched");
-    out.final_packets = registry.value("net.packets_sent");
+    for (const char* name : metrics::HealthMonitor::kTrackedColumns) {
+      out.final_tracked.push_back(registry.value(name));
+    }
   }  // the monitor's CsvWriter flushes here
   unsetenv("P2PLAB_RESULTS_DIR");
   std::ifstream file(dir + "/timeline.csv");
@@ -250,8 +247,9 @@ Timeline monitored_run(std::size_t shards, const std::string& dir) {
 }
 
 TEST(EngineMonitor, TimelineIsShardCountInvariant) {
-  // Columns: label, sim_s, wall_s, events, queue_depth, events_per_wall_s,
-  // sim_s_per_wall_s, then the tracked counters.
+  // Columns: sim_s, wall_s, events, queue_depth, events_per_wall_s,
+  // sim_s_per_wall_s, then the four layer counters. All but the three
+  // wall-clock ones are fixed by the simulation alone.
   char dir[] = "/tmp/p2plab_timeline_XXXXXX";
   ASSERT_NE(mkdtemp(dir), nullptr);
   const Timeline one = monitored_run(1, dir);
@@ -259,22 +257,23 @@ TEST(EngineMonitor, TimelineIsShardCountInvariant) {
   ASSERT_GT(one.rows.size(), 3u);
   ASSERT_EQ(one.rows.size(), two.rows.size());
   for (std::size_t i = 0; i < one.rows.size(); ++i) {
-    ASSERT_EQ(one.rows[i].size(), 9u);
-    ASSERT_EQ(two.rows[i].size(), 9u);
-    for (const std::size_t col : {0u, 1u, 3u}) {
+    ASSERT_EQ(one.rows[i].size(), 10u);
+    ASSERT_EQ(two.rows[i].size(), 10u);
+    for (const std::size_t col : {0u, 2u, 3u, 6u, 7u, 8u, 9u}) {
       EXPECT_EQ(one.rows[i][col], two.rows[i][col])
           << "row " << i << " column " << col;
     }
-    // The shard registries are folded before every sample: the tracked
-    // dispatch counter is the platform's own event count.
-    EXPECT_EQ(one.rows[i][7], one.rows[i][3] + ".000000") << "row " << i;
-    EXPECT_EQ(two.rows[i][7], two.rows[i][3] + ".000000") << "row " << i;
   }
-  // The final sample's tracked columns are the final merged registry.
+  // The shard registries are folded before every sample: the final row's
+  // layer columns are the final merged registry, and packets did flow.
   for (const Timeline* t : {&one, &two}) {
-    EXPECT_EQ(t->rows.back()[7], std::to_string(t->final_dispatched));
-    EXPECT_EQ(t->rows.back()[8], std::to_string(t->final_packets));
+    for (std::size_t c = 0; c < t->final_tracked.size(); ++c) {
+      EXPECT_EQ(t->rows.back()[6 + c], std::to_string(t->final_tracked[c]))
+          << "column " << 6 + c;
+    }
+    EXPECT_GT(t->final_tracked[1], 0.0);
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(EnginePlatform, DeadlineStopsOnTimeAndResumes) {

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -14,9 +15,9 @@
 namespace p2plab::metrics {
 namespace {
 
-std::string report_to_string(const HealthMonitor& monitor) {
+std::string report_to_string(const Registry& reg) {
   std::FILE* tmp = std::tmpfile();
-  monitor.print_report(tmp);
+  print_registry_report(reg, tmp);
   std::rewind(tmp);
   std::string out;
   char buf[256];
@@ -34,9 +35,7 @@ TEST(HealthMonitor, SamplesPeriodicallyPlusFinal) {
   // The platform offers a sample at every barrier; the monitor takes one
   // per elapsed period (at the first barrier past it) plus the final one.
   Registry reg;
-  HealthMonitor monitor({.period = Duration::sec(1),
-                         .csv_name = "health_test",
-                         .heartbeat_wall_seconds = 0.0});
+  HealthMonitor monitor("health_test", Duration::sec(1));
   monitor.start(reg, at_ms(0, 0));
   for (std::int64_t ms = 250; ms <= 3500; ms += 250) {
     if (monitor.due(SimTime::zero() + Duration::ms(ms))) {
@@ -50,58 +49,32 @@ TEST(HealthMonitor, SamplesPeriodicallyPlusFinal) {
   EXPECT_FALSE(monitor.due(SimTime::zero() + Duration::sec(10)));
 }
 
-TEST(HealthMonitor, RestartAccumulatesAcrossRuns) {
-  Registry reg;
-  Counter tick = reg.counter("test.ticks");
-  HealthMonitor monitor({.period = Duration::sec(1),
-                         .csv_name = "health_restart_test",
-                         .tracked = {"test.ticks"},
-                         .heartbeat_wall_seconds = 0.0});
-
-  monitor.set_label("run=1");
-  monitor.start(reg, at_ms(0, 0));
-  tick.inc();
-  monitor.sample(at_ms(1000, 5));
-  monitor.stop(at_ms(1500, 7));
-  EXPECT_EQ(monitor.events_observed(), 7u);
-
-  monitor.set_label("run=2");
-  monitor.start(reg, at_ms(1500, 7));
-  monitor.stop(at_ms(3500, 20));
-  EXPECT_EQ(monitor.events_observed(), 20u);  // 7 + 13
-  EXPECT_EQ(monitor.samples(), 3u);
-}
-
 TEST(HealthMonitor, PrintReportDumpsRegistry) {
+  // The registry dump that closes every run's report: one '#' line per
+  // metric, histograms summarized.
   Registry reg;
   Counter c = reg.counter("test.answer");
   c.inc(42);
-  HealthMonitor monitor({.period = Duration::sec(1),
-                         .csv_name = "health_report_test",
-                         .heartbeat_wall_seconds = 0.0});
-  monitor.start(reg, at_ms(0, 0));
-  monitor.stop(at_ms(1500, 3));
-
-  // After stop() the monitor reports the last run's registry.
-  const std::string report = report_to_string(monitor);
-  EXPECT_NE(report.find("# --- metrics report ---"), std::string::npos);
-  EXPECT_NE(report.find("# test.answer = 42"), std::string::npos);
-  EXPECT_NE(report.find("# --- end metrics report ---"), std::string::npos);
+  Histogram h = reg.histogram("test.sizes", {1.0, 10.0});
+  h.record(2.0);
+  h.record(4.0);
+  const std::string report = report_to_string(reg);
+  EXPECT_NE(report.find("# test.answer = 42\n"), std::string::npos);
+  EXPECT_NE(report.find("# test.sizes: count=2 mean=3 min=2 max=4\n"),
+            std::string::npos)
+      << report;
 }
 
 TEST(HealthMonitor, TimelineLandsInResultsDir) {
+  // The probe columns, then the fixed layer counters; no label column.
   char dir_template[] = "/tmp/p2plab_health_XXXXXX";
   ASSERT_NE(mkdtemp(dir_template), nullptr);
   setenv("P2PLAB_RESULTS_DIR", dir_template, 1);
   {
     Registry reg;
-    Counter c = reg.counter("test.val");
-    c.inc(7);
-    HealthMonitor monitor({.period = Duration::sec(1),
-                           .csv_name = "health_csv_test",
-                           .tracked = {"test.val"},
-                           .heartbeat_wall_seconds = 0.0});
-    monitor.set_label("fold=2");
+    Counter packets = reg.counter("net.packets_sent");
+    packets.inc(7);
+    HealthMonitor monitor("health_csv_test", Duration::sec(1));
     monitor.start(reg, at_ms(0, 0));
     monitor.sample(at_ms(1000, 4));
     monitor.stop(at_ms(2500, 9));
@@ -112,13 +85,20 @@ TEST(HealthMonitor, TimelineLandsInResultsDir) {
   ASSERT_TRUE(file.good());
   std::string header;
   ASSERT_TRUE(std::getline(file, header));
-  EXPECT_NE(header.find("label"), std::string::npos);
-  EXPECT_NE(header.find("sim_s_per_wall_s"), std::string::npos);
-  EXPECT_NE(header.find("test.val"), std::string::npos);
-  std::string row;
-  ASSERT_TRUE(std::getline(file, row));
-  EXPECT_EQ(row.rfind("fold=2,1.000000,", 0), 0u);
-  EXPECT_NE(row.find("7"), std::string::npos);  // tracked column value
+  EXPECT_EQ(header,
+            "sim_s,wall_s,events,queue_depth,events_per_wall_s,"
+            "sim_s_per_wall_s,ipfw.rules_scanned,net.packets_sent,"
+            "net.nic.tx_bytes,net.nic.rx_bytes");
+  for (const char* expected : {"1.000000,", "2.500000,"}) {
+    std::string row;
+    ASSERT_TRUE(std::getline(file, row));
+    EXPECT_EQ(row.rfind(expected, 0), 0u) << row;
+    // An unregistered counter reads 0; the packet counter reads 7.
+    EXPECT_NE(row.find(",0.000000,7.000000,0.000000,0.000000"),
+              std::string::npos)
+        << row;
+  }
+  std::filesystem::remove_all(dir_template);
 }
 
 }  // namespace

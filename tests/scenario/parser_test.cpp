@@ -309,6 +309,35 @@ TEST(ScenarioParserGossip, SetOverrideAppliesToGossip) {
   EXPECT_EQ(spec.gossip.indirect_k, 5u);
 }
 
+TEST(ScenarioParserGossip, LastMemberMustStartBeforeTheRunEnds) {
+  // Member i starts at i x join_interval (200 ms by default): at 1024
+  // members the last one would start 24.6 s after a 180 s run ends.
+  const std::string head =
+      "scenario g\n"
+      "[workload]\n"
+      "type gossip\n"
+      "[engine]\n"
+      "stop time\n"
+      "run_for 180\n";
+  EXPECT_EQ(parse_error(head, {"workload.nodes=1024"}),
+            "line 5: gossip member 1023 starts at 204.6s (join_interval x "
+            "1023), not before run_for 180s ends: run_for must exceed "
+            "204.6s");
+  // Starting exactly at the end is refused too; one earlier is fine.
+  EXPECT_NE(parse_error(head, {"workload.nodes=901"}).find("member 900"),
+            std::string::npos);
+  EXPECT_EQ(parse_ok(head, {"workload.nodes=900"}).gossip.nodes, 900u);
+  // A node count whose last start overflows 64-bit nanoseconds is
+  // refused, not wrapped.
+  EXPECT_NE(parse_error(head, {"workload.nodes=100000000000000"})
+                .find("member 99999999999999 starts at"),
+            std::string::npos);
+  // The benchmark's shape: 128 members over two simulated hours.
+  EXPECT_EQ(parse_ok(head, {"workload.nodes=128", "engine.run_for=7200"})
+                .gossip.nodes,
+            128u);
+}
+
 // -- golden errors --------------------------------------------------------
 
 TEST(ScenarioParserErrors, SectionBeforeScenarioHeader) {
@@ -335,6 +364,39 @@ TEST(ScenarioParserErrors, UnknownKeyWithLineNumber) {
                         "type swarm\n"
                         "clientz 5\n"),
             "line 4: unknown key 'clientz' in [workload]");
+}
+
+TEST(ScenarioParserErrors, ReportKeyIsRetired) {
+  // Every run ends with its report; there is nothing left to switch on.
+  EXPECT_EQ(parse_error("scenario x\n"
+                        "[workload]\n"
+                        "type ping_sweep\n"
+                        "[outputs]\n"
+                        "report on\n"),
+            "line 5: unknown key 'report' in [outputs]");
+}
+
+TEST(ScenarioParser, RunRecordOutputsAreCrossWorkload) {
+  // The health timeline and the flight-recorder trace belong to every
+  // workload, and name the files the run declares.
+  for (const char* type : {"ping_sweep", "validate", "swarm"}) {
+    const ScenarioSpec spec = parse_ok(std::string("scenario x\n"
+                                                   "[workload]\n"
+                                                   "type ") +
+                                       type +
+                                       "\n"
+                                       "[outputs]\n"
+                                       "metrics run_metrics\n"
+                                       "trace run.jsonl\n");
+    EXPECT_EQ(spec.outputs.metrics, "run_metrics") << type;
+    EXPECT_TRUE(spec.engine.trace) << type;
+    const std::vector<std::string> files = spec.declared_outputs();
+    EXPECT_NE(std::find(files.begin(), files.end(), "run_metrics.csv"),
+              files.end())
+        << type;
+    EXPECT_NE(std::find(files.begin(), files.end(), "run.jsonl"), files.end())
+        << type;
+  }
 }
 
 TEST(ScenarioParserErrors, DuplicateKey) {
@@ -891,7 +953,7 @@ TEST(ShippedScenarios, Fig6MatchesCatalog) {
   EXPECT_EQ(spec.topology.built->zones()[0].node_count, 2u);
   EXPECT_EQ(spec.outputs.csv, "fig6_ipfw_rules");
   EXPECT_EQ(spec.outputs.bench_json, "BENCH_fig6");
-  EXPECT_TRUE(spec.outputs.report);
+  EXPECT_TRUE(spec.outputs.metrics.empty());
 }
 
 TEST(ShippedScenarios, Fig8MatchesCatalog) {
@@ -995,6 +1057,7 @@ TEST(ShippedScenarios, GossipMatchesCatalog) {
   EXPECT_EQ(spec.outputs.detection_csv, "gossip_detection");
   EXPECT_EQ(spec.outputs.fp_summary, "gossip_fp_summary");
   EXPECT_EQ(spec.outputs.bench_json, "BENCH_gossip");
+  EXPECT_EQ(spec.outputs.metrics, "gossip_metrics");
 }
 
 TEST(ShippedScenarios, AccuracyMatchesCatalog) {

@@ -6,6 +6,8 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -198,6 +200,80 @@ TEST(ExperimentRunner, PlatformOnlyProfilingFoldsButWritesNothing) {
     folded = folded || entry.name == "profile.imbalance.ratio";
   }
   EXPECT_TRUE(folded);
+}
+
+/// The data rows of a timeline CSV, split into fields.
+std::vector<std::vector<std::string>> csv_rows(const std::string& path) {
+  std::vector<std::vector<std::string>> rows;
+  std::ifstream file(path);
+  std::string line;
+  std::getline(file, line);  // header
+  while (std::getline(file, line)) {
+    std::vector<std::string> fields;
+    std::stringstream ss(line);
+    std::string field;
+    while (std::getline(ss, field, ',')) fields.push_back(field);
+    rows.push_back(fields);
+  }
+  return rows;
+}
+
+TEST(ExperimentRunner, ValidateRunWritesAShardInvariantTimeline) {
+  // The runner owns the run record of every workload: a validate run that
+  // names `metrics` gets the health timeline, and ends with the `# run:`
+  // line and the registry dump like any other run.
+  const std::string text =
+      "scenario record\n"
+      "[topology]\n"
+      "zone senders 10.1.0.0/24 nodes=4 down=8M up=2M latency=20ms\n"
+      "zone sink 10.2.0.0/24 nodes=2 down=2M up=2M latency=30ms\n"
+      "zone far 10.3.0.0/24 nodes=4 down=2M up=512k latency=40ms\n"
+      "latency senders sink 100ms\n"
+      "latency senders far 400ms\n"
+      "latency sink far 200ms\n"
+      "[workload]\n"
+      "type validate\n"
+      "nodes 10\n"
+      "[engine]\n"
+      "pin off\n"
+      "[outputs]\n"
+      "metrics record_metrics\n";
+  std::vector<std::vector<std::vector<std::string>>> timelines;
+  for (const char* shards : {"1", "3"}) {
+    char dir[] = "/tmp/p2plab_runner_record_XXXXXX";
+    ASSERT_NE(mkdtemp(dir), nullptr);
+    setenv("P2PLAB_RESULTS_DIR", dir, 1);
+    ParseOptions options;
+    options.overrides = {std::string("engine.shards=") + shards};
+    ParseResult parsed = parse_scenario(text, options);
+    ASSERT_TRUE(parsed.spec) << parsed.error;
+    std::string out;
+    {
+      ExperimentRunner runner(std::move(*parsed.spec));
+      testing::internal::CaptureStdout();
+      EXPECT_EQ(runner.run(), 0);
+      out = testing::internal::GetCapturedStdout();
+    }  // the timeline's CsvWriter flushes here
+    unsetenv("P2PLAB_RESULTS_DIR");
+    EXPECT_NE(out.find("\n# run: wall_s="), std::string::npos) << out;
+    EXPECT_NE(out.find("\n# sim.events.dispatched = "), std::string::npos);
+    timelines.push_back(csv_rows(std::string(dir) + "/record_metrics.csv"));
+    std::filesystem::remove_all(dir);
+  }
+  const auto& one = timelines[0];
+  const auto& three = timelines[1];
+  // One row per 60 simulated seconds, plus the final one at the stop.
+  ASSERT_GE(one.size(), 2u);
+  ASSERT_EQ(one.size(), three.size());
+  for (std::size_t i = 0; i < one.size(); ++i) {
+    ASSERT_EQ(one[i].size(), 10u);
+    ASSERT_EQ(three[i].size(), 10u);
+    // Everything but wall_s, events_per_wall_s and sim_s_per_wall_s.
+    for (const std::size_t col : {0u, 2u, 3u, 6u, 7u, 8u, 9u}) {
+      EXPECT_EQ(one[i][col], three[i][col])
+          << "row " << i << " column " << col;
+    }
+  }
 }
 
 TEST(ExperimentRunner, PingSweepProducesRttCurve) {
