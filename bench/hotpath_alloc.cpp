@@ -1,11 +1,16 @@
 // Hot-path allocation microbench: the headline number behind the
 // zero-allocation work (pooled packets + inline event callbacks).
 //
-// Two phases, both measured after a warmup so slabs, pools and pipe queues
-// are at steady-state capacity:
+// Three phases, all measured after a warmup so slabs, pools and pipe
+// queues are at steady-state capacity:
 //
 //   events:  self-rescheduling timer chains through the bare simulation
-//            kernel — isolates schedule/dispatch cost.
+//            kernel driven by step() — isolates schedule/dispatch cost.
+//   windowed: the same chains plus long-period protocol timers, driven the
+//            way Engine::worker drives a shard: the kernel's calendar on a
+//            lookahead grid and one open_window / run_before / advance_to
+//            per window holding the next event — the route every shipped
+//            run takes.
 //   packets: a ping-pong workload between two shaped hosts through the
 //            route every Platform run takes (firewall scan, Dummynet pipes
 //            with deferred delays, NIC tx + switch folded into the fabric
@@ -93,29 +98,31 @@ struct PhaseResult {
   std::uint64_t start_ns = 0;  // profiler clock at window start
 };
 
+/// A timer that reschedules itself every `period`. Each event captures
+/// what the network layer's completion closures capture — a few pointers
+/// plus a handle-sized payload (~32 bytes). That is over std::function's
+/// small-object budget but well inside InlineCallback's, which is exactly
+/// the gap being measured.
+struct Chain {
+  sim::Simulation* sim;
+  std::uint64_t* fired;
+  Duration period;
+  void arm() {
+    sim->schedule_after(period,
+                        [this, fired = fired, tick = std::uint64_t{0}] {
+                          ++*fired;
+                          (void)tick;
+                          arm();
+                        });
+  }
+};
+
 /// Phase 1: raw kernel throughput. `chains` timers each reschedule
 /// themselves until `total` events have been dispatched.
 PhaseResult run_event_phase(profile::Profiler& prof, std::uint64_t warmup,
                             std::uint64_t total, std::size_t chains) {
   sim::Simulation sim;
   std::uint64_t fired = 0;
-  // Each event captures what the network layer's completion closures
-  // capture — a few pointers plus a handle-sized payload (~32 bytes).
-  // That is over std::function's small-object budget but well inside
-  // InlineCallback's, which is exactly the gap being measured.
-  struct Chain {
-    sim::Simulation* sim;
-    std::uint64_t* fired;
-    Duration period;
-    void arm() {
-      sim->schedule_after(period,
-                          [this, fired = fired, tick = std::uint64_t{0}] {
-                            ++*fired;
-                            (void)tick;
-                            arm();
-                          });
-    }
-  };
   std::vector<Chain> all(chains);
   for (std::size_t i = 0; i < chains; ++i) {
     all[i] = Chain{&sim, &fired, Duration::us(10 + static_cast<int>(i))};
@@ -138,7 +145,59 @@ PhaseResult run_event_phase(profile::Profiler& prof, std::uint64_t warmup,
   return r;
 }
 
-/// Phase 2: the full per-packet path. Two hosts with shaped access links
+/// Phase 2: the engine's window loop over one shard's kernel. `chains`
+/// timers as in phase 1 share the queue with `timers` protocol timers of
+/// 5-50 ms periods (some beyond the calendar's span); each window is the
+/// lookahead-grid cell holding the next event, as Engine::coordinate
+/// picks it.
+PhaseResult run_windowed_phase(profile::Profiler& prof, std::uint64_t warmup,
+                               std::uint64_t total, std::size_t chains,
+                               std::size_t timers) {
+  const Duration lookahead = Duration::us(40);
+  sim::Simulation sim;
+  sim.set_lookahead(lookahead);
+  std::uint64_t fired = 0;
+  std::vector<Chain> all;
+  all.reserve(chains + timers);
+  for (std::size_t i = 0; i < chains; ++i) {
+    all.push_back(Chain{&sim, &fired, Duration::us(10 + static_cast<int>(i))});
+  }
+  Rng rng(7);
+  for (std::size_t i = 0; i < timers; ++i) {
+    all.push_back(Chain{
+        &sim, &fired,
+        Duration::us(5'000 + static_cast<std::int64_t>(rng.uniform(45'000)))});
+  }
+  for (Chain& c : all) c.arm();
+  const std::int64_t l_ns = lookahead.count_ns();
+  auto run_windows = [&](std::uint64_t until) {
+    while (sim.dispatched_events() < until) {
+      const SimTime next = *sim.next_event_time();
+      const SimTime end = SimTime::from_ns((next.count_ns() / l_ns + 1) * l_ns);
+      sim.open_window(end);
+      sim.run_before(end);
+      sim.advance_to(end);
+      sim.maybe_compact();
+    }
+  };
+  run_windows(warmup);
+
+  const std::uint64_t alloc0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t events0 = sim.dispatched_events();
+  const std::uint64_t fb0 = sim::InlineCallback::heap_fallbacks();
+  PhaseResult r;
+  r.start_ns = prof.now_ns();
+  bench::WallTimer timer;
+  run_windows(warmup + total);
+  r.wall_seconds = timer.elapsed_seconds();
+  r.events = sim.dispatched_events() - events0;
+  r.units = r.events;
+  r.allocs = g_allocs.load(std::memory_order_relaxed) - alloc0;
+  r.fallbacks = sim::InlineCallback::heap_fallbacks() - fb0;
+  return r;
+}
+
+/// Phase 3: the full per-packet path. Two hosts with shaped access links
 /// ping-pong `inflight` packets; the demux response is the only
 /// application logic, so the measured cost is the emulated network itself.
 PhaseResult run_packet_phase(profile::Profiler& prof, std::uint64_t warmup,
@@ -222,10 +281,14 @@ int run(int argc, char** argv) {
   profile::Profiler prof(1);
   const PhaseResult ev =
       run_event_phase(prof, event_total / 10, event_total, /*chains=*/64);
+  const PhaseResult win =
+      run_windowed_phase(prof, event_total / 10, event_total, /*chains=*/64,
+                         /*timers=*/256);
   const PhaseResult pk =
       run_packet_phase(prof, packet_total / 10, packet_total,
                        /*inflight=*/64);
-  for (std::uint64_t window = 0; const PhaseResult* r : {&ev, &pk}) {
+  for (std::uint64_t window = 0;
+       const PhaseResult* r : {&ev, &win, &pk}) {
     profile::PhaseSample sample;
     sample.start_ns = r->start_ns;
     sample.dur_ns =
@@ -239,6 +302,10 @@ int run(int argc, char** argv) {
   const double events_per_second =
       ev.wall_seconds > 0 ? static_cast<double>(ev.events) / ev.wall_seconds
                           : 0.0;
+  const double windowed_events_per_second =
+      win.wall_seconds > 0
+          ? static_cast<double>(win.events) / win.wall_seconds
+          : 0.0;
   const double packets_per_second =
       pk.wall_seconds > 0 ? static_cast<double>(pk.units) / pk.wall_seconds
                           : 0.0;
@@ -246,6 +313,10 @@ int run(int argc, char** argv) {
       ev.events > 0 ? static_cast<double>(ev.allocs) /
                           static_cast<double>(ev.events)
                     : 0.0;
+  const double win_allocs_per_event =
+      win.events > 0 ? static_cast<double>(win.allocs) /
+                           static_cast<double>(win.events)
+                     : 0.0;
   const double pk_allocs_per_event =
       pk.events > 0 ? static_cast<double>(pk.allocs) /
                           static_cast<double>(pk.events)
@@ -258,6 +329,12 @@ int run(int argc, char** argv) {
               static_cast<unsigned long long>(ev.events), ev.wall_seconds,
               events_per_second, static_cast<unsigned long long>(ev.allocs),
               ev_allocs_per_event);
+  std::printf("windowed,%llu,%llu,%.6f,%.0f,%llu,%.6f\n",
+              static_cast<unsigned long long>(win.units),
+              static_cast<unsigned long long>(win.events), win.wall_seconds,
+              windowed_events_per_second,
+              static_cast<unsigned long long>(win.allocs),
+              win_allocs_per_event);
   std::printf("packets,%llu,%llu,%.6f,%.0f,%llu,%.6f\n",
               static_cast<unsigned long long>(pk.units),
               static_cast<unsigned long long>(pk.events), pk.wall_seconds,
@@ -269,14 +346,17 @@ int run(int argc, char** argv) {
       {"events", static_cast<double>(ev.events)},
       {"wall_seconds", ev.wall_seconds},
       {"events_per_second", events_per_second},
+      {"windowed_events", static_cast<double>(win.events)},
+      {"windowed_events_per_second", windowed_events_per_second},
       {"packets", static_cast<double>(pk.units)},
       {"packets_per_second", packets_per_second},
       {"event_allocs_per_event", ev_allocs_per_event},
+      {"windowed_allocs_per_event", win_allocs_per_event},
       {"packet_allocs_per_event", pk_allocs_per_event},
       // "stays flat over the run" is the steady-state claim the gate
       // checks: fallbacks in the measured windows, not since process start.
       {"callback_heap_fallbacks",
-       static_cast<double>(ev.fallbacks + pk.fallbacks)},
+       static_cast<double>(ev.fallbacks + win.fallbacks + pk.fallbacks)},
       {"peak_rss_bytes", static_cast<double>(core::peak_rss_bytes())}};
   if (profiling) {
     const profile::Rollup roll = prof.rollup();

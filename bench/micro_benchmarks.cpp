@@ -94,9 +94,10 @@ void BM_EventQueueWindowed(benchmark::State& state) {
   // state.range(0) long-period protocol timers share the queue with a few
   // short-delay chains (a datagram's hops through pipes and NICs), and
   // each iteration is one BSP window — open_window, run_before,
-  // advance_to. The timers wait in the far tier while the chains cycle
-  // through a near tier of a handful of entries. Items are dispatched
-  // events.
+  // advance_to — on a kernel whose calendar lies on the window grid, as
+  // Engine::add_shard lays it. The timers wait in calendar slots and the
+  // overflow heap while the chains cycle through a near run of a handful
+  // of entries. Items are dispatched events.
   struct Load {
     sim::Simulation sim;
     Rng rng{1};
@@ -109,13 +110,14 @@ void BM_EventQueueWindowed(benchmark::State& state) {
           [this] { chain(); });
     }
   } load;
+  const Duration window = Duration::us(100);
+  load.sim.set_lookahead(window);
   for (std::int64_t i = 0; i < state.range(0); ++i) {
     load.timer(
         Duration::us(static_cast<std::int64_t>(load.rng.uniform(1'000'000))),
         Duration::ms(500 + static_cast<std::int64_t>(load.rng.uniform(500))));
   }
   for (int c = 0; c < 6; ++c) load.chain();
-  const Duration window = Duration::us(100);
   SimTime end = SimTime::zero();
   for (auto _ : state) {
     end = end + window;

@@ -3,9 +3,10 @@
 # BENCH_hotpath.json against the committed baseline.
 #
 # Two kinds of checks, with different strictness:
-#   * throughput (events/sec, packets/sec): machine-dependent, so a run
-#     only fails when it regresses more than THRESHOLD_PCT below baseline
-#     (default 20%; CI runners with different silicon can widen it via
+#   * throughput (events/sec of the step()-driven and of the windowed
+#     kernel phase, packets/sec): machine-dependent, so a run only fails
+#     when it regresses more than THRESHOLD_PCT below baseline (default
+#     20%; CI runners with different silicon can widen it via
 #     P2PLAB_BENCH_GATE_THRESHOLD_PCT).
 #   * allocation discipline (allocs/event, InlineCallback heap fallbacks):
 #     machine-independent, checked against absolute bounds — this is the
@@ -148,8 +149,10 @@ check_max() {  # name bound
 }
 
 check_throughput events_per_second
+check_throughput windowed_events_per_second
 check_throughput packets_per_second
 check_max event_allocs_per_event "$MAX_ALLOCS"
+check_max windowed_allocs_per_event "$MAX_ALLOCS"
 check_max packet_allocs_per_event "$MAX_ALLOCS"
 check_max callback_heap_fallbacks "$MAX_FALLBACKS"
 

@@ -35,12 +35,17 @@ overrides_for() {
   esac
 }
 
+# Every run writes into its own directory under one parent, removed on exit.
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
 status=0
 for scn in "${scn_files[@]}"; do
   base=$(basename "$scn" .scn)
   read -ra extra <<< "$(overrides_for "$base")"
   for shards in 1 2; do
-    out=$(mktemp -d)
+    out="$work/$base-k$shards"
+    mkdir "$out"
     echo "=== $base shards=$shards ==="
     if ! P2PLAB_RESULTS_DIR="$out" \
         "$RUN" "$scn" --set engine.shards="$shards" ${extra[@]+"${extra[@]}"} \
@@ -70,7 +75,8 @@ done
 # comes from the CLI so the shipped .scn files stay untouched.
 prof_scn="$SCN_DIR/fig8.scn"
 if [ -f "$prof_scn" ]; then
-  out=$(mktemp -d)
+  out="$work/fig8-profile"
+  mkdir "$out"
   echo "=== fig8 shards=2 --profile ==="
   if ! P2PLAB_RESULTS_DIR="$out" \
       "$RUN" "$prof_scn" --profile --set engine.shards=2 \

@@ -22,7 +22,9 @@ std::size_t Engine::add_shard(sim::Simulation& sim, net::Network& network) {
   sims_.push_back(&sim);
   networks_.push_back(&network);
   recorders_.push_back(nullptr);
-  network.set_fabric_handoff(this);
+  // Each window the engine opens is one slot of the kernel's calendar.
+  sim.set_lookahead(lookahead_);
+  network.set_fabric_handoff(this, index);
   for (auto& parity : outbox_) {
     parity.assign(sims_.size(),
                   std::vector<std::vector<IngressEntry>>(sims_.size()));
@@ -51,13 +53,13 @@ void Engine::map_address(Ipv4Addr addr, std::size_t shard) {
                     "address mapped to two shards");
 }
 
-bool Engine::push(std::size_t src_host, std::uint64_t seq, SimTime stamp,
-                  net::Packet packet) {
+bool Engine::push(std::size_t src_shard, std::size_t src_host,
+                  std::uint64_t seq, SimTime stamp, net::Packet packet) {
   const auto dst_it = shard_of_addr_.find(packet.dst.to_u32());
   if (dst_it == shard_of_addr_.end()) return false;  // never deployed
-  // The source address was routable on its shard moments ago, so it is
-  // mapped; the lookup names the outbox row this worker exclusively owns.
-  const std::size_t src_shard = shard_of_addr_.at(packet.src.to_u32());
+  // `src_shard` is the pushing Network's own index: it names the outbox
+  // row this worker exclusively owns.
+  P2PLAB_ASSERT(src_shard < sims_.size());
   P2PLAB_ASSERT_MSG(stamp >= window_end_,
                     "lookahead violated: handoff stamp inside the window");
   outbox_[write_parity_][src_shard][dst_it->second].push_back(
@@ -229,8 +231,8 @@ void Engine::worker(std::size_t shard) {
                                       .phase = profile::Phase::kBarrier});
     }
     if (phase_ != Phase::kRunWindow) break;
-    // Raise the kernel's near-tier horizon first, so this window's merged
-    // arrivals land in the small near heap.
+    // Open the window's calendar slot into the kernel's sorted near run
+    // first, so this window's merged arrivals insert into that run.
     sim.open_window(window_end_);
     const std::uint64_t merged = merge_ingress(shard);
     const std::uint64_t t2 = ring != nullptr ? prof->now_ns() : t1;

@@ -6,10 +6,12 @@
 // windows of length L — the engine's lookahead — separated by barriers:
 //
 //   barrier: pick the next window [start, end) (or a stop)
-//   window:  each shard raises its kernel's near-tier horizon to `end`
-//            (Simulation::open_window), k-way merges the handoff packets
-//            addressed to it, runs its own events with time < end, then
-//            sorts the handoff runs it produced for the next merge
+//   window:  each shard moves the window's slot of its kernel's calendar
+//            into the sorted near run (Simulation::open_window; add_shard
+//            lays the calendar on the L-grid), k-way merges the handoff
+//            packets addressed to it into that run, runs its own events
+//            with time < end, then sorts the handoff runs it produced for
+//            the next merge
 //
 // L = (minimum emulated access-link delay) + switch latency. Every
 // inter-host packet pays at least one source access pipe before it can
@@ -139,7 +141,8 @@ class Engine final : public net::FabricHandoff {
   explicit Engine(Duration lookahead);
 
   /// Register a shard; returns its index. Installs the engine as `network`'s
-  /// fabric handoff. All shards must be added before the first run().
+  /// fabric handoff (under that index) and hands `sim` the lookahead as its
+  /// calendar slot width. All shards must be added before the first run().
   std::size_t add_shard(sim::Simulation& sim, net::Network& network);
 
   /// Activate `recorder` on the shard's worker thread for the duration of
@@ -193,8 +196,9 @@ class Engine final : public net::FabricHandoff {
   /// packet. `stamp` must land at or beyond the current window's end —
   /// that is the lookahead contract, and it is asserted. The stamp is
   /// never moved: the emulated latency reaches the destination unchanged.
-  bool push(std::size_t src_host, std::uint64_t seq, SimTime stamp,
-            net::Packet packet) override;
+  /// One address lookup per packet: the destination's.
+  bool push(std::size_t src_shard, std::size_t src_host, std::uint64_t seq,
+            SimTime stamp, net::Packet packet) override;
 
  private:
   /// Barrier spin budget while every worker owns a core: long enough to

@@ -137,8 +137,8 @@ void Network::handoff_exit(PacketRef packet, Host& src) {
     });
     return;
   }
-  if (!handoff_->push(src.global_index(), src.next_fabric_seq(), stamp,
-                      std::move(*packet))) {
+  if (!handoff_->push(handoff_shard_, src.global_index(),
+                      src.next_fabric_seq(), stamp, std::move(*packet))) {
     // No shard ever deployed the address (as opposed to withdrawn).
     metrics_.packets_unroutable.inc();
   }

@@ -70,12 +70,13 @@ struct NetMetrics {
 class FabricHandoff {
  public:
   virtual ~FabricHandoff() = default;
-  /// Hand a packet to the destination shard. `src_host` / `seq` establish
+  /// Hand a packet to the destination shard. `src_shard` is the pushing
+  /// network's shard (set_fabric_handoff); `src_host` / `seq` establish
   /// the deterministic merge order (stamp, src_host, seq). Returns false
   /// if no shard ever deployed `packet.dst` (the address is unknown to the
   /// whole platform, not merely withdrawn).
-  virtual bool push(std::size_t src_host, std::uint64_t seq, SimTime stamp,
-                    Packet packet) = 0;
+  virtual bool push(std::size_t src_shard, std::size_t src_host,
+                    std::uint64_t seq, SimTime stamp, Packet packet) = 0;
 };
 
 class Network {
@@ -126,8 +127,12 @@ class Network {
   /// the stamp; the destination side reserves its NIC-rx and runs the
   /// inbound firewall on arrival. Without a handoff (a bare Network) the
   /// packet takes the same walk: fabric_arrive is scheduled at the same
-  /// stamp on this network's own simulation.
-  void set_fabric_handoff(FabricHandoff* handoff) { handoff_ = handoff; }
+  /// stamp on this network's own simulation. `shard` is this network's
+  /// index in the handoff, passed back on every push.
+  void set_fabric_handoff(FabricHandoff* handoff, std::size_t shard = 0) {
+    handoff_ = handoff;
+    handoff_shard_ = shard;
+  }
 
   /// Destination entry point for handed-off packets; the engine schedules
   /// this at the packet's stamp on the owning shard's simulation, acquiring
@@ -184,6 +189,7 @@ class Network {
   PacketPool pool_;
   metrics::Registry* bound_reg_ = nullptr;  // for hosts added after binding
   FabricHandoff* handoff_ = nullptr;
+  std::size_t handoff_shard_ = 0;
   std::function<void(Packet&&)> socket_demux_;
   std::vector<std::unique_ptr<Host>> hosts_;
   std::unordered_map<std::uint32_t, Host*> by_address_;

@@ -1,30 +1,39 @@
 // Discrete-event simulation kernel.
 //
-// A Simulation owns the virtual clock and a two-tier event queue. Events
-// are closures scheduled at absolute or relative times; ties dispatch in
-// scheduling order (FIFO), which the rest of the platform relies on for
-// determinism.
+// A Simulation owns the virtual clock and an event queue shaped after the
+// parallel engine's window schedule. Events are closures scheduled at
+// absolute or relative times; ties dispatch in scheduling order (FIFO),
+// which the rest of the platform relies on for determinism.
 //
 // Storage is split: callbacks live in a slab (stable slots, recycled via a
-// free list) and 4-ary heaps order compact 24-byte {when, seq, slot}
-// entries. That makes cancel() a true O(1) slab store (no scan, no heap
-// surgery — the entry is dropped lazily at pop time) and keeps sift swaps
-// small: a swap moves 24 bytes instead of a whole closure, which matters
-// because dispatch cost dominates 10^8-event runs.
+// free list) and the queue orders compact 24-byte {when, seq, slot}
+// entries. That makes cancel() a true O(1) slab store (no scan, no queue
+// surgery — the entry is dropped lazily when the queue reaches it) and
+// keeps every move of an entry small.
 //
-// Two tiers. Entries before a *horizon* live in the near heap, entries at
-// or after it in the far heap. The parallel engine raises the horizon to
-// each BSP window's end (open_window), so the near heap holds about one
-// window of traffic — tens of entries — while long-period protocol
-// timers sit untouched in the far heap instead of deepening every sift on
-// the hot path. Raising the horizon moves the far entries it passes into the
-// near heap, so every near entry precedes every far entry: the next event
-// is the near top when the near heap is non-empty, else the far top. Both
-// heaps order by the same (when, seq) key, and an entry's seq is fixed
-// when it is scheduled, not when it changes tier — so the dispatch order
-// is exactly the single-heap order, ties across tiers included. Driven
-// only through step()/run()/run_until(), the horizon stays at zero and
-// the far heap is the whole queue.
+// The queue is cut at a *horizon*. Entries before it form the near run: a
+// vector sorted on (when, seq) that dispatch consumes from the front.
+// Entries at or after it are far, and live on a grid of slots one
+// lookahead L wide — the engine's window length, handed over once by
+// set_lookahead() (a bare kernel uses kDefaultSlotWidth):
+//   * a calendar of kSlots slots covers the next kSlots * L of time; a far
+//     schedule inside that span is an O(1) push onto its slot's chain. All
+//     slots share one pool of cells chained by index, an occupancy bitmap
+//     finds the first non-empty slot, and a per-slot min cell answers
+//     next_event_time() without a scan;
+//   * a small overflow 4-ary heap keeps the timers beyond the span.
+// open_window(end) raises the horizon to `end`: it moves the slots it
+// passes and the overflow entries due before `end` into the near run and
+// sorts them there once. The parallel engine opens each BSP window this way
+// before merging the window's ingress; merged arrivals and in-window
+// schedules then insert into the run at their sorted place, shifting
+// whichever side of it is shorter. Every near entry precedes every far
+// one, so the next event is the near front when the run is non-empty, else
+// the far minimum; and an entry's seq is fixed when it is scheduled, not
+// when it changes tier — so the dispatch order is exactly (when, seq), ties
+// across tiers included. Driven through step()/run()/run_until(), the
+// kernel opens the slot of the next event whenever the near run is empty:
+// the same structure serves every driver.
 //
 // The kernel itself is single-threaded: one Simulation is one logical
 // timeline and must only ever be driven from one thread at a time. The
@@ -36,6 +45,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -73,16 +84,34 @@ class Simulation {
   /// heap and tick sim.alloc.callback_heap_fallbacks.
   using Callback = InlineCallback;
 
-  Simulation() = default;
+  /// Slot width of a kernel no engine drives. Any width keeps the order;
+  /// this one keeps a busy packet path's slots at a few dozen events.
+  static constexpr Duration kDefaultSlotWidth = Duration::us(20);
+
+  Simulation() { slot_head_.fill(kNil); }
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
   SimTime now() const { return now_; }
 
+  /// Lay the far tier on the engine's window grid: slots `lookahead` wide
+  /// from time zero, so each window the engine opens is one slot. Pending
+  /// far entries are re-filed; dispatch order is untouched.
+  void set_lookahead(Duration lookahead) {
+    P2PLAB_ASSERT_MSG(lookahead > Duration::zero(),
+                      "slot width must be positive");
+    std::vector<Entry> far = take_calendar();
+    width_ns_ = lookahead.count_ns();
+    cal_lo_ = horizon_.count_ns() / width_ns_;
+    span_end_ = cell_start(cal_lo_ + kSlots);
+    for (const Entry& e : far) far_push(e);
+  }
+
   /// Schedule `cb` at absolute time `when` (>= now). Taken by rvalue
   /// reference: the closure is relocated once, into its slab slot.
   EventId schedule_at(SimTime when, Callback&& cb) {
     P2PLAB_ASSERT_MSG(when >= now_, "cannot schedule into the past");
+    P2PLAB_ASSERT_MSG(when < SimTime::max(), "SimTime::max() is 'never'");
     if (cb.on_heap()) metrics_.callback_heap_fallbacks.inc();
     const std::uint64_t seq = ++next_seq_;
     std::uint32_t slot;
@@ -100,7 +129,12 @@ class Simulation {
       s.cb = std::move(cb);
       s.cancelled = false;
     }
-    (when < horizon_ ? near_ : far_).push(HeapEntry{when, seq, slot});
+    const Entry e{when, seq, slot};
+    if (when < horizon_) {
+      near_insert(e);
+    } else {
+      far_push(e);
+    }
     ++live_events_;
     metrics_.scheduled.inc();
     return EventId{seq, slot};
@@ -111,10 +145,11 @@ class Simulation {
     return schedule_at(now_ + delay, std::move(cb));
   }
 
-  /// Cancel a pending event in O(1): the slab slot is flagged and the heap
-  /// entry is discarded when it reaches the top. Returns true if the event
-  /// was still pending. Safe to call with an invalid/fired/already-cancelled
-  /// id (slot recycling is disambiguated by the sequence number).
+  /// Cancel a pending event in O(1): the slab slot is flagged and the
+  /// queue entry is discarded when the queue reaches it. Returns true if
+  /// the event was still pending. Safe to call with an invalid/fired/
+  /// already-cancelled id (slot recycling is disambiguated by the sequence
+  /// number).
   bool cancel(EventId id) {
     if (!id.valid() || id.slot_ >= slab_.size()) return false;
     Slot& s = slab_[id.slot_];
@@ -133,27 +168,58 @@ class Simulation {
   std::uint64_t dispatched_events() const { return dispatched_; }
 
   /// Time of the next pending event, skipping cancelled entries; nullopt if
-  /// the queue is empty.
+  /// the queue is empty. Opens nothing: with the near run empty the answer
+  /// is the far minimum, read off the first occupied slot's min cell.
   std::optional<SimTime> next_event_time() {
-    const EventHeap* tier = live_top();
-    if (tier == nullptr) return std::nullopt;
-    return tier->top().when;
+    if (const Entry* e = near_front()) return e->when;
+    const SimTime t = far_min();
+    if (t == SimTime::max()) return std::nullopt;
+    return t;
   }
 
-  /// Raise the tier horizon to `horizon`: events before it go to the near
-  /// heap. The parallel engine calls this with each window's end before
-  /// merging the window's ingress. Monotone — a horizon at or below the
-  /// current one is ignored — and invisible to dispatch order.
-  void open_window(SimTime horizon) {
-    if (horizon <= horizon_) return;
-    horizon_ = horizon;
-    while (!far_.empty() && far_.top().when < horizon_) {
-      const HeapEntry e = far_.pop();
+  /// Raise the horizon to `end`: the far entries before it move into the
+  /// near run, sorted once. The parallel engine calls this with each
+  /// window's end before merging the window's ingress. Monotone — a
+  /// horizon at or below the current one is ignored — and invisible to
+  /// dispatch order.
+  void open_window(SimTime end) {
+    if (end <= horizon_) return;
+    horizon_ = end;
+    // The moved entries were far, so they follow every entry still in the
+    // run: appending them keeps the run sorted once they are sorted.
+    if (near_head_ > 0) {
+      near_.erase(near_.begin(),
+                  near_.begin() + static_cast<std::ptrdiff_t>(near_head_));
+      near_head_ = 0;
+    }
+    const std::size_t first = near_.size();
+    const std::int64_t end_cell = end.count_ns() / width_ns_;
+    const std::int64_t passed = end_cell - cal_lo_;  // whole slots before end
+    const std::uint32_t whole =
+        passed >= kSlots ? kSlots : static_cast<std::uint32_t>(passed);
+    for (std::uint32_t off = first_occupied(0); off < whole;
+         off = first_occupied(off)) {
+      take_slot(ring_pos(off), SimTime::max());
+    }
+    if (whole < kSlots && end != cell_start(end_cell)) {
+      // A horizon off the grid (a window clamped to a deadline) splits the
+      // slot it falls in.
+      take_slot(ring_pos(whole), end);
+    }
+    cal_lo_ = end_cell;
+    span_end_ = cell_start(cal_lo_ + kSlots);
+    while (!overflow_.empty() && overflow_.top().when < end) {
+      const Entry e = overflow_.pop();
       if (slab_[e.slot].cancelled) {
         free_slots_.push_back(e.slot);
       } else {
-        near_.push(e);
+        near_.push_back(e);
       }
+    }
+    if (near_.size() - first > 1) {
+      std::sort(near_.begin() + static_cast<std::ptrdiff_t>(first),
+                near_.end(),
+                [](const Entry& a, const Entry& b) { return a.before(b); });
     }
   }
 
@@ -167,9 +233,8 @@ class Simulation {
 
   /// Run one event. Returns false if the queue is empty.
   bool step() {
-    EventHeap* tier = live_top();
-    if (tier == nullptr) return false;
-    dispatch(tier->pop());
+    if (next_live(SimTime::max()) == nullptr) return false;
+    dispatch(near_[near_head_++]);
     metrics_.queue_depth.set(static_cast<double>(live_events_));
     return true;
   }
@@ -183,9 +248,12 @@ class Simulation {
   /// Run until the clock would pass `deadline`; the clock is left at
   /// min(deadline, time of last event). Events at exactly `deadline` run.
   void run_until(SimTime deadline) {
-    for (EventHeap* tier; (tier = live_top()) != nullptr &&
-                          tier->top().when <= deadline;) {
-      dispatch(tier->pop());
+    const SimTime limit = deadline == SimTime::max()
+                              ? deadline
+                              : deadline + Duration::ns(1);
+    for (const Entry* e; (e = next_live(limit)) != nullptr &&
+                         e->when <= deadline;) {
+      dispatch(near_[near_head_++]);
     }
     metrics_.queue_depth.set(static_cast<double>(live_events_));
     if (now_ < deadline) now_ = deadline;
@@ -193,12 +261,12 @@ class Simulation {
 
   /// Run events strictly before `end`; the clock is NOT advanced to `end`
   /// (the parallel engine owns window-boundary clock advancement). One
-  /// fused loop: prune, compare with `end`, pop and dispatch, with the
-  /// queue-depth gauge refreshed once on the way out.
+  /// fused loop over the near run's front, with the queue-depth gauge
+  /// refreshed once on the way out.
   void run_before(SimTime end) {
-    for (EventHeap* tier;
-         (tier = live_top()) != nullptr && tier->top().when < end;) {
-      dispatch(tier->pop());
+    for (const Entry* e;
+         (e = next_live(end)) != nullptr && e->when < end;) {
+      dispatch(near_[near_head_++]);
     }
     metrics_.queue_depth.set(static_cast<double>(live_events_));
   }
@@ -207,18 +275,28 @@ class Simulation {
   /// sim.slab.capacity tracks the backing vector's capacity).
   size_t slab_size() const { return slab_.size(); }
 
-  /// Shrink kernel storage after a burst: recycle every cancelled heap
-  /// entry in both tiers, pop dead trailing slab slots, and release excess
-  /// vector capacity. Dispatch order is untouched — each tier is rebuilt
-  /// on the same (when, seq) total order and keeps its entries — so this
-  /// is safe at any quiescent point; the parallel engine calls
-  /// maybe_compact() at window boundaries, where each shard's kernel is
-  /// between events by construction.
+  /// Shrink kernel storage after a burst: recycle every cancelled queue
+  /// entry, pop dead trailing slab slots, and release excess vector
+  /// capacity. Dispatch order is untouched — every live entry keeps its
+  /// place in the (when, seq) order — so this is safe at any quiescent
+  /// point; the parallel engine calls maybe_compact() at window
+  /// boundaries, where each shard's kernel is between events by
+  /// construction.
   void compact() {
-    near_.compact(slab_, free_slots_);
-    far_.compact(slab_, free_slots_);
+    near_.erase(near_.begin(),
+                near_.begin() + static_cast<std::ptrdiff_t>(near_head_));
+    near_head_ = 0;
+    std::erase_if(near_, [this](const Entry& e) {
+      if (!slab_[e.slot].cancelled) return false;
+      free_slots_.push_back(e.slot);
+      return true;
+    });
+    if (near_.capacity() > 2 * near_.size()) near_.shrink_to_fit();
+    // Re-file the live calendar entries into a fresh, tight pool.
+    for (const Entry& e : take_calendar()) far_push(e);
+    overflow_.compact(slab_, free_slots_);
     // Only trailing dead slots can be returned; interior ones must stay,
-    // since live heap entries index into the slab.
+    // since live queue entries index into the slab.
     while (!slab_.empty() && slab_.back().cancelled) slab_.pop_back();
     std::erase_if(free_slots_, [this](std::uint32_t s) {
       return s >= slab_.size();
@@ -275,26 +353,27 @@ class Simulation {
     bool cancelled = false;
   };
 
-  /// Compact heap entry; ordering key only, so sift swaps stay cheap.
-  struct HeapEntry {
+  /// Compact queue entry; ordering key only, so moving one stays cheap.
+  struct Entry {
     SimTime when;
     std::uint64_t seq = 0;  // tie-break: FIFO among same-time events
     std::uint32_t slot = 0;
+    std::uint32_t next = 0;  // calendar chain link (pool cells only)
 
-    bool before(const HeapEntry& other) const {
+    bool before(const Entry& other) const {
       if (when != other.when) return when < other.when;
       return seq < other.seq;
     }
   };
 
-  /// One tier: a 4-ary min-heap on (when, seq) — half the depth of a
-  /// binary heap and fewer cache misses.
+  /// The overflow tier: a 4-ary min-heap on (when, seq) — half the depth
+  /// of a binary heap and fewer cache misses.
   class EventHeap {
    public:
     bool empty() const { return v_.empty(); }
-    const HeapEntry& top() const { return v_.front(); }
+    const Entry& top() const { return v_.front(); }
 
-    void push(HeapEntry e) {
+    void push(Entry e) {
       v_.push_back(e);
       size_t i = v_.size() - 1;
       while (i > 0) {
@@ -305,9 +384,9 @@ class Simulation {
       }
     }
 
-    HeapEntry pop() {
+    Entry pop() {
       P2PLAB_ASSERT(!v_.empty());
-      const HeapEntry top = v_.front();
+      const Entry top = v_.front();
       v_.front() = v_.back();
       v_.pop_back();
       const size_t n = v_.size();
@@ -330,13 +409,12 @@ class Simulation {
     /// heap sorted — a sorted array satisfies the invariant for any arity.
     void compact(const std::vector<Slot>& slab,
                  std::vector<std::uint32_t>& free_slots) {
-      std::erase_if(v_, [&](const HeapEntry& e) {
+      std::erase_if(v_, [&](const Entry& e) {
         if (!slab[e.slot].cancelled) return false;
         free_slots.push_back(e.slot);
         return true;
       });
-      std::sort(v_.begin(), v_.end(), [](const HeapEntry& a,
-                                         const HeapEntry& b) {
+      std::sort(v_.begin(), v_.end(), [](const Entry& a, const Entry& b) {
         return a.before(b);
       });
       if (v_.capacity() > 2 * v_.size()) v_.shrink_to_fit();
@@ -344,27 +422,189 @@ class Simulation {
 
    private:
     static constexpr size_t kArity = 4;
-    std::vector<HeapEntry> v_;
+    std::vector<Entry> v_;
   };
 
-  /// Drop cancelled entries off a tier's top, recycling their slots.
-  void prune(EventHeap& tier) {
-    while (!tier.empty() && slab_[tier.top().slot].cancelled) {
-      free_slots_.push_back(tier.pop().slot);
+  static constexpr std::uint32_t kSlots = 256;  // power of two: ring index
+  static constexpr std::uint32_t kMask = kSlots - 1;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// Start of grid cell `cell`, saturating at SimTime::max().
+  SimTime cell_start(std::int64_t cell) const {
+    if (cell > INT64_MAX / width_ns_) return SimTime::max();
+    return SimTime::from_ns(cell * width_ns_);
+  }
+
+  /// Ring position of the calendar slot `off` slots after the first.
+  std::uint32_t ring_pos(std::uint32_t off) const {
+    return (static_cast<std::uint32_t>(cal_lo_) + off) & kMask;
+  }
+
+  /// Offset of the first occupied slot at or after offset `from`; any
+  /// value >= kSlots means none (a word's bits past the ring's wrap point
+  /// read as offsets >= kSlots).
+  std::uint32_t first_occupied(std::uint32_t from) const {
+    for (std::uint32_t off = from; off < kSlots;) {
+      const std::uint32_t pos = ring_pos(off);
+      const std::uint64_t bits = occupied_[pos >> 6] >> (pos & 63);
+      if (bits != 0) {
+        return off + static_cast<std::uint32_t>(std::countr_zero(bits));
+      }
+      off += 64 - (pos & 63);
+    }
+    return kSlots;
+  }
+
+  /// File a far entry: an O(1) push onto its calendar slot's chain, or the
+  /// overflow heap when it lies beyond the calendar's span.
+  void far_push(const Entry& e) {
+    if (e.when >= span_end_) {
+      overflow_.push(e);
+      return;
+    }
+    const std::uint32_t pos =
+        static_cast<std::uint32_t>(e.when.count_ns() / width_ns_) & kMask;
+    std::uint32_t cell = pool_free_;
+    if (cell == kNil) {
+      cell = static_cast<std::uint32_t>(pool_.size());
+      pool_.emplace_back();
+    } else {
+      pool_free_ = pool_[cell].next;
+    }
+    Entry& c = pool_[cell];
+    c = e;
+    c.next = slot_head_[pos];
+    if (c.next == kNil) {
+      occupied_[pos >> 6] |= std::uint64_t{1} << (pos & 63);
+      slot_min_[pos] = cell;
+    } else if (e.before(pool_[slot_min_[pos]])) {
+      slot_min_[pos] = cell;
+    }
+    slot_head_[pos] = cell;
+  }
+
+  /// Move the live entries of slot `pos` due before `end` to the near run
+  /// (unsorted) and recycle its cancelled ones; the rest stay, with the
+  /// slot's min cell recomputed.
+  void take_slot(std::uint32_t pos, SimTime end) {
+    std::uint32_t kept = kNil;
+    std::uint32_t min = kNil;
+    for (std::uint32_t cell = slot_head_[pos]; cell != kNil;) {
+      Entry& c = pool_[cell];
+      const std::uint32_t next = c.next;
+      if (slab_[c.slot].cancelled || c.when < end) {
+        if (slab_[c.slot].cancelled) {
+          free_slots_.push_back(c.slot);
+        } else {
+          near_.push_back(c);
+        }
+        c.next = pool_free_;
+        pool_free_ = cell;
+      } else {
+        c.next = kept;
+        kept = cell;
+        if (min == kNil || c.before(pool_[min])) min = cell;
+      }
+      cell = next;
+    }
+    slot_head_[pos] = kept;
+    slot_min_[pos] = min;
+    if (kept == kNil) occupied_[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
+  }
+
+  /// Every calendar entry, live ones returned and cancelled ones recycled;
+  /// leaves the calendar empty with its pool released if oversized.
+  std::vector<Entry> take_calendar() {
+    std::vector<Entry> live;
+    for (std::uint32_t off = first_occupied(0); off < kSlots;
+         off = first_occupied(off)) {
+      const std::uint32_t pos = ring_pos(off);
+      for (std::uint32_t cell = slot_head_[pos]; cell != kNil;
+           cell = pool_[cell].next) {
+        const Entry& c = pool_[cell];
+        if (slab_[c.slot].cancelled) {
+          free_slots_.push_back(c.slot);
+        } else {
+          live.push_back(c);
+        }
+      }
+      slot_head_[pos] = kNil;
+      occupied_[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
+    }
+    pool_.clear();
+    pool_free_ = kNil;
+    if (pool_.capacity() > 2 * live.size()) pool_.shrink_to_fit();
+    return live;
+  }
+
+  /// The earliest live far entry's time (SimTime::max() if none). Drops
+  /// the cancelled entries it has to look past.
+  SimTime far_min() {
+    SimTime t = SimTime::max();
+    for (std::uint32_t off = first_occupied(0); off < kSlots;
+         off = first_occupied(off)) {
+      const std::uint32_t pos = ring_pos(off);
+      if (slab_[pool_[slot_min_[pos]].slot].cancelled) {
+        take_slot(pos, SimTime::zero());  // recycle the dead, re-find min
+        if (slot_head_[pos] == kNil) continue;
+      }
+      t = pool_[slot_min_[pos]].when;
+      break;
+    }
+    while (!overflow_.empty() && slab_[overflow_.top().slot].cancelled) {
+      free_slots_.push_back(overflow_.pop().slot);
+    }
+    if (!overflow_.empty() && overflow_.top().when < t) {
+      t = overflow_.top().when;
+    }
+    return t;
+  }
+
+  /// The near run's first live entry, recycling cancelled ones on the way;
+  /// nullptr (with the run reset) when it is empty.
+  const Entry* near_front() {
+    while (near_head_ < near_.size()) {
+      const Entry& e = near_[near_head_];
+      if (!slab_[e.slot].cancelled) return &e;
+      free_slots_.push_back(e.slot);
+      ++near_head_;
+    }
+    near_.clear();
+    near_head_ = 0;
+    return nullptr;
+  }
+
+  /// The next live entry, at the near run's front. With the run empty it
+  /// opens the slot of the far minimum, if that lies before `limit`;
+  /// nullptr when nothing is pending before `limit`.
+  const Entry* next_live(SimTime limit) {
+    for (;;) {
+      if (const Entry* e = near_front()) return e;
+      const SimTime t = far_min();
+      if (t >= limit) return nullptr;
+      open_window(cell_start(t.count_ns() / width_ns_ + 1));
     }
   }
 
-  /// The tier whose top is the next live event (near before far: every
-  /// near entry precedes every far one), or nullptr if none is pending.
-  EventHeap* live_top() {
-    prune(near_);
-    if (!near_.empty()) return &near_;
-    prune(far_);
-    return far_.empty() ? nullptr : &far_;
+  /// Insert a fresh schedule into the near run. Its seq is the newest, so
+  /// it goes after every entry at its time; the shorter side of the run
+  /// shifts, into the consumed prefix when the front side is shorter.
+  void near_insert(const Entry& e) {
+    const auto first = near_.begin() + static_cast<std::ptrdiff_t>(near_head_);
+    const auto at = std::upper_bound(
+        first, near_.end(), e.when,
+        [](SimTime t, const Entry& x) { return t < x.when; });
+    if (near_head_ > 0 && at - first <= near_.end() - at) {
+      std::move(first, at, first - 1);
+      --near_head_;
+      *(at - 1) = e;
+    } else {
+      near_.insert(at, e);
+    }
   }
 
   /// Fire a popped live entry: advance the clock, retire its slot, run it.
-  void dispatch(const HeapEntry& top) {
+  void dispatch(const Entry top) {
     Slot& s = slab_[top.slot];
     P2PLAB_ASSERT(top.when >= now_);
     now_ = top.when;
@@ -406,13 +646,26 @@ class Simulation {
   static constexpr size_t kCompactMinSlots = 1024;
 
   SimTime now_ = SimTime::zero();
-  /// Near/far boundary: near_ holds exactly the entries before it.
+  /// Near/far boundary: the near run holds exactly the entries before it.
   SimTime horizon_ = SimTime::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
   size_t live_events_ = 0;
-  EventHeap near_;
-  EventHeap far_;
+  /// Near run: sorted on (when, seq); [near_head_, size) is pending.
+  std::vector<Entry> near_;
+  size_t near_head_ = 0;
+  // Calendar: slot `cell % kSlots` files the far entries of grid cell
+  // `cell` (time [cell, cell + 1) * width) for cells in
+  // [cal_lo_, cal_lo_ + kSlots), which ends at span_end_.
+  std::int64_t width_ns_ = kDefaultSlotWidth.count_ns();
+  std::int64_t cal_lo_ = 0;
+  SimTime span_end_ = cell_start(kSlots);
+  std::vector<Entry> pool_;  // cells of every slot's chain
+  std::uint32_t pool_free_ = kNil;
+  std::array<std::uint32_t, kSlots> slot_head_;
+  std::array<std::uint32_t, kSlots> slot_min_{};
+  std::array<std::uint64_t, kSlots / 64> occupied_{};
+  EventHeap overflow_;
   std::vector<Slot> slab_;
   std::vector<std::uint32_t> free_slots_;
   size_t last_compact_slots_ = 0;

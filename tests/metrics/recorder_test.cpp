@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -124,10 +125,12 @@ TEST(FlightRecorder, FlushToResultsDir) {
   EXPECT_TRUE(rec.flush_to_results("trace_test.jsonl"));
   unsetenv("P2PLAB_RESULTS_DIR");
 
-  std::ifstream file(std::string(dir_template) + "/trace_test.jsonl");
-  ASSERT_TRUE(file.good());
   std::string line;
-  ASSERT_TRUE(std::getline(file, line));
+  {
+    std::ifstream file(std::string(dir_template) + "/trace_test.jsonl");
+    std::getline(file, line);
+  }
+  std::filesystem::remove_all(dir_template);
   EXPECT_NE(line.find("\"subsystem\":\"t\""), std::string::npos);
 
   EXPECT_FALSE(rec.flush_to_results("x.jsonl"));  // env unset

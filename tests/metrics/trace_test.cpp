@@ -3,12 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 namespace p2plab::metrics {
 namespace {
+
+// Whole file, or "" if it cannot be read.
+std::string slurp(const std::string& path) {
+  std::ifstream file(path);
+  std::stringstream content;
+  content << file.rdbuf();
+  return content.str();
+}
 
 TEST(CsvWriter, MirrorsToResultsDir) {
   char dir_template[] = "/tmp/p2plab_trace_XXXXXX";
@@ -23,11 +33,10 @@ TEST(CsvWriter, MirrorsToResultsDir) {
   }
   unsetenv("P2PLAB_RESULTS_DIR");
 
-  std::ifstream file(std::string(dir_template) + "/unit_test_table.csv");
-  ASSERT_TRUE(file.good());
-  std::stringstream content;
-  content << file.rdbuf();
-  EXPECT_EQ(content.str(), "a,b\n1,2.5\nx,y\n# note\n");
+  const std::string content =
+      slurp(std::string(dir_template) + "/unit_test_table.csv");
+  std::filesystem::remove_all(dir_template);
+  EXPECT_EQ(content, "a,b\n1,2.5\nx,y\n# note\n");
 }
 
 TEST(CsvWriter, NoEnvNoFile) {
@@ -53,11 +62,10 @@ TEST(CsvWriter, HeaderOnlyTableStillFlushes) {
   setenv("P2PLAB_RESULTS_DIR", dir_template, 1);
   { CsvWriter csv("empty_table", {"a", "b"}); }  // zero rows
   unsetenv("P2PLAB_RESULTS_DIR");
-  std::ifstream file(std::string(dir_template) + "/empty_table.csv");
-  ASSERT_TRUE(file.good());
-  std::stringstream content;
-  content << file.rdbuf();
-  EXPECT_EQ(content.str(), "a,b\n");
+  const std::string content =
+      slurp(std::string(dir_template) + "/empty_table.csv");
+  std::filesystem::remove_all(dir_template);
+  EXPECT_EQ(content, "a,b\n");
 }
 
 TEST(CsvWriter, RowWidthChecked) {
@@ -77,10 +85,9 @@ TEST(CsvWriter, NumbersFormattedCompactly) {
     csv.row(std::vector<double>{1e9});
   }
   unsetenv("P2PLAB_RESULTS_DIR");
-  std::ifstream file(std::string(dir_template) + "/fmt.csv");
-  std::stringstream content;
-  content << file.rdbuf();
-  EXPECT_EQ(content.str(), "v\n100\n0.125\n1000000000\n");
+  const std::string content = slurp(std::string(dir_template) + "/fmt.csv");
+  std::filesystem::remove_all(dir_template);
+  EXPECT_EQ(content, "v\n100\n0.125\n1000000000\n");
 }
 
 }  // namespace

@@ -208,7 +208,7 @@ TEST_F(NetworkTest, HandoffStampCarriesSourcePipeDelays) {
   struct RecordingHandoff : FabricHandoff {
     sim::Simulation* sim = nullptr;
     std::vector<Pushed> pushed;
-    bool push(std::size_t, std::uint64_t, SimTime stamp,
+    bool push(std::size_t, std::size_t, std::uint64_t, SimTime stamp,
               Packet packet) override {
       pushed.push_back({sim->now(), stamp, std::move(packet)});
       return true;

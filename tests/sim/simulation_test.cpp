@@ -241,16 +241,49 @@ TEST(Simulation, CrossTierTieKeepsSchedulingOrder) {
   EXPECT_EQ(sim.now(), t);
 }
 
+// One instant, three structures: A lands in the overflow heap (beyond the
+// calendar's span when scheduled), B and a cancelled C in a calendar slot
+// once the horizon has moved the span over the instant, and D in the near
+// run after the window holding the instant opens. Dispatch stays in
+// scheduling order.
+TEST(Simulation, TieAcrossNearRunCalendarAndOverflowKeepsSchedulingOrder) {
+  Simulation sim;
+  sim.set_lookahead(Duration::us(10));  // a 2.56 ms calendar span
+  std::vector<char> order;
+  const SimTime t = SimTime::zero() + Duration::ms(5);
+  sim.schedule_at(t, [&] { order.push_back('A'); });  // overflow
+  sim.open_window(SimTime::zero() + Duration::ms(3));
+  sim.schedule_at(t, [&] { order.push_back('B'); });  // calendar slot
+  const EventId c = sim.schedule_at(t, [&] { order.push_back('C'); });
+  EXPECT_TRUE(sim.cancel(c));
+  EXPECT_EQ(sim.next_event_time(), t);
+  const SimTime end = t + Duration::us(10);  // the slot holding t
+  sim.open_window(end);
+  sim.schedule_at(t, [&] { order.push_back('D'); });  // near run
+  EXPECT_EQ(sim.next_event_time(), t);
+  EXPECT_EQ(sim.pending_events(), 3u);
+  sim.run_before(end);
+  EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'D'}));
+  EXPECT_EQ(sim.now(), t);
+}
+
 // Property: under random interleavings of schedule_at, cancel,
 // open_window + run_before, compact and step — with callbacks that
-// schedule and cancel while they are dispatched — the two-tier kernel
-// dispatches exactly in the order of a reference std::map keyed on
-// (when, seq), and agrees with it on pending_events() and
-// next_event_time() after every operation.
+// schedule and cancel while they are dispatched — the kernel dispatches
+// exactly in the order of a reference std::map keyed on (when, seq), and
+// agrees with it on pending_events() and next_event_time() after every
+// operation.
 class ReferenceQueueModel {
  public:
   ReferenceQueueModel(Simulation& sim, std::uint64_t seed)
       : sim_(sim), rng_(seed) {}
+
+  // Lay the kernel's calendar on a `grid` and add protocol timers long
+  // enough to overshoot its span, as the engine's shards see them.
+  void set_grid(Duration grid) {
+    grid_ = grid;
+    sim_.set_lookahead(grid);
+  }
 
   // Pick a time at or after now on a coarse 1 us grid, so ties are
   // common: with a pending event, with the horizon, or a short or long
@@ -263,6 +296,9 @@ class ReferenceQueueModel {
       return it->first.first;
     }
     if (horizon_ >= now && rng_.chance(0.15)) return horizon_;
+    if (grid_ > Duration::zero() && rng_.chance(0.05)) {
+      return now + grid_ * rng_.uniform_int(200, 600);
+    }
     const std::int64_t us = rng_.chance(0.7)
                                 ? rng_.uniform_int(0, 40)
                                 : rng_.uniform_int(100, 3'000);
@@ -304,6 +340,39 @@ class ReferenceQueueModel {
     if (rng_.chance(0.5) && end > sim_.now()) sim_.advance_to(end);
   }
 
+  // A lull: every event due within the calendar's span from now is
+  // cancelled (a burst that ended), so the next window jumps past it.
+  void lull() {
+    const SimTime until = sim_.now() + grid_ * 256;
+    for (auto it = ref_.begin();
+         it != ref_.end() && it->first.first < until;) {
+      EXPECT_TRUE(sim_.cancel(it->second));
+      it = ref_.erase(it);
+    }
+  }
+
+  // One engine window on the grid: the window [wL, (w + 1)L) holding the
+  // next event, fast-forwarding over empty slots — past the calendar's
+  // span, too — and sometimes clamped to a deadline off the grid. Open it,
+  // schedule its ingress, run it, and move the clock to its end.
+  void grid_window() {
+    const std::int64_t l = grid_.count_ns();
+    const SimTime start = sim_.next_event_time().value_or(sim_.now());
+    const SimTime cell_end = SimTime::from_ns((start.count_ns() / l + 1) * l);
+    SimTime end = cell_end;
+    if (rng_.chance(0.2)) {
+      end = std::min(end, start + Duration::ns(rng_.uniform_int(1, l - 1)));
+      if (end < cell_end) ++clamped_;
+    }
+    if (start - sim_.now() > grid_ * 256) ++jumps_past_span_;
+    sim_.open_window(end);
+    horizon_ = std::max(horizon_, end);
+    for (std::uint64_t n = rng_.uniform(4); n > 0; --n) schedule();
+    sim_.run_before(end);
+    EXPECT_TRUE(ref_.empty() || ref_.begin()->first.first >= end);
+    sim_.advance_to(end);
+  }
+
   void step() {
     const std::uint64_t before = fired_;
     const bool pending = !ref_.empty();
@@ -323,6 +392,8 @@ class ReferenceQueueModel {
   }
 
   std::uint64_t fired() const { return fired_; }
+  std::uint64_t clamped() const { return clamped_; }
+  std::uint64_t jumps_past_span() const { return jumps_past_span_; }
 
  private:
   using Key = std::pair<SimTime, std::uint64_t>;
@@ -344,7 +415,10 @@ class ReferenceQueueModel {
   std::vector<std::pair<Key, EventId>> issued_;
   std::uint64_t seq_ = 0;
   std::uint64_t fired_ = 0;
+  std::uint64_t clamped_ = 0;
+  std::uint64_t jumps_past_span_ = 0;
   SimTime horizon_ = SimTime::zero();
+  Duration grid_ = Duration::zero();
 };
 
 TEST(Simulation, TwoTierQueueMatchesReferenceOrder) {
@@ -376,6 +450,50 @@ TEST(Simulation, TwoTierQueueMatchesReferenceOrder) {
     total_fired += model.fired();
   }
   EXPECT_GT(total_fired, kSeeds * 100);
+}
+
+// The same property on a lookahead grid, driven the way the engine drives
+// a shard: windows on the grid (open_window, ingress, run_before,
+// advance_to), fast-forwards past the calendar's span after a lull,
+// horizons clamped to a deadline off the grid, compact() mid-run, and
+// reentrant schedule and cancel in the callbacks.
+TEST(Simulation, LookaheadGridQueueMatchesReferenceOrder) {
+  constexpr std::uint64_t kSeeds = 48;
+  std::uint64_t total_fired = 0;
+  std::uint64_t total_clamped = 0;
+  std::uint64_t total_jumps = 0;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE(seed);
+    Simulation sim;
+    ReferenceQueueModel model(sim, seed);
+    model.set_grid(Duration::us(2));  // a 512 us calendar span
+    Rng ops(seed * 104729);
+    for (int i = 0; i < 600; ++i) {
+      const std::uint64_t op = ops.uniform(20);
+      if (op < 8) {
+        model.schedule();
+      } else if (op < 11) {
+        model.cancel();
+      } else if (op < 18) {
+        model.grid_window();
+      } else if (op < 19) {
+        model.lull();
+      } else {
+        sim.compact();
+      }
+      model.check();
+      if (testing::Test::HasFatalFailure()) return;
+    }
+    sim.run();
+    model.check();
+    total_fired += model.fired();
+    total_clamped += model.clamped();
+    total_jumps += model.jumps_past_span();
+  }
+  EXPECT_GT(total_fired, kSeeds * 100);
+  // The cases the grid adds were actually exercised.
+  EXPECT_GT(total_clamped, kSeeds);
+  EXPECT_GT(total_jumps, kSeeds);
 }
 
 TEST(PeriodicTask, FiresOnCadence) {
