@@ -20,6 +20,8 @@ using namespace p2plab;
 
 namespace {
 
+constexpr std::size_t kClients = 64;
+
 struct Outcome {
   double median_completion_s = 0;
   double last_completion_s = 0;
@@ -28,7 +30,7 @@ struct Outcome {
 
 Outcome run(std::size_t pnodes, Bandwidth nic) {
   bt::SwarmConfig config;
-  config.clients = bench::env_size("P2PLAB_ABL_CLIENTS", 64);
+  config.clients = kClients;
   config.file_size = DataSize::mib(8);
   config.start_interval = Duration::millis(500);
   // A "ten-times-faster DSL" than the paper's: aggregate upload demand of

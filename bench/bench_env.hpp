@@ -9,23 +9,6 @@
 
 namespace p2plab::bench {
 
-/// Integer knob from the environment (experiment scaling overrides).
-/// A set-but-malformed or negative value is fatal (exit 2) — silently
-/// falling back to the default used to turn typos into full-scale runs.
-/// 0 is a valid value.
-inline std::size_t env_size(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value, &end, 10);
-  if (end == value || *end != '\0' || parsed < 0) {
-    std::fprintf(stderr, "%s='%s' is not a non-negative integer\n", name,
-                 value);
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
 /// Boolean switch value: on|off|1|0|true|false. Anything else is fatal
 /// (exit 2) — a typo like --profile=yse must not silently disable
 /// profiling on the run someone is waiting on.

@@ -11,6 +11,7 @@
 #include "bench_env.hpp"
 #include "core/platform.hpp"
 #include "metrics/trace.hpp"
+#include "vnode/interceptor.hpp"
 
 using namespace p2plab;
 
@@ -21,15 +22,13 @@ int main() {
                          {"case", "connect_cycle_us"});
   csv.comment("seed=" + std::to_string(core::PlatformConfig{}.seed));
 
-  const vnode::SyscallCosts costs;
-  csv.row({"unmodified_libc",
-           std::to_string(costs.base_connect_cycle().to_micros())});
+  using namespace vnode::syscall_cost;
+  csv.row({"unmodified_libc", std::to_string(kBaseConnectCycle.to_micros())});
   csv.row({"intercepted_libc",
-           std::to_string(costs.intercepted_connect_cycle().to_micros())});
+           std::to_string(kInterceptedConnectCycle.to_micros())});
   csv.row({"overhead",
-           std::to_string((costs.intercepted_connect_cycle() -
-                           costs.base_connect_cycle())
-                              .to_micros())});
+           std::to_string(
+               (kInterceptedConnectCycle - kBaseConnectCycle).to_micros())});
   csv.comment("paper: 10.22 us -> 10.79 us");
 
   // Behavioural demonstration on the platform.
@@ -50,8 +49,7 @@ int main() {
   const vnode::Process static_proc(platform.vnode(0),
                                    vnode::LinkMode::kStatic);
   const Ipv4Addr seen_static =
-      vnode::Interceptor{}.on_connect_or_listen(static_proc, std::nullopt)
-          .address;
+      vnode::on_connect_or_listen(static_proc, std::nullopt).address;
 
   std::printf("# dynamic binary appears as %s (its vnode alias)\n",
               seen_dynamic.to_string().c_str());

@@ -3,11 +3,14 @@
 # BENCH_hotpath.json against the committed baseline.
 #
 # Two kinds of checks, with different strictness:
-#   * throughput (events/sec of the step()-driven and of the windowed
-#     kernel phase, packets/sec): machine-dependent, so a run only fails
-#     when it regresses more than THRESHOLD_PCT below baseline (default
-#     20%; CI runners with different silicon can widen it via
-#     P2PLAB_BENCH_GATE_THRESHOLD_PCT).
+#   * throughput (events of the step()-driven and of the windowed kernel
+#     phase, packets): each rate is scaled by the wall time of the bench's
+#     fixed reference loop (*_per_reference = units done in one reference
+#     loop's time), so a box that slows down as a whole does not move it.
+#     A run fails when it falls more than THRESHOLD_PCT below baseline
+#     (default 20%; CI runners with different silicon can widen it via
+#     P2PLAB_BENCH_GATE_THRESHOLD_PCT). The baseline is the median of the
+#     recording box's runs, rounded down to two significant digits.
 #   * allocation discipline (allocs/event, InlineCallback heap fallbacks):
 #     machine-independent, checked against absolute bounds — this is the
 #     part that catches "someone grew a closure past the inline budget"
@@ -148,9 +151,9 @@ check_max() {  # name bound
   fi
 }
 
-check_throughput events_per_second
-check_throughput windowed_events_per_second
-check_throughput packets_per_second
+check_throughput events_per_reference
+check_throughput windowed_events_per_reference
+check_throughput packets_per_reference
 check_max event_allocs_per_event "$MAX_ALLOCS"
 check_max windowed_allocs_per_event "$MAX_ALLOCS"
 check_max packet_allocs_per_event "$MAX_ALLOCS"

@@ -3,12 +3,18 @@
 #include <algorithm>
 
 namespace p2plab::bt {
+namespace {
+
+/// BitTorrent 4.x rotates the optimistic slot every 30 s.
+constexpr Duration kOptimisticInterval = Duration::sec(30);
+
+}  // namespace
 
 std::vector<PeerKey> Choker::rechoke(SimTime now,
                                      const std::vector<PeerSnapshot>& peers,
                                      Rng& rng) {
   std::vector<PeerKey> unchoked;
-  const int regular_slots = std::max(0, config_.unchoke_slots - 1);
+  constexpr int kRegularSlots = kUnchokeSlots - 1;
 
   // Regular slots: best-rate interested, non-snubbed peers.
   std::vector<const PeerSnapshot*> ranked;
@@ -19,12 +25,12 @@ std::vector<PeerKey> Choker::rechoke(SimTime now,
                    [](const PeerSnapshot* a, const PeerSnapshot* b) {
                      return a->rate_bps > b->rate_bps;
                    });
-  for (int i = 0; i < regular_slots && i < static_cast<int>(ranked.size());
+  for (int i = 0; i < kRegularSlots && i < static_cast<int>(ranked.size());
        ++i) {
     unchoked.push_back(ranked[static_cast<size_t>(i)]->key);
   }
 
-  // Optimistic slot: rotate every optimistic_interval among interested
+  // Optimistic slot: rotate every kOptimisticInterval among interested
   // peers not already unchoked.
   const bool optimistic_still_valid = [&] {
     if (optimistic_ == kNoPeer) return false;
@@ -34,7 +40,7 @@ std::vector<PeerKey> Choker::rechoke(SimTime now,
     return false;  // peer left
   }();
   const bool rotate = !optimistic_still_valid ||
-                      now - optimistic_since_ >= config_.optimistic_interval;
+                      now - optimistic_since_ >= kOptimisticInterval;
   if (rotate) {
     std::vector<PeerKey> candidates;
     for (const PeerSnapshot& p : peers) {

@@ -23,10 +23,8 @@ namespace p2plab::bt {
 using PeerKey = std::uint64_t;
 inline constexpr PeerKey kNoPeer = 0;
 
-struct ChokerConfig {
-  int unchoke_slots = 4;  // 3 regular + 1 optimistic
-  Duration optimistic_interval = Duration::sec(30);
-};
+/// BitTorrent 4.x: 3 regular slots + 1 optimistic.
+inline constexpr int kUnchokeSlots = 4;
 
 struct PeerSnapshot {
   PeerKey key = kNoPeer;
@@ -37,9 +35,6 @@ struct PeerSnapshot {
 
 class Choker {
  public:
-  explicit Choker(ChokerConfig config = {}) : config_(config) {}
-
-  const ChokerConfig& config() const { return config_; }
   PeerKey optimistic() const { return optimistic_; }
 
   /// Decide the unchoke set. Deterministic given the rng state.
@@ -48,7 +43,6 @@ class Choker {
                                Rng& rng);
 
  private:
-  ChokerConfig config_;
   PeerKey optimistic_ = kNoPeer;
   SimTime optimistic_since_;
 };

@@ -9,7 +9,25 @@
 namespace p2plab::bt {
 
 namespace {
+
 constexpr std::uint32_t key_of(Ipv4Addr ip) { return ip.to_u32(); }
+
+// BitTorrent 4.x client constants (DESIGN.md §6).
+constexpr std::uint16_t kListenPort = 6881;
+constexpr int kMaxConnections = 55;
+constexpr int kMaxInitiate = 40;
+constexpr Duration kRechokeInterval = Duration::sec(10);
+constexpr std::uint32_t kNumwant = 50;
+/// No block for this long despite outstanding requests => snubbed, and the
+/// stalled requests are released for re-picking.
+constexpr Duration kSnubTimeout = Duration::sec(60);
+constexpr int kMaxBacklog = 16;  // request pipeline depth ceiling
+/// A block may be requested from at most this many peers at once during
+/// endgame (caps duplicate traffic, like production clients do).
+constexpr std::uint32_t kEndgameMaxDuplication = 2;
+/// Announce-retry jitter: +/- this fraction of the backoff delay.
+constexpr double kAnnounceRetryJitter = 0.25;
+
 }  // namespace
 
 void Client::bind_metrics(metrics::Registry& reg) {
@@ -35,11 +53,9 @@ Client::Client(sim::Simulation& sim, sockets::SocketApi& api,
       api_(&api),
       meta_(&meta),
       tracker_(tracker),
-      config_(config),
       rng_(rng),
       store_(meta, config.verify_hashes),
       picker_(meta, store_, rng.fork(1)),
-      choker_(config.choker),
       was_seed_at_start_(start_as_seed),
       progress_("progress"),
       down_series_("bytes_down") {
@@ -54,8 +70,8 @@ void Client::start() {
   P2PLAB_ASSERT(!started_);
   started_ = true;
   listener_ = api_->listen(
-      config_.listen_port, [this](sockets::StreamSocketPtr sock) {
-        if (static_cast<int>(peers_.size()) >= config_.max_connections) {
+      kListenPort, [this](sockets::StreamSocketPtr sock) {
+        if (static_cast<int>(peers_.size()) >= kMaxConnections) {
           ++stats_.accepts_rejected;
           sock->close();
           return;
@@ -67,10 +83,10 @@ void Client::start() {
   // start at different wall-clock instants).
   const Duration first_tick = Duration::ns(static_cast<std::int64_t>(
       rng_.uniform(static_cast<std::uint64_t>(
-          config_.rechoke_interval.count_ns()))));
-  rechoke_task_.start(*sim_, config_.rechoke_interval, first_tick,
+          kRechokeInterval.count_ns()))));
+  rechoke_task_.start(*sim_, kRechokeInterval, first_tick,
                       [this] { rechoke(); });
-  announce_task_.start(*sim_, Duration::sec(1800), Duration::sec(1800),
+  announce_task_.start(*sim_, kAnnounceInterval, kAnnounceInterval,
                        [this] { announce(AnnounceEvent::kPeriodic); });
 }
 
@@ -162,9 +178,9 @@ void Client::announce(AnnounceEvent event) {
         });
         AnnounceRequest request;
         request.info_hash = meta_->info_hash;
-        request.peer = PeerInfo{ip(), config_.listen_port};
+        request.peer = PeerInfo{ip(), kListenPort};
         request.event = event;
-        request.numwant = config_.numwant;
+        request.numwant = kNumwant;
         request.left =
             meta_->total_size.count_bytes() -
             store_.bytes_downloaded().count_bytes();
@@ -184,9 +200,9 @@ Duration Client::announce_backoff() const {
   // multiply cannot overflow).
   const std::uint32_t doublings =
       std::min<std::uint32_t>(announce_failures_streak_ - 1, 16);
-  const Duration raw = config_.announce_retry_base
-                       * static_cast<std::int64_t>(1u << doublings);
-  return std::min(raw, config_.announce_retry_cap);
+  const Duration raw =
+      kAnnounceRetryBase * static_cast<std::int64_t>(1u << doublings);
+  return std::min(raw, kAnnounceRetryCap);
 }
 
 void Client::on_announce_failure(AnnounceEvent event) {
@@ -201,7 +217,7 @@ void Client::on_announce_failure(AnnounceEvent event) {
   connect_more();
   if (announce_retry_event_.valid()) return;  // a retry is already pending
   const double jitter =
-      1.0 + config_.announce_retry_jitter * (2.0 * rng_.uniform01() - 1.0);
+      1.0 + kAnnounceRetryJitter * (2.0 * rng_.uniform01() - 1.0);
   const Duration delay = announce_backoff().scaled(jitter);
   announce_retry_event_ = sim_->schedule_after(delay, [this, event] {
     announce_retry_event_ = sim::EventId{};
@@ -232,10 +248,10 @@ void Client::handle_tracker_response(const AnnounceResponse& response) {
 void Client::connect_more() {
   for (const PeerInfo& info : known_peers_) {
     // initiated_connections_ counts dials in progress plus established
-    // outgoing connections; max_connections bounds the total.
-    if (initiated_connections_ >= config_.max_initiate) break;
+    // outgoing connections; kMaxConnections bounds the total.
+    if (initiated_connections_ >= kMaxInitiate) break;
     if (peers_.size() + dialing_.size() >=
-        static_cast<std::size_t>(config_.max_connections)) {
+        static_cast<std::size_t>(kMaxConnections)) {
       break;
     }
     const std::uint32_t key = key_of(info.ip);
@@ -310,7 +326,7 @@ Client::Peer* Client::add_peer(sockets::StreamSocketPtr sock, bool initiated) {
     ++stats_.removals_close;
     remove_peer(key, /*close_socket=*/false);
   });
-  raw->sock->on_writable(config_.upload_watermark, [this, key, sock_id] {
+  raw->sock->on_writable(kUploadWatermark, [this, key, sock_id] {
     Peer* p = find_peer(key);
     if (p == nullptr || p->sock.get() != sock_id) return;
     pump_uploads(*p);
@@ -524,7 +540,7 @@ void Client::update_interest(Peer& peer) {
 int Client::backlog_for(Peer& peer) {
   const double rate = peer.down_rate.rate_bps(sim_->now());
   const int dynamic = 2 + static_cast<int>(rate / kBlockLength);
-  return std::clamp(dynamic, 4, config_.max_backlog);
+  return std::clamp(dynamic, 4, kMaxBacklog);
 }
 
 void Client::try_request(Peer& peer) {
@@ -533,11 +549,10 @@ void Client::try_request(Peer& peer) {
 
   while (static_cast<int>(peer.inflight.size()) < backlog) {
     std::optional<BlockRef> ref = picker_.pick(peer.have);
-    if (!ref && config_.endgame && picker_.all_missing_requested()) {
+    if (!ref && picker_.all_missing_requested()) {
       // Endgame: re-request missing blocks from this peer too.
       for (const BlockRef& candidate : picker_.missing_blocks(peer.have)) {
-        if (picker_.request_count(candidate) >=
-            static_cast<std::uint32_t>(config_.endgame_max_duplication)) {
+        if (picker_.request_count(candidate) >= kEndgameMaxDuplication) {
           continue;
         }
         const bool already = std::any_of(
@@ -575,8 +590,7 @@ void Client::pump_uploads(Peer& peer) {
   // blocks not yet handed to the transport can still be retracted by a
   // CHOKE or CANCEL, exactly like the real client's upload queue.
   while (!peer.upload_queue.empty() &&
-         peer.sock->unsent_bytes() <=
-             config_.upload_watermark.count_bytes()) {
+         peer.sock->unsent_bytes() <= kUploadWatermark.count_bytes()) {
     const WireMsg request = peer.upload_queue.front();
     peer.upload_queue.pop_front();
     WireMsg piece;
@@ -635,15 +649,15 @@ bool Client::is_snubbed(Peer& peer) const {
   if (peer.inflight.empty()) return false;
   const SimTime oldest = peer.inflight.front().requested_at;
   const SimTime now = sim_->now();
-  return now - oldest > config_.snub_timeout &&
-         now - peer.last_block_at > config_.snub_timeout;
+  return now - oldest > kSnubTimeout &&
+         now - peer.last_block_at > kSnubTimeout;
 }
 
 void Client::release_stalled_requests(Peer& peer) {
   const SimTime now = sim_->now();
   auto it = peer.inflight.begin();
   while (it != peer.inflight.end()) {
-    if (now - it->requested_at > config_.snub_timeout) {
+    if (now - it->requested_at > kSnubTimeout) {
       picker_.on_request_discarded(it->ref);
       it = peer.inflight.erase(it);
     } else {

@@ -35,37 +35,26 @@
 
 namespace p2plab::bt {
 
+// The client's BitTorrent 4.x constants (DESIGN.md §6) live beside their
+// one point of use in client.cpp; these three are read by tests too.
+
+/// Upload pacing: pump the next block once the peer's socket holds at most
+/// this much unacknowledged PIECE data (2-3 blocks in transport — enough
+/// pipeline to cover the ack round trip). Further requests wait in the
+/// upload queue, where a CHOKE or CANCEL can still retract them (matching
+/// the real client's behaviour). Larger values bloat the access-link queues
+/// and stall the choker's rate estimates.
+inline constexpr DataSize kUploadWatermark = DataSize::kib(32);
+/// Failed announces retry with exponential backoff: base * 2^(n-1), capped,
+/// with jitter (client.cpp) to desynchronize the swarm's retry storm when
+/// a tracker outage ends.
+inline constexpr Duration kAnnounceRetryBase = Duration::sec(5);
+inline constexpr Duration kAnnounceRetryCap = Duration::sec(300);
+
 struct ClientConfig {
-  std::uint16_t listen_port = 6881;
-  int max_connections = 55;
-  int max_initiate = 40;
-  ChokerConfig choker;
-  Duration rechoke_interval = Duration::sec(10);
-  std::uint32_t numwant = 50;
-  /// No block for this long despite outstanding requests => snubbed, and
-  /// the stalled requests are released for re-picking.
-  Duration snub_timeout = Duration::sec(60);
-  int max_backlog = 16;  // request pipeline depth ceiling
-  bool endgame = true;
-  /// A block may be requested from at most this many peers at once during
-  /// endgame (caps duplicate traffic, like production clients do).
-  int endgame_max_duplication = 2;
-  /// Upload pacing: pump the next block once the peer's socket holds at
-  /// most this much unacknowledged PIECE data (2-3 blocks in transport —
-  /// enough pipeline to cover the ack round trip). Further requests wait
-  /// in the upload queue, where a CHOKE or CANCEL can still retract them
-  /// (matching the real client's behaviour). Larger values bloat the
-  /// access-link queues and stall the choker's rate estimates.
-  DataSize upload_watermark = DataSize::kib(32);
   /// Verify piece SHA-1s on completion (requires hashed metainfo). Costs
   /// real CPU proportional to the file size; scalability runs disable it.
   bool verify_hashes = false;
-  /// Failed announces retry with exponential backoff: base * 2^(n-1),
-  /// capped, with +/-jitter (fraction of the delay) to desynchronize the
-  /// swarm's retry storm when a tracker outage ends.
-  Duration announce_retry_base = Duration::sec(5);
-  Duration announce_retry_cap = Duration::sec(300);
-  double announce_retry_jitter = 0.25;
 };
 
 struct ClientStats {
@@ -80,7 +69,7 @@ struct ClientStats {
   std::uint64_t removals_close = 0;      // remote FIN / timeout abort
   std::uint64_t removals_collision = 0;  // simultaneous-open tie-break
   std::uint64_t removals_badhash = 0;    // wrong infohash
-  std::uint64_t accepts_rejected = 0;    // listener at max_connections
+  std::uint64_t accepts_rejected = 0;    // listener at the peer limit
   std::uint64_t announce_failures = 0;   // tracker unreachable / no reply
   std::uint64_t announce_retries = 0;    // backoff retries fired
 };
@@ -206,7 +195,6 @@ class Client {
   sockets::SocketApi* api_;
   const MetaInfo* meta_;
   PeerInfo tracker_;
-  ClientConfig config_;
   Rng rng_;
 
   PieceStore store_;

@@ -19,13 +19,11 @@ Swarm::Swarm(core::Platform& platform, SwarmConfig config)
   Rng rng = platform.rng().fork(0xb17700);
 
   // vnode 0: tracker.
-  tracker_ = std::make_unique<Tracker>(platform.api(0), Tracker::Config{},
-                                       rng.fork(1));
+  tracker_ = std::make_unique<Tracker>(platform.api(0), rng.fork(1));
   tracker_->start();
   const PeerInfo tracker_info{platform.vnode(0).ip(), tracker_->port()};
 
-  ClientConfig client_config = config_.client;
-  client_config.verify_hashes = config_.verify_hashes;
+  const ClientConfig client_config{.verify_hashes = config_.verify_hashes};
 
   // vnodes 1..seeders: initial seeders, online from t=0. Each client runs
   // on the simulation of its vnode's shard.

@@ -27,7 +27,6 @@ struct SwarmConfig {
   Duration start_interval = Duration::sec(10);
   /// Hash and verify pieces (CPU-heavy at scale; see DESIGN.md §6).
   bool verify_hashes = false;
-  ClientConfig client;
   std::uint64_t content_seed = 42;
   /// Simulation cutoff (safety net; experiments normally end on their own).
   Duration max_duration = Duration::sec(20000);

@@ -6,12 +6,11 @@
 
 namespace p2plab::bt {
 
-Tracker::Tracker(sockets::SocketApi& api, Config config, Rng rng)
-    : api_(&api), config_(config), rng_(rng) {}
+Tracker::Tracker(sockets::SocketApi& api, Rng rng) : api_(&api), rng_(rng) {}
 
 void Tracker::start() {
   listener_ = api_->listen(
-      config_.port, [this](sockets::StreamSocketPtr socket) {
+      kPort, [this](sockets::StreamSocketPtr socket) {
         socket->on_message([this, socket](sockets::Message&& msg) {
           if (msg.type !=
               static_cast<std::uint32_t>(MsgType::kTrackerAnnounce)) {
@@ -67,7 +66,6 @@ AnnounceResponse Tracker::handle_announce(const AnnounceRequest& request) {
   }
 
   AnnounceResponse response;
-  response.interval = config_.interval;
   response.complete = swarm.complete;
   response.incomplete = static_cast<std::uint32_t>(
       swarm.peers.size() - std::min<std::size_t>(swarm.complete,

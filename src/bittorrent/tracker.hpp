@@ -38,8 +38,11 @@ struct AnnounceRequest {
   std::uint64_t left = 0;  // bytes remaining (tracker scrape statistics)
 };
 
+/// The re-announce interval the tracker hands out (BitTorrent 4.x: 30 min).
+inline constexpr Duration kAnnounceInterval = Duration::sec(1800);
+
 struct AnnounceResponse {
-  Duration interval = Duration::sec(1800);
+  Duration interval = kAnnounceInterval;
   std::vector<PeerInfo> peers;
   std::uint32_t complete = 0;    // seeders in swarm
   std::uint32_t incomplete = 0;  // leechers in swarm
@@ -54,16 +57,11 @@ inline DataSize announce_response_wire_size(std::size_t n_peers) {
 
 class Tracker {
  public:
-  struct Config {
-    std::uint16_t port = 6969;
-    Duration interval = Duration::sec(1800);
-  };
-
-  Tracker(sockets::SocketApi& api, Config config, Rng rng);
+  Tracker(sockets::SocketApi& api, Rng rng);
 
   void start();
   Ipv4Addr ip() const { return api_->effective_bind_address(); }
-  std::uint16_t port() const { return config_.port; }
+  std::uint16_t port() const { return kPort; }
 
   /// Service fault: take the tracker offline (the listener closes, so
   /// announces are refused like a dead HTTP server) and back online. Swarm
@@ -89,8 +87,9 @@ class Tracker {
                        digest.size());
   }
 
+  static constexpr std::uint16_t kPort = 6969;
+
   sockets::SocketApi* api_;
-  Config config_;
   Rng rng_;
   sockets::ListenerPtr listener_;
   std::map<std::string, Swarm> swarms_;

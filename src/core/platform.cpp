@@ -11,6 +11,22 @@
 #include "metrics/trace.hpp"
 
 namespace p2plab::core {
+namespace {
+
+/// Administration network: the paper uses 192.168.38.0/24; a /16 keeps
+/// scalability runs from being capped at 254 hosts.
+const CidrBlock kAdminSubnet{Ipv4Addr::from_octets(192, 168, 0, 0), 16};
+
+/// Queue bound for the per-vnode access pipes. Deliberately larger than
+/// Dummynet's 50-slot default: under the default kFlow transport there is
+/// no congestion control, so the pipe queue provides the backlog that TCP
+/// self-clocking would (DESIGN.md §6), bounded per flow by the transport
+/// send window. Under kTcp the congestion window keeps the queue short on
+/// its own; the generous bound is then just headroom and never the
+/// regulating mechanism (DESIGN.md §13).
+constexpr DataSize kAccessPipeQueue = DataSize::mib(8);
+
+}  // namespace
 
 Platform::Platform(const topology::Topology& topo, PlatformConfig config)
     : topo_(topo), config_(config), rng_(config.seed) {
@@ -22,7 +38,7 @@ Platform::Platform(const topology::Topology& topo, PlatformConfig config)
   // their global index, so randomness is identical under any partition.
   const std::size_t k = std::min(config_.shards, config_.physical_nodes);
   engine_ = std::make_unique<engine::Engine>(topo_.min_access_latency() +
-                                             config_.network.switch_latency);
+                                             net::kSwitchLatency);
   const int online = profile::Profiler::online_cores();
   if (k > 1 && online < static_cast<int>(k)) {
     std::fprintf(stderr,
@@ -48,11 +64,9 @@ Platform::Platform(const topology::Topology& topo, PlatformConfig config)
   }
   for (std::size_t s = 0; s < k; ++s) {
     auto shard = std::make_unique<Shard>();
-    shard->network = std::make_unique<net::Network>(shard->sim, rng_.fork(1),
-                                                    config_.network);
+    shard->network = std::make_unique<net::Network>(shard->sim, rng_.fork(1));
     shard->sockets = std::make_unique<sockets::SocketManager>(
-        *shard->network, vnode::Interceptor{config_.syscall_costs},
-        config_.stream);
+        *shard->network, config_.transport);
     engine_->add_shard(shard->sim, *shard->network);
     shards_.push_back(std::move(shard));
   }
@@ -178,7 +192,7 @@ void Platform::build_cluster() {
   for (std::size_t p = 0; p < config_.physical_nodes; ++p) {
     // Host addresses start at .1 within the admin subnet.
     const Ipv4Addr admin =
-        config_.admin_subnet.host(static_cast<std::uint32_t>(p + 1));
+        kAdminSubnet.host(static_cast<std::uint32_t>(p + 1));
     net::Host& host = network_of_pnode(p).add_host(
         "pnode" + std::to_string(p + 1), admin, config_.host,
         /*global_index=*/p);
@@ -229,25 +243,13 @@ void Platform::compile_rules() {
       const Ipv4Addr addr = topo_.node_address(i);
       const CidrBlock host_block{addr, 32};
       hosted_zones.insert(topo_.zone_of_node(i));
-      const ipfw::GilbertElliott burst{.p_good_to_bad = link.burst_p_good_bad,
-                                       .p_bad_to_good = link.burst_p_bad_good,
-                                       .loss_bad = link.burst_loss_bad};
 
-      const ipfw::PipeId up = fw.create_pipe(
-          {.bandwidth = link.up,
-           .delay = link.latency,
-           .loss_rate = link.loss_rate,
-           .burst_loss = burst,
-           .queue_limit = config_.vnode_pipe_queue});
+      const ipfw::PipeId up = fw.create_pipe(access_pipe_config(i, link.up));
       fw.add_rule({.number = rule_number++, .src = host_block,
                    .dst = CidrBlock::any(), .dir = ipfw::RuleDir::kOut,
                    .action = ipfw::RuleAction::kPipe, .pipe = up});
-      const ipfw::PipeId down = fw.create_pipe(
-          {.bandwidth = link.down,
-           .delay = link.latency,
-           .loss_rate = link.loss_rate,
-           .burst_loss = burst,
-           .queue_limit = config_.vnode_pipe_queue});
+      const ipfw::PipeId down =
+          fw.create_pipe(access_pipe_config(i, link.down));
       fw.add_rule({.number = rule_number++, .src = CidrBlock::any(),
                    .dst = host_block, .dir = ipfw::RuleDir::kIn,
                    .action = ipfw::RuleAction::kPipe, .pipe = down});
@@ -301,10 +303,13 @@ void Platform::rejoin_vnode(std::size_t i) {
 }
 
 void Platform::set_link_down(std::size_t i, bool down) {
+  int& depth = link_faults_.at(i).down_depth;
+  depth += down ? 1 : -1;
+  P2PLAB_ASSERT_MSG(depth >= 0, "link-down window closed twice");
   const AccessPipes& ap = access_pipes_.at(i);
   ipfw::Firewall& fw = host_by_pnode_[ap.pnode]->firewall();
-  fw.pipe(ap.up).set_down(down);
-  fw.pipe(ap.down).set_down(down);
+  fw.pipe(ap.up).set_down(depth > 0);
+  fw.pipe(ap.down).set_down(depth > 0);
 }
 
 bool Platform::link_down(std::size_t i) const {
@@ -312,37 +317,47 @@ bool Platform::link_down(std::size_t i) const {
   return host_by_pnode_[ap.pnode]->firewall().pipe(ap.up).is_down();
 }
 
-void Platform::set_link_latency_offset(std::size_t i, Duration extra) {
-  link_faults_.at(i).extra_latency = extra;
+void Platform::add_link_latency(std::size_t i, Duration extra) {
+  link_faults_.at(i).extra_latency += extra;
   apply_link_config(i);
 }
 
-void Platform::set_link_burst_loss(std::size_t i,
-                                   const ipfw::GilbertElliott& ge) {
-  link_faults_.at(i).burst = ge;
-  link_faults_.at(i).burst_overridden = ge.enabled();
+std::uint64_t Platform::open_burst_loss(std::size_t i,
+                                        const ipfw::GilbertElliott& ge) {
+  LinkFaults& faults = link_faults_.at(i);
+  const std::uint64_t window = faults.next_burst_window++;
+  faults.bursts.emplace(window, ge);
   apply_link_config(i);
+  return window;
+}
+
+void Platform::close_burst_loss(std::size_t i, std::uint64_t window) {
+  const bool was_open = link_faults_.at(i).bursts.erase(window) == 1;
+  P2PLAB_ASSERT_MSG(was_open, "burst-loss window closed twice");
+  apply_link_config(i);
+}
+
+ipfw::PipeConfig Platform::access_pipe_config(std::size_t i,
+                                              Bandwidth bandwidth) const {
+  const topology::LinkClass& link = topo_.link_of_node(i);
+  const LinkFaults& faults = link_faults_.at(i);
+  ipfw::GilbertElliott burst{.p_good_to_bad = link.burst_p_good_bad,
+                             .p_bad_to_good = link.burst_p_bad_good,
+                             .loss_bad = link.burst_loss_bad};
+  if (!faults.bursts.empty()) burst = faults.bursts.rbegin()->second;
+  return {.bandwidth = bandwidth,
+          .delay = link.latency + faults.extra_latency,
+          .loss_rate = link.loss_rate,
+          .burst_loss = burst,
+          .queue_limit = kAccessPipeQueue};
 }
 
 void Platform::apply_link_config(std::size_t i) {
   const topology::LinkClass& link = topo_.link_of_node(i);
-  const LinkFaults& faults = link_faults_.at(i);
   const AccessPipes& ap = access_pipes_.at(i);
   ipfw::Firewall& fw = host_by_pnode_[ap.pnode]->firewall();
-
-  ipfw::GilbertElliott burst{.p_good_to_bad = link.burst_p_good_bad,
-                             .p_bad_to_good = link.burst_p_bad_good,
-                             .loss_bad = link.burst_loss_bad};
-  if (faults.burst_overridden) burst = faults.burst;
-
-  ipfw::PipeConfig cfg{.bandwidth = link.up,
-                       .delay = link.latency + faults.extra_latency,
-                       .loss_rate = link.loss_rate,
-                       .burst_loss = burst,
-                       .queue_limit = config_.vnode_pipe_queue};
-  fw.pipe(ap.up).reconfigure(cfg);
-  cfg.bandwidth = link.down;
-  fw.pipe(ap.down).reconfigure(cfg);
+  fw.pipe(ap.up).reconfigure(access_pipe_config(i, link.up));
+  fw.pipe(ap.down).reconfigure(access_pipe_config(i, link.down));
 }
 
 std::optional<Duration> Platform::ping(std::size_t src, std::size_t dst,

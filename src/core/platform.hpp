@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -34,7 +35,6 @@
 #include "sim/simulation.hpp"
 #include "sockets/socket.hpp"
 #include "topology/topology.hpp"
-#include "vnode/interceptor.hpp"
 #include "vnode/vnode.hpp"
 
 namespace p2plab::core {
@@ -43,21 +43,9 @@ struct PlatformConfig {
   /// Number of physical nodes; virtual nodes are folded onto them in
   /// contiguous blocks (ceil(N/P) per node, like the paper's deployments).
   std::size_t physical_nodes = 1;
-  /// Administration network (the paper uses 192.168.38.0/24; we default to
-  /// a /16 so scalability runs are not capped at 254 hosts).
-  CidrBlock admin_subnet = CidrBlock{Ipv4Addr::from_octets(192, 168, 0, 0), 16};
   net::HostConfig host;
-  net::NetworkConfig network;
-  sockets::StreamConfig stream;
-  vnode::SyscallCosts syscall_costs;
-  /// Queue bound for the per-vnode access pipes. Deliberately larger than
-  /// Dummynet's 50-slot default: under the default kFlow transport there
-  /// is no congestion control, so the pipe queue provides the backlog
-  /// that TCP self-clocking would (DESIGN.md §6), bounded per flow by the
-  /// transport send window. Under kTcp (stream.transport) the congestion
-  /// window keeps the queue short on its own; the generous bound is then
-  /// just headroom and never the regulating mechanism (DESIGN.md §13).
-  DataSize vnode_pipe_queue = DataSize::mib(8);
+  /// The stream sockets' congestion regime (DESIGN.md §13).
+  sockets::TransportModel transport = sockets::TransportModel::kFlow;
   std::uint64_t seed = 1;
   /// Parallel engine shard count (>= 1). Clamped to physical_nodes (a
   /// shard owns whole physical nodes).
@@ -162,17 +150,23 @@ class Platform {
 
   // -- link faults --------------------------------------------------------
   //
-  // All three helpers act on the vnode's two access pipes (both
-  // directions). Overrides compose: the emulated link always runs the
-  // topology's base parameters plus the currently applied offsets.
+  // All helpers act on the vnode's two access pipes (both directions).
+  // Fault windows compose and each one undoes only itself: the emulated
+  // link always runs the topology's base parameters plus the windows
+  // still open.
 
-  /// Flap the access link (administratively down: arriving segments drop).
+  /// Flap the access link (administratively down: arriving segments
+  /// drop). Each `true` opens a window and each `false` closes one; the
+  /// link is back up when the last open window closes.
   void set_link_down(std::size_t i, bool down);
-  /// Add `extra` one-way latency on top of the topology's base latency.
-  void set_link_latency_offset(std::size_t i, Duration extra);
-  /// Override the link's Gilbert-Elliott bursty loss (default {} restores
-  /// the topology's configuration).
-  void set_link_burst_loss(std::size_t i, const ipfw::GilbertElliott& ge);
+  /// Add `extra` one-way latency on top of the current latency; a window
+  /// closes by adding its negation, so overlapping spikes sum.
+  void add_link_latency(std::size_t i, Duration extra);
+  /// Override the link's Gilbert-Elliott bursty loss until
+  /// close_burst_loss(i, window) with the returned window. The newest
+  /// open override applies; with none open, the topology's own model does.
+  std::uint64_t open_burst_loss(std::size_t i, const ipfw::GilbertElliott& ge);
+  void close_burst_loss(std::size_t i, std::uint64_t window);
   bool link_down(std::size_t i) const;
 
   /// The Dummynet pipes emulating vnode i's access link.
@@ -248,6 +242,10 @@ class Platform {
   void build_cluster();
   void deploy_vnodes();
   void compile_rules();
+  /// Vnode i's access-pipe configuration at `bandwidth` (its up or down
+  /// rate): the topology's link class plus the open fault windows.
+  ipfw::PipeConfig access_pipe_config(std::size_t i,
+                                      Bandwidth bandwidth) const;
   void apply_link_config(std::size_t i);
   net::Network& network_of_pnode(std::size_t p);
   sockets::SocketManager& sockets_of_pnode(std::size_t p);
@@ -255,12 +253,13 @@ class Platform {
   metrics::HealthProbe health_probe() const;
 
   /// Per-vnode link-fault overlay on top of the topology's base pipe
-  /// configuration (set_link_* recompute base + overlay so faults compose
-  /// and restore cleanly).
+  /// configuration: the open windows of each kind.
   struct LinkFaults {
+    int down_depth = 0;
     Duration extra_latency = Duration::zero();
-    bool burst_overridden = false;
-    ipfw::GilbertElliott burst;
+    /// Open burst-loss overrides by window; the newest (last) applies.
+    std::map<std::uint64_t, ipfw::GilbertElliott> bursts;
+    std::uint64_t next_burst_window = 0;
   };
 
   topology::Topology topo_;

@@ -104,6 +104,9 @@ void FaultInjector::inject(const FaultSpec& spec, std::uint64_t id) {
       });
       break;
 
+    // Link windows of one kind may overlap on one vnode: each closes only
+    // itself (the platform nests downs, sums spikes and keeps the newest
+    // open burst override in force).
     case FaultKind::kLinkDown:
       platform_.set_link_down(spec.node, true);
       sim.schedule_after(spec.duration, [this, spec, id] {
@@ -113,21 +116,22 @@ void FaultInjector::inject(const FaultSpec& spec, std::uint64_t id) {
       break;
 
     case FaultKind::kLatencySpike:
-      platform_.set_link_latency_offset(spec.node, spec.extra_latency);
+      platform_.add_link_latency(spec.node, spec.extra_latency);
       sim.schedule_after(spec.duration, [this, spec, id] {
-        platform_.set_link_latency_offset(spec.node, Duration::zero());
+        platform_.add_link_latency(spec.node, -spec.extra_latency);
         mark_recovered(spec, id, sim_for(spec).now());
       });
       break;
 
-    case FaultKind::kBurstLoss:
-      platform_.set_link_burst_loss(spec.node, spec.burst);
-      sim.schedule_after(spec.duration, [this, spec, id] {
-        // An empty model restores the topology's own configuration.
-        platform_.set_link_burst_loss(spec.node, ipfw::GilbertElliott{});
+    case FaultKind::kBurstLoss: {
+      const std::uint64_t window =
+          platform_.open_burst_loss(spec.node, spec.burst);
+      sim.schedule_after(spec.duration, [this, spec, id, window] {
+        platform_.close_burst_loss(spec.node, window);
         mark_recovered(spec, id, sim_for(spec).now());
       });
       break;
+    }
 
     case FaultKind::kTrackerOutage: {
       // Overlapping outage windows refcount: the tracker restores when the

@@ -20,9 +20,10 @@
 
 namespace p2plab::ipfw {
 
+/// CPU cost of examining one rule; the Figure 6 calibration constant.
+inline constexpr Duration kPerRuleCost = Duration::ns(50);
+
 struct FirewallConfig {
-  /// CPU cost of examining one rule; the Figure 6 calibration constant.
-  Duration per_rule_cost = Duration::ns(50);
   /// Ablation: charge the index's probes (MatchResult::rules_probed)
   /// instead of ipfw's linear walk. Verdicts and pipes are the same.
   bool indexed_scan_cost = false;
@@ -57,7 +58,7 @@ class Firewall {
   size_t rule_count() const { return rules_.size(); }
 
   /// Classify a packet. The scan costs charged_rules(result) *
-  /// per_rule_cost of CPU latency; scan_cost() turns a MatchResult into
+  /// kPerRuleCost of CPU latency; scan_cost() turns a MatchResult into
   /// that Duration.
   MatchResult classify(Ipv4Addr src, Ipv4Addr dst,
                        RuleDir pass = RuleDir::kAny);
@@ -68,8 +69,7 @@ class Firewall {
                                      : result.rules_scanned;
   }
   Duration scan_cost(const MatchResult& result) const {
-    return config_.per_rule_cost *
-           static_cast<std::int64_t>(charged_rules(result));
+    return kPerRuleCost * static_cast<std::int64_t>(charged_rules(result));
   }
 
   const FirewallConfig& config() const { return config_; }

@@ -1,24 +1,28 @@
 #include "net/host.hpp"
 
+#include <algorithm>
 #include <utility>
 
-#include "common/assert.hpp"
 #include "net/network.hpp"
 
 namespace p2plab::net {
+namespace {
+
+/// GridExplorer's Dual-Opteron nodes.
+constexpr std::int64_t kCpus = 2;
+
+}  // namespace
 
 Host::Host(Network& network, std::string name, Ipv4Addr admin_ip,
            HostConfig config, Rng rng, std::size_t global_index)
     : network_(network),
       name_(std::move(name)),
       admin_ip_(admin_ip),
-      config_(config),
       global_index_(global_index),
       firewall_(network.sim(), config.firewall, rng.fork(1)),
-      nic_tx_(config.nic_bandwidth, config.nic_latency, config.nic_queue),
-      nic_rx_(config.nic_bandwidth, config.nic_latency, config.nic_queue),
+      nic_tx_(config.nic_bandwidth, kNicLatency, kNicQueue),
+      nic_rx_(config.nic_bandwidth, kNicLatency, kNicQueue),
       cpu_busy_until_(SimTime::zero()) {
-  P2PLAB_ASSERT(config_.n_cpus >= 1);
   network_.register_address(admin_ip_, this);
 }
 
@@ -30,14 +34,14 @@ void Host::add_alias(Ipv4Addr addr) {
 Duration Host::charge_cpu(Duration work) {
   if (work <= Duration::zero()) return Duration::zero();
   const SimTime now = network_.sim().now();
-  // Aggregate-server model: capacity drains at n_cpus, but each unit of
+  // Aggregate-server model: capacity drains at kCpus, but each unit of
   // work executes serially on one core, so the caller's latency is the
   // queueing delay plus the *full* work time (a 2.5 ms rule scan delays
   // the packet by 2.5 ms even on a dual CPU).
   const SimTime start = std::max(cpu_busy_until_, now);
   const Duration service =
-      Duration::ns(work.count_ns() / config_.n_cpus +
-                   (work.count_ns() % config_.n_cpus != 0 ? 1 : 0));
+      Duration::ns(work.count_ns() / kCpus +
+                   (work.count_ns() % kCpus != 0 ? 1 : 0));
   cpu_busy_until_ = start + service;
   cpu_consumed_ += work;
   // Host is a friend of Network; the shared counter aggregates CPU work
@@ -51,7 +55,7 @@ double Host::cpu_utilization() const {
   const SimTime now = network_.sim().now();
   if (now == SimTime::zero()) return 0.0;
   const double capacity =
-      now.to_seconds() * static_cast<double>(config_.n_cpus);
+      now.to_seconds() * static_cast<double>(kCpus);
   return cpu_consumed_.to_seconds() / capacity;
 }
 

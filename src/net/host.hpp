@@ -26,13 +26,14 @@ namespace p2plab::net {
 
 class Network;
 
+/// The NIC's fixed per-hop latency and tail-drop queue, both directions.
+inline constexpr Duration kNicLatency = Duration::us(20);
+inline constexpr DataSize kNicQueue = DataSize::kib(512);
+/// CPU work to process one packet through the stack (send or receive).
+inline constexpr Duration kPacketCpuCost = Duration::us(10);
+
 struct HostConfig {
   Bandwidth nic_bandwidth = Bandwidth::gbps(1);
-  Duration nic_latency = Duration::us(20);
-  DataSize nic_queue = DataSize::kib(512);
-  int n_cpus = 2;
-  /// CPU work to process one packet through the stack (send or receive).
-  Duration packet_cpu_cost = Duration::us(10);
   ipfw::FirewallConfig firewall;
 };
 
@@ -46,7 +47,6 @@ class Host {
 
   const std::string& name() const { return name_; }
   Ipv4Addr admin_ip() const { return admin_ip_; }
-  const HostConfig& config() const { return config_; }
 
   /// Platform-wide host index, stable across shard partitionings: the
   /// parallel engine keys rng streams, connection ids and cross-shard
@@ -77,7 +77,7 @@ class Host {
 
   /// Charge `work` of CPU time; returns the latency until it completes
   /// (queueing behind earlier work plus service). The host's CPUs are
-  /// modeled as one server of aggregate speed n_cpus — coarse, but enough
+  /// modeled as one server of aggregate speed kCpus — coarse, but enough
   /// to expose CPU saturation under extreme folding.
   Duration charge_cpu(Duration work);
 
@@ -91,7 +91,6 @@ class Host {
   Network& network_;
   std::string name_;
   Ipv4Addr admin_ip_;
-  HostConfig config_;
   std::size_t global_index_;
   ipfw::Firewall firewall_;
   LinkServer nic_tx_;

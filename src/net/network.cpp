@@ -7,8 +7,7 @@
 
 namespace p2plab::net {
 
-Network::Network(sim::Simulation& sim, Rng rng, NetworkConfig config)
-    : sim_(sim), rng_(rng), config_(config) {}
+Network::Network(sim::Simulation& sim, Rng rng) : sim_(sim), rng_(rng) {}
 
 Host& Network::add_host(std::string name, Ipv4Addr admin_ip,
                         HostConfig config, std::size_t global_index) {
@@ -98,8 +97,8 @@ void Network::leave_source(PacketRef packet, Host& src, PathStage stage) {
     return;  // the ref dies here; the cell goes straight back to the pool
   }
   // Firewall scan + stack processing are CPU work on the source host.
-  const Duration cpu_delay = src.charge_cpu(src.firewall().scan_cost(match) +
-                                            src.config().packet_cpu_cost);
+  const Duration cpu_delay =
+      src.charge_cpu(src.firewall().scan_cost(match) + kPacketCpuCost);
   if (cpu_delay == Duration::zero()) {
     pass_pipes(std::move(packet), src, std::move(match.pipes), 0, stage);
     return;
@@ -128,7 +127,7 @@ void Network::handoff_exit(PacketRef packet, Host& src) {
   }
   metrics_.nic_tx_bytes.inc(packet->wire_size.count_bytes());
   const SimTime stamp =
-      now + packet->deferred_delay + *tx_delay + config_.switch_latency;
+      now + packet->deferred_delay + *tx_delay + kSwitchLatency;
   if (handoff_ == nullptr) {
     // A bare Network is its own single shard: the same stamp, scheduled
     // here, and the same cell carried on to the destination side.
@@ -176,8 +175,8 @@ void Network::arrive_at_destination(PacketRef packet, Host& dst) {
     metrics_.packets_dropped_fw.inc();
     return;
   }
-  const Duration cpu_delay = dst.charge_cpu(dst.firewall().scan_cost(match) +
-                                            dst.config().packet_cpu_cost);
+  const Duration cpu_delay =
+      dst.charge_cpu(dst.firewall().scan_cost(match) + kPacketCpuCost);
   if (cpu_delay == Duration::zero()) {
     pass_pipes(std::move(packet), dst, std::move(match.pipes), 0,
                PathStage::kDest);

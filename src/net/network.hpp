@@ -36,9 +36,8 @@
 
 namespace p2plab::net {
 
-struct NetworkConfig {
-  Duration switch_latency = Duration::us(30);
-};
+/// The switch's per-hop latency (pure latency: see the header comment).
+inline constexpr Duration kSwitchLatency = Duration::us(30);
 
 /// Registry handles for the "net.*" metrics — the network's only counters.
 /// packets_dropped_fw counts deny rules; packets_dropped_pipe pipe loss,
@@ -81,13 +80,12 @@ class FabricHandoff {
 
 class Network {
  public:
-  Network(sim::Simulation& sim, Rng rng, NetworkConfig config = {});
+  Network(sim::Simulation& sim, Rng rng);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
   sim::Simulation& sim() { return sim_; }
-  const NetworkConfig& config() const { return config_; }
 
   static constexpr std::size_t kAutoIndex = static_cast<std::size_t>(-1);
 
@@ -181,7 +179,6 @@ class Network {
 
   sim::Simulation& sim_;
   Rng rng_;
-  NetworkConfig config_;
   NetMetrics metrics_;
   // Declared before hosts_: pipes hold queued segments whose closures own
   // PacketRefs, so hosts_ (destroyed first, reverse declaration order)

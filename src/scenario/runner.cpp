@@ -27,7 +27,7 @@ void ExperimentRunner::setup() {
   pc.seed = spec_.engine.seed;
   pc.shards = spec_.engine.shards;
   pc.pin_workers = spec_.engine.pin_workers;
-  pc.stream.transport = spec_.engine.transport;
+  pc.transport = spec_.engine.transport;
   platform_ = std::make_unique<core::Platform>(topo, pc);
   if (spec_.engine.trace) platform_->enable_tracing();
   if (spec_.engine.profile) {

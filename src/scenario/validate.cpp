@@ -350,7 +350,9 @@ void ValidateHarness::phase_loss(std::vector<InvariantResult>& out) {
   const SimTime t0 = platform_.now() + Duration::sec(1);
   const Ipv4Addr dst_addr = platform_.api(dst).effective_bind_address();
 
-  platform_.sim_of_vnode(dst).schedule_at(t0, [this, dst, ge] {
+  std::uint64_t burst_window = 0;
+  platform_.sim_of_vnode(dst).schedule_at(t0, [this, dst, ge,
+                                               &burst_window] {
     auto sock = platform_.api(dst).udp_bind(kLossPort);
     sock->on_message([this](sockets::Message&&, Ipv4Addr, std::uint16_t) {
       ++loss_received_;
@@ -358,7 +360,7 @@ void ValidateHarness::phase_loss(std::vector<InvariantResult>& out) {
     udp_socks_[0] = std::move(sock);
     // The overlay switches on from the link's own simulation, like the
     // fault injector's burst faults.
-    platform_.set_link_burst_loss(dst, ge);
+    burst_window = platform_.open_burst_loss(dst, ge);
   });
   // The whole batch fits the 8 MiB access-pipe queue, so nothing tail-drops
   // for a reason other than the loss models under test.
@@ -386,7 +388,9 @@ void ValidateHarness::phase_loss(std::vector<InvariantResult>& out) {
   // Restore the topology's configured loss for whoever runs next.
   platform_.sim_of_vnode(dst).schedule_at(
       platform_.now() + Duration::ms(1),
-      [this, dst] { platform_.set_link_burst_loss(dst, {}); });
+      [this, dst, &burst_window] {
+        platform_.close_burst_loss(dst, burst_window);
+      });
   platform_.run(platform_.now() + Duration::ms(10));
 
   const double measured_loss =

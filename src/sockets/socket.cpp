@@ -6,15 +6,34 @@
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
+#include "vnode/interceptor.hpp"
 
 namespace p2plab::sockets {
+namespace {
+
+namespace syscall_cost = vnode::syscall_cost;
+
+/// kTcp only: the byte-counting unit for cwnd growth (one "segment" of
+/// congestion-avoidance credit per cwnd of acked bytes). Messages are
+/// application-sized, so this is an accounting unit, not a wire MTU.
+constexpr std::uint64_t kTcpMss = 1460;
+/// kTcp only: duplicate cumulative ACKs that trigger fast retransmit.
+constexpr int kTcpDupackThreshold = 3;
+/// RFC 6298's conservative floor. Access links here serialize a 16 KiB
+/// message in over a second, so an aggressive floor guarantees spurious
+/// retransmission storms from the handshake-derived RTT.
+constexpr Duration kMinRto = Duration::sec(1);
+constexpr Duration kInitialRto = Duration::sec(3);
+constexpr int kMaxSynRetries = 5;
+/// Out-of-order messages a receiver keeps.
+constexpr std::size_t kMaxReorderBuffer = 1024;
+
+}  // namespace
 
 // ---------------------------------------------------------------- manager
 
-SocketManager::SocketManager(net::Network& network,
-                             vnode::Interceptor interceptor,
-                             StreamConfig config)
-    : network_(network), interceptor_(interceptor), config_(config) {
+SocketManager::SocketManager(net::Network& network, TransportModel transport)
+    : network_(network), transport_(transport) {
   network_.set_socket_demux(
       [this](net::Packet&& packet) { dispatch(std::move(packet)); });
 }
@@ -134,18 +153,17 @@ void SocketManager::abort_endpoints_of(Ipv4Addr addr) {
 
 StreamSocket::StreamSocket(SocketManager& mgr, net::Host& host)
     : mgr_(mgr), host_(host) {
-  const StreamConfig& cfg = mgr_.stream_config();
-  cwnd_ = tcp_mode() ? cfg.tcp_initial_cwnd.count_bytes()
-                     : cfg.send_window.count_bytes();
-  ssthresh_ = cfg.send_window.count_bytes();
+  cwnd_ = tcp_mode() ? kTcpInitialCwnd.count_bytes()
+                     : kSendWindow.count_bytes();
+  ssthresh_ = kSendWindow.count_bytes();
 }
 
 bool StreamSocket::tcp_mode() const {
-  return mgr_.stream_config().transport == TransportModel::kTcp;
+  return mgr_.transport() == TransportModel::kTcp;
 }
 
 std::uint64_t StreamSocket::effective_window() const {
-  const std::uint64_t wnd = mgr_.stream_config().send_window.count_bytes();
+  const std::uint64_t wnd = kSendWindow.count_bytes();
   return tcp_mode() ? std::min(wnd, cwnd_) : wnd;
 }
 
@@ -189,8 +207,7 @@ void StreamSocket::start_accepted(Ipv4Addr local, std::uint16_t local_port,
 
 void StreamSocket::send(Message message) {
   if (state_ == State::kClosed) return;
-  const Duration cpu =
-      host_.charge_cpu(mgr_.interceptor().costs().sys_send);
+  const Duration cpu = host_.charge_cpu(syscall_cost::kSend);
   pending_bytes_ += message.size.count_bytes();
   pending_.push_back(std::move(message));
   if (cpu == Duration::zero()) {
@@ -360,7 +377,7 @@ void StreamSocket::handle_packet(net::Packet&& packet) {
       if (state_ == State::kSynSent) {
         // Handshake not complete on our side yet: park the payload until
         // the SYN-ACK arrives (see the kSynAck case).
-        if (reorder_.size() < mgr_.stream_config().max_reorder_buffer) {
+        if (reorder_.size() < kMaxReorderBuffer) {
           reorder_.emplace(packet.seq,
                            *static_cast<const Message*>(packet.body.get()));
         }
@@ -425,7 +442,7 @@ void StreamSocket::on_data(net::Packet&& packet) {
     return;
   }
   if (seq > expected_seq_) {
-    if (reorder_.size() < mgr_.stream_config().max_reorder_buffer) {
+    if (reorder_.size() < kMaxReorderBuffer) {
       reorder_.emplace(seq, *static_cast<const Message*>(packet.body.get()));
     }
     send_ack();  // dup-ack carrying the hole
@@ -500,7 +517,7 @@ void StreamSocket::on_ack(std::uint64_t cumulative) {
       return;
     }
     ++dup_acks_;
-    if (dup_acks_ == mgr_.stream_config().tcp_dupack_threshold &&
+    if (dup_acks_ == kTcpDupackThreshold &&
         !in_recovery_) {
       enter_loss_recovery(/*fast=*/true);
     }
@@ -538,14 +555,12 @@ void StreamSocket::on_ack(std::uint64_t cumulative) {
   }
   last_progress_ = mgr_.sim().now();
   if (tcp_mode()) {
-    const StreamConfig& cfg = mgr_.stream_config();
-    const std::uint64_t mss = cfg.tcp_mss.count_bytes();
-    const std::uint64_t cap = cfg.send_window.count_bytes();
+    const std::uint64_t cap = kSendWindow.count_bytes();
     if (in_recovery_) {
       if (cumulative >= recovery_point_) {
         // Full ack: everything outstanding at the loss is repaired.
         in_recovery_ = false;
-        cwnd_ = std::max(ssthresh_, mss);
+        cwnd_ = std::max(ssthresh_, kTcpMss);
         ca_credit_ = 0;
       } else if (!inflight_.empty()) {
         // NewReno partial ack: the next hole was lost in the same event;
@@ -564,7 +579,7 @@ void StreamSocket::on_ack(std::uint64_t cumulative) {
       ca_credit_ += acked_bytes;
       while (ca_credit_ >= cwnd_) {
         ca_credit_ -= cwnd_;
-        cwnd_ = std::min(cwnd_ + mss, cap);
+        cwnd_ = std::min(cwnd_ + kTcpMss, cap);
       }
     }
   }
@@ -579,9 +594,7 @@ void StreamSocket::on_ack(std::uint64_t cumulative) {
 }
 
 void StreamSocket::enter_loss_recovery(bool fast) {
-  const StreamConfig& cfg = mgr_.stream_config();
-  const std::uint64_t mss = cfg.tcp_mss.count_bytes();
-  ssthresh_ = std::max(inflight_bytes_ / 2, 2 * mss);
+  ssthresh_ = std::max(inflight_bytes_ / 2, 2 * kTcpMss);
   mgr_.metrics().cwnd_halvings.inc();
   if (fast) {
     // Fast retransmit / NewReno fast recovery: halve and repair the front
@@ -595,7 +608,7 @@ void StreamSocket::enter_loss_recovery(bool fast) {
     // segment is resent; later holes are repaired by dup-acks or further
     // timeouts, never by a go-back-N whole-window burst.
     mgr_.metrics().rto_recoveries.inc();
-    cwnd_ = mss;
+    cwnd_ = kTcpMss;
     in_recovery_ = false;
     dup_acks_ = 0;
   }
@@ -612,15 +625,14 @@ void StreamSocket::enter_loss_recovery(bool fast) {
 }
 
 Duration StreamSocket::rto() const {
-  const StreamConfig& cfg = mgr_.stream_config();
-  Duration base = cfg.initial_rto;
+  Duration base = kInitialRto;
   if (have_rtt_) {
     base = Duration::seconds(srtt_s_ + 4.0 * rttvar_s_);
-    base = std::clamp(base, cfg.min_rto, cfg.max_rto);
+    base = std::clamp(base, kMinRto, kMaxRto);
   }
   for (int i = 0; i < backoff_; ++i) {
     base = base * 2;
-    if (base >= cfg.max_rto) return cfg.max_rto;
+    if (base >= kMaxRto) return kMaxRto;
   }
   return base;
 }
@@ -672,7 +684,7 @@ void StreamSocket::timer_fired() {
       arm_timer(due);
       return;
     }
-    if (++syn_retries_ > mgr_.stream_config().max_syn_retries) {
+    if (++syn_retries_ > kMaxSynRetries) {
       mgr_.metrics().connects_failed.inc();
       auto fail = std::move(on_connect_fail_);
       teardown();
@@ -691,7 +703,7 @@ void StreamSocket::timer_fired() {
     arm_timer(due);
     return;
   }
-  if (++consecutive_timeouts_ > mgr_.stream_config().max_retransmit_timeouts) {
+  if (++consecutive_timeouts_ > kMaxRetransmitTimeouts) {
     // The peer is unreachable: abort like ETIMEDOUT.
     mgr_.metrics().aborts.inc();
     teardown();
@@ -770,7 +782,7 @@ void Listener::handle_packet(net::Packet&& packet) {
     }
     if (!accepting_) return;
     mgr_.metrics().accepts.inc();
-    host_.charge_cpu(mgr_.interceptor().costs().sys_accept);
+    host_.charge_cpu(syscall_cost::kAccept);
     StreamSocketPtr socket{new StreamSocket(mgr_, host_)};
     socket->start_accepted(local_ip_, local_port_, packet.src,
                            packet.src_port, packet.conn);
@@ -793,19 +805,15 @@ void Listener::handle_packet(net::Packet&& packet) {
 // -------------------------------------------------------------------- api
 
 Ipv4Addr SocketApi::effective_bind_address() const {
-  return mgr_.interceptor()
-      .on_connect_or_listen(process_, std::nullopt)
-      .address;
+  return vnode::on_connect_or_listen(process_, std::nullopt).address;
 }
 
 void SocketApi::connect(Ipv4Addr remote, std::uint16_t remote_port,
                         std::function<void(StreamSocketPtr)> on_connected,
                         std::function<void()> on_fail) {
-  const auto decision =
-      mgr_.interceptor().on_connect_or_listen(process_, std::nullopt);
-  const auto& costs = mgr_.interceptor().costs();
+  const auto decision = vnode::on_connect_or_listen(process_, std::nullopt);
   const Duration cpu = process_.host().charge_cpu(
-      costs.sys_socket + costs.sys_connect + decision.added_cost);
+      syscall_cost::kSocket + syscall_cost::kConnect + decision.added_cost);
 
   StreamSocketPtr socket{new StreamSocket(mgr_, process_.host())};
   const Ipv4Addr local = decision.address;
@@ -848,7 +856,7 @@ void DatagramSocket::close() {
 void DatagramSocket::send_to(Ipv4Addr remote, std::uint16_t remote_port,
                              Message message) {
   if (!open_) return;
-  host_.charge_cpu(mgr_.interceptor().costs().sys_send);
+  host_.charge_cpu(syscall_cost::kSend);
   ++sent_;
   net::Packet packet;
   packet.src = local_ip_;
@@ -874,10 +882,8 @@ void DatagramSocket::handle_packet(net::Packet&& packet) {
 
 ListenerPtr SocketApi::listen(std::uint16_t port,
                               Listener::AcceptHandler on_accept) {
-  const auto decision =
-      mgr_.interceptor().on_connect_or_listen(process_, std::nullopt);
-  const auto& costs = mgr_.interceptor().costs();
-  process_.host().charge_cpu(costs.sys_socket + costs.sys_listen +
+  const auto decision = vnode::on_connect_or_listen(process_, std::nullopt);
+  process_.host().charge_cpu(syscall_cost::kSocket + syscall_cost::kListen +
                              decision.added_cost);
   return ListenerPtr{new Listener(mgr_, process_.host(), decision.address,
                                   port, std::move(on_accept))};
@@ -886,10 +892,9 @@ ListenerPtr SocketApi::listen(std::uint16_t port,
 DatagramSocketPtr SocketApi::udp_bind(std::uint16_t port) {
   // Explicit bind(): the interception layer rewrites the address to
   // $BINDIP (the "similar approach is possible for UDP" of the paper).
-  const auto decision = mgr_.interceptor().on_bind(
-      process_, process_.host().admin_ip());
-  const auto& costs = mgr_.interceptor().costs();
-  process_.host().charge_cpu(costs.sys_socket + costs.sys_bind +
+  const auto decision =
+      vnode::on_bind(process_, process_.host().admin_ip());
+  process_.host().charge_cpu(syscall_cost::kSocket + syscall_cost::kBind +
                              decision.added_cost);
   const Ipv4Addr local = decision.address;
   const std::uint16_t bound =

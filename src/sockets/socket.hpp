@@ -8,11 +8,11 @@
 //
 // Transport: a reliable, in-order message stream —
 //   - connection establishment with SYN/SYN-ACK (client retries SYNs);
-//   - a byte-windowed sender (default 256 KiB) with cumulative ACKs;
+//   - a byte-windowed sender (kSendWindow, 256 KiB) with cumulative ACKs;
 //   - go-back-N retransmission on RTO (RTT estimated per Jacobson/Karn);
 //   - FIN teardown notifying the remote's on_close.
-// Two selectable congestion regimes (StreamConfig::transport, DESIGN.md
-// §13):
+// Two selectable congestion regimes (the SocketManager's TransportModel,
+// DESIGN.md §13):
 //   - kFlow (default): no congestion control; fair sharing of bottleneck
 //     links across connections — TCP's role on the real platform — is
 //     provided by deficit-round-robin in the Dummynet pipes (DESIGN.md §6).
@@ -38,7 +38,6 @@
 #include "net/network.hpp"
 #include "net/packet.hpp"
 #include "sockets/message.hpp"
-#include "vnode/interceptor.hpp"
 #include "vnode/vnode.hpp"
 
 namespace p2plab::sockets {
@@ -57,29 +56,15 @@ enum class Proto : std::uint8_t { kTcp = 0, kUdp = 1 };
 /// Which congestion regime the stream sender runs (see the header comment).
 enum class TransportModel : std::uint8_t { kFlow = 0, kTcp = 1 };
 
-struct StreamConfig {
-  TransportModel transport = TransportModel::kFlow;
-  DataSize send_window = DataSize::kib(256);
-  /// kTcp only: the byte-counting unit for cwnd growth (one "segment" of
-  /// congestion-avoidance credit per cwnd of acked bytes). Messages are
-  /// application-sized, so this is an accounting unit, not a wire MTU.
-  DataSize tcp_mss = DataSize::bytes(1460);
-  /// kTcp only: initial congestion window (RFC 6928's IW10).
-  DataSize tcp_initial_cwnd = DataSize::bytes(14600);
-  /// kTcp only: duplicate cumulative ACKs that trigger fast retransmit.
-  int tcp_dupack_threshold = 3;
-  /// RFC 6298's conservative floor. Access links here serialize a 16 KiB
-  /// message in over a second, so an aggressive floor guarantees spurious
-  /// retransmission storms from the handshake-derived RTT.
-  Duration min_rto = Duration::sec(1);
-  Duration max_rto = Duration::sec(60);
-  Duration initial_rto = Duration::sec(3);
-  int max_syn_retries = 5;
-  /// Consecutive RTOs without progress before the connection aborts (the
-  /// remote's on_close cannot fire; the local one does, like ETIMEDOUT).
-  int max_retransmit_timeouts = 12;
-  size_t max_reorder_buffer = 1024;  // out-of-order messages kept
-};
+/// Bytes a stream sender keeps in flight at most (kTcp: also cwnd's cap).
+inline constexpr DataSize kSendWindow = DataSize::kib(256);
+/// kTcp only: the initial congestion window (RFC 6928's IW10).
+inline constexpr DataSize kTcpInitialCwnd = DataSize::bytes(14600);
+/// Ceiling of the backed-off retransmission timeout.
+inline constexpr Duration kMaxRto = Duration::sec(60);
+/// Consecutive RTOs without progress before the connection aborts (the
+/// remote's on_close cannot fire; the local one does, like ETIMEDOUT).
+inline constexpr int kMaxRetransmitTimeouts = 12;
 
 /// Shared "sockets.*" registry handles for every socket of one manager.
 struct SocketMetrics {
@@ -103,7 +88,7 @@ struct SocketMetrics {
   metrics::Counter cwnd_halvings;     // kTcp: ssthresh reductions (any cause)
 };
 
-/// Owns the port table and transport-wide configuration for one network.
+/// Owns the port table and the transport model for one network.
 class SocketManager {
  public:
   class Endpoint {
@@ -120,8 +105,8 @@ class SocketManager {
   /// Construction installs this manager as the network's socket demux:
   /// every delivered packet goes through dispatch(). One manager per
   /// network (per shard under the parallel engine).
-  SocketManager(net::Network& network, vnode::Interceptor interceptor = {},
-                StreamConfig config = {});
+  explicit SocketManager(net::Network& network,
+                         TransportModel transport = TransportModel::kFlow);
   ~SocketManager();
 
   SocketManager(const SocketManager&) = delete;
@@ -129,8 +114,7 @@ class SocketManager {
 
   net::Network& network() { return network_; }
   sim::Simulation& sim() { return network_.sim(); }
-  const vnode::Interceptor& interceptor() const { return interceptor_; }
-  const StreamConfig& stream_config() const { return config_; }
+  TransportModel transport() const { return transport_; }
 
   std::uint16_t alloc_ephemeral_port(Ipv4Addr addr, Proto proto = Proto::kTcp);
 
@@ -164,8 +148,7 @@ class SocketManager {
   }
 
   net::Network& network_;
-  vnode::Interceptor interceptor_;
-  StreamConfig config_;
+  TransportModel transport_;
   SocketMetrics metrics_;
   std::unordered_map<std::uint64_t, Endpoint*> endpoints_;
   std::unordered_map<std::uint64_t, std::uint16_t> next_ephemeral_;
@@ -267,7 +250,7 @@ class StreamSocket final : public SocketManager::Endpoint,
 
   bool tcp_mode() const;
   /// Bytes the sender may keep in flight right now: the static send window
-  /// under kFlow, min(send_window, cwnd) under kTcp.
+  /// under kFlow, min(kSendWindow, cwnd) under kTcp.
   std::uint64_t effective_window() const;
   void enter_loss_recovery(bool fast);
 
@@ -312,7 +295,7 @@ class StreamSocket final : public SocketManager::Endpoint,
 
   // Retransmission timer. The pending event is tracked by id and cancelled
   // on teardown and when re-armed earlier: a churning swarm aborts
-  // thousands of sockets whose RTO events (up to max_rto out) would
+  // thousands of sockets whose RTO events (up to kMaxRto out) would
   // otherwise sit dead in the kernel heap. Stale fires are additionally
   // ignored via armed_until_.
   bool timer_armed_ = false;

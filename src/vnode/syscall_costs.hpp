@@ -16,29 +16,24 @@
 
 #include "common/time.hpp"
 
-namespace p2plab::vnode {
+namespace p2plab::vnode::syscall_cost {
 
-struct SyscallCosts {
-  Duration sys_socket = Duration::micros(2.10);
-  Duration sys_bind = Duration::micros(0.50);
-  Duration sys_connect = Duration::micros(4.62);
-  Duration sys_listen = Duration::micros(0.80);
-  Duration sys_accept = Duration::micros(2.50);
-  Duration sys_close = Duration::micros(1.50);
-  Duration sys_send = Duration::micros(0.90);
-  Duration sys_recv = Duration::micros(0.90);
-  /// Kernel loopback handoff inside a local connect/accept cycle.
-  Duration loopback_rtt = Duration::micros(2.00);
-  /// getenv("BINDIP") plus address parsing in the modified libc.
-  Duration env_lookup = Duration::micros(0.07);
+inline constexpr Duration kSocket = Duration::micros(2.10);
+inline constexpr Duration kBind = Duration::micros(0.50);
+inline constexpr Duration kConnect = Duration::micros(4.62);
+inline constexpr Duration kListen = Duration::micros(0.80);
+inline constexpr Duration kAccept = Duration::micros(2.50);
+inline constexpr Duration kClose = Duration::micros(1.50);
+inline constexpr Duration kSend = Duration::micros(0.90);
+/// Kernel loopback handoff inside a local connect/accept cycle.
+inline constexpr Duration kLoopbackRtt = Duration::micros(2.00);
+/// getenv("BINDIP") plus address parsing in the modified libc.
+inline constexpr Duration kEnvLookup = Duration::micros(0.07);
 
-  /// The microbenchmark quantities, for tests and the bench harness.
-  Duration base_connect_cycle() const {
-    return sys_socket + sys_connect + loopback_rtt + sys_close;
-  }
-  Duration intercepted_connect_cycle() const {
-    return base_connect_cycle() + env_lookup + sys_bind;
-  }
-};
+/// The microbenchmark quantities, for tests and the bench harness.
+inline constexpr Duration kBaseConnectCycle =
+    kSocket + kConnect + kLoopbackRtt + kClose;
+inline constexpr Duration kInterceptedConnectCycle =
+    kBaseConnectCycle + kEnvLookup + kBind;
 
-}  // namespace p2plab::vnode
+}  // namespace p2plab::vnode::syscall_cost

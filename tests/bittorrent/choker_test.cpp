@@ -122,14 +122,18 @@ TEST(Choker, NoInterestedPeersNoUnchokes) {
 }
 
 TEST(Choker, SlotCountRespectsConfig) {
-  Choker choker(ChokerConfig{.unchoke_slots = 2,
-                             .optimistic_interval = Duration::sec(30)});
+  // More interested peers than slots: exactly kUnchokeSlots are unchoked,
+  // the kUnchokeSlots - 1 fastest plus one optimistic among the rest.
+  Choker choker;
   Rng rng(4);
   std::vector<PeerSnapshot> peers;
   for (PeerKey k = 1; k <= 8; ++k) peers.push_back(peer(k, double(k)));
   const auto unchoked = choker.rechoke(SimTime::zero(), peers, rng);
-  EXPECT_EQ(unchoked.size(), 2u);  // 1 regular + 1 optimistic
-  EXPECT_TRUE(contains(unchoked, 8));
+  ASSERT_EQ(unchoked.size(), static_cast<std::size_t>(kUnchokeSlots));
+  for (PeerKey k = 8; k > 8 - (kUnchokeSlots - 1); --k) {
+    EXPECT_TRUE(contains(unchoked, k));
+  }
+  EXPECT_LE(choker.optimistic(), PeerKey{8 - (kUnchokeSlots - 1)});
 }
 
 TEST(Choker, FewerPeersThanSlots) {

@@ -32,36 +32,36 @@ SwarmConfig small_swarm(std::size_t clients) {
 TEST(AnnounceBackoff, GrowsExponentiallyWithJitterAndCaps) {
   // One client, tracker address with nothing listening: every announce is
   // refused, so the failure streak climbs and backoff() must follow
-  // min(base * 2^(streak-1), cap).
+  // min(base * 2^(streak-1), cap): 5 s doubling up to the 300 s cap.
   core::Platform platform(topology::homogeneous_dsl(2),
                           core::PlatformConfig{.physical_nodes = 1,
                                                .pin_workers = false});
   const MetaInfo meta = MetaInfo::make_synthetic(
       "t.dat", DataSize::kib(256), /*content_seed=*/1, /*hash_pieces=*/false);
-  ClientConfig config;
-  config.announce_retry_base = Duration::sec(5);
-  config.announce_retry_cap = Duration::sec(40);
+  ASSERT_EQ(kAnnounceRetryBase, Duration::sec(5));
+  ASSERT_EQ(kAnnounceRetryCap, Duration::sec(300));
   Client client(platform.sim_of_vnode(1), platform.api(1), meta,
-                PeerInfo{platform.vnode(0).ip(), 6969}, config,
+                PeerInfo{platform.vnode(0).ip(), 6969}, ClientConfig{},
                 /*start_as_seed=*/false, platform.rng().fork(1));
   client.start();
 
   std::vector<double> backoffs_sec;
   std::uint64_t seen_failures = 0;
-  while (backoffs_sec.size() < 7 && platform.now() < at_sec(600)) {
-    platform.run(platform.now() + Duration::ms(100));
+  // Retries land at least 0.75 * 5 s apart, so 500 ms steps see each one.
+  while (backoffs_sec.size() < 8 && platform.now() < at_sec(1200)) {
+    platform.run(platform.now() + Duration::ms(500));
     if (client.stats().announce_failures > seen_failures) {
       seen_failures = client.stats().announce_failures;
       backoffs_sec.push_back(client.announce_backoff().to_seconds());
     }
   }
   client.stop();
-  ASSERT_EQ(backoffs_sec.size(), 7u);
-  const std::vector<double> expected{5, 10, 20, 40, 40, 40, 40};
+  ASSERT_EQ(backoffs_sec.size(), 8u);
+  const std::vector<double> expected{5, 10, 20, 40, 80, 160, 300, 300};
   EXPECT_EQ(backoffs_sec, expected);  // exponential, then capped
   // Retries actually fired (with jitter the spacing varies, but each
   // failure past the first was produced by a scheduled retry).
-  EXPECT_GE(client.stats().announce_retries, 6u);
+  EXPECT_GE(client.stats().announce_retries, 7u);
 }
 
 TEST(AnnounceBackoff, RetryDelayIsJittered) {

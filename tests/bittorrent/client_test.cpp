@@ -17,24 +17,22 @@ namespace {
 
 class ClientTest : public ::testing::Test {
  protected:
-  static constexpr std::size_t kVnodes = 6;  // tracker + up to 5 peers
+  static constexpr std::size_t kVnodes = 8;  // tracker + up to 7 peers
 
   ClientTest()
       : platform(topology::homogeneous_dsl(kVnodes),
                  core::PlatformConfig{.physical_nodes = 2,
                                       .pin_workers = false}),
         meta(MetaInfo::make_synthetic("t", DataSize::kib(512), 3, true)),
-        tracker(platform.api(0), Tracker::Config{},
-                platform.rng().fork(1)) {
+        tracker(platform.api(0), platform.rng().fork(1)) {
     tracker.start();
   }
 
-  std::unique_ptr<Client> make_client(std::size_t vnode, bool seed,
-                                      ClientConfig config = {}) {
-    config.verify_hashes = true;
+  std::unique_ptr<Client> make_client(std::size_t vnode, bool seed) {
     return std::make_unique<Client>(
         platform.sim_of_vnode(vnode), platform.api(vnode), meta,
-        PeerInfo{platform.vnode(0).ip(), tracker.port()}, config, seed,
+        PeerInfo{platform.vnode(0).ip(), tracker.port()},
+        ClientConfig{.verify_hashes = true}, seed,
         platform.rng().fork(100 + vnode));
   }
 
@@ -160,24 +158,31 @@ TEST_F(ClientTest, UploadPacingKeepsSocketShallow) {
   ASSERT_EQ(peers.size(), 1u);
   // The seed never floods the socket: at most watermark + one block.
   EXPECT_LE(peers[0].sock_unsent,
-            ClientConfig{}.upload_watermark.count_bytes() + 16 * 1024 + 13);
+            kUploadWatermark.count_bytes() + 16 * 1024 + 13);
 }
 
 TEST_F(ClientTest, ChokedPeerGetsNothing) {
-  // A 1-slot choker with 2 leechers: at any instant at most slots peers
-  // are unchoked by the seed.
-  ClientConfig tight;
-  tight.choker.unchoke_slots = 1;
-  auto seed = make_client(1, true, tight);
-  auto l1 = make_client(2, false);
-  auto l2 = make_client(3, false);
+  // More leechers than unchoke slots: at any instant at most
+  // kUnchokeSlots peers are unchoked by the seed.
+  auto seed = make_client(1, true);
+  std::vector<std::unique_ptr<Client>> leechers;
+  for (std::size_t v = 2; v < kVnodes; ++v) {
+    leechers.push_back(make_client(v, false));
+  }
+  ASSERT_GT(leechers.size(), static_cast<std::size_t>(kUnchokeSlots));
   seed->start();
-  l1->start();
-  l2->start();
-  run_for(90);
-  int unchoked = 0;
-  for (const auto& p : seed->debug_peers()) unchoked += !p.am_choking;
-  EXPECT_LE(unchoked, 1);
+  for (auto& leecher : leechers) leecher->start();
+  bool interested_peer_choked = false;  // the slot limit actually binds
+  for (int t = 0; t < 9; ++t) {
+    run_for(10);
+    int unchoked = 0;
+    for (const auto& p : seed->debug_peers()) {
+      unchoked += !p.am_choking;
+      interested_peer_choked |= p.am_choking && p.peer_interested;
+    }
+    EXPECT_LE(unchoked, kUnchokeSlots);
+  }
+  EXPECT_TRUE(interested_peer_choked);
 }
 
 TEST_F(ClientTest, ProgressSeriesIsMonotone) {

@@ -34,7 +34,7 @@ class TrackerPolicyTest : public ::testing::Test {
   core::Platform platform{topology::homogeneous_dsl(2),
                           core::PlatformConfig{.physical_nodes = 1,
                                                .pin_workers = false}};
-  Tracker tracker{platform.api(0), Tracker::Config{}, Rng{1}};
+  Tracker tracker{platform.api(0), Rng{1}};
   Sha1Digest torrent = hash_of("torrent-a");
 };
 
@@ -110,7 +110,7 @@ TEST(TrackerWire, AnnounceOverSockets) {
   core::Platform platform(topology::homogeneous_dsl(3),
                           core::PlatformConfig{.physical_nodes = 1,
                                                .pin_workers = false});
-  Tracker tracker(platform.api(0), Tracker::Config{}, Rng{1});
+  Tracker tracker(platform.api(0), Rng{1});
   tracker.start();
   const Sha1Digest torrent = hash_of("wire");
 

@@ -97,7 +97,7 @@ RunOutput run_fig8(std::size_t shards, std::size_t clients,
   core::PlatformConfig pc;
   pc.physical_nodes = 8;
   pc.seed = 7;
-  if (tcp) pc.stream.transport = sockets::TransportModel::kTcp;
+  if (tcp) pc.transport = sockets::TransportModel::kTcp;
   const bt::SwarmConfig config = fig8_swarm(clients);
   return run_swarm(topology::homogeneous_dsl(bt::swarm_vnodes(config)), pc,
                    shards, config, profile);

@@ -183,6 +183,75 @@ TEST_F(InjectorTest, OverlappingTrackerOutagesRefcount) {
   EXPECT_EQ(injector.stats().recovered, 2u);
 }
 
+TEST_F(InjectorTest, OverlappingLinkDownsKeepTheLinkDown) {
+  FaultPlan plan;
+  plan.link_down(2, at_sec(10), Duration::sec(10));  // [10, 20)
+  plan.link_down(2, at_sec(15), Duration::sec(10));  // [15, 25)
+  FaultInjector injector(platform, plan);
+  injector.arm();
+  run_until(17);
+  EXPECT_TRUE(platform.link_down(2));
+  run_until(22);  // first window closed, second still open
+  EXPECT_TRUE(up_pipe(2).is_down());
+  EXPECT_TRUE(down_pipe(2).is_down());
+  run_until(27);
+  EXPECT_FALSE(up_pipe(2).is_down());
+  EXPECT_FALSE(down_pipe(2).is_down());
+  EXPECT_EQ(injector.stats().recovered, 2u);
+}
+
+TEST_F(InjectorTest, OverlappingLatencySpikesSum) {
+  const Duration base = up_pipe(4).config().delay;
+  FaultPlan plan;
+  plan.latency_spike(4, at_sec(10), Duration::ms(200), Duration::sec(10));
+  plan.latency_spike(4, at_sec(15), Duration::ms(100), Duration::sec(10));
+  FaultInjector injector(platform, plan);
+  injector.arm();
+  run_until(12);
+  EXPECT_EQ(up_pipe(4).config().delay, base + Duration::ms(200));
+  run_until(17);
+  EXPECT_EQ(up_pipe(4).config().delay, base + Duration::ms(300));
+  EXPECT_EQ(down_pipe(4).config().delay, base + Duration::ms(300));
+  run_until(22);  // the 200 ms spike closed; the 100 ms one is still open
+  EXPECT_EQ(up_pipe(4).config().delay, base + Duration::ms(100));
+  EXPECT_EQ(down_pipe(4).config().delay, base + Duration::ms(100));
+  run_until(27);
+  EXPECT_EQ(up_pipe(4).config().delay, base);
+  EXPECT_EQ(down_pipe(4).config().delay, base);
+}
+
+TEST_F(InjectorTest, OverlappingBurstLossKeepsNewestOpenOverride) {
+  const auto ge = [](double p_good_to_bad) {
+    return ipfw::GilbertElliott{.p_good_to_bad = p_good_to_bad,
+                                .p_bad_to_good = 0.4,
+                                .loss_bad = 0.8};
+  };
+  FaultPlan plan;
+  // Vnode 5: a window nested in a longer one. Vnode 3: the older window
+  // closes first.
+  plan.burst_loss(5, at_sec(10), Duration::sec(20), ge(0.1));  // [10, 30)
+  plan.burst_loss(5, at_sec(15), Duration::sec(10), ge(0.2));  // [15, 25)
+  plan.burst_loss(3, at_sec(10), Duration::sec(10), ge(0.1));  // [10, 20)
+  plan.burst_loss(3, at_sec(15), Duration::sec(10), ge(0.2));  // [15, 25)
+  FaultInjector injector(platform, plan);
+  injector.arm();
+  run_until(17);
+  EXPECT_DOUBLE_EQ(up_pipe(5).config().burst_loss.p_good_to_bad, 0.2);
+  EXPECT_DOUBLE_EQ(up_pipe(3).config().burst_loss.p_good_to_bad, 0.2);
+  run_until(22);
+  EXPECT_DOUBLE_EQ(up_pipe(5).config().burst_loss.p_good_to_bad, 0.2);
+  EXPECT_DOUBLE_EQ(up_pipe(3).config().burst_loss.p_good_to_bad, 0.2);
+  EXPECT_DOUBLE_EQ(down_pipe(3).config().burst_loss.p_good_to_bad, 0.2);
+  run_until(27);  // vnode 5's outer window is open again on its own
+  EXPECT_DOUBLE_EQ(up_pipe(5).config().burst_loss.p_good_to_bad, 0.1);
+  EXPECT_DOUBLE_EQ(down_pipe(5).config().burst_loss.p_good_to_bad, 0.1);
+  EXPECT_FALSE(up_pipe(3).config().burst_loss.enabled());
+  run_until(32);
+  EXPECT_FALSE(up_pipe(5).config().burst_loss.enabled());
+  EXPECT_FALSE(down_pipe(5).config().burst_loss.enabled());
+  EXPECT_EQ(injector.stats().unrecovered(), 0u);
+}
+
 TEST_F(InjectorTest, BindsMetricsRegistry) {
   metrics::Registry registry;
   FaultPlan plan;

@@ -38,7 +38,7 @@ class KarnSpikeTest : public ::testing::TestWithParam<sockets::TransportModel> {
     pc.physical_nodes = 1;
     pc.seed = 7;
     pc.pin_workers = false;
-    pc.stream.transport = GetParam();
+    pc.transport = GetParam();
     platform = std::make_unique<core::Platform>(topology::homogeneous_dsl(2),
                                                 pc);
     platform->bind_metrics(registry);

@@ -87,7 +87,7 @@ TEST_F(FirewallTest, VnodeShapingScenario) {
 }
 
 TEST_F(FirewallTest, DefaultPerRuleCostMatchesCalibration) {
-  EXPECT_EQ(fw.config().per_rule_cost, Duration::ns(50));
+  EXPECT_EQ(kPerRuleCost, Duration::ns(50));
   EXPECT_FALSE(fw.config().indexed_scan_cost);  // charge the linear walk
 }
 

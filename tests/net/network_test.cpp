@@ -154,25 +154,28 @@ TEST_F(NetworkTest, GroupLatencyPipeApplies) {
 
 TEST_F(NetworkTest, NicIsSharedBottleneck) {
   // Aggregate vnode traffic beyond NIC capacity must be limited by it:
-  // the mechanism behind the folding limit the paper found.
-  Host& a = network.add_host(
-      "node1", ip("192.168.38.1"),
-      HostConfig{.nic_bandwidth = Bandwidth::mbps(10),
-                 .nic_queue = DataSize::mib(64)});
+  // the mechanism behind the folding limit the paper found. Two vnodes
+  // burst one packet more than the NIC queue holds.
+  Host& a = network.add_host("node1", ip("192.168.38.1"),
+                             HostConfig{.nic_bandwidth = Bandwidth::mbps(10)});
   network.add_host("node2", ip("192.168.38.2")).add_alias(ip("10.0.1.1"));
   a.add_alias(ip("10.0.0.1"));
   a.add_alias(ip("10.0.0.2"));
 
-  for (int i = 0; i < 20; ++i) {
+  const DataSize size = DataSize::kib(64);
+  const std::size_t fit = kNicQueue.count_bytes() / size.count_bytes();
+  ASSERT_EQ(fit, 8u);
+  for (std::size_t i = 0; i <= fit; ++i) {
     Packet p = packet(i % 2 == 0 ? ip("10.0.0.1") : ip("10.0.0.2"),
-                      ip("10.0.1.1"), DataSize::kib(64));
+                      ip("10.0.1.1"), size);
     p.flow = static_cast<ipfw::FlowId>(i % 2);
     network.send(std::move(p));
   }
   sim.run();
-  ASSERT_EQ(deliveries.size(), 20u);
-  // 20 x 64 KiB = 1.25 MiB at 10 Mb/s ~ 1.05 s.
-  EXPECT_NEAR(deliveries.back().to_seconds(), 1.05, 0.05);
+  ASSERT_EQ(deliveries.size(), fit);
+  EXPECT_EQ(a.nic_tx().stats().dropped, 1u);  // the one over the queue
+  // 8 x 64 KiB = 512 KiB at 10 Mb/s ~ 0.42 s.
+  EXPECT_NEAR(deliveries.back().to_seconds(), 0.42, 0.01);
 }
 
 TEST_F(NetworkTest, ScanCostAddsLatency) {
@@ -217,12 +220,7 @@ TEST_F(NetworkTest, HandoffStampCarriesSourcePipeDelays) {
   handoff.sim = &sim;
   network.set_fabric_handoff(&handoff);
 
-  // No CPU charges on the source, so its bandwidth exit is exactly the
-  // access pipe's serialization time.
-  Host& a = network.add_host(
-      "node1", ip("192.168.38.1"),
-      HostConfig{.packet_cpu_cost = Duration::zero(),
-                 .firewall = {.per_rule_cost = Duration::zero()}});
+  Host& a = network.add_host("node1", ip("192.168.38.1"));
   Host& b = network.add_host("node2", ip("192.168.38.2"));
   a.add_alias(ip("10.1.0.1"));
   a.add_alias(ip("10.1.0.2"));
@@ -242,15 +240,19 @@ TEST_F(NetworkTest, HandoffStampCarriesSourcePipeDelays) {
                          .dst = cidr("10.2.0.1/32"), .dir = ipfw::RuleDir::kIn,
                          .action = ipfw::RuleAction::kPipe, .pipe = down});
 
+  // The source's bandwidth exit is its CPU work (the stack plus a scan of
+  // both rules) followed by the access pipe's serialization time.
+  const Duration src_cpu = kPacketCpuCost + ipfw::kPerRuleCost * 2;
   network.send(packet(ip("10.1.0.1"), ip("10.2.0.1"), DataSize::bytes(1000)));
   sim.run();
   ASSERT_EQ(handoff.pushed.size(), 1u);
   const Pushed& out = handoff.pushed[0];
-  const Duration nic_tx = Duration::us(8) + a.config().nic_latency;  // 1 Gb/s
-  EXPECT_EQ(out.at, SimTime::zero() + Duration::ms(1));  // 1000 B at 8 Mb/s
+  const Duration nic_tx = Duration::us(8) + kNicLatency;  // 1 Gb/s
+  // 1000 B at 8 Mb/s.
+  EXPECT_EQ(out.at, SimTime::zero() + src_cpu + Duration::ms(1));
   EXPECT_EQ(out.packet.deferred_delay, Duration::ms(420));
   EXPECT_EQ(out.stamp, out.at + Duration::ms(20) + Duration::ms(400) + nic_tx +
-                           network.config().switch_latency);
+                           kSwitchLatency);
   EXPECT_TRUE(deliveries.empty());  // the handoff owns it now
 
   // Re-enter at the stamp, as the engine's merge does: the destination's
@@ -272,7 +274,9 @@ TEST_F(NetworkTest, HandoffStampCarriesSourcePipeDelays) {
   EXPECT_EQ(handoff.pushed.size(), 1u);
   ASSERT_EQ(deliveries.size(), 2u);
   EXPECT_EQ(delivered_deferral[1], Duration::zero());
-  EXPECT_EQ(deliveries[1], sent + Duration::ms(1) + Duration::ms(20));
+  // Both passes through node1's stack scan its two rules.
+  EXPECT_EQ(deliveries[1],
+            sent + src_cpu + Duration::ms(1) + Duration::ms(20) + src_cpu);
 }
 
 TEST_F(NetworkTest, CpuUtilizationTracksWork) {

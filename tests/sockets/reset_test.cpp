@@ -137,13 +137,10 @@ TEST_F(ResetTest, RtoExhaustionSurfacesEtimedoutLocally) {
   EXPECT_TRUE(client_closed);
   EXPECT_GE(registry.value("sockets.aborts"), 1.0);
   // Exhaustion respects the RTO schedule: well past the first timeouts,
-  // bounded by max_retransmit_timeouts * max_rto.
-  const StreamConfig& cfg = mgr.stream_config();
+  // bounded by kMaxRetransmitTimeouts * kMaxRto.
   EXPECT_GT(sim.now(), SimTime::zero() + Duration::sec(10));
-  EXPECT_LT(sim.now(),
-            SimTime::zero() +
-                cfg.max_rto * static_cast<std::int64_t>(
-                                  cfg.max_retransmit_timeouts + 1));
+  EXPECT_LT(sim.now(), SimTime::zero() +
+                           kMaxRto * std::int64_t{kMaxRetransmitTimeouts + 1});
 }
 
 TEST_F(ResetTest, ListenerDiesWithItsVnode) {

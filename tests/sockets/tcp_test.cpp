@@ -14,12 +14,6 @@ namespace {
 Ipv4Addr ip(const char* text) { return *Ipv4Addr::parse(text); }
 CidrBlock cidr(const char* text) { return *CidrBlock::parse(text); }
 
-StreamConfig tcp_config() {
-  StreamConfig config;
-  config.transport = TransportModel::kTcp;
-  return config;
-}
-
 class TcpSocketTest : public ::testing::Test {
  protected:
   TcpSocketTest() {
@@ -66,7 +60,7 @@ class TcpSocketTest : public ::testing::Test {
 
   sim::Simulation sim;
   net::Network network{sim, Rng{1}};
-  SocketManager mgr{network, {}, tcp_config()};
+  SocketManager mgr{network, TransportModel::kTcp};
   metrics::Registry registry;
   ipfw::PipeId uplink = 0;
   net::Host* hostA = nullptr;
@@ -93,11 +87,9 @@ TEST_F(TcpSocketTest, SlowStartGrowsCwndByAckedBytes) {
   sim.run();
   ASSERT_TRUE(client);
   EXPECT_EQ(received, 40);
-  const StreamConfig cfg = tcp_config();
   // Clean path, all below ssthresh: every acked byte grew the window.
-  EXPECT_EQ(client->cwnd(),
-            cfg.tcp_initial_cwnd.count_bytes() + 40ull * 1024);
-  EXPECT_EQ(client->ssthresh(), cfg.send_window.count_bytes());
+  EXPECT_EQ(client->cwnd(), kTcpInitialCwnd.count_bytes() + 40ull * 1024);
+  EXPECT_EQ(client->ssthresh(), kSendWindow.count_bytes());
   EXPECT_EQ(mgr.metrics().retransmits.value(), 0u);
   EXPECT_EQ(mgr.metrics().cwnd_halvings.value(), 0u);
 }
@@ -178,7 +170,7 @@ TEST(FlowModelTest, KeepsStaticWindowAndNoTcpCounters) {
   // the go-back-N RTO path and never touches the TCP counters or cwnd.
   sim::Simulation sim;
   net::Network network{sim, Rng{1}};
-  SocketManager mgr{network};  // default StreamConfig: kFlow
+  SocketManager mgr{network};  // default transport: kFlow
   metrics::Registry registry;
   mgr.bind_metrics(registry);
   auto& hostA = network.add_host("node1", ip("192.168.38.1"));
@@ -218,7 +210,7 @@ TEST(FlowModelTest, KeepsStaticWindowAndNoTcpCounters) {
   sim.run();
   ASSERT_TRUE(client);
   EXPECT_EQ(received, 30);
-  EXPECT_EQ(client->cwnd(), StreamConfig{}.send_window.count_bytes());
+  EXPECT_EQ(client->cwnd(), kSendWindow.count_bytes());
   EXPECT_EQ(mgr.metrics().fast_retransmits.value(), 0u);
   EXPECT_EQ(mgr.metrics().rto_recoveries.value(), 0u);
   EXPECT_EQ(mgr.metrics().cwnd_halvings.value(), 0u);

@@ -46,24 +46,19 @@ TEST_F(VnodeTest, EnvSetUnset) {
 
 TEST(SyscallCosts, MicrobenchmarkNumbersEmerge) {
   // The paper's measurement: 10.22 us vanilla, 10.79 us intercepted.
-  const SyscallCosts costs;
-  EXPECT_NEAR(costs.base_connect_cycle().to_micros(), 10.22, 1e-9);
-  EXPECT_NEAR(costs.intercepted_connect_cycle().to_micros(), 10.79, 1e-9);
-  EXPECT_NEAR(
-      (costs.intercepted_connect_cycle() - costs.base_connect_cycle())
-          .to_micros(),
-      0.57, 1e-9);
+  using namespace syscall_cost;
+  EXPECT_NEAR(kBaseConnectCycle.to_micros(), 10.22, 1e-9);
+  EXPECT_NEAR(kInterceptedConnectCycle.to_micros(), 10.79, 1e-9);
+  EXPECT_NEAR((kInterceptedConnectCycle - kBaseConnectCycle).to_micros(), 0.57,
+              1e-9);
 }
 
-class InterceptorTest : public VnodeTest {
- protected:
-  Interceptor interceptor;
-};
+class InterceptorTest : public VnodeTest {};
 
 TEST_F(InterceptorTest, BindRewrittenToBindip) {
   VirtualNode vn(host, 1, ip("10.0.0.1"));
   Process proc(vn);
-  const auto decision = interceptor.on_bind(proc, ip("0.0.0.0"));
+  const auto decision = on_bind(proc, ip("0.0.0.0"));
   EXPECT_TRUE(decision.intercepted);
   EXPECT_EQ(decision.address, ip("10.0.0.1"));
   EXPECT_GT(decision.added_cost, Duration::zero());
@@ -72,7 +67,7 @@ TEST_F(InterceptorTest, BindRewrittenToBindip) {
 TEST_F(InterceptorTest, ConnectGetsImplicitBind) {
   VirtualNode vn(host, 1, ip("10.0.0.1"));
   Process proc(vn);
-  const auto decision = interceptor.on_connect_or_listen(proc, std::nullopt);
+  const auto decision = on_connect_or_listen(proc, std::nullopt);
   EXPECT_TRUE(decision.intercepted);
   EXPECT_EQ(decision.address, ip("10.0.0.1"));
   // The extra bind() syscall plus the env lookup: the 0.57 us overhead.
@@ -85,7 +80,7 @@ TEST_F(InterceptorTest, PriorBindWinsAndErrorIgnored) {
   VirtualNode vn(host, 1, ip("10.0.0.1"));
   Process proc(vn);
   const auto decision =
-      interceptor.on_connect_or_listen(proc, ip("10.0.0.99"));
+      on_connect_or_listen(proc, ip("10.0.0.99"));
   EXPECT_TRUE(decision.intercepted);
   EXPECT_EQ(decision.address, ip("10.0.0.99"));
   EXPECT_NEAR(decision.added_cost.to_micros(), 0.57, 1e-9);
@@ -95,11 +90,11 @@ TEST_F(InterceptorTest, StaticBinaryBypassesInterception) {
   // The one failure case the paper reports: statically compiled programs.
   VirtualNode vn(host, 1, ip("10.0.0.1"));
   Process proc(vn, LinkMode::kStatic);
-  const auto bind_decision = interceptor.on_bind(proc, ip("0.0.0.0"));
+  const auto bind_decision = on_bind(proc, ip("0.0.0.0"));
   EXPECT_FALSE(bind_decision.intercepted);
   EXPECT_EQ(bind_decision.address, ip("0.0.0.0"));
   const auto conn_decision =
-      interceptor.on_connect_or_listen(proc, std::nullopt);
+      on_connect_or_listen(proc, std::nullopt);
   EXPECT_FALSE(conn_decision.intercepted);
   // Falls back to the host's primary address: wrong network identity.
   EXPECT_EQ(conn_decision.address, host.admin_ip());
@@ -110,7 +105,7 @@ TEST_F(InterceptorTest, UnsetBindipBypasses) {
   VirtualNode vn(host, 1, ip("10.0.0.1"));
   Process proc(vn);
   proc.unset_env("BINDIP");
-  const auto decision = interceptor.on_connect_or_listen(proc, std::nullopt);
+  const auto decision = on_connect_or_listen(proc, std::nullopt);
   EXPECT_FALSE(decision.intercepted);
   EXPECT_EQ(decision.address, host.admin_ip());
 }
@@ -119,7 +114,7 @@ TEST_F(InterceptorTest, MalformedBindipBypasses) {
   VirtualNode vn(host, 1, ip("10.0.0.1"));
   Process proc(vn);
   proc.set_env("BINDIP", "not-an-address");
-  const auto decision = interceptor.on_connect_or_listen(proc, std::nullopt);
+  const auto decision = on_connect_or_listen(proc, std::nullopt);
   EXPECT_FALSE(decision.intercepted);
 }
 
