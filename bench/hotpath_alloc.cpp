@@ -2,7 +2,9 @@
 // zero-allocation work (pooled packets + inline event callbacks).
 //
 // Three phases, all measured after a warmup so slabs, pools and pipe
-// queues are at steady-state capacity:
+// queues are at steady-state capacity. Each times its measured work as
+// kWindows equal windows and reports the median window's rate, so one
+// window slowed by a neighbour on a shared box does not move the result:
 //
 //   events:  self-rescheduling timer chains through the bare simulation
 //            kernel driven by step() — isolates schedule/dispatch cost.
@@ -35,6 +37,7 @@
 // into $P2PLAB_RESULTS_DIR when set).
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -146,13 +149,36 @@ double reference_seconds() {
 }
 
 struct PhaseResult {
-  double wall_seconds = 0.0;
+  double wall_seconds = 0.0;   // all windows
+  double rate = 0.0;           // units per second of the median window
   std::uint64_t units = 0;     // events or packets
   std::uint64_t events = 0;    // kernel events dispatched in the window
   std::uint64_t allocs = 0;    // operator-new calls in the window
   std::uint64_t fallbacks = 0;  // InlineCallback heap fallbacks in the window
   std::uint64_t start_ns = 0;  // profiler clock at window start
 };
+
+constexpr std::size_t kWindows = 5;
+
+/// Runs a phase's measured work, units `from` to `from + total`, as
+/// kWindows equal windows: `run_to(target)` advances the phase until
+/// `units()` reaches `target`. Sets r.wall_seconds and r.rate.
+template <typename RunTo, typename Units>
+void time_windows(PhaseResult& r, std::uint64_t from, std::uint64_t total,
+                  RunTo run_to, Units units) {
+  std::array<double, kWindows> rates{};
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    const std::uint64_t begin = units();
+    const bench::WallTimer timer;
+    run_to(from + total * (w + 1) / kWindows);
+    const double seconds = timer.elapsed_seconds();
+    r.wall_seconds += seconds;
+    rates[w] =
+        seconds > 0 ? static_cast<double>(units() - begin) / seconds : 0.0;
+  }
+  std::nth_element(rates.begin(), rates.begin() + kWindows / 2, rates.end());
+  r.rate = rates[kWindows / 2];
+}
 
 /// A timer that reschedules itself every `period`. Each event captures
 /// what the network layer's completion closures capture — a few pointers
@@ -191,9 +217,12 @@ PhaseResult run_event_phase(profile::Profiler& prof, std::uint64_t warmup,
   const std::uint64_t fb0 = sim::InlineCallback::heap_fallbacks();
   PhaseResult r;
   r.start_ns = prof.now_ns();
-  bench::WallTimer timer;
-  while (sim.dispatched_events() < warmup + total) sim.step();
-  r.wall_seconds = timer.elapsed_seconds();
+  time_windows(
+      r, warmup, total,
+      [&](std::uint64_t target) {
+        while (sim.dispatched_events() < target) sim.step();
+      },
+      [&] { return sim.dispatched_events(); });
   r.events = sim.dispatched_events() - events0;
   r.units = r.events;
   r.allocs = g_allocs.load(std::memory_order_relaxed) - alloc0;
@@ -243,9 +272,8 @@ PhaseResult run_windowed_phase(profile::Profiler& prof, std::uint64_t warmup,
   const std::uint64_t fb0 = sim::InlineCallback::heap_fallbacks();
   PhaseResult r;
   r.start_ns = prof.now_ns();
-  bench::WallTimer timer;
-  run_windows(warmup + total);
-  r.wall_seconds = timer.elapsed_seconds();
+  time_windows(r, warmup, total, run_windows,
+               [&] { return sim.dispatched_events(); });
   r.events = sim.dispatched_events() - events0;
   r.units = r.events;
   r.allocs = g_allocs.load(std::memory_order_relaxed) - alloc0;
@@ -312,10 +340,13 @@ PhaseResult run_packet_phase(profile::Profiler& prof, std::uint64_t warmup,
   const std::uint64_t fb0 = sim::InlineCallback::heap_fallbacks();
   PhaseResult r;
   r.start_ns = prof.now_ns();
-  bench::WallTimer timer;
-  while (delivered < delivered0 + total && sim.step()) {
-  }
-  r.wall_seconds = timer.elapsed_seconds();
+  time_windows(
+      r, delivered0, total,
+      [&](std::uint64_t target) {
+        while (delivered < target && sim.step()) {
+        }
+      },
+      [&] { return delivered; });
   r.units = delivered - delivered0;
   r.events = sim.dispatched_events() - events0;
   r.allocs = g_allocs.load(std::memory_order_relaxed) - alloc0;
@@ -356,16 +387,9 @@ int run(int argc, char** argv) {
     prof.shard_ring(0).push(sample);
   }
 
-  const double events_per_second =
-      ev.wall_seconds > 0 ? static_cast<double>(ev.events) / ev.wall_seconds
-                          : 0.0;
-  const double windowed_events_per_second =
-      win.wall_seconds > 0
-          ? static_cast<double>(win.events) / win.wall_seconds
-          : 0.0;
-  const double packets_per_second =
-      pk.wall_seconds > 0 ? static_cast<double>(pk.units) / pk.wall_seconds
-                          : 0.0;
+  const double events_per_second = ev.rate;
+  const double windowed_events_per_second = win.rate;
+  const double packets_per_second = pk.rate;
   const double ev_allocs_per_event =
       ev.events > 0 ? static_cast<double>(ev.allocs) /
                           static_cast<double>(ev.events)

@@ -295,8 +295,8 @@ BENCHMARK(BM_Sha1Throughput)->Arg(16 * 1024)->Arg(256 * 1024);
 
 void BM_PickerPick(benchmark::State& state) {
   const auto meta =
-      bt::MetaInfo::make_synthetic("f", DataSize::mib(16), 1, false);
-  bt::PieceStore store(meta, false);
+      bt::MetaInfo::make_synthetic("f", DataSize::mib(16), 1);
+  bt::PieceStore store(meta);
   bt::PiecePicker picker(meta, store, Rng{1});
   bt::Bitfield have(meta.piece_count());
   have.set_all();

@@ -19,7 +19,6 @@ int main() {
   config.seeders = 2;
   config.clients = 24;
   config.start_interval = Duration::sec(10);
-  config.verify_hashes = true;  // full SHA-1 verification at this scale
 
   core::PlatformConfig platform_config;
   platform_config.physical_nodes = 4;

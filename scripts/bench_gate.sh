@@ -4,9 +4,11 @@
 #
 # Two kinds of checks, with different strictness:
 #   * throughput (events of the step()-driven and of the windowed kernel
-#     phase, packets): each rate is scaled by the wall time of the bench's
-#     fixed reference loop (*_per_reference = units done in one reference
-#     loop's time), so a box that slows down as a whole does not move it.
+#     phase, packets): each rate is the median of the phase's 5 timed
+#     windows, so one preempted window does not move it, and is scaled by
+#     the wall time of the bench's fixed reference loop (*_per_reference =
+#     units done in one reference loop's time), so a box that slows down
+#     as a whole does not move it either.
 #     A run fails when it falls more than THRESHOLD_PCT below baseline
 #     (default 20%; CI runners with different silicon can widen it via
 #     P2PLAB_BENCH_GATE_THRESHOLD_PCT). The baseline is the median of the

@@ -47,14 +47,14 @@ void Client::bind_metrics(metrics::Registry& reg) {
 }
 
 Client::Client(sim::Simulation& sim, sockets::SocketApi& api,
-               const MetaInfo& meta, PeerInfo tracker, ClientConfig config,
-               bool start_as_seed, Rng rng)
+               const MetaInfo& meta, PeerInfo tracker, bool start_as_seed,
+               Rng rng)
     : sim_(&sim),
       api_(&api),
       meta_(&meta),
       tracker_(tracker),
       rng_(rng),
-      store_(meta, config.verify_hashes),
+      store_(meta),
       picker_(meta, store_, rng.fork(1)),
       was_seed_at_start_(start_as_seed),
       progress_("progress"),
@@ -499,7 +499,7 @@ void Client::on_piece_msg(Peer& peer, const WireMsg& msg) {
   stats_.bytes_down += msg.length;
 
   picker_.on_block_received(ref);
-  const auto result = store_.add_block(msg.piece, block, msg.intact);
+  const auto result = store_.add_block(msg.piece, block);
   switch (result) {
     case PieceStore::BlockResult::kDuplicate:
       ++stats_.duplicate_blocks;
@@ -519,10 +519,6 @@ void Client::on_piece_msg(Peer& peer, const WireMsg& msg) {
       if (store_.complete()) on_torrent_complete();
       break;
     }
-    case PieceStore::BlockResult::kPieceRejected:
-      P2PLAB_LOG_WARN("client %s: piece %u failed verification",
-                      ip().to_string().c_str(), msg.piece);
-      break;
   }
   try_request(peer);
 }

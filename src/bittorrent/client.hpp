@@ -51,12 +51,6 @@ inline constexpr DataSize kUploadWatermark = DataSize::kib(32);
 inline constexpr Duration kAnnounceRetryBase = Duration::sec(5);
 inline constexpr Duration kAnnounceRetryCap = Duration::sec(300);
 
-struct ClientConfig {
-  /// Verify piece SHA-1s on completion (requires hashed metainfo). Costs
-  /// real CPU proportional to the file size; scalability runs disable it.
-  bool verify_hashes = false;
-};
-
 struct ClientStats {
   std::uint64_t bytes_down = 0;
   std::uint64_t bytes_up = 0;
@@ -89,7 +83,7 @@ struct BtMetrics {
 class Client {
  public:
   Client(sim::Simulation& sim, sockets::SocketApi& api, const MetaInfo& meta,
-         PeerInfo tracker, ClientConfig config, bool start_as_seed, Rng rng);
+         PeerInfo tracker, bool start_as_seed, Rng rng);
   ~Client();
 
   Client(const Client&) = delete;

@@ -5,15 +5,15 @@
 // SHA-1 per piece in the metainfo's "info" dictionary; the SHA-1 of the
 // bencoded info dictionary is the torrent's infohash.
 //
-// Content is synthetic: block payloads are a deterministic pseudorandom
-// function of (content seed, offset), so every node can regenerate — and
-// therefore verify — any piece without 16 MiB buffers being copied through
-// the simulated network.
+// Content is synthetic and never materialised: a block on the wire is its
+// coordinates and size, so no payload bytes are copied through the
+// simulated network and no piece can fail its hash. The info dictionary's
+// pieces string is a content-seed marker standing in for the per-piece
+// SHA-1 list, which keeps the infohash stable and unique per torrent.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/units.hpp"
 #include "bittorrent/sha1.hpp"
@@ -21,15 +21,15 @@
 namespace p2plab::bt {
 
 inline constexpr std::uint32_t kBlockLength = 16 * 1024;  // request granularity
+/// The paper's piece size. Rao et al. (PAPERS.md) find cluster BitTorrent
+/// results sensitive to such modelling constants: ablate it here.
+inline constexpr DataSize kPieceLength = DataSize::kib(256);
 
 struct MetaInfo {
   std::string name;
   DataSize total_size;
-  DataSize piece_length = DataSize::kib(256);
+  DataSize piece_length = kPieceLength;
   std::uint64_t content_seed = 0;
-  /// Per-piece SHA-1 over the synthetic content; empty if hashing was
-  /// skipped (scalability runs — see DESIGN.md §6).
-  std::vector<Sha1Digest> piece_hashes;
   Sha1Digest info_hash{};
 
   std::uint32_t piece_count() const {
@@ -43,16 +43,10 @@ struct MetaInfo {
   std::uint32_t blocks_in_piece(std::uint32_t index) const;
   std::uint32_t block_size(std::uint32_t piece, std::uint32_t block) const;
 
-  /// Regenerate the synthetic content of one piece.
-  std::vector<std::uint8_t> generate_piece(std::uint32_t index) const;
-
-  /// Build a torrent for a synthetic file. When `hash_pieces` is set the
-  /// per-piece SHA-1s are computed (CPU-proportional to the file size);
-  /// the infohash is always computed from the bencoded info dict.
+  /// Build a torrent of kPieceLength pieces for a synthetic file; the
+  /// infohash is the SHA-1 of its bencoded info dict.
   static MetaInfo make_synthetic(std::string name, DataSize total_size,
-                                 std::uint64_t content_seed,
-                                 bool hash_pieces,
-                                 DataSize piece_length = DataSize::kib(256));
+                                 std::uint64_t content_seed);
 };
 
 }  // namespace p2plab::bt

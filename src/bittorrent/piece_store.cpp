@@ -4,17 +4,12 @@
 
 namespace p2plab::bt {
 
-PieceStore::PieceStore(const MetaInfo& meta, bool verify_hashes)
-    : meta_(&meta), verify_hashes_(verify_hashes), have_(meta.piece_count()) {
-  if (verify_hashes_) {
-    P2PLAB_ASSERT_MSG(meta.piece_hashes.size() == meta.piece_count(),
-                      "verification requested but metainfo has no hashes");
-  }
+PieceStore::PieceStore(const MetaInfo& meta)
+    : meta_(&meta), have_(meta.piece_count()) {
   blocks_.reserve(meta.piece_count());
   for (std::uint32_t p = 0; p < meta.piece_count(); ++p) {
     blocks_.emplace_back(meta.blocks_in_piece(p));
   }
-  piece_tainted_.assign(meta.piece_count(), false);
 }
 
 void PieceStore::fill_complete() {
@@ -44,35 +39,16 @@ std::uint32_t PieceStore::blocks_received(std::uint32_t piece) const {
 }
 
 PieceStore::BlockResult PieceStore::add_block(std::uint32_t piece,
-                                              std::uint32_t block,
-                                              bool payload_intact) {
+                                              std::uint32_t block) {
   P2PLAB_ASSERT(piece < meta_->piece_count());
   P2PLAB_ASSERT(block < meta_->blocks_in_piece(piece));
   if (blocks_[piece].get(block)) return BlockResult::kDuplicate;
 
   blocks_[piece].set(block);
   bytes_down_ += meta_->block_size(piece, block);
-  if (!payload_intact) piece_tainted_[piece] = true;
-
   if (!blocks_[piece].all()) return BlockResult::kAccepted;
-
-  const bool intact = !piece_tainted_[piece] &&
-                      (!verify_hashes_ || verify_piece(piece));
-  if (intact) {
-    have_.set(piece);
-    return BlockResult::kPieceComplete;
-  }
-  // Hash failure: drop the whole piece, as the real client does.
-  ++hash_failures_;
-  blocks_[piece] = Bitfield(meta_->blocks_in_piece(piece));
-  piece_tainted_[piece] = false;
-  bytes_down_ -= meta_->piece_size(piece);
-  return BlockResult::kPieceRejected;
-}
-
-bool PieceStore::verify_piece(std::uint32_t piece) const {
-  const auto data = meta_->generate_piece(piece);
-  return Sha1::hash(data) == meta_->piece_hashes[piece];
+  have_.set(piece);
+  return BlockResult::kPieceComplete;
 }
 
 }  // namespace p2plab::bt

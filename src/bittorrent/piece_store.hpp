@@ -1,9 +1,8 @@
 // Per-client piece/block storage state.
 //
-// Tracks which blocks of which pieces have arrived, runs SHA-1
-// verification when a piece completes (against the synthetic content
-// model), and rejects corrupted pieces wholesale — the real client's
-// behaviour on hash failure is to drop and re-download the entire piece.
+// Tracks which blocks of which pieces have arrived; a piece is had once
+// all of its blocks are. Content is synthetic (metainfo.hpp), so a
+// complete piece always passes its hash check.
 #pragma once
 
 #include <cstdint>
@@ -16,8 +15,7 @@ namespace p2plab::bt {
 
 class PieceStore {
  public:
-  /// `verify_hashes` requires meta.piece_hashes to be populated.
-  PieceStore(const MetaInfo& meta, bool verify_hashes);
+  explicit PieceStore(const MetaInfo& meta);
 
   /// Mark every piece present (seeders).
   void fill_complete();
@@ -35,27 +33,17 @@ class PieceStore {
   enum class BlockResult {
     kDuplicate,       // already had it
     kAccepted,        // stored, piece still incomplete
-    kPieceComplete,   // stored and the piece verified
-    kPieceRejected,   // stored but verification failed: piece was reset
+    kPieceComplete,   // stored and the piece is now had
   };
 
-  /// Record an arriving block. `payload_intact` is the integrity flag the
-  /// wire carries (false models on-the-wire corruption).
-  BlockResult add_block(std::uint32_t piece, std::uint32_t block,
-                        bool payload_intact);
-
-  std::uint64_t hash_failures() const { return hash_failures_; }
+  /// Record an arriving block.
+  BlockResult add_block(std::uint32_t piece, std::uint32_t block);
 
  private:
-  bool verify_piece(std::uint32_t piece) const;
-
   const MetaInfo* meta_;
-  bool verify_hashes_;
   Bitfield have_;
-  std::vector<Bitfield> blocks_;       // per piece
-  std::vector<bool> piece_tainted_;    // any corrupted block present
+  std::vector<Bitfield> blocks_;  // per piece
   std::uint64_t bytes_down_ = 0;
-  std::uint64_t hash_failures_ = 0;
 };
 
 }  // namespace p2plab::bt

@@ -11,9 +11,7 @@ Swarm::Swarm(core::Platform& platform, SwarmConfig config)
     : platform_(&platform),
       config_(config),
       meta_(MetaInfo::make_synthetic("experiment.dat", config.file_size,
-                                     config.content_seed,
-                                     config.verify_hashes,
-                                     config.piece_length)) {
+                                     config.content_seed)) {
   P2PLAB_ASSERT_MSG(platform.vnode_count() >= swarm_vnodes(config),
                     "platform too small for this swarm");
   Rng rng = platform.rng().fork(0xb17700);
@@ -23,15 +21,13 @@ Swarm::Swarm(core::Platform& platform, SwarmConfig config)
   tracker_->start();
   const PeerInfo tracker_info{platform.vnode(0).ip(), tracker_->port()};
 
-  const ClientConfig client_config{.verify_hashes = config_.verify_hashes};
-
   // vnodes 1..seeders: initial seeders, online from t=0. Each client runs
   // on the simulation of its vnode's shard.
   for (std::size_t s = 0; s < config_.seeders; ++s) {
     const std::size_t v = 1 + s;
     seeders_.push_back(std::make_unique<Client>(
         platform.sim_of_vnode(v), platform.api(v), meta_, tracker_info,
-        client_config, /*start_as_seed=*/true, rng.fork(100 + v)));
+        /*start_as_seed=*/true, rng.fork(100 + v)));
     seeders_.back()->start();
   }
 
@@ -40,7 +36,7 @@ Swarm::Swarm(core::Platform& platform, SwarmConfig config)
     const std::size_t v = 1 + config_.seeders + c;
     clients_.push_back(std::make_unique<Client>(
         platform.sim_of_vnode(v), platform.api(v), meta_, tracker_info,
-        client_config, /*start_as_seed=*/false, rng.fork(1000 + v)));
+        /*start_as_seed=*/false, rng.fork(1000 + v)));
     Client* client = clients_.back().get();
     // A fault plan may crash (or crash-and-rejoin) this vnode before the
     // staggered start fires: skip the start if the node is offline or the

@@ -21,12 +21,9 @@ namespace p2plab::bt {
 
 struct SwarmConfig {
   DataSize file_size = DataSize::mib(16);
-  DataSize piece_length = DataSize::kib(256);
   std::size_t seeders = 4;
   std::size_t clients = 160;
   Duration start_interval = Duration::sec(10);
-  /// Hash and verify pieces (CPU-heavy at scale; see DESIGN.md §6).
-  bool verify_hashes = false;
   std::uint64_t content_seed = 42;
   /// Simulation cutoff (safety net; experiments normally end on their own).
   Duration max_duration = Duration::sec(20000);

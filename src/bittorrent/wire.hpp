@@ -36,7 +36,6 @@ struct WireMsg {
   std::uint32_t piece = 0;   // have / request / piece / cancel
   std::uint32_t begin = 0;   // block byte offset within the piece
   std::uint32_t length = 0;  // request/piece block length
-  bool intact = true;        // piece payload integrity (corruption model)
   Bitfield bitfield;         // kBitfield only
   Sha1Digest info_hash{};    // kHandshake only
   std::uint32_t peer_id = 0; // kHandshake only

@@ -51,7 +51,8 @@ struct FaultSpec {
   ipfw::GilbertElliott burst;                     // kBurstLoss only
 };
 
-/// Deterministic churn schedule parameters (see FaultPlan::churn).
+/// Deterministic churn schedule parameters (see FaultPlan::churn). The
+/// defaults are the scenario DSL's `churn` defaults.
 struct ChurnConfig {
   std::size_t first_node = 0;
   std::size_t last_node = 0;  // inclusive
@@ -63,8 +64,8 @@ struct ChurnConfig {
   /// Share of failing nodes that come back (the rest depart for good).
   double rejoin_fraction = 0.5;
   /// Downtime for rejoining nodes, uniform in [rejoin_min, rejoin_max).
-  Duration rejoin_min = Duration::seconds(10);
-  Duration rejoin_max = Duration::seconds(60);
+  Duration rejoin_min = Duration::sec(30);
+  Duration rejoin_max = Duration::sec(120);
   /// Failures are graceful leaves instead of crashes with this probability.
   double leave_fraction = 0.0;
 };

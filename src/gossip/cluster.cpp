@@ -7,6 +7,11 @@
 
 namespace p2plab::gossip {
 
+namespace {
+/// Platform-RNG stream the per-node RNGs fork from.
+constexpr std::uint64_t kRngStream = 0x50a17;
+}  // namespace
+
 Node::Node(core::Platform& platform, const Config& config, std::uint32_t id,
            const std::vector<Ipv4Addr>& addrs)
     : platform_(platform),
@@ -14,7 +19,7 @@ Node::Node(core::Platform& platform, const Config& config, std::uint32_t id,
       id_(id),
       addrs_(addrs),
       table_(id, config.nodes),
-      rng_(platform.rng().fork(config.rng_stream).fork(id)) {}
+      rng_(platform.rng().fork(kRngStream).fork(id)) {}
 
 SimTime Node::now() const { return platform_.sim_of_vnode(id_).now(); }
 
@@ -99,7 +104,7 @@ void Node::send(std::uint32_t to, std::uint32_t type, Payload payload,
   payload.from = id_;
   payload.from_incarnation = table_.incarnation();
   if (piggyback) {
-    std::vector<Update> rumors = table_.piggyback(config_.piggyback);
+    std::vector<Update> rumors = table_.piggyback(kPiggybackLimit);
     payload.updates.insert(payload.updates.end(), rumors.begin(),
                            rumors.end());
   }
@@ -115,14 +120,14 @@ void Node::send_join() {
   // Retry every period until the introducer answers (it may be down or
   // the join may be lost in a burst window).
   platform_.sim_of_vnode(id_).schedule_after(
-      config_.period, [this, epoch = epoch_] {
+      kProtocolPeriod, [this, epoch = epoch_] {
         if (epoch != epoch_ || !running_ || joined_) return;
         send_join();
       });
 }
 
 void Node::begin_ticking() {
-  platform_.sim_of_vnode(id_).schedule_after(config_.period,
+  platform_.sim_of_vnode(id_).schedule_after(kProtocolPeriod,
                                              [this, epoch = epoch_] {
                                                if (epoch != epoch_) return;
                                                tick();
@@ -182,7 +187,7 @@ void Node::tick() {
     send(target, kMsgPing, Payload{.seq = probe_seq_, .target = target});
     metrics_.pings.inc();
     platform_.sim_of_vnode(id_).schedule_after(
-        config_.ping_timeout, [this, epoch = epoch_, seq = probe_seq_] {
+        kPingTimeout, [this, epoch = epoch_, seq = probe_seq_] {
           if (epoch != epoch_) return;
           fire_indirect(seq);
         });
@@ -200,7 +205,7 @@ void Node::fire_indirect(std::uint64_t seq) {
       std::remove(candidates.begin(), candidates.end(), probe_target_),
       candidates.end());
   std::vector<std::uint32_t> proxies =
-      rng_.sample(candidates, config_.indirect_k);
+      rng_.sample(candidates, kIndirectProbes);
   std::sort(proxies.begin(), proxies.end());  // sample() order unspecified
   for (std::uint32_t proxy : proxies) {
     send(proxy, kMsgPingReq,
@@ -255,7 +260,7 @@ void Node::on_datagram(const sockets::Message& message) {
       send(p.target, kMsgPing, Payload{.seq = relay_seq, .target = p.target});
       metrics_.pings.inc();
       platform_.sim_of_vnode(id_).schedule_after(
-          config_.ping_timeout * 2, [this, epoch = epoch_, relay_seq] {
+          kPingTimeout * 2, [this, epoch = epoch_, relay_seq] {
             if (epoch != epoch_) return;
             relays_.erase(relay_seq);
           });
@@ -305,7 +310,7 @@ void Cluster::start() {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     Node* node = nodes_[i].get();
     platform_.sim_of_vnode(i).schedule_at(
-        platform_.now() + config_.join_interval * static_cast<std::int64_t>(i),
+        platform_.now() + kJoinInterval * static_cast<std::int64_t>(i),
         [node] { node->start(); });
   }
 }

@@ -132,7 +132,7 @@ class Cluster {
   Cluster(core::Platform& platform, const Config& config);
 
   /// Schedule the staggered start: the introducer at `platform.now()`,
-  /// node i at +i·join_interval, each on its owning shard.
+  /// node i at +i·kJoinInterval, each on its owning shard.
   void start();
 
   /// Bind each node's gossip.* counters to its shard registry.

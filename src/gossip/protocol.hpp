@@ -3,7 +3,7 @@
 //
 // The protocol follows Das et al.'s SWIM (and its MP1Node/Serf-style
 // descendants): each protocol period a member probes one other member
-// (round-robin over a shuffled ring); a missing ack within ping_timeout
+// (round-robin over a shuffled ring); a missing ack within kPingTimeout
 // triggers an indirect ping-req through k proxies; a member with no ack by
 // the end of the period is locally *suspected*, and a suspicion that ages
 // past suspect_timeout is locally *confirmed* dead. Every message
@@ -32,23 +32,24 @@
 
 namespace p2plab::gossip {
 
+// SWIM's protocol constants (Das et al.), each ablatable with a one-line
+// edit; only the cluster size and the suspicion timeout are configured.
+/// Protocol period: one direct probe (and one suspect sweep) per period.
+inline constexpr Duration kProtocolPeriod = Duration::sec(1);
+/// Direct-ack wait before the indirect ping-req round fires.
+inline constexpr Duration kPingTimeout = Duration::millis(300);
+/// Proxies asked per indirect probe round (SWIM's k = 3).
+inline constexpr std::size_t kIndirectProbes = 3;
+/// Max rumors piggybacked per message.
+inline constexpr std::size_t kPiggybackLimit = 8;
+/// Stagger between consecutive joins at cluster start.
+inline constexpr Duration kJoinInterval = Duration::millis(200);
+
 struct Config {
   /// Cluster size; vnode 0 is the introducer every joiner contacts.
   std::size_t nodes = 32;
-  /// Protocol period: one direct probe (and one suspect sweep) per period.
-  Duration period = Duration::sec(1);
-  /// Direct-ack wait before the indirect ping-req round fires.
-  Duration ping_timeout = Duration::millis(300);
   /// Suspicion age before a local confirm (the detection latency knob).
   Duration suspect_timeout = Duration::sec(4);
-  /// Proxies asked per indirect probe round (SWIM's k).
-  std::size_t indirect_k = 3;
-  /// Max rumors piggybacked per message.
-  std::size_t piggyback = 8;
-  /// Stagger between consecutive joins at cluster start.
-  Duration join_interval = Duration::millis(200);
-  /// Platform-RNG stream the per-node RNGs fork from.
-  std::uint64_t rng_stream = 0x50a17;
 };
 
 enum class MemberState : std::uint8_t {

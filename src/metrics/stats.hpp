@@ -68,10 +68,12 @@ class Distribution {
 
   double median() const { return quantile(0.5); }
   double min() const {
+    P2PLAB_ASSERT(!samples_.empty());
     ensure_sorted();
     return samples_.front();
   }
   double max() const {
+    P2PLAB_ASSERT(!samples_.empty());
     ensure_sorted();
     return samples_.back();
   }

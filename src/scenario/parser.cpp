@@ -67,12 +67,31 @@ bool claimed_by_other_plugin(const WorkloadRegistry& registry,
   return false;
 }
 
+/// The unknown-key hint " (expected a|b|...)": every key `plugin` accepts
+/// in [workload], or in [outputs] with the cross-workload ones.
+std::string expected_keys(const WorkloadPlugin& plugin, bool outputs) {
+  std::vector<const char*> keys =
+      outputs ? plugin.output_keys() : plugin.workload_keys();
+  if (outputs) {
+    keys.insert(keys.end(), {"bench_json", "profile_trace", "metrics",
+                             "trace"});
+  } else {
+    keys.insert(keys.begin(), "type");
+  }
+  std::string joined;
+  for (const char* key : keys) {
+    if (!joined.empty()) joined += '|';
+    joined += key;
+  }
+  return " (expected " + joined + ")";
+}
+
 }  // namespace
 
 const std::string& engine_keys() {
   static const std::string keys =
-      "shards|transport|physical_nodes|fold|seed|stop|run_for|"
-      "check_invariants|trace|profile|pin";
+      "shards|transport|fold|seed|stop|run_for|check_invariants|trace|"
+      "profile|pin";
   return keys;
 }
 
@@ -249,7 +268,8 @@ ParseResult parse_scenario(std::string_view source,
   }
   spec.workload = plugin->name();
   // A stray key another plugin claims gets "not valid for workload type
-  // Y", which beats a bare "unknown key".
+  // Y"; any other stray gets "unknown key", with the keys this plugin
+  // takes.
   auto reject_strays = [&](ParamReader& reader, bool outputs) {
     const KvEntry* stray = reader.section().first_unconsumed();
     if (stray != nullptr &&
@@ -258,7 +278,7 @@ ParseResult parse_scenario(std::string_view source,
                                      "' is not valid for workload type " +
                                      plugin->name());
     }
-    return reader.finish();
+    return reader.finish(expected_keys(*plugin, outputs));
   };
   ParamReader workload_params(c.workload, error);
   if (!plugin->parse_workload(workload_params, spec) ||
@@ -284,22 +304,9 @@ ParseResult parse_scenario(std::string_view source,
                   "unknown transport '" + entry->value + "' (tcp|flow)");
     }
   }
-  if (const KvEntry* entry = c.engine.take("physical_nodes");
-      entry != nullptr && entry->value != "auto") {
-    const auto value = text::parse_count(entry->value);
-    if (!value || *value == 0) {
-      return fail(entry->source,
-                  "bad count '" + entry->value +
-                      "' for physical_nodes (a positive number, or auto)");
-    }
-    engine.physical_nodes = *value;
-  }
   std::size_t fold = 0;
   if (!engine_params.take_count("fold", &fold) ||
-      !engine_params.require("fold", fold > 0, "fold must be positive") ||
-      !engine_params.require("fold", !engine.physical_nodes,
-                             "fold and physical_nodes are mutually "
-                             "exclusive")) {
+      !engine_params.require("fold", fold > 0, "fold must be positive")) {
     return fail_with_error();
   }
   if (engine_params.has("fold")) engine.fold = fold;
@@ -466,11 +473,12 @@ ParseResult parse_scenario(std::string_view source,
     }
     std::size_t first = 0;
     std::size_t last = 0;
-    if (!reader.take_probability("fraction", &churn.fraction) ||
-        !reader.take_probability("rejoin", &churn.rejoin_fraction) ||
-        !reader.take_duration("rejoin_min", &churn.rejoin_min) ||
-        !reader.take_duration("rejoin_max", &churn.rejoin_max) ||
-        !reader.take_probability("leave", &churn.leave_fraction) ||
+    fault::ChurnConfig& schedule = churn.schedule;
+    if (!reader.take_probability("fraction", &schedule.fraction) ||
+        !reader.take_probability("rejoin", &schedule.rejoin_fraction) ||
+        !reader.take_duration("rejoin_min", &schedule.rejoin_min) ||
+        !reader.take_duration("rejoin_max", &schedule.rejoin_max) ||
+        !reader.take_probability("leave", &schedule.leave_fraction) ||
         !reader.take_count("first", &first, max_node) ||
         !reader.take_count("last", &last, max_node) ||
         !reader.take_count("seed", &churn.rng_stream)) {
@@ -484,7 +492,7 @@ ParseResult parse_scenario(std::string_view source,
     if (victims.first > victims.last) {
       return fail_line(n, "churn needs first <= last");
     }
-    if (churn.rejoin_min > churn.rejoin_max) {
+    if (schedule.rejoin_min > schedule.rejoin_max) {
       return fail_line(n, "churn needs rejoin_min <= rejoin_max");
     }
     const KvEntry* window = reader.take("window");
@@ -501,8 +509,8 @@ ParseResult parse_scenario(std::string_view source,
       return fail_line(n, "bad churn window '" + window->value + "'");
     }
     if (*end < *start) return fail_line(n, "churn window end before start");
-    churn.window_start = *start;
-    churn.window_end = *end;
+    schedule.window_start = SimTime::zero() + *start;
+    schedule.window_end = SimTime::zero() + *end;
     if (!reader.finish()) return fail_with_error();
   }
   if (engine.stop == StopMode::kSurvivorsComplete &&

@@ -14,20 +14,19 @@
 //   # (zone/container/latency — see topology/parser.hpp)
 //
 //   [workload]
-//   type swarm            # or ping_sweep
-//   clients 160           # swarm: seeders, file_size, piece_length,
-//   start_interval 10     # start_interval, content_seed, verify_hashes,
-//                         # max_duration; ping_sweep: nodes, rules_max,
-//                         # rules_step, probes
+//   type swarm            # or gossip, ping_sweep, validate
+//   clients 160           # swarm: seeders, file_size, start_interval,
+//   start_interval 10     # content_seed, max_duration; the other types'
+//                         # keys: DESIGN.md §10
 //
 //   [faults]              # optional; `include <file.fault>`, inline fault
 //   crash node=5 at=30    # directives (fault/plan.hpp), and/or one
 //   churn fraction=0.3 window=200..1200 rejoin=0.5   # generated schedule
 //
 //   [engine]
-//   shards 0              # physical_nodes N|auto, fold K, seed,
+//   shards 1              # >= 1; transport, fold K, seed, pin,
 //   stop all_complete     # survivors_complete | time (+ run_for),
-//   check_invariants off  # trace on|off
+//   check_invariants off  # trace on|off, profile on|off
 //
 //   [outputs]             # every key names a file in $P2PLAB_RESULTS_DIR
 //   progress_envelope fig8_progress_envelope

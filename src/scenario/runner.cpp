@@ -72,17 +72,10 @@ void ExperimentRunner::arm_faults(fault::NodeHooks nodes,
   if (const ChurnDirective& d = spec_.faults.churn; d.enabled) {
     Rng churn_rng = platform_->rng().fork(d.rng_stream);
     const NodeRange victims = churn_range(spec_);
-    plan = fault::FaultPlan::churn(
-        fault::ChurnConfig{.first_node = victims.first,
-                           .last_node = victims.last,
-                           .fraction = d.fraction,
-                           .window_start = SimTime::zero() + d.window_start,
-                           .window_end = SimTime::zero() + d.window_end,
-                           .rejoin_fraction = d.rejoin_fraction,
-                           .rejoin_min = d.rejoin_min,
-                           .rejoin_max = d.rejoin_max,
-                           .leave_fraction = d.leave_fraction},
-        churn_rng);
+    fault::ChurnConfig schedule = d.schedule;
+    schedule.first_node = victims.first;
+    schedule.last_node = victims.last;
+    plan = fault::FaultPlan::churn(schedule, churn_rng);
   }
   plan.append(spec_.faults.plan);
   plan.sort();

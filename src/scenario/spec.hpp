@@ -58,18 +58,9 @@ struct ValidateParams {
   DataSize transfer = DataSize::mib(2);
   /// Application message size of the stream transfers.
   DataSize message = DataSize::kib(16);
-  /// Datagrams of the Gilbert-Elliott loss phase.
+  /// Datagrams of the Gilbert-Elliott loss phase (its chain and the pass
+  /// bands are constants in validate.cpp).
   std::size_t loss_datagrams = 20000;
-  /// Gilbert-Elliott parameters injected on the probe target's access
-  /// link for the loss phase (fault-overlay path, like `burst` faults).
-  double ge_p_good_bad = 0.02;
-  double ge_p_bad_good = 0.25;
-  double ge_loss_bad = 0.9;
-  // Tolerances (relative error bands; jain_min is an absolute floor).
-  double goodput_tolerance = 0.12;
-  double rtt_tolerance = 0.10;
-  double loss_tolerance = 0.25;
-  double jain_min = 0.95;
   /// Control knob for CI's deliberately mis-configured case: when set,
   /// goodput expectations use this bandwidth instead of the topology's
   /// bottleneck — a mismatch must fail loudly.
@@ -88,17 +79,14 @@ struct PingSweepParams {
 
 /// A `churn` directive: expanded into concrete FaultSpecs by the runner
 /// (ExperimentRunner::arm_faults), which owns the platform RNG the schedule
-/// is forked from. Unset first/last default to the plugin's
-/// churn_victims(); churn_range() resolves them.
+/// is forked from. The victim range comes from first/last where given and
+/// from the plugin's churn_victims() otherwise: churn_range() resolves it,
+/// and the runner writes it into the schedule's first_node/last_node.
 struct ChurnDirective {
   bool enabled = false;
-  double fraction = 0.3;
-  Duration window_start = Duration::zero();
-  Duration window_end = Duration::zero();
-  double rejoin_fraction = 0.5;
-  Duration rejoin_min = Duration::sec(30);
-  Duration rejoin_max = Duration::sec(120);
-  double leave_fraction = 0.0;
+  /// Fraction, window, rejoin and leave draws (the DSL's defaults are
+  /// ChurnConfig's).
+  fault::ChurnConfig schedule;
   std::optional<std::size_t> first_node;
   std::optional<std::size_t> last_node;
   /// Stream id forked off the platform RNG; same spec + seed => same plan.
@@ -125,10 +113,10 @@ struct EngineSection {
   /// Stream-transport congestion regime (`transport tcp|flow`, DESIGN.md
   /// §13); handed to PlatformConfig::stream as is.
   sockets::TransportModel transport = sockets::TransportModel::kFlow;
-  /// Physical cluster size; unset = one physical node per virtual node.
+  /// Physical cluster size; unset = `fold`, else one physical node per
+  /// virtual node. No key sets it: fig9's fold sweep does, from C++.
   std::optional<std::size_t> physical_nodes;
-  /// Alternative: fold K virtual nodes per physical node (ceil division).
-  /// Mutually exclusive with physical_nodes.
+  /// Fold K virtual nodes per physical node (ceil division).
   std::optional<std::size_t> fold;
   std::uint64_t seed = 1;
   StopMode stop = StopMode::kAllComplete;
@@ -148,8 +136,6 @@ struct EngineSection {
 };
 
 struct OutputsSection {
-  /// Sampling grid of the time-series outputs.
-  Duration grid = Duration::sec(10);
   // Swarm outputs (each empty string = not written).
   std::string progress_envelope;  // min/quartile/max percent-done columns
   std::string completions;        // per-client completion times

@@ -23,6 +23,18 @@ constexpr int kRttRepeats = 3;
 constexpr std::uint64_t kRttPayloadBytes = 8;
 constexpr std::uint64_t kLossPayloadBytes = 100;
 
+/// The Gilbert-Elliott chain the loss phase injects on the probe target's
+/// access link (fault-overlay path, like `burstloss` faults): ~6.7 %
+/// stationary loss, in bad-state runs of ~4 datagrams.
+constexpr ipfw::GilbertElliott kLossProbe{
+    .p_good_to_bad = 0.02, .p_bad_to_good = 0.25, .loss_bad = 0.9};
+// Pass bands: relative error for goodput, RTT and loss; an absolute floor
+// for the Jain index.
+constexpr double kGoodputTolerance = 0.12;
+constexpr double kRttTolerance = 0.10;
+constexpr double kLossTolerance = 0.25;
+constexpr double kJainMin = 0.95;
+
 double serialize_secs(Bandwidth bw, double wire_bytes) {
   if (bw.is_unlimited()) return 0.0;
   return wire_bytes * 8.0 / static_cast<double>(bw.count_bps());
@@ -168,7 +180,7 @@ void ValidateHarness::phase_goodput(std::vector<InvariantResult>& out) {
 
     InvariantResult r;
     r.name = "goodput:" + zone.name;
-    r.tolerance = params_.goodput_tolerance;
+    r.tolerance = kGoodputTolerance;
     if (!std::isfinite(bw)) {
       // Unlimited bottleneck and no expect_bandwidth: no reference rate.
       r.pass = probe->done;
@@ -250,7 +262,7 @@ void ValidateHarness::phase_rtt(std::vector<InvariantResult>& out) {
     InvariantResult r;
     r.name = "rtt:" + zone_name(a) + "-" + zone_name(b);
     r.expected = expected_s * 1e3;
-    r.tolerance = params_.rtt_tolerance;
+    r.tolerance = kRttTolerance;
     if (replies == kRttRepeats) {
       r.measured = sum_s / kRttRepeats * 1e3;
       r.pass = within(r.measured, r.expected, r.tolerance);
@@ -313,14 +325,14 @@ void ValidateHarness::phase_fairness(std::vector<InvariantResult>& out) {
   InvariantResult r;
   r.name = "fairness:jain";
   r.expected = 1.0;
-  r.tolerance = params_.jain_min;  // absolute floor, not a relative band
+  r.tolerance = kJainMin;  // absolute floor, not a relative band
   if (completed == flows && sum_sq > 0) {
     r.measured =
         sum * sum / (static_cast<double>(flows) * sum_sq);
-    r.pass = r.measured >= params_.jain_min;
+    r.pass = r.measured >= kJainMin;
     char buf[96];
     std::snprintf(buf, sizeof(buf), "index over %zu flows (floor %.3g)",
-                  flows, params_.jain_min);
+                  flows, kJainMin);
     r.detail = buf;
   } else {
     char buf[96];
@@ -335,11 +347,6 @@ void ValidateHarness::phase_loss(std::vector<InvariantResult>& out) {
   if (params_.loss_datagrams == 0) return;
   const std::size_t src = 0;
   const std::size_t dst = params_.nodes - 1;
-  ipfw::GilbertElliott ge;
-  ge.p_good_to_bad = params_.ge_p_good_bad;
-  ge.p_bad_to_good = params_.ge_p_bad_good;
-  ge.loss_good = 0.0;
-  ge.loss_bad = params_.ge_loss_bad;
 
   transfers_.clear();
   listeners_.clear();
@@ -351,8 +358,7 @@ void ValidateHarness::phase_loss(std::vector<InvariantResult>& out) {
   const Ipv4Addr dst_addr = platform_.api(dst).effective_bind_address();
 
   std::uint64_t burst_window = 0;
-  platform_.sim_of_vnode(dst).schedule_at(t0, [this, dst, ge,
-                                               &burst_window] {
+  platform_.sim_of_vnode(dst).schedule_at(t0, [this, dst, &burst_window] {
     auto sock = platform_.api(dst).udp_bind(kLossPort);
     sock->on_message([this](sockets::Message&&, Ipv4Addr, std::uint16_t) {
       ++loss_received_;
@@ -360,7 +366,7 @@ void ValidateHarness::phase_loss(std::vector<InvariantResult>& out) {
     udp_socks_[0] = std::move(sock);
     // The overlay switches on from the link's own simulation, like the
     // fault injector's burst faults.
-    burst_window = platform_.open_burst_loss(dst, ge);
+    burst_window = platform_.open_burst_loss(dst, kLossProbe);
   });
   // The whole batch fits the 8 MiB access-pipe queue, so nothing tail-drops
   // for a reason other than the loss models under test.
@@ -395,9 +401,10 @@ void ValidateHarness::phase_loss(std::vector<InvariantResult>& out) {
 
   const double measured_loss =
       1.0 - static_cast<double>(loss_received_) / static_cast<double>(total);
-  const double denom = params_.ge_p_good_bad + params_.ge_p_bad_good;
-  const double pi_bad = denom > 0 ? params_.ge_p_good_bad / denom : 0.0;
-  const double ge_loss = pi_bad * params_.ge_loss_bad;
+  const double pi_bad =
+      kLossProbe.p_good_to_bad /
+      (kLossProbe.p_good_to_bad + kLossProbe.p_bad_to_good);
+  const double ge_loss = pi_bad * kLossProbe.loss_bad;
   const double expected_loss =
       1.0 - (1.0 - ls.loss_rate) * (1.0 - ld.loss_rate) * (1.0 - ge_loss);
 
@@ -405,8 +412,8 @@ void ValidateHarness::phase_loss(std::vector<InvariantResult>& out) {
   r.name = "loss:gilbert";
   r.measured = measured_loss;
   r.expected = expected_loss;
-  r.tolerance = params_.loss_tolerance;
-  r.pass = within(measured_loss, expected_loss, params_.loss_tolerance);
+  r.tolerance = kLossTolerance;
+  r.pass = within(measured_loss, expected_loss, kLossTolerance);
   char buf[96];
   std::snprintf(buf, sizeof(buf), "%llu of %llu datagrams delivered",
                 static_cast<unsigned long long>(loss_received_),
@@ -488,11 +495,8 @@ class ValidatePlugin final : public WorkloadPlugin {
   }
 
   std::vector<const char*> workload_keys() const override {
-    return {"nodes",          "flows",         "transfer",
-            "message",        "loss_datagrams", "ge_p_good_bad",
-            "ge_p_bad_good",  "ge_loss_bad",   "goodput_tolerance",
-            "rtt_tolerance",  "loss_tolerance", "jain_min",
-            "expect_bandwidth"};
+    return {"nodes",          "flows",          "transfer",
+            "message",        "loss_datagrams", "expect_bandwidth"};
   }
   std::vector<const char*> output_keys() const override {
     return {"accuracy_json"};
@@ -509,13 +513,6 @@ class ValidatePlugin final : public WorkloadPlugin {
         reader.take_size("transfer", &v.transfer) &&
         reader.take_size("message", &v.message) &&
         reader.take_count("loss_datagrams", &v.loss_datagrams) &&
-        reader.take_probability("ge_p_good_bad", &v.ge_p_good_bad) &&
-        reader.take_probability("ge_p_bad_good", &v.ge_p_bad_good) &&
-        reader.take_probability("ge_loss_bad", &v.ge_loss_bad) &&
-        reader.take_probability("goodput_tolerance", &v.goodput_tolerance) &&
-        reader.take_probability("rtt_tolerance", &v.rtt_tolerance) &&
-        reader.take_probability("loss_tolerance", &v.loss_tolerance) &&
-        reader.take_probability("jain_min", &v.jain_min) &&
         reader.take_bandwidth("expect_bandwidth", &v.expect_bandwidth);
     if (!ok) return false;
     if (v.flows + 1 > v.nodes) {

@@ -155,8 +155,7 @@ class GossipPlugin final : public WorkloadPlugin {
   }
 
   std::vector<const char*> workload_keys() const override {
-    return {"nodes",    "period",        "ping_timeout", "suspect_timeout",
-            "indirect", "piggyback",     "join_interval"};
+    return {"nodes", "suspect_timeout"};
   }
   std::vector<const char*> output_keys() const override {
     return {"detection_csv", "fp_summary"};
@@ -165,24 +164,13 @@ class GossipPlugin final : public WorkloadPlugin {
   bool parse_workload(ParamReader& reader,
                       ScenarioSpec& spec) const override {
     gossip::Config& config = spec.gossip;
-    auto take_positive = [&](const char* key, Duration* target) {
-      return reader.take_duration(key, target) &&
-             reader.require(key, *target > Duration::zero(),
-                            std::string(key) + " must be positive");
-    };
     return reader.take_count("nodes", &config.nodes) &&
            reader.require("nodes", config.nodes >= 2,
                           "gossip needs nodes >= 2") &&
-           take_positive("period", &config.period) &&
-           take_positive("ping_timeout", &config.ping_timeout) &&
-           take_positive("suspect_timeout", &config.suspect_timeout) &&
-           reader.take_count("indirect", &config.indirect_k) &&
-           reader.require("indirect", config.indirect_k > 0,
-                          "indirect must be positive") &&
-           reader.take_count("piggyback", &config.piggyback) &&
-           reader.require("piggyback", config.piggyback > 0,
-                          "piggyback must be positive") &&
-           reader.take_duration("join_interval", &config.join_interval);
+           reader.take_duration("suspect_timeout", &config.suspect_timeout) &&
+           reader.require("suspect_timeout",
+                          config.suspect_timeout > Duration::zero(),
+                          "suspect_timeout must be positive");
   }
 
   bool parse_outputs(ParamReader& reader, ScenarioSpec& spec) const override {
@@ -195,23 +183,24 @@ class GossipPlugin final : public WorkloadPlugin {
       return "gossip requires stop=time (membership has no completion; "
              "run_for bounds the experiment)";
     }
-    // Member i starts at i x join_interval: one that starts at or after
+    // Member i starts at i x kJoinInterval: one that starts at or after
     // the end of the run never joins and only skews the join count. The
     // test divides instead of multiplying, so no node count overflows it.
     const std::uint64_t last = spec.gossip.nodes - 1;
-    const auto interval =
-        static_cast<std::uint64_t>(spec.gossip.join_interval.count_ns());
+    constexpr auto interval =
+        static_cast<std::uint64_t>(gossip::kJoinInterval.count_ns());
     const auto run = static_cast<std::uint64_t>(spec.engine.run_for.count_ns());
     if (interval >= run / last + (run % last != 0)) {
-      char message[160];
+      char message[192];
       const double start_s =
-          spec.gossip.join_interval.to_seconds() * static_cast<double>(last);
+          gossip::kJoinInterval.to_seconds() * static_cast<double>(last);
       std::snprintf(message, sizeof message,
-                    "gossip member %llu starts at %.6gs (join_interval x "
-                    "%llu), not before run_for %.6gs ends: run_for must "
-                    "exceed %.6gs",
+                    "gossip member %llu starts at %.6gs (%llu x the %.6gs "
+                    "join interval), not before run_for %.6gs ends: run_for "
+                    "must exceed %.6gs",
                     static_cast<unsigned long long>(last), start_s,
                     static_cast<unsigned long long>(last),
+                    gossip::kJoinInterval.to_seconds(),
                     spec.engine.run_for.to_seconds(), start_s);
       return message;
     }

@@ -20,6 +20,10 @@ namespace p2plab::scenario {
 
 namespace {
 
+/// Sampling step of the time-series outputs (progress envelope, sampled
+/// curves): the resolution of the paper's Figs 8 and 10.
+constexpr Duration kOutputGrid = Duration::sec(10);
+
 /// Median completion time (seconds) of the finished clients; -1 if none.
 double median_completion_sec(const bt::Swarm& swarm) {
   metrics::Distribution d;
@@ -169,8 +173,7 @@ void SwarmWorkload::write_outputs(ExperimentRunner& runner) {
                           {{"median_completion_s", median}});
   // Time-series outputs sample on the grid up to one step past the stop
   // condition (not past the invariant drain).
-  const Duration grid = out.grid;
-  const SimTime grid_end = runner.end_of_run() + grid;
+  const SimTime grid_end = runner.end_of_run() + kOutputGrid;
 
   if (!out.progress_envelope.empty()) {
     metrics::CsvWriter envelope(
@@ -178,7 +181,7 @@ void SwarmWorkload::write_outputs(ExperimentRunner& runner) {
         {"time_s", "pct_min", "pct_p25", "pct_median", "pct_p75", "pct_max",
          "clients_complete"});
     envelope.comment("seed=" + std::to_string(spec_.swarm.content_seed));
-    for (SimTime t = SimTime::zero(); t <= grid_end; t += grid) {
+    for (SimTime t = SimTime::zero(); t <= grid_end; t += kOutputGrid) {
       metrics::Distribution pct;
       std::size_t complete = 0;
       for (std::size_t i = 0; i < swarm_->client_count(); ++i) {
@@ -215,7 +218,7 @@ void SwarmWorkload::write_outputs(ExperimentRunner& runner) {
     const std::size_t every = out.sampled_every;
     for (std::size_t c = every; c <= swarm_->client_count(); c += every) {
       const auto& series = swarm_->client(c - 1).progress();
-      for (SimTime t = SimTime::zero(); t <= grid_end; t += grid) {
+      for (SimTime t = SimTime::zero(); t <= grid_end; t += kOutputGrid) {
         sampled.row({static_cast<double>(c), t.to_seconds(),
                      series.value_at(t)});
       }
@@ -259,35 +262,31 @@ class SwarmPlugin final : public WorkloadPlugin {
   }
 
   std::vector<const char*> workload_keys() const override {
-    return {"clients",      "seeders",       "file_size",
-            "piece_length", "start_interval", "content_seed",
-            "verify_hashes", "max_duration"};
+    return {"clients",      "seeders",      "file_size",
+            "start_interval", "content_seed", "max_duration"};
   }
   std::vector<const char*> output_keys() const override {
-    return {"grid",          "progress_envelope", "completions",
-            "completions_note", "sampled_progress",  "sampled_every",
-            "completion_curve", "completion_curve_note", "summary"};
+    return {"progress_envelope", "completions",      "completions_note",
+            "sampled_progress",  "sampled_every",    "completion_curve",
+            "completion_curve_note", "summary"};
   }
 
   bool parse_workload(ParamReader& reader,
                       ScenarioSpec& spec) const override {
     bt::SwarmConfig& swarm = spec.swarm;
     return reader.take_count("clients", &swarm.clients) &&
+           reader.require("clients", swarm.clients > 0,
+                          "clients must be positive") &&
            reader.take_count("seeders", &swarm.seeders) &&
            reader.take_size("file_size", &swarm.file_size) &&
-           reader.take_size("piece_length", &swarm.piece_length) &&
            reader.take_duration("start_interval", &swarm.start_interval) &&
            reader.take_count("content_seed", &swarm.content_seed) &&
-           reader.take_bool("verify_hashes", &swarm.verify_hashes) &&
            reader.take_duration("max_duration", &swarm.max_duration);
   }
 
   bool parse_outputs(ParamReader& reader, ScenarioSpec& spec) const override {
     OutputsSection& out = spec.outputs;
-    return reader.take_duration("grid", &out.grid) &&
-           reader.require("grid", out.grid > Duration::zero(),
-                          "grid must be positive") &&
-           reader.take_string("progress_envelope", &out.progress_envelope) &&
+    return reader.take_string("progress_envelope", &out.progress_envelope) &&
            reader.take_string("completions", &out.completions) &&
            reader.take_string("completions_note", &out.completions_note) &&
            reader.take_string("sampled_progress", &out.sampled_progress) &&

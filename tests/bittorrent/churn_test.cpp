@@ -24,7 +24,6 @@ SwarmConfig small_swarm(std::size_t clients) {
   config.seeders = 1;
   config.clients = clients;
   config.start_interval = Duration::sec(2);
-  config.verify_hashes = true;
   config.max_duration = Duration::sec(4000);
   return config;
 }
@@ -37,11 +36,11 @@ TEST(AnnounceBackoff, GrowsExponentiallyWithJitterAndCaps) {
                           core::PlatformConfig{.physical_nodes = 1,
                                                .pin_workers = false});
   const MetaInfo meta = MetaInfo::make_synthetic(
-      "t.dat", DataSize::kib(256), /*content_seed=*/1, /*hash_pieces=*/false);
+      "t.dat", DataSize::kib(256), /*content_seed=*/1);
   ASSERT_EQ(kAnnounceRetryBase, Duration::sec(5));
   ASSERT_EQ(kAnnounceRetryCap, Duration::sec(300));
   Client client(platform.sim_of_vnode(1), platform.api(1), meta,
-                PeerInfo{platform.vnode(0).ip(), 6969}, ClientConfig{},
+                PeerInfo{platform.vnode(0).ip(), 6969},
                 /*start_as_seed=*/false, platform.rng().fork(1));
   client.start();
 
@@ -73,9 +72,9 @@ TEST(AnnounceBackoff, RetryDelayIsJittered) {
                             core::PlatformConfig{.physical_nodes = 1,
                                                  .pin_workers = false});
     const MetaInfo meta =
-        MetaInfo::make_synthetic("t.dat", DataSize::kib(256), 1, false);
+        MetaInfo::make_synthetic("t.dat", DataSize::kib(256), 1);
     Client client(platform.sim_of_vnode(1), platform.api(1), meta,
-                  PeerInfo{platform.vnode(0).ip(), 6969}, ClientConfig{},
+                  PeerInfo{platform.vnode(0).ip(), 6969},
                   /*start_as_seed=*/false, platform.rng().fork(stream));
     client.start();
     std::vector<double> times;

@@ -23,7 +23,7 @@ class ClientTest : public ::testing::Test {
       : platform(topology::homogeneous_dsl(kVnodes),
                  core::PlatformConfig{.physical_nodes = 2,
                                       .pin_workers = false}),
-        meta(MetaInfo::make_synthetic("t", DataSize::kib(512), 3, true)),
+        meta(MetaInfo::make_synthetic("t", DataSize::kib(512), 3)),
         tracker(platform.api(0), platform.rng().fork(1)) {
     tracker.start();
   }
@@ -31,8 +31,7 @@ class ClientTest : public ::testing::Test {
   std::unique_ptr<Client> make_client(std::size_t vnode, bool seed) {
     return std::make_unique<Client>(
         platform.sim_of_vnode(vnode), platform.api(vnode), meta,
-        PeerInfo{platform.vnode(0).ip(), tracker.port()},
-        ClientConfig{.verify_hashes = true}, seed,
+        PeerInfo{platform.vnode(0).ip(), tracker.port()}, seed,
         platform.rng().fork(100 + vnode));
   }
 
@@ -76,11 +75,9 @@ TEST_F(ClientTest, WrongInfohashPeerIsDropped) {
   seed->start();
   // A client for a *different* torrent learns of the seed out of band and
   // dials it: the handshake must be rejected.
-  MetaInfo other = MetaInfo::make_synthetic("other", DataSize::kib(512),
-                                            99, true);
+  MetaInfo other = MetaInfo::make_synthetic("other", DataSize::kib(512), 99);
   Client stranger(platform.sim_of_vnode(2), platform.api(2), other,
-                  PeerInfo{platform.vnode(0).ip(), tracker.port()},
-                  ClientConfig{.verify_hashes = true}, false,
+                  PeerInfo{platform.vnode(0).ip(), tracker.port()}, false,
                   platform.rng().fork(7));
   stranger.start();
   run_for(10);

@@ -9,10 +9,14 @@ namespace {
 
 class PickerTest : public ::testing::Test {
  protected:
-  // 8 pieces of 4 blocks (512 KiB, 64 KiB pieces).
-  MetaInfo meta = MetaInfo::make_synthetic("f", DataSize::kib(512), 1,
-                                           false, DataSize::kib(64));
-  PieceStore store{meta, false};
+  // 8 pieces of 4 blocks (512 KiB, 64 KiB pieces): finer than the
+  // swarm's kPieceLength, so the picker has pieces to choose between.
+  MetaInfo meta = [] {
+    MetaInfo m = MetaInfo::make_synthetic("f", DataSize::kib(512), 1);
+    m.piece_length = DataSize::kib(64);
+    return m;
+  }();
+  PieceStore store{meta};
   PiecePicker picker{meta, store, Rng{3}};
 
   Bitfield full_have() {
@@ -24,7 +28,7 @@ class PickerTest : public ::testing::Test {
   void complete_piece(std::uint32_t p) {
     for (std::uint32_t b = 0; b < meta.blocks_in_piece(p); ++b) {
       picker.on_block_received(BlockRef{p, b});
-      store.add_block(p, b, true);
+      store.add_block(p, b);
     }
   }
 };
@@ -79,7 +83,7 @@ TEST_F(PickerTest, StrictPriorityFinishesStartedPieces) {
   picker.peer_has(5);
   picker.peer_has(5);
   picker.peer_has(3);
-  store.add_block(5, 0, true);
+  store.add_block(5, 0);
   const auto ref = picker.pick(full_have());
   ASSERT_TRUE(ref.has_value());
   EXPECT_EQ(ref->piece, 5u);  // partial beats rare
@@ -128,7 +132,7 @@ TEST_F(PickerTest, EndgameMissingBlocks) {
   EXPECT_EQ(missing.size(), 32u);  // nothing received yet
   // Receive one block: it leaves the missing set.
   picker.on_block_received(missing[0]);
-  store.add_block(missing[0].piece, missing[0].block, true);
+  store.add_block(missing[0].piece, missing[0].block);
   EXPECT_EQ(picker.missing_blocks(have).size(), 31u);
 }
 

@@ -7,13 +7,12 @@ namespace {
 
 class PieceStoreTest : public ::testing::Test {
  protected:
-  // 1 MiB, 256 KiB pieces -> 4 pieces of 16 blocks, with real hashes.
-  MetaInfo meta =
-      MetaInfo::make_synthetic("f", DataSize::mib(1), 5, /*hash=*/true);
+  // 1 MiB, 256 KiB pieces -> 4 pieces of 16 blocks.
+  MetaInfo meta = MetaInfo::make_synthetic("f", DataSize::mib(1), 5);
 };
 
 TEST_F(PieceStoreTest, StartsEmpty) {
-  PieceStore store(meta, true);
+  PieceStore store(meta);
   EXPECT_FALSE(store.complete());
   EXPECT_EQ(store.have().count(), 0u);
   EXPECT_DOUBLE_EQ(store.fraction_complete(), 0.0);
@@ -21,7 +20,7 @@ TEST_F(PieceStoreTest, StartsEmpty) {
 }
 
 TEST_F(PieceStoreTest, FillCompleteMakesSeed) {
-  PieceStore store(meta, true);
+  PieceStore store(meta);
   store.fill_complete();
   EXPECT_TRUE(store.complete());
   EXPECT_DOUBLE_EQ(store.fraction_complete(), 1.0);
@@ -29,80 +28,30 @@ TEST_F(PieceStoreTest, FillCompleteMakesSeed) {
 }
 
 TEST_F(PieceStoreTest, BlockAccumulationCompletesPiece) {
-  PieceStore store(meta, true);
+  PieceStore store(meta);
   for (std::uint32_t b = 0; b < 15; ++b) {
-    EXPECT_EQ(store.add_block(0, b, true),
-              PieceStore::BlockResult::kAccepted);
+    EXPECT_EQ(store.add_block(0, b), PieceStore::BlockResult::kAccepted);
   }
   EXPECT_FALSE(store.have_piece(0));
   EXPECT_EQ(store.blocks_received(0), 15u);
-  EXPECT_EQ(store.add_block(0, 15, true),
-            PieceStore::BlockResult::kPieceComplete);
+  EXPECT_EQ(store.add_block(0, 15), PieceStore::BlockResult::kPieceComplete);
   EXPECT_TRUE(store.have_piece(0));
   EXPECT_EQ(store.bytes_downloaded(), DataSize::kib(256));
 }
 
 TEST_F(PieceStoreTest, DuplicateBlockDetected) {
-  PieceStore store(meta, true);
-  store.add_block(1, 3, true);
-  EXPECT_EQ(store.add_block(1, 3, true),
-            PieceStore::BlockResult::kDuplicate);
+  PieceStore store(meta);
+  store.add_block(1, 3);
+  EXPECT_EQ(store.add_block(1, 3), PieceStore::BlockResult::kDuplicate);
   EXPECT_EQ(store.blocks_received(1), 1u);
 }
 
-TEST_F(PieceStoreTest, CorruptedBlockRejectsWholePiece) {
-  PieceStore store(meta, true);
-  for (std::uint32_t b = 0; b < 15; ++b) store.add_block(2, b, true);
-  EXPECT_EQ(store.add_block(2, 15, /*intact=*/false),
-            PieceStore::BlockResult::kPieceRejected);
-  // The real client drops the piece and re-downloads it.
-  EXPECT_FALSE(store.have_piece(2));
-  EXPECT_EQ(store.blocks_received(2), 0u);
-  EXPECT_EQ(store.hash_failures(), 1u);
-  EXPECT_EQ(store.bytes_downloaded(), DataSize::zero());
-  // Re-download succeeds.
-  for (std::uint32_t b = 0; b < 15; ++b) store.add_block(2, b, true);
-  EXPECT_EQ(store.add_block(2, 15, true),
-            PieceStore::BlockResult::kPieceComplete);
-}
-
-TEST_F(PieceStoreTest, VerificationPassesOnIntactContent) {
-  // With verify on, intact blocks complete: SHA-1 over the regenerated
-  // synthetic content matches the metainfo hashes.
-  PieceStore store(meta, /*verify=*/true);
-  for (std::uint32_t p = 0; p < meta.piece_count(); ++p) {
-    for (std::uint32_t b = 0; b < meta.blocks_in_piece(p); ++b) {
-      store.add_block(p, b, true);
-    }
-  }
-  EXPECT_TRUE(store.complete());
-  EXPECT_EQ(store.hash_failures(), 0u);
-}
-
 TEST_F(PieceStoreTest, FractionCountsBlocks) {
-  PieceStore store(meta, true);
-  for (std::uint32_t b = 0; b < 16; ++b) store.add_block(0, b, true);
-  for (std::uint32_t b = 0; b < 8; ++b) store.add_block(1, b, true);
+  PieceStore store(meta);
+  for (std::uint32_t b = 0; b < 16; ++b) store.add_block(0, b);
+  for (std::uint32_t b = 0; b < 8; ++b) store.add_block(1, b);
   // 24 of 64 blocks.
   EXPECT_NEAR(store.fraction_complete(), 24.0 / 64.0, 1e-12);
-}
-
-TEST_F(PieceStoreTest, NoVerifyModeSkipsHashes) {
-  const auto unhashed =
-      MetaInfo::make_synthetic("f", DataSize::mib(1), 5, /*hash=*/false);
-  PieceStore store(unhashed, /*verify=*/false);
-  for (std::uint32_t b = 0; b < 16; ++b) store.add_block(0, b, true);
-  EXPECT_TRUE(store.have_piece(0));
-  // Corruption still caught via the integrity flag even without hashes.
-  for (std::uint32_t b = 0; b < 15; ++b) store.add_block(1, b, true);
-  EXPECT_EQ(store.add_block(1, 15, false),
-            PieceStore::BlockResult::kPieceRejected);
-}
-
-TEST_F(PieceStoreTest, VerifyWithoutHashesAsserts) {
-  const auto unhashed =
-      MetaInfo::make_synthetic("f", DataSize::mib(1), 5, /*hash=*/false);
-  EXPECT_DEATH(PieceStore(unhashed, /*verify=*/true), "no hashes");
 }
 
 }  // namespace

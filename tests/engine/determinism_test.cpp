@@ -47,7 +47,6 @@ bt::SwarmConfig fig8_swarm(std::size_t clients) {
   config.seeders = 2;
   config.clients = clients;
   config.start_interval = Duration::sec(2);
-  config.verify_hashes = true;
   config.max_duration = Duration::sec(4000);
   return config;
 }

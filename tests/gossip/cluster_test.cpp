@@ -26,12 +26,7 @@ SimTime at_sec(double s) { return SimTime::zero() + Duration::seconds(s); }
 Config small_cluster(std::size_t nodes) {
   Config config;
   config.nodes = nodes;
-  config.period = Duration::sec(1);
-  config.ping_timeout = Duration::millis(300);
   config.suspect_timeout = Duration::sec(4);
-  config.indirect_k = 3;
-  config.piggyback = 8;
-  config.join_interval = Duration::millis(200);
   return config;
 }
 
@@ -130,9 +125,8 @@ TEST(GossipCluster, CrashIsDetectedClusterWide) {
     EXPECT_EQ(record.victim, 4u);
     EXPECT_GT(record.at, at_sec(20));
     // Worst case: a full probe-ring traversal plus the suspicion age.
-    EXPECT_LT(record.at, at_sec(20) + config.period * 8 +
-                             config.suspect_timeout +
-                             config.period * 2);
+    EXPECT_LT(record.at, at_sec(20) + kProtocolPeriod * 8 +
+                             config.suspect_timeout + kProtocolPeriod * 2);
   }
   // Eventually every live member confirms the victim.
   std::size_t observers = 0;

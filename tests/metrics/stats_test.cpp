@@ -42,6 +42,14 @@ TEST(Distribution, QuantilesOfKnownData) {
   EXPECT_NEAR(d.quantile(0.99), 99.01, 1e-9);
 }
 
+TEST(Distribution, EmptyHasNoMinOrMax) {
+  // Like quantile() and mean(): an empty sample set has no extremes, and
+  // reading one is a caller bug, not a 0.
+  const Distribution d;
+  EXPECT_DEATH((void)d.min(), "empty");
+  EXPECT_DEATH((void)d.max(), "empty");
+}
+
 TEST(Distribution, CdfStepFunction) {
   Distribution d;
   for (double v : {1.0, 2.0, 2.0, 3.0}) d.add(v);

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,6 +37,14 @@ std::string parse_error(const std::string& text,
   EXPECT_FALSE(result.spec) << "expected a parse error";
   return result.error;
 }
+
+// The accepted key lists the unknown-key errors enumerate.
+constexpr const char* kSwarmWorkloadKeys =
+    "type|clients|seeders|file_size|start_interval|content_seed|"
+    "max_duration";
+constexpr const char* kEngineKeys =
+    "shards|transport|fold|seed|stop|run_for|check_invariants|trace|"
+    "profile|pin";
 
 TEST(ScenarioParser, MinimalSwarmDefaults) {
   const ScenarioSpec spec = parse_ok(
@@ -77,12 +86,9 @@ TEST(ScenarioParser, SizesAndDurations) {
       "type swarm\n"
       "clients 4\n"
       "file_size 4M\n"
-      "piece_length 64k\n"
       "start_interval 250ms\n"
       "max_duration 8000\n");
   EXPECT_EQ(spec.swarm.file_size.count_bytes(), DataSize::mib(4).count_bytes());
-  EXPECT_EQ(spec.swarm.piece_length.count_bytes(),
-            DataSize::kib(64).count_bytes());
   EXPECT_EQ(spec.swarm.start_interval, Duration::millis(250));
   EXPECT_EQ(spec.swarm.max_duration, Duration::sec(8000));  // bare = seconds
 }
@@ -111,13 +117,7 @@ TEST(ScenarioParserValidate, AllKeysParse) {
       "transfer 4M\n"
       "message 32k\n"
       "loss_datagrams 5000\n"
-      "ge_p_good_bad 0.05\n"
-      "ge_p_bad_good 0.5\n"
-      "ge_loss_bad 0.8\n"
-      "goodput_tolerance 0.2\n"
-      "rtt_tolerance 0.15\n"
-      "loss_tolerance 0.3\n"
-      "jain_min 0.9\n"
+      "expect_bandwidth 4M\n"
       "[engine]\n"
       "transport tcp\n"
       "[outputs]\n"
@@ -130,13 +130,8 @@ TEST(ScenarioParserValidate, AllKeysParse) {
   EXPECT_EQ(spec.validate.message.count_bytes(),
             DataSize::kib(32).count_bytes());
   EXPECT_EQ(spec.validate.loss_datagrams, 5000u);
-  EXPECT_DOUBLE_EQ(spec.validate.ge_p_good_bad, 0.05);
-  EXPECT_DOUBLE_EQ(spec.validate.ge_p_bad_good, 0.5);
-  EXPECT_DOUBLE_EQ(spec.validate.ge_loss_bad, 0.8);
-  EXPECT_DOUBLE_EQ(spec.validate.goodput_tolerance, 0.2);
-  EXPECT_DOUBLE_EQ(spec.validate.rtt_tolerance, 0.15);
-  EXPECT_DOUBLE_EQ(spec.validate.loss_tolerance, 0.3);
-  EXPECT_DOUBLE_EQ(spec.validate.jain_min, 0.9);
+  EXPECT_EQ(spec.validate.expect_bandwidth.count_bps(),
+            Bandwidth::mbps(4).count_bps());
   EXPECT_EQ(spec.engine.transport, sockets::TransportModel::kTcp);
   EXPECT_EQ(spec.vnodes(), 6u);
   const std::vector<std::string> files = spec.declared_outputs();
@@ -148,8 +143,7 @@ TEST(ScenarioParserValidate, DefaultsAndFlowTransport) {
       parse_ok("scenario acc\n[workload]\ntype validate\n");
   EXPECT_EQ(spec.validate.nodes, 8u);
   EXPECT_EQ(spec.validate.flows, 4u);
-  EXPECT_DOUBLE_EQ(spec.validate.goodput_tolerance, 0.12);
-  EXPECT_DOUBLE_EQ(spec.validate.jain_min, 0.95);
+  EXPECT_EQ(spec.validate.loss_datagrams, 20000u);
   EXPECT_EQ(spec.engine.transport, sockets::TransportModel::kFlow);
   EXPECT_TRUE(spec.validate.expect_bandwidth.is_unlimited());
 }
@@ -196,8 +190,9 @@ TEST(ScenarioParserValidate, ValidateKeyInSwarmWorkload) {
   EXPECT_EQ(parse_error("scenario x\n"
                         "[workload]\n"
                         "type swarm\n"
-                        "jain_min 0.9\n"),
-            "line 4: key 'jain_min' is not valid for workload type swarm");
+                        "loss_datagrams 500\n"),
+            "line 4: key 'loss_datagrams' is not valid for workload type "
+            "swarm");
 }
 
 TEST(ScenarioParserGossip, GossipKeysParse) {
@@ -206,23 +201,13 @@ TEST(ScenarioParserGossip, GossipKeysParse) {
       "[workload]\n"
       "type gossip\n"
       "nodes 16\n"
-      "period 500ms\n"
-      "ping_timeout 150ms\n"
       "suspect_timeout 3\n"
-      "indirect 2\n"
-      "piggyback 6\n"
-      "join_interval 100ms\n"
       "[engine]\n"
       "stop time\n"
       "run_for 60\n");
   EXPECT_EQ(spec.workload, "gossip");
   EXPECT_EQ(spec.gossip.nodes, 16u);
-  EXPECT_EQ(spec.gossip.period, Duration::ms(500));
-  EXPECT_EQ(spec.gossip.ping_timeout, Duration::ms(150));
   EXPECT_EQ(spec.gossip.suspect_timeout, Duration::sec(3));
-  EXPECT_EQ(spec.gossip.indirect_k, 2u);
-  EXPECT_EQ(spec.gossip.piggyback, 6u);
-  EXPECT_EQ(spec.gossip.join_interval, Duration::ms(100));
   EXPECT_EQ(spec.vnodes(), 16u);
   EXPECT_EQ(spec.engine.stop, StopMode::kTime);
 }
@@ -304,13 +289,13 @@ TEST(ScenarioParserGossip, SetOverrideAppliesToGossip) {
       "[engine]\n"
       "stop time\n"
       "run_for 60\n",
-      {"workload.nodes=12", "workload.indirect=5"});
+      {"workload.nodes=12", "workload.suspect_timeout=6"});
   EXPECT_EQ(spec.gossip.nodes, 12u);
-  EXPECT_EQ(spec.gossip.indirect_k, 5u);
+  EXPECT_EQ(spec.gossip.suspect_timeout, Duration::sec(6));
 }
 
 TEST(ScenarioParserGossip, LastMemberMustStartBeforeTheRunEnds) {
-  // Member i starts at i x join_interval (200 ms by default): at 1024
+  // Member i starts at i x gossip::kJoinInterval (200 ms): at 1024
   // members the last one would start 24.6 s after a 180 s run ends.
   const std::string head =
       "scenario g\n"
@@ -320,9 +305,9 @@ TEST(ScenarioParserGossip, LastMemberMustStartBeforeTheRunEnds) {
       "stop time\n"
       "run_for 180\n";
   EXPECT_EQ(parse_error(head, {"workload.nodes=1024"}),
-            "line 5: gossip member 1023 starts at 204.6s (join_interval x "
-            "1023), not before run_for 180s ends: run_for must exceed "
-            "204.6s");
+            "line 5: gossip member 1023 starts at 204.6s (1023 x the 0.2s "
+            "join interval), not before run_for 180s ends: run_for must "
+            "exceed 204.6s");
   // Starting exactly at the end is refused too; one earlier is fine.
   EXPECT_NE(parse_error(head, {"workload.nodes=901"}).find("member 900"),
             std::string::npos);
@@ -363,7 +348,8 @@ TEST(ScenarioParserErrors, UnknownKeyWithLineNumber) {
                         "[workload]\n"
                         "type swarm\n"
                         "clientz 5\n"),
-            "line 4: unknown key 'clientz' in [workload]");
+            "line 4: unknown key 'clientz' in [workload] (expected " +
+                std::string(kSwarmWorkloadKeys) + ")");
 }
 
 TEST(ScenarioParserErrors, ReportKeyIsRetired) {
@@ -373,7 +359,8 @@ TEST(ScenarioParserErrors, ReportKeyIsRetired) {
                         "type ping_sweep\n"
                         "[outputs]\n"
                         "report on\n"),
-            "line 5: unknown key 'report' in [outputs]");
+            "line 5: unknown key 'report' in [outputs] (expected "
+            "csv|csv_note|bench_json|profile_trace|metrics|trace)");
 }
 
 TEST(ScenarioParser, RunRecordOutputsAreCrossWorkload) {
@@ -416,6 +403,16 @@ TEST(ScenarioParserErrors, BadCountKeepsSourceLine) {
             "line 4: bad count 'never' for clients");
 }
 
+TEST(ScenarioParserErrors, ZeroClientsRejected) {
+  // A swarm without leechers has nothing to measure, and its progress
+  // envelope would summarise an empty sample set.
+  const std::string swarm = "scenario x\n[workload]\ntype swarm\n";
+  EXPECT_EQ(parse_error(swarm + "clients 0\n"),
+            "line 4: clients must be positive");
+  EXPECT_EQ(parse_error(swarm, {"workload.clients=0"}),
+            "--set workload.clients=0: clients must be positive");
+}
+
 TEST(ScenarioParserErrors, BadTopologyIncludePath) {
   EXPECT_EQ(parse_error("scenario x\n"
                         "[workload]\n"
@@ -446,6 +443,24 @@ TEST(ScenarioParserErrors, ConflictingFaultSources) {
             "line 5: [faults] cannot mix 'include' with inline directives");
 }
 
+TEST(ScenarioParser, ChurnDefaults) {
+  // A churn line names only its window; the rest is fault::ChurnConfig's
+  // defaults, the one set the DSL and the C++ API share.
+  const ScenarioSpec spec = parse_ok(
+      "scenario x\n"
+      "[workload]\n"
+      "type swarm\n"
+      "[faults]\n"
+      "churn window=10..20\n");
+  const fault::ChurnConfig& schedule = spec.faults.churn.schedule;
+  EXPECT_EQ(schedule.fraction, 0.3);
+  EXPECT_EQ(schedule.rejoin_fraction, 0.5);
+  EXPECT_EQ(schedule.rejoin_min, Duration::sec(30));
+  EXPECT_EQ(schedule.rejoin_max, Duration::sec(120));
+  EXPECT_EQ(schedule.leave_fraction, 0.0);
+  EXPECT_FALSE(spec.faults.churn.first_node.has_value());
+}
+
 TEST(ScenarioParserErrors, ChurnNeedsWindow) {
   EXPECT_EQ(parse_error("scenario x\n"
                         "[workload]\n"
@@ -465,13 +480,16 @@ TEST(ScenarioParserErrors, StopTimeRequiresRunFor) {
 }
 
 TEST(ScenarioParserErrors, FoldAndPhysicalNodesConflict) {
+  // A file from before physical_nodes was retired, setting both, is
+  // refused on the retired key: fold is the one way to size the cluster.
   EXPECT_EQ(parse_error("scenario x\n"
                         "[workload]\n"
                         "type swarm\n"
                         "[engine]\n"
                         "physical_nodes 6\n"
                         "fold 32\n"),
-            "line 6: fold and physical_nodes are mutually exclusive");
+            "line 5: unknown key 'physical_nodes' in [engine] (expected " +
+                std::string(kEngineKeys) + ")");
 }
 
 TEST(ScenarioParserErrors, PingKeyInSwarmWorkload) {
@@ -826,9 +844,7 @@ TEST(ScenarioParserScaling, UnknownEngineKeyEnumeratesTheKeyList) {
                         "[engine]\n"
                         "warp 9\n"),
             unknown_engine_key("line 5", "warp"));
-  EXPECT_EQ(engine_keys(),
-            "shards|transport|physical_nodes|fold|seed|stop|run_for|"
-            "check_invariants|trace|profile|pin");
+  EXPECT_EQ(engine_keys(), kEngineKeys);
 }
 
 TEST(ScenarioParserScaling, SetOverridesReachScalingKeys) {
@@ -867,7 +883,9 @@ TEST(ScenarioParserOverrides, UnknownSectionInSet) {
 TEST(ScenarioParserOverrides, UnknownKeyInSetKeepsSetSource) {
   EXPECT_EQ(parse_error("scenario x\n[workload]\ntype swarm\n",
                         {"workload.clientz=5"}),
-            "--set workload.clientz=5: unknown key 'clientz' in [workload]");
+            "--set workload.clientz=5: unknown key 'clientz' in [workload] "
+            "(expected " +
+                std::string(kSwarmWorkloadKeys) + ")");
 }
 
 TEST(ScenarioParserOverrides, ZeroShardsInSetKeepsSetSource) {
@@ -881,6 +899,86 @@ TEST(ScenarioParserOverrides, BadValueInSetKeepsSetSource) {
                         {"workload.clients=lots"}),
             "--set workload.clients=lots: bad count 'lots' for clients");
 }
+
+// -- retired keys ----------------------------------------------------------
+
+/// A key the DSL once took and now refuses: the value it set is a named
+/// constant at its one point of use (DESIGN.md §6).
+struct RetiredKey {
+  const char* type;     // the workload type that took it
+  const char* section;  // workload | engine | outputs
+  const char* key;
+  const char* value;
+  const char* accepted;  // the key list its unknown-key error enumerates
+};
+
+void PrintTo(const RetiredKey& retired, std::ostream* os) {
+  *os << retired.section << '.' << retired.key;
+}
+
+constexpr const char* kSwarmOutputKeys =
+    "progress_envelope|completions|completions_note|sampled_progress|"
+    "sampled_every|completion_curve|completion_curve_note|summary|"
+    "bench_json|profile_trace|metrics|trace";
+constexpr const char* kGossipWorkloadKeys = "type|nodes|suspect_timeout";
+constexpr const char* kValidateWorkloadKeys =
+    "type|nodes|flows|transfer|message|loss_datagrams|expect_bandwidth";
+
+const RetiredKey kRetiredKeys[] = {
+    {"swarm", "workload", "piece_length", "64k", kSwarmWorkloadKeys},
+    {"swarm", "workload", "verify_hashes", "on", kSwarmWorkloadKeys},
+    {"swarm", "outputs", "grid", "5", kSwarmOutputKeys},
+    {"gossip", "workload", "period", "500ms", kGossipWorkloadKeys},
+    {"gossip", "workload", "ping_timeout", "150ms", kGossipWorkloadKeys},
+    {"gossip", "workload", "indirect", "2", kGossipWorkloadKeys},
+    {"gossip", "workload", "piggyback", "6", kGossipWorkloadKeys},
+    {"gossip", "workload", "join_interval", "100ms", kGossipWorkloadKeys},
+    {"validate", "workload", "ge_p_good_bad", "0.05", kValidateWorkloadKeys},
+    {"validate", "workload", "ge_p_bad_good", "0.5", kValidateWorkloadKeys},
+    {"validate", "workload", "ge_loss_bad", "0.8", kValidateWorkloadKeys},
+    {"validate", "workload", "goodput_tolerance", "0.2",
+     kValidateWorkloadKeys},
+    {"validate", "workload", "rtt_tolerance", "0.15", kValidateWorkloadKeys},
+    {"validate", "workload", "loss_tolerance", "0.3", kValidateWorkloadKeys},
+    {"validate", "workload", "jain_min", "0.9", kValidateWorkloadKeys},
+    {"swarm", "engine", "physical_nodes", "6", kEngineKeys},
+};
+
+class ScenarioParserRetiredKey : public ::testing::TestWithParam<RetiredKey> {
+};
+
+TEST_P(ScenarioParserRetiredKey, RefusedAsFileLineAndAsSet) {
+  // An old file, or an old command line, that still sets the key must
+  // fail on it: a silently dropped setting would change the experiment.
+  const RetiredKey& retired = GetParam();
+  const std::string section = retired.section;
+  const std::string head =
+      std::string("scenario old\n[workload]\ntype ") + retired.type + "\n";
+  const std::string engine = std::string(retired.type) == "gossip"
+                                 ? "[engine]\nstop time\nrun_for 60\n"
+                                 : "";
+  const std::string entry =
+      std::string(retired.key) + " " + retired.value + "\n";
+  const std::string before =
+      section == "workload" ? head
+      : section == "engine" ? head + "[engine]\n"
+                            : head + engine + "[" + section + "]\n";
+  const std::string after = section == "workload" ? engine : "";
+  const std::string refusal = "unknown key '" + std::string(retired.key) +
+                              "' in [" + section + "] (expected " +
+                              retired.accepted + ")";
+  const auto line = std::count(before.begin(), before.end(), '\n') + 1;
+  EXPECT_EQ(parse_error(before + entry + after),
+            "line " + std::to_string(line) + ": " + refusal);
+  const std::string set = section + "." + retired.key + "=" + retired.value;
+  EXPECT_EQ(parse_error(head + engine, {set}), "--set " + set + ": " + refusal);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RetiredKeys, ScenarioParserRetiredKey, ::testing::ValuesIn(kRetiredKeys),
+    [](const ::testing::TestParamInfo<RetiredKey>& param_info) {
+      return std::string(param_info.param.key);
+    });
 
 // -- shipped scenarios -----------------------------------------------------
 
@@ -997,12 +1095,12 @@ TEST(ShippedScenarios, ChurnMatchesCatalog) {
   EXPECT_EQ(spec.swarm.clients, 160u);
   const ChurnDirective& churn = spec.faults.churn;
   EXPECT_TRUE(churn.enabled);
-  EXPECT_EQ(churn.fraction, 0.3);
-  EXPECT_EQ(churn.window_start, Duration::sec(200));
-  EXPECT_EQ(churn.window_end, Duration::sec(1200));
-  EXPECT_EQ(churn.rejoin_fraction, 0.5);
-  EXPECT_EQ(churn.rejoin_min, Duration::sec(30));
-  EXPECT_EQ(churn.rejoin_max, Duration::sec(120));
+  EXPECT_EQ(churn.schedule.fraction, 0.3);
+  EXPECT_EQ(churn.schedule.window_start, SimTime::zero() + Duration::sec(200));
+  EXPECT_EQ(churn.schedule.window_end, SimTime::zero() + Duration::sec(1200));
+  EXPECT_EQ(churn.schedule.rejoin_fraction, 0.5);
+  EXPECT_EQ(churn.schedule.rejoin_min, Duration::sec(30));
+  EXPECT_EQ(churn.schedule.rejoin_max, Duration::sec(120));
   // The explicit extras, in time order; client c is vnode 1 + seeders + c.
   const std::size_t first = 1 + spec.swarm.seeders;
   ASSERT_EQ(spec.faults.plan.size(), 4u);
@@ -1038,11 +1136,11 @@ TEST(ShippedScenarios, GossipMatchesCatalog) {
   EXPECT_EQ(spec.gossip.nodes, 48u);
   const ChurnDirective& churn = spec.faults.churn;
   EXPECT_TRUE(churn.enabled);
-  EXPECT_EQ(churn.fraction, 0.25);
-  EXPECT_EQ(churn.window_start, Duration::sec(30));
-  EXPECT_EQ(churn.window_end, Duration::sec(90));
-  EXPECT_EQ(churn.rejoin_min, Duration::sec(20));
-  EXPECT_EQ(churn.rejoin_max, Duration::sec(40));
+  EXPECT_EQ(churn.schedule.fraction, 0.25);
+  EXPECT_EQ(churn.schedule.window_start, SimTime::zero() + Duration::sec(30));
+  EXPECT_EQ(churn.schedule.window_end, SimTime::zero() + Duration::sec(90));
+  EXPECT_EQ(churn.schedule.rejoin_min, Duration::sec(20));
+  EXPECT_EQ(churn.schedule.rejoin_max, Duration::sec(40));
   ASSERT_EQ(spec.faults.plan.size(), 2u);
   for (const fault::FaultSpec& f : spec.faults.plan.specs()) {
     EXPECT_EQ(f.kind, fault::FaultKind::kBurstLoss);

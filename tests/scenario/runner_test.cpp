@@ -94,12 +94,13 @@ TEST(ExperimentRunner, ChurnDirectiveInjectsAndRecovers) {
   ScenarioSpec spec = tiny_spec();
   spec.swarm.clients = 8;
   spec.faults.churn.enabled = true;
-  spec.faults.churn.fraction = 0.25;
-  spec.faults.churn.window_start = Duration::sec(5);
-  spec.faults.churn.window_end = Duration::sec(30);
-  spec.faults.churn.rejoin_fraction = 1.0;  // everyone comes back
-  spec.faults.churn.rejoin_min = Duration::sec(5);
-  spec.faults.churn.rejoin_max = Duration::sec(10);
+  fault::ChurnConfig& churn = spec.faults.churn.schedule;
+  churn.fraction = 0.25;
+  churn.window_start = SimTime::zero() + Duration::sec(5);
+  churn.window_end = SimTime::zero() + Duration::sec(30);
+  churn.rejoin_fraction = 1.0;  // everyone comes back
+  churn.rejoin_min = Duration::sec(5);
+  churn.rejoin_max = Duration::sec(10);
   spec.engine.stop = StopMode::kSurvivorsComplete;
   spec.engine.check_invariants = true;
   ExperimentRunner runner(std::move(spec));

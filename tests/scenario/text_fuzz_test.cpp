@@ -145,12 +145,13 @@ std::string spec_problem(const scenario::ScenarioSpec& spec) {
       return "accepted churn range outside the workload";
     }
   }
-  if (!is_probability(churn.fraction) ||
-      !is_probability(churn.rejoin_fraction) ||
-      !is_probability(churn.leave_fraction) ||
-      churn.window_start < Duration::zero() ||
-      churn.rejoin_min < Duration::zero() ||
-      churn.rejoin_max < churn.rejoin_min) {
+  const fault::ChurnConfig& schedule = churn.schedule;
+  if (!is_probability(schedule.fraction) ||
+      !is_probability(schedule.rejoin_fraction) ||
+      !is_probability(schedule.leave_fraction) ||
+      schedule.window_start < SimTime::zero() ||
+      schedule.rejoin_min < Duration::zero() ||
+      schedule.rejoin_max < schedule.rejoin_min) {
     return "accepted churn value out of range";
   }
   if (spec.swarm.file_size == DataSize::zero() ||
