@@ -1,10 +1,11 @@
 // Hot-path allocation microbench: the headline number behind the
 // zero-allocation work (pooled packets + inline event callbacks).
 //
-// Three phases, all measured after a warmup so slabs, pools and pipe
-// queues are at steady-state capacity. Each times its measured work as
-// kWindows equal windows and reports the median window's rate, so one
-// window slowed by a neighbour on a shared box does not move the result:
+// Four phases, all measured after a warmup so slabs, pools, pipe queues
+// and socket queues are at steady-state capacity. Each times its measured
+// work as kWindows equal windows and reports the median window's rate, so
+// one window slowed by a neighbour on a shared box does not move the
+// result:
 //
 //   events:  self-rescheduling timer chains through the bare simulation
 //            kernel driven by step() — isolates schedule/dispatch cost.
@@ -20,6 +21,12 @@
 //            bounds the paper's Figs 6/9/10 reproduction. The bare Network
 //            has no engine handoff, so it schedules its own fabric arrival
 //            at the same stamp.
+//   messages: datagram and stream ping-pong through a SocketManager on the
+//            same two shaped hosts — the socket layer's per-message cost.
+//            Every message reuses one body allocated up front, and the
+//            handlers capture more than std::function's 16-byte small-object
+//            budget, as application handlers do; the claim is that the
+//            socket layer adds no allocation per message.
 //
 // Allocations are counted by interposing the global operator new/delete of
 // this binary (an atomic tick per call; works in every build type). The
@@ -52,10 +59,18 @@
 #include "profile/profiler.hpp"
 #include "sim/inline_callback.hpp"
 #include "sim/simulation.hpp"
+#include "sockets/socket.hpp"
+#include "vnode/vnode.hpp"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
+
+/// Every delete below frees through here. Out of line, so that gcc does not
+/// see an inlined delete's free() meet the interposed operator new's
+/// pointer and warn (-Wmismatched-new-delete) about a pairing that is this
+/// file's own malloc and free.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 
 }  // namespace
 
@@ -80,17 +95,17 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace p2plab {
@@ -281,6 +296,26 @@ PhaseResult run_windowed_phase(profile::Profiler& prof, std::uint64_t warmup,
   return r;
 }
 
+/// The paper's standard vnode access link: shaped bandwidth and delay on
+/// both directions of the host, via pipe rules like core/platform.
+void shape_access_link(net::Host* host) {
+  const CidrBlock self{host->admin_ip(), 32};
+  const ipfw::PipeId up = host->firewall().create_pipe(
+      {.bandwidth = Bandwidth::mbps(100), .delay = Duration::ms(1)});
+  const ipfw::PipeId down = host->firewall().create_pipe(
+      {.bandwidth = Bandwidth::mbps(100), .delay = Duration::ms(1)});
+  host->firewall().add_rule({.number = 100,
+                             .src = self,
+                             .dir = ipfw::RuleDir::kOut,
+                             .action = ipfw::RuleAction::kPipe,
+                             .pipe = up});
+  host->firewall().add_rule({.number = 110,
+                             .dst = self,
+                             .dir = ipfw::RuleDir::kIn,
+                             .action = ipfw::RuleAction::kPipe,
+                             .pipe = down});
+}
+
 /// Phase 3: the full per-packet path. Two hosts with shaped access links
 /// ping-pong `inflight` packets; the demux response is the only
 /// application logic, so the measured cost is the emulated network itself.
@@ -292,25 +327,8 @@ PhaseResult run_packet_phase(profile::Profiler& prof, std::uint64_t warmup,
   const Ipv4Addr addr_b = ip("192.168.38.2");
   net::Host& a = network.add_host("a", addr_a);
   net::Host& b = network.add_host("b", addr_b);
-  // The paper's standard vnode access link: 100 ms / shaped bandwidth on
-  // both directions of both hosts, via pipe rules like core/platform.
-  for (net::Host* host : {&a, &b}) {
-    const CidrBlock self{host->admin_ip(), 32};
-    const ipfw::PipeId up = host->firewall().create_pipe(
-        {.bandwidth = Bandwidth::mbps(100), .delay = Duration::ms(1)});
-    const ipfw::PipeId down = host->firewall().create_pipe(
-        {.bandwidth = Bandwidth::mbps(100), .delay = Duration::ms(1)});
-    host->firewall().add_rule({.number = 100,
-                               .src = self,
-                               .dir = ipfw::RuleDir::kOut,
-                               .action = ipfw::RuleAction::kPipe,
-                               .pipe = up});
-    host->firewall().add_rule({.number = 110,
-                               .dst = self,
-                               .dir = ipfw::RuleDir::kIn,
-                               .action = ipfw::RuleAction::kPipe,
-                               .pipe = down});
-  }
+  shape_access_link(&a);
+  shape_access_link(&b);
 
   std::uint64_t delivered = 0;
   auto make_packet = [](Ipv4Addr src, Ipv4Addr dst, std::uint64_t flow) {
@@ -354,10 +372,106 @@ PhaseResult run_packet_phase(profile::Profiler& prof, std::uint64_t warmup,
   return r;
 }
 
+/// Phase 4: the socket layer. Over the phase 3 hosts, `inflight` datagrams
+/// bounce between two UDP sockets and `inflight` messages between the two
+/// ends of one stream connection; each delivery sends the reply. The
+/// warmup is in simulated time: it spans the first retransmission-timer
+/// cycles (the 1 s RTO floor), after which the kernel's queues hold their
+/// steady size.
+PhaseResult run_message_phase(profile::Profiler& prof, Duration warmup,
+                              std::uint64_t total, std::size_t inflight) {
+  sim::Simulation sim;
+  net::Network network{sim, Rng{42}};
+  sockets::SocketManager mgr{network};
+  net::Host& a = network.add_host("a", ip("192.168.38.1"));
+  net::Host& b = network.add_host("b", ip("192.168.38.2"));
+  shape_access_link(&a);
+  shape_access_link(&b);
+  vnode::VirtualNode node_a{a, 1, ip("10.0.0.1")};
+  vnode::VirtualNode node_b{b, 2, ip("10.0.0.2")};
+  vnode::Process proc_a{node_a};
+  vnode::Process proc_b{node_b};
+  sockets::SocketApi api_a{mgr, proc_a};
+  sockets::SocketApi api_b{mgr, proc_b};
+
+  std::uint64_t delivered = 0;
+  const std::shared_ptr<const void> body = std::make_shared<const int>(0);
+  const auto message = [&body] {
+    return sockets::Message{.type = 1,
+                            .size = DataSize::bytes(1024),
+                            .body = body};
+  };
+
+  // Datagrams: each end answers to the sender's address. The handlers
+  // capture three pointers, 24 bytes.
+  const sockets::DatagramSocketPtr udp_a = api_a.udp_bind(5000);
+  const sockets::DatagramSocketPtr udp_b = api_b.udp_bind(5000);
+  for (sockets::DatagramSocket* sock : {udp_a.get(), udp_b.get()}) {
+    sock->on_message([sock, &delivered, &message](sockets::Message&&,
+                                                  Ipv4Addr from,
+                                                  std::uint16_t port) {
+      ++delivered;
+      sock->send_to(from, port, message());
+    });
+  }
+  for (std::size_t i = 0; i < inflight; ++i) {
+    udp_a->send_to(udp_b->local_ip(), 5000, message());
+  }
+
+  // A stream: both ends echo every message back.
+  const auto echo = [&delivered, &message](
+                        const sockets::StreamSocketPtr& sock) {
+    sock->on_message([raw = sock.get(), &delivered, &message](
+                         sockets::Message&&) {
+      ++delivered;
+      raw->send(message());
+    });
+  };
+  sockets::StreamSocketPtr client;
+  sockets::StreamSocketPtr server;
+  const sockets::ListenerPtr listener =
+      api_b.listen(6881, [&](sockets::StreamSocketPtr s) {
+        server = s;
+        echo(s);
+      });
+  api_a.connect(ip("10.0.0.2"), 6881, [&](sockets::StreamSocketPtr s) {
+    client = s;
+    echo(s);
+    for (std::size_t i = 0; i < inflight; ++i) s->send(message());
+  });
+
+  while (sim.now() < SimTime::zero() + warmup && sim.step()) {
+  }
+  const std::uint64_t alloc0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t events0 = sim.dispatched_events();
+  const std::uint64_t delivered0 = delivered;
+  const std::uint64_t fb0 = sim::InlineCallback::heap_fallbacks();
+  PhaseResult r;
+  r.start_ns = prof.now_ns();
+  time_windows(
+      r, delivered0, total,
+      [&](std::uint64_t target) {
+        while (delivered < target && sim.step()) {
+        }
+      },
+      [&] { return delivered; });
+  r.units = delivered - delivered0;
+  r.events = sim.dispatched_events() - events0;
+  r.allocs = g_allocs.load(std::memory_order_relaxed) - alloc0;
+  r.fallbacks = sim::InlineCallback::heap_fallbacks() - fb0;
+  // A dialed socket owns itself until teardown: close both ends so the
+  // phase releases them.
+  for (const sockets::StreamSocketPtr& s : {client, server}) {
+    if (s) s->close();
+  }
+  return r;
+}
+
 int run(int argc, char** argv) {
   const bool profiling = bench::profile_enabled(argc, argv);
   constexpr std::uint64_t kEventTotal = 4'000'000;
   constexpr std::uint64_t kPacketTotal = 400'000;
+  constexpr std::uint64_t kMessageTotal = 400'000;
 
   // The profiler always exists (one ring, one phase-level sample per
   // measured window — two clock reads outside the hot loops); `profiling`
@@ -373,10 +487,13 @@ int run(int argc, char** argv) {
   const PhaseResult pk =
       run_packet_phase(prof, kPacketTotal / 10, kPacketTotal,
                        /*inflight=*/64);
+  const PhaseResult msg =
+      run_message_phase(prof, Duration::sec(2), kMessageTotal,
+                        /*inflight=*/16);
   const double reference =
       (reference_before + reference_seconds()) / 2.0;
   for (std::uint64_t window = 0;
-       const PhaseResult* r : {&ev, &win, &pk}) {
+       const PhaseResult* r : {&ev, &win, &pk, &msg}) {
     profile::PhaseSample sample;
     sample.start_ns = r->start_ns;
     sample.dur_ns =
@@ -390,6 +507,7 @@ int run(int argc, char** argv) {
   const double events_per_second = ev.rate;
   const double windowed_events_per_second = win.rate;
   const double packets_per_second = pk.rate;
+  const double messages_per_second = msg.rate;
   const double ev_allocs_per_event =
       ev.events > 0 ? static_cast<double>(ev.allocs) /
                           static_cast<double>(ev.events)
@@ -401,6 +519,10 @@ int run(int argc, char** argv) {
   const double pk_allocs_per_event =
       pk.events > 0 ? static_cast<double>(pk.allocs) /
                           static_cast<double>(pk.events)
+                    : 0.0;
+  const double msg_allocs_per_message =
+      msg.units > 0 ? static_cast<double>(msg.allocs) /
+                          static_cast<double>(msg.units)
                     : 0.0;
 
   std::printf("phase,units,events,wall_seconds,units_per_second,allocs,"
@@ -421,6 +543,13 @@ int run(int argc, char** argv) {
               static_cast<unsigned long long>(pk.events), pk.wall_seconds,
               packets_per_second, static_cast<unsigned long long>(pk.allocs),
               pk_allocs_per_event);
+  std::printf("messages,%llu,%llu,%.6f,%.0f,%llu,%.6f\n",
+              static_cast<unsigned long long>(msg.units),
+              static_cast<unsigned long long>(msg.events), msg.wall_seconds,
+              messages_per_second, static_cast<unsigned long long>(msg.allocs),
+              msg.events > 0 ? static_cast<double>(msg.allocs) /
+                                   static_cast<double>(msg.events)
+                             : 0.0);
 
   std::vector<std::pair<std::string, double>> fields = {
       {"cores", static_cast<double>(profile::Profiler::online_cores())},
@@ -431,19 +560,24 @@ int run(int argc, char** argv) {
       {"windowed_events_per_second", windowed_events_per_second},
       {"packets", static_cast<double>(pk.units)},
       {"packets_per_second", packets_per_second},
+      {"messages", static_cast<double>(msg.units)},
+      {"messages_per_second", messages_per_second},
       // The gated rates: units done in one reference loop's time.
       {"reference_seconds", reference},
       {"events_per_reference", events_per_second * reference},
       {"windowed_events_per_reference",
        windowed_events_per_second * reference},
       {"packets_per_reference", packets_per_second * reference},
+      {"messages_per_reference", messages_per_second * reference},
       {"event_allocs_per_event", ev_allocs_per_event},
       {"windowed_allocs_per_event", win_allocs_per_event},
       {"packet_allocs_per_event", pk_allocs_per_event},
+      {"message_allocs_per_message", msg_allocs_per_message},
       // "stays flat over the run" is the steady-state claim the gate
       // checks: fallbacks in the measured windows, not since process start.
       {"callback_heap_fallbacks",
-       static_cast<double>(ev.fallbacks + win.fallbacks + pk.fallbacks)},
+       static_cast<double>(ev.fallbacks + win.fallbacks + pk.fallbacks +
+                           msg.fallbacks)},
       {"peak_rss_bytes", static_cast<double>(core::peak_rss_bytes())}};
   if (profiling) {
     const profile::Rollup roll = prof.rollup();

@@ -4,24 +4,25 @@
 #
 # Two kinds of checks, with different strictness:
 #   * throughput (events of the step()-driven and of the windowed kernel
-#     phase, packets): each rate is the median of the phase's 5 timed
-#     windows, so one preempted window does not move it, and is scaled by
-#     the wall time of the bench's fixed reference loop (*_per_reference =
-#     units done in one reference loop's time), so a box that slows down
-#     as a whole does not move it either.
+#     phase, packets, socket-layer messages): each rate is the median of
+#     the phase's 5 timed windows, so one preempted window does not move
+#     it, and is scaled by the wall time of the bench's fixed reference
+#     loop (*_per_reference = units done in one reference loop's time), so
+#     a box that slows down as a whole does not move it either.
 #     A run fails when it falls more than THRESHOLD_PCT below baseline
 #     (default 20%; CI runners with different silicon can widen it via
 #     P2PLAB_BENCH_GATE_THRESHOLD_PCT). The baseline is the median of the
 #     recording box's runs, rounded down to two significant digits.
-#   * allocation discipline (allocs/event, InlineCallback heap fallbacks):
-#     machine-independent, checked against absolute bounds — this is the
-#     part that catches "someone grew a closure past the inline budget"
-#     regardless of how fast the runner is.
+#   * allocation discipline (allocs/event, allocs/message, InlineCallback
+#     heap fallbacks): machine-independent, checked against absolute
+#     bounds — this is the part that catches "someone grew a closure past
+#     the inline budget" regardless of how fast the runner is.
 #
 # usage: scripts/bench_gate.sh <path-to-hotpath_alloc> [baseline-json]
 #        scripts/bench_gate.sh --scaling <bench-json>...
 # env:   P2PLAB_BENCH_GATE_THRESHOLD_PCT  throughput slack  (default 20)
-#        P2PLAB_BENCH_GATE_MAX_ALLOCS     max packet allocs/event (default 0.01)
+#        P2PLAB_BENCH_GATE_MAX_ALLOCS     max allocs/event and allocs/message
+#                                         (default 0.01)
 #        P2PLAB_BENCH_GATE_MAX_FALLBACKS  max heap fallbacks (default 0)
 #        P2PLAB_RESULTS_DIR               where BENCH_hotpath.json lands
 #                                         (default: a temp dir)
@@ -156,9 +157,11 @@ check_max() {  # name bound
 check_throughput events_per_reference
 check_throughput windowed_events_per_reference
 check_throughput packets_per_reference
+check_throughput messages_per_reference
 check_max event_allocs_per_event "$MAX_ALLOCS"
 check_max windowed_allocs_per_event "$MAX_ALLOCS"
 check_max packet_allocs_per_event "$MAX_ALLOCS"
+check_max message_allocs_per_message "$MAX_ALLOCS"
 check_max callback_heap_fallbacks "$MAX_FALLBACKS"
 
 exit $status

@@ -450,7 +450,7 @@ void Client::on_wire(std::uint32_t key, const WireMsg& msg) {
           !store_.have_piece(msg.piece)) {
         break;
       }
-      peer->upload_queue.push_back(msg);
+      peer->upload_queue.push_back({msg.piece, msg.begin, msg.length});
       pump_uploads(*peer);
       break;
     }
@@ -460,11 +460,12 @@ void Client::on_wire(std::uint32_t key, const WireMsg& msg) {
     case MsgType::kCancel: {
       // Retract the request if it has not been served yet (endgame).
       auto& queue = peer->upload_queue;
-      const auto it = std::find_if(
-          queue.begin(), queue.end(), [&](const WireMsg& queued) {
-            return queued.piece == msg.piece && queued.begin == msg.begin;
-          });
-      if (it != queue.end()) queue.erase(it);
+      for (std::size_t i = 0; i < queue.size(); ++i) {
+        if (queue[i].piece == msg.piece && queue[i].begin == msg.begin) {
+          queue.erase(i);
+          break;
+        }
+      }
       break;
     }
     default:
@@ -587,7 +588,7 @@ void Client::pump_uploads(Peer& peer) {
   // CHOKE or CANCEL, exactly like the real client's upload queue.
   while (!peer.upload_queue.empty() &&
          peer.sock->unsent_bytes() <= kUploadWatermark.count_bytes()) {
-    const WireMsg request = peer.upload_queue.front();
+    const Peer::Request request = peer.upload_queue.front();
     peer.upload_queue.pop_front();
     WireMsg piece;
     piece.type = MsgType::kPiece;

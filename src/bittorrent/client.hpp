@@ -20,6 +20,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "common/rng.hpp"
 #include "metrics/registry.hpp"
 #include "metrics/timeseries.hpp"
@@ -148,7 +149,12 @@ class Client {
       SimTime requested_at;
     };
     std::vector<Outstanding> inflight;  // requests we sent them
-    std::deque<WireMsg> upload_queue;   // their requests awaiting service
+    struct Request {
+      std::uint32_t piece = 0;
+      std::uint32_t begin = 0;
+      std::uint32_t length = 0;
+    };
+    Fifo<Request> upload_queue;  // their requests awaiting service
     SimTime last_block_at;
   };
 

@@ -103,11 +103,7 @@ void Node::send(std::uint32_t to, std::uint32_t type, Payload payload,
   P2PLAB_ASSERT(sock_ != nullptr);
   payload.from = id_;
   payload.from_incarnation = table_.incarnation();
-  if (piggyback) {
-    std::vector<Update> rumors = table_.piggyback(kPiggybackLimit);
-    payload.updates.insert(payload.updates.end(), rumors.begin(),
-                           rumors.end());
-  }
+  if (piggyback) table_.piggyback(kPiggybackLimit, payload);
   sockets::Message message;
   message.type = type;
   message.size = DataSize::bytes(wire_bytes(payload));
@@ -220,7 +216,8 @@ void Node::on_datagram(const sockets::Message& message) {
 
   // The sender is alive at its stated incarnation; then fold in rumors.
   table_.apply(Update{p.from, MemberState::kAlive, p.from_incarnation}, t);
-  for (const Update& update : p.updates) table_.apply(update, t);
+  for (const Update& update : p.snapshot) table_.apply(update, t);
+  for (const Update& update : p.piggybacked()) table_.apply(update, t);
   if (table_.refutations() != counted_refutations_) {
     metrics_.refutations.inc(table_.refutations() - counted_refutations_);
     counted_refutations_ = table_.refutations();
@@ -231,7 +228,7 @@ void Node::on_datagram(const sockets::Message& message) {
       // Introduce the joiner: full membership snapshot, no rumor budget
       // spent (the snapshot is not gossip, it is state transfer).
       Payload reply;
-      reply.updates = table_.snapshot();
+      reply.snapshot = table_.snapshot();
       send(p.from, kMsgJoinRep, std::move(reply), /*piggyback=*/false);
       break;
     }

@@ -19,7 +19,8 @@ const char* member_state_name(MemberState state) {
 }
 
 std::uint64_t wire_bytes(const Payload& payload) {
-  return kGossipHeaderBytes + payload.updates.size() * kUpdateWireBytes;
+  return kGossipHeaderBytes +
+         (payload.rumor_count + payload.snapshot.size()) * kUpdateWireBytes;
 }
 
 namespace {
@@ -161,31 +162,39 @@ std::vector<Update> MembershipTable::snapshot() const {
   return out;
 }
 
-std::vector<Update> MembershipTable::piggyback(std::size_t limit) {
-  if (rumors_.empty() || limit == 0) return {};
+void MembershipTable::piggyback(std::size_t limit, Payload& payload) {
+  P2PLAB_ASSERT(limit <= kPiggybackLimit);
   // Freshest rumors (highest remaining budget) first; subject ascending
-  // breaks ties so the selection is deterministic. queue_rumor keeps
-  // subjects unique, so one pass never repeats a subject.
-  std::vector<std::size_t> order(rumors_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
+  // breaks ties. queue_rumor keeps subjects unique, so the order is strict
+  // and one insertion pass over the queue keeps exactly the first `limit`
+  // of a full sort.
+  const auto before = [this](std::size_t a, std::size_t b) {
     if (rumors_[a].budget != rumors_[b].budget) {
       return rumors_[a].budget > rumors_[b].budget;
     }
     return rumors_[a].update.subject < rumors_[b].update.subject;
-  });
-  if (order.size() > limit) order.resize(limit);
-
-  std::vector<Update> out;
-  out.reserve(order.size());
-  for (std::size_t index : order) {
-    out.push_back(rumors_[index].update);
-    --rumors_[index].budget;
+  };
+  std::array<std::size_t, kPiggybackLimit> top{};
+  std::size_t chosen = 0;
+  for (std::size_t i = 0; i < rumors_.size() && limit > 0; ++i) {
+    if (chosen == limit && !before(i, top[chosen - 1])) continue;
+    std::size_t pos = chosen < limit ? chosen++ : chosen - 1;
+    for (; pos > 0 && before(i, top[pos - 1]); --pos) top[pos] = top[pos - 1];
+    top[pos] = i;
   }
-  rumors_.erase(std::remove_if(rumors_.begin(), rumors_.end(),
-                               [](const Rumor& r) { return r.budget == 0; }),
-                rumors_.end());
-  return out;
+
+  bool exhausted = false;
+  for (std::size_t k = 0; k < chosen; ++k) {
+    Rumor& rumor = rumors_[top[k]];
+    payload.rumors[k] = rumor.update;
+    exhausted |= --rumor.budget == 0;
+  }
+  payload.rumor_count = static_cast<std::uint32_t>(chosen);
+  if (exhausted) {
+    rumors_.erase(std::remove_if(rumors_.begin(), rumors_.end(),
+                                 [](const Rumor& r) { return r.budget == 0; }),
+                  rumors_.end());
+  }
 }
 
 }  // namespace p2plab::gossip

@@ -24,7 +24,9 @@
 // rejoined member as dead forever.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,13 +71,22 @@ struct Update {
 
 /// Body of every gossip datagram. `seq` correlates probes with acks;
 /// `target` names the ping-req target (and, in acks, the member whose
-/// aliveness the ack proves, so relayed acks stay attributable).
+/// aliveness the ack proves, so relayed acks stay attributable). Rumors
+/// ride inline (MembershipTable::piggyback fills them); only a join reply
+/// carries a full-state snapshot, the one part that allocates.
 struct Payload {
   std::uint32_t from = 0;
   std::uint32_t from_incarnation = 0;
   std::uint64_t seq = 0;
   std::uint32_t target = 0;
-  std::vector<Update> updates;
+  std::uint32_t rumor_count = 0;
+  std::array<Update, kPiggybackLimit> rumors{};
+  std::vector<Update> snapshot;
+
+  /// The rumors piggybacked on this message.
+  std::span<const Update> piggybacked() const {
+    return {rumors.data(), rumor_count};
+  }
 };
 
 // sockets::Message::type values.
@@ -88,7 +99,7 @@ inline constexpr std::uint32_t kMsgPingReq = 0x6a05;
 /// SWIM's customary port, bound on every member.
 inline constexpr std::uint16_t kGossipPort = 7946;
 /// Modeled wire bytes: fixed header (from/incarnation/seq/target) plus a
-/// packed (subject, state, incarnation) triple per rumor.
+/// packed (subject, state, incarnation) triple per rumor or snapshot entry.
 inline constexpr std::uint64_t kGossipHeaderBytes = 16;
 inline constexpr std::uint64_t kUpdateWireBytes = 9;
 
@@ -141,18 +152,21 @@ class MembershipTable {
   /// Full-state updates (self first by subject order) for a join reply.
   std::vector<Update> snapshot() const;
 
-  /// Up to `limit` distinct queued rumors, freshest (highest remaining
-  /// budget) first with lowest-subject tie-break; decrements each chosen
-  /// rumor's budget and drops exhausted ones. Deterministic.
-  std::vector<Update> piggyback(std::size_t limit);
-  std::size_t rumor_count() const { return rumors_.size(); }
+  /// Writes up to `limit` (<= kPiggybackLimit) distinct queued rumors into
+  /// `payload`, freshest (highest remaining budget) first with
+  /// lowest-subject tie-break; decrements each chosen rumor's budget and
+  /// drops exhausted ones. Deterministic; allocates nothing.
+  void piggyback(std::size_t limit, Payload& payload);
 
- private:
+  /// A queued rumor and the transmissions it has left.
   struct Rumor {
     Update update;
     std::uint32_t budget = 0;
   };
+  /// The rumor queue, in queueing order.
+  const std::vector<Rumor>& rumors() const { return rumors_; }
 
+ private:
   /// Queue (or supersede, resetting the budget) the rumor for a subject.
   void queue_rumor(const Update& update);
 

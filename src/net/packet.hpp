@@ -6,6 +6,12 @@
 // delivery goes through the destination network's socket demux, which the
 // sockets layer installs once per network (per shard), so a packet is plain
 // data that can cross shards by value.
+//
+// A data segment or datagram carries its application message in place: the
+// message's type in `msg_type`, its body in `body`, and its size as
+// wire_size minus the transport's modeled header. The receiving socket
+// rebuilds the sockets::Message from these three fields, so a message
+// crosses the network with no allocation of its own.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +42,9 @@ struct Packet {
   Ipv4Addr dst;
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
+  /// Application message type of a data segment or datagram (opaque to the
+  /// network; it fills the padding before wire_size).
+  std::uint32_t msg_type = 0;
   /// Bytes on the wire (payload plus modeled header overhead).
   DataSize wire_size = DataSize::bytes(64);
   /// Flow identity for fair queueing within pipes (connection id).
@@ -45,8 +54,9 @@ struct Packet {
   std::uint64_t conn = 0;  // connection id (stream transport)
   std::uint64_t seq = 0;   // sequence / cumulative-ack number
 
-  /// Application payload, if any. Stored type-erased; the receiving layer
-  /// knows the concrete type from its protocol context.
+  /// Application message body, if any (sockets::Message::body, shared
+  /// with the sender's retransmission copy). Stored type-erased; the
+  /// receiving application knows the concrete type from msg_type.
   std::shared_ptr<const void> body;
 
   /// Fixed pipe delay accumulated but not yet served. Source-side pipes
@@ -63,5 +73,9 @@ struct Packet {
   /// Null for stack-constructed packets. Not for application use.
   PacketPool* origin_pool = nullptr;
 };
+
+// Every hop moves packets by value and the pool keeps them in slab cells:
+// adding a field must not grow the struct past these 96 bytes.
+static_assert(sizeof(Packet) == 96, "net::Packet must stay 96 bytes");
 
 }  // namespace p2plab::net

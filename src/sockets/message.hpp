@@ -1,10 +1,16 @@
-// Application messages carried by stream sockets.
+// Application messages carried by stream and datagram sockets.
 //
 // The emulation exchanges *typed* messages instead of raw byte buffers:
 // `size` is what goes on the wire (the pipes serialize it), `body` is the
 // in-memory payload handed to the receiving application. This keeps the
 // 5760-node runs affordable — no payload bytes are copied through the
 // simulated network — while preserving exact byte accounting.
+//
+// The socket layer adds no allocation per message: a sent message's type
+// and body ride the net::Packet itself (msg_type, body) and its size is the
+// packet's wire_size less the header, so the receiver gets the very body
+// object the sender made. The application's `body` is the one allocation a
+// message costs.
 #pragma once
 
 #include <cstdint>

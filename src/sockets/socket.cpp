@@ -28,6 +28,15 @@ constexpr int kMaxSynRetries = 5;
 /// Out-of-order messages a receiver keeps.
 constexpr std::size_t kMaxReorderBuffer = 1024;
 
+/// Rebuild the message a data segment or datagram carries (see
+/// net/packet.hpp): its body moves out of the packet.
+Message take_message(net::Packet& packet, std::uint64_t header_bytes) {
+  return Message{
+      .type = packet.msg_type,
+      .size = DataSize::bytes(packet.wire_size.count_bytes() - header_bytes),
+      .body = std::move(packet.body)};
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- manager
@@ -171,17 +180,13 @@ StreamSocket::~StreamSocket() {
   if (state_ != State::kClosed) teardown();
 }
 
-void StreamSocket::start_connect(
-    Ipv4Addr local, std::uint16_t local_port, Ipv4Addr remote,
-    std::uint16_t remote_port, std::function<void(StreamSocketPtr)> on_connected,
-    VoidHandler on_fail) {
+void StreamSocket::start_connect(Ipv4Addr local, std::uint16_t local_port,
+                                 Ipv4Addr remote, std::uint16_t remote_port) {
   local_ip_ = local;
   local_port_ = local_port;
   remote_ip_ = remote;
   remote_port_ = remote_port;
   conn_id_ = host_.next_conn_id();
-  on_connected_ = std::move(on_connected);
-  on_connect_fail_ = std::move(on_fail);
   state_ = State::kSynSent;
   mgr_.metrics().connects_started.inc();
   // Like a kernel socket, the connection owns itself until teardown: data
@@ -256,7 +261,7 @@ void StreamSocket::teardown() {
   pending_bytes_ = 0;
   inflight_.clear();
   inflight_bytes_ = 0;
-  reorder_.clear();
+  reorder_ = {};
   if (on_teardown_) {
     auto cb = std::move(on_teardown_);
     on_teardown_ = nullptr;
@@ -280,8 +285,8 @@ void StreamSocket::pump() {
     mgr_.metrics().msgs_sent.inc();
     mgr_.metrics().bytes_sent.inc(message.size.count_bytes());
     const SimTime now = mgr_.sim().now();
-    inflight_.push_back(InFlight{seq, message, now, now, false});
-    transmit_data(seq, message);
+    inflight_.push_back(InFlight{seq, std::move(message), now, now, false});
+    transmit_data(seq, inflight_.back().message);
     sent = true;
   }
   if (!pending_.empty()) {
@@ -303,11 +308,12 @@ void StreamSocket::transmit_data(std::uint64_t seq, const Message& message) {
   packet.dst_port = remote_port_;
   packet.wire_size =
       DataSize::bytes(message.size.count_bytes() + kHeaderBytes);
+  packet.msg_type = message.type;
   packet.flow = conn_id_;
   packet.kind = net::PacketKind::kData;
   packet.conn = conn_id_;
   packet.seq = seq;
-  packet.body = std::make_shared<Message>(message);
+  packet.body = message.body;
   mgr_.network().send(std::move(packet));
 }
 
@@ -377,10 +383,7 @@ void StreamSocket::handle_packet(net::Packet&& packet) {
       if (state_ == State::kSynSent) {
         // Handshake not complete on our side yet: park the payload until
         // the SYN-ACK arrives (see the kSynAck case).
-        if (reorder_.size() < kMaxReorderBuffer) {
-          reorder_.emplace(packet.seq,
-                           *static_cast<const Message*>(packet.body.get()));
-        }
+        park(packet.seq, take_message(packet, kHeaderBytes));
         break;
       }
       if (state_ == State::kSynReceived) promote_established();
@@ -393,10 +396,7 @@ void StreamSocket::handle_packet(net::Packet&& packet) {
     case net::PacketKind::kFin: {
       mgr_.metrics().closes.inc();
       teardown();
-      if (on_close_) {
-        auto handler = on_close_;
-        handler();
-      }
+      if (on_close_) on_close_();
       break;
     }
     case net::PacketKind::kRst: {
@@ -416,10 +416,7 @@ void StreamSocket::handle_packet(net::Packet&& packet) {
       // immediately instead of grinding through RTO exhaustion.
       mgr_.metrics().resets.inc();
       teardown();
-      if (on_close_) {
-        auto handler = on_close_;
-        handler();
-      }
+      if (on_close_) on_close_();
       break;
     }
     case net::PacketKind::kSyn:
@@ -442,40 +439,40 @@ void StreamSocket::on_data(net::Packet&& packet) {
     return;
   }
   if (seq > expected_seq_) {
-    if (reorder_.size() < kMaxReorderBuffer) {
-      reorder_.emplace(seq, *static_cast<const Message*>(packet.body.get()));
-    }
+    park(seq, take_message(packet, kHeaderBytes));
     send_ack();  // dup-ack carrying the hole
     return;
   }
-  Message message = *static_cast<const Message*>(packet.body.get());
-  ++expected_seq_;
-  bytes_received_ += message.size.count_bytes();
-  mgr_.metrics().msgs_received.inc();
-  mgr_.metrics().bytes_received.inc(message.size.count_bytes());
-  if (on_message_) {
-    // Invoke through a copy: the handler may replace or clear itself
-    // (e.g. an application tearing the connection down mid-dispatch).
-    auto handler = on_message_;
-    handler(std::move(message));
-  }
+  deliver(take_message(packet, kHeaderBytes));
   deliver_in_order();
   send_ack();
 }
 
+void StreamSocket::park(std::uint64_t seq, Message&& message) {
+  if (reorder_.size() >= kMaxReorderBuffer) return;
+  const auto it = std::lower_bound(
+      reorder_.begin(), reorder_.end(), seq,
+      [](const Parked& parked, std::uint64_t s) { return parked.seq > s; });
+  if (it != reorder_.end() && it->seq == seq) return;  // already parked
+  reorder_.insert(it, Parked{seq, std::move(message)});
+}
+
+void StreamSocket::deliver(Message&& message) {
+  ++expected_seq_;
+  bytes_received_ += message.size.count_bytes();
+  mgr_.metrics().msgs_received.inc();
+  mgr_.metrics().bytes_received.inc(message.size.count_bytes());
+  // The handler may clear or replace itself, or close the socket.
+  if (on_message_) on_message_(std::move(message));
+}
+
 void StreamSocket::deliver_in_order() {
-  auto it = reorder_.begin();
-  while (it != reorder_.end() && it->first == expected_seq_) {
-    Message message = std::move(it->second);
-    it = reorder_.erase(it);
-    ++expected_seq_;
-    bytes_received_ += message.size.count_bytes();
-    mgr_.metrics().msgs_received.inc();
-    mgr_.metrics().bytes_received.inc(message.size.count_bytes());
-    if (on_message_) {
-      auto handler = on_message_;
-      handler(std::move(message));
-    }
+  // Re-read the back each round: a handler that closes the socket empties
+  // the buffer.
+  while (!reorder_.empty() && reorder_.back().seq == expected_seq_) {
+    Message message = std::move(reorder_.back().message);
+    reorder_.pop_back();
+    deliver(std::move(message));
   }
 }
 
@@ -587,10 +584,7 @@ void StreamSocket::on_ack(std::uint64_t cumulative) {
   if (!inflight_.empty()) {
     arm_timer(inflight_.front().sent_at + rto());
   }
-  if (on_writable_ && unsent_bytes() <= writable_watermark_) {
-    auto handler = on_writable_;  // may replace itself
-    handler();
-  }
+  if (on_writable_ && unsent_bytes() <= writable_watermark_) on_writable_();
 }
 
 void StreamSocket::enter_loss_recovery(bool fast) {
@@ -707,10 +701,7 @@ void StreamSocket::timer_fired() {
     // The peer is unreachable: abort like ETIMEDOUT.
     mgr_.metrics().aborts.inc();
     teardown();
-    if (on_close_) {
-      auto handler = on_close_;
-      handler();
-    }
+    if (on_close_) on_close_();
     return;
   }
   ++backoff_;
@@ -721,7 +712,8 @@ void StreamSocket::timer_fired() {
     return;
   }
   // kFlow go-back-N: retransmit the whole window.
-  for (InFlight& entry : inflight_) {
+  for (std::size_t i = 0; i < inflight_.size(); ++i) {
+    InFlight& entry = inflight_[i];
     entry.sent_at = now;
     entry.retransmitted = true;
     mgr_.metrics().retransmits.inc();
@@ -818,11 +810,12 @@ void SocketApi::connect(Ipv4Addr remote, std::uint16_t remote_port,
   StreamSocketPtr socket{new StreamSocket(mgr_, process_.host())};
   const Ipv4Addr local = decision.address;
   const std::uint16_t local_port = mgr_.alloc_ephemeral_port(local);
-  auto begin = [socket, local, local_port, remote, remote_port,
-                cb = std::move(on_connected),
-                fail = std::move(on_fail)]() mutable {
-    socket->start_connect(local, local_port, remote, remote_port,
-                          std::move(cb), std::move(fail));
+  // The socket holds the callbacks, so the deferred start fits
+  // InlineCallback's inline budget instead of boxing two std::functions.
+  socket->on_connected_ = std::move(on_connected);
+  socket->on_connect_fail_ = std::move(on_fail);
+  auto begin = [socket, local, local_port, remote, remote_port] {
+    socket->start_connect(local, local_port, remote, remote_port);
   };
   if (cpu == Duration::zero()) {
     begin();
@@ -865,9 +858,10 @@ void DatagramSocket::send_to(Ipv4Addr remote, std::uint16_t remote_port,
   packet.dst_port = remote_port;
   packet.wire_size =
       DataSize::bytes(message.size.count_bytes() + kUdpHeaderBytes);
+  packet.msg_type = message.type;
   packet.flow = flow_;
   packet.kind = net::PacketKind::kDatagram;
-  packet.body = std::make_shared<Message>(std::move(message));
+  packet.body = std::move(message.body);
   mgr_.network().send(std::move(packet));
 }
 
@@ -875,9 +869,11 @@ void DatagramSocket::handle_packet(net::Packet&& packet) {
   if (!open_) return;
   ++received_;
   if (!handler_) return;
-  Message message = *static_cast<const Message*>(packet.body.get());
-  auto handler = handler_;  // may replace itself mid-dispatch
-  handler(std::move(message), packet.src, packet.src_port);
+  // The handler may drop the last owning reference to this socket; the
+  // slot is written back after the call.
+  const DatagramSocketPtr guard = shared_from_this();
+  handler_(take_message(packet, kUdpHeaderBytes), packet.src,
+           packet.src_port);
 }
 
 ListenerPtr SocketApi::listen(std::uint16_t port,

@@ -24,15 +24,22 @@
 //     dup-acks or timeouts instead of a go-back-N burst).
 // Both regimes share the sequencing, RTO and teardown machinery and are
 // deterministic: same inputs, same shard count, bit-identical schedules.
+//
+// The message path adds no heap allocation per message: send queues are
+// Fifo rings, a segment or datagram carries its message's type and body in
+// the packet (message.hpp), the receive side parks out-of-order messages in
+// a sorted vector, and handlers run in place (HandlerSlot) instead of
+// through a copy of their std::function.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
+#include "common/fifo.hpp"
 #include "common/ipv4.hpp"
 #include "metrics/registry.hpp"
 #include "net/network.hpp"
@@ -49,6 +56,39 @@ class SocketManager;
 using StreamSocketPtr = std::shared_ptr<StreamSocket>;
 using ListenerPtr = std::shared_ptr<Listener>;
 using DatagramSocketPtr = std::shared_ptr<DatagramSocket>;
+
+/// An application callback a socket holds and invokes in place. A handler
+/// may clear or replace itself mid-dispatch: the call runs on the target
+/// moved out of the slot, which takes it back afterwards unless the slot
+/// was assigned meanwhile. Unlike invoking through a copy, this costs no
+/// allocation whatever the handler captures. The owner must outlive the
+/// call.
+template <typename Signature>
+class HandlerSlot;
+
+template <typename... Args>
+class HandlerSlot<void(Args...)> {
+ public:
+  using Function = std::function<void(Args...)>;
+
+  HandlerSlot& operator=(Function fn) {
+    fn_ = std::move(fn);
+    ++assignments_;
+    return *this;
+  }
+  explicit operator bool() const { return static_cast<bool>(fn_); }
+
+  void operator()(Args... args) {
+    Function fn = std::exchange(fn_, nullptr);
+    const std::uint64_t assignments = assignments_;
+    fn(std::forward<Args>(args)...);
+    if (assignments_ == assignments) fn_ = std::move(fn);
+  }
+
+ private:
+  Function fn_;
+  std::uint64_t assignments_ = 0;
+};
 
 /// Transport protocol namespaces share the address space but not ports.
 enum class Proto : std::uint8_t { kTcp = 0, kUdp = 1 };
@@ -211,11 +251,10 @@ class StreamSocket final : public SocketManager::Endpoint,
 
   StreamSocket(SocketManager& mgr, net::Host& host);
 
-  // Client-side setup (SocketApi::connect).
+  // Client-side setup (SocketApi::connect, which parks the connect
+  // callbacks in on_connected_/on_connect_fail_ first).
   void start_connect(Ipv4Addr local, std::uint16_t local_port, Ipv4Addr remote,
-                     std::uint16_t remote_port,
-                     std::function<void(StreamSocketPtr)> on_connected,
-                     VoidHandler on_fail);
+                     std::uint16_t remote_port);
   // Server-side setup (Listener, on SYN).
   void start_accepted(Ipv4Addr local, std::uint16_t local_port,
                       Ipv4Addr remote, std::uint16_t remote_port,
@@ -228,7 +267,10 @@ class StreamSocket final : public SocketManager::Endpoint,
   void send_syn();
   void send_ack();
   void on_data(net::Packet&& packet);
+  /// Keep an out-of-order message for later (a duplicate seq is dropped).
+  void park(std::uint64_t seq, Message&& message);
   void on_ack(std::uint64_t cumulative);
+  void deliver(Message&& message);
   void deliver_in_order();
   void promote_established();
 
@@ -262,13 +304,13 @@ class StreamSocket final : public SocketManager::Endpoint,
     SimTime first_sent_at;  // original transmission (Karn-clamp fallback)
     bool retransmitted = false;
   };
-  std::deque<Message> pending_;
+  Fifo<Message> pending_;
   std::uint64_t pending_bytes_ = 0;
-  std::deque<InFlight> inflight_;
+  Fifo<InFlight> inflight_;
   std::uint64_t inflight_bytes_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t writable_watermark_ = 0;
-  VoidHandler on_writable_;
+  HandlerSlot<void()> on_writable_;
 
   // Congestion control (kTcp; idle under kFlow). cwnd_/ssthresh_ are
   // byte-counted; ca_credit_ accumulates acked bytes in congestion
@@ -282,9 +324,14 @@ class StreamSocket final : public SocketManager::Endpoint,
   bool in_recovery_ = false;
   std::uint64_t recovery_point_ = 0;  // NewReno: recovery ends at this seq
 
-  // Receiver.
+  // Receiver. Out-of-order messages, sorted by *descending* seq so the
+  // next one due sits at the back.
+  struct Parked {
+    std::uint64_t seq;
+    Message message;
+  };
   std::uint64_t expected_seq_ = 1;
-  std::map<std::uint64_t, Message> reorder_;
+  std::vector<Parked> reorder_;
 
   // RTT / RTO state.
   double srtt_s_ = 0.0;
@@ -314,8 +361,8 @@ class StreamSocket final : public SocketManager::Endpoint,
   std::function<void(StreamSocketPtr)> on_connected_;
   VoidHandler on_connect_fail_;
 
-  MessageHandler on_message_;
-  VoidHandler on_close_;
+  HandlerSlot<void(Message&&)> on_message_;
+  HandlerSlot<void()> on_close_;
   /// Installed by the owner (listener/manager) to drop demux entries.
   VoidHandler on_teardown_;
   /// Client sockets keep themselves alive from connect() until the
@@ -399,7 +446,7 @@ class DatagramSocket final
   std::uint16_t local_port_;
   bool open_ = true;
   std::uint64_t flow_;
-  DatagramHandler handler_;
+  HandlerSlot<void(Message&&, Ipv4Addr, std::uint16_t)> handler_;
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
 };

@@ -5,17 +5,32 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace p2plab::gossip {
 namespace {
 
 SimTime at(int seconds) { return SimTime::zero() + Duration::sec(seconds); }
+
+/// The rumors one send piggybacks.
+std::vector<Update> piggyback(MembershipTable& table, std::size_t limit) {
+  Payload payload;
+  table.piggyback(limit, payload);
+  const std::span<const Update> rumors = payload.piggybacked();
+  return {rumors.begin(), rumors.end()};
+}
 
 TEST(MembershipTable, StartsKnowingOnlyItself) {
   MembershipTable table(3, 8);
   EXPECT_TRUE(table.entry(3).known);
   EXPECT_EQ(table.entry(3).state, MemberState::kAlive);
   for (std::uint32_t i = 0; i < 8; ++i) {
-    if (i != 3) EXPECT_FALSE(table.entry(i).known);
+    if (i != 3) {
+      EXPECT_FALSE(table.entry(i).known);
+    }
   }
   EXPECT_TRUE(table.probe_candidates().empty());
 }
@@ -110,7 +125,7 @@ TEST(MembershipTable, SelfSuspicionTriggersRefutation) {
   EXPECT_EQ(table.incarnation(), 1u);
   EXPECT_EQ(table.refutations(), 1u);
   // The refutation queued an Alive rumor about ourselves.
-  const std::vector<Update> rumors = table.piggyback(8);
+  const std::vector<Update> rumors = piggyback(table, 8);
   ASSERT_FALSE(rumors.empty());
   EXPECT_EQ(rumors[0].subject, 2u);
   EXPECT_EQ(rumors[0].state, MemberState::kAlive);
@@ -121,7 +136,7 @@ TEST(MembershipTable, BumpSelfSupersedesSuspicion) {
   MembershipTable table(1, 4);
   table.bump_self(at(5));
   EXPECT_EQ(table.incarnation(), 1u);
-  const std::vector<Update> rumors = table.piggyback(8);
+  const std::vector<Update> rumors = piggyback(table, 8);
   ASSERT_EQ(rumors.size(), 1u);
   EXPECT_EQ(rumors[0].subject, 1u);
   EXPECT_EQ(rumors[0].incarnation, 1u);
@@ -132,8 +147,8 @@ TEST(MembershipTable, PiggybackHonorsLimitAndBudget) {
   for (std::uint32_t i = 1; i <= 12; ++i) {
     table.apply(Update{i, MemberState::kAlive, 1}, at(1));
   }
-  EXPECT_EQ(table.rumor_count(), 12u);
-  const std::vector<Update> first = table.piggyback(8);
+  EXPECT_EQ(table.rumors().size(), 12u);
+  const std::vector<Update> first = piggyback(table, 8);
   EXPECT_EQ(first.size(), 8u);
   // Distinct subjects per message — queue_rumor keeps one rumor/subject.
   for (std::size_t i = 1; i < first.size(); ++i) {
@@ -142,11 +157,67 @@ TEST(MembershipTable, PiggybackHonorsLimitAndBudget) {
   // Budget ~3·log2(64)+2 = 20 transmissions per rumor: drain until empty
   // and count that no rumor exceeds it.
   std::size_t sends = 0;
-  while (table.rumor_count() > 0 && sends < 1000) {
-    table.piggyback(8);
+  while (!table.rumors().empty() && sends < 1000) {
+    piggyback(table, 8);
     ++sends;
   }
   EXPECT_LT(sends, 1000u) << "rumor budget never exhausted";
+}
+
+// The one-pass selection must equal a full sort by (budget desc, subject
+// asc) truncated to the limit, and leave the same budgets behind, on
+// tables whose budgets tie in every pattern a run produces.
+TEST(MembershipTable, PiggybackMatchesSortThenTruncate) {
+  using Rumor = MembershipTable::Rumor;
+  for (std::uint64_t seed = 1; seed <= 250; ++seed) {
+    Rng rng(seed);
+    const std::size_t nodes = 2 + rng.uniform(40);
+    MembershipTable table(0, nodes);
+    for (int step = 0; step < 60; ++step) {
+      // Queue fresh rumors (full budget, so budgets tie often) ...
+      for (std::uint64_t n = rng.uniform(4); n > 0; --n) {
+        const auto subject = static_cast<std::uint32_t>(rng.uniform(nodes));
+        const auto state = static_cast<MemberState>(rng.uniform(3));
+        const auto incarnation = static_cast<std::uint32_t>(rng.uniform(4));
+        table.apply(Update{subject, state, incarnation}, at(step));
+      }
+      // ... then spend some budget with a random limit.
+      const std::size_t limit = rng.uniform(kPiggybackLimit + 1);
+      std::vector<Rumor> expected_left = table.rumors();
+      std::vector<std::size_t> order(expected_left.size());
+      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+      std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+        const Rumor& x = expected_left[a];
+        const Rumor& y = expected_left[b];
+        if (x.budget != y.budget) return x.budget > y.budget;
+        return x.update.subject < y.update.subject;
+      });
+      if (order.size() > limit) order.resize(limit);
+      std::vector<Update> expected;
+      for (std::size_t index : order) {
+        expected.push_back(expected_left[index].update);
+        --expected_left[index].budget;
+      }
+      std::erase_if(expected_left,
+                    [](const Rumor& r) { return r.budget == 0; });
+
+      const std::vector<Update> got = piggyback(table, limit);
+      ASSERT_EQ(got.size(), expected.size()) << "seed " << seed;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].subject, expected[i].subject) << "seed " << seed;
+        EXPECT_EQ(got[i].state, expected[i].state) << "seed " << seed;
+        EXPECT_EQ(got[i].incarnation, expected[i].incarnation)
+            << "seed " << seed;
+      }
+      const std::vector<Rumor>& left = table.rumors();
+      ASSERT_EQ(left.size(), expected_left.size()) << "seed " << seed;
+      for (std::size_t i = 0; i < left.size(); ++i) {
+        EXPECT_EQ(left[i].update.subject, expected_left[i].update.subject)
+            << "seed " << seed;
+        EXPECT_EQ(left[i].budget, expected_left[i].budget) << "seed " << seed;
+      }
+    }
+  }
 }
 
 TEST(MembershipTable, SnapshotListsSelfFirst) {
@@ -162,8 +233,11 @@ TEST(MembershipTable, SnapshotListsSelfFirst) {
 TEST(Protocol, WireBytesCountsHeaderAndRumors) {
   Payload p;
   EXPECT_EQ(wire_bytes(p), kGossipHeaderBytes);
-  p.updates.resize(3);
+  p.rumor_count = 3;
   EXPECT_EQ(wire_bytes(p), kGossipHeaderBytes + 3 * kUpdateWireBytes);
+  p.rumor_count = 0;
+  p.snapshot.resize(5);
+  EXPECT_EQ(wire_bytes(p), kGossipHeaderBytes + 5 * kUpdateWireBytes);
 }
 
 }  // namespace
