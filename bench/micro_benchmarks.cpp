@@ -2,13 +2,12 @@
 //
 // These are engineering benchmarks, not paper figures: they bound the
 // wall-clock cost of the mechanisms that the 10^8-event experiments lean
-// on (event queue, rule scan, pipes, SHA-1, picker).
+// on (event queue, rule scan, pipes, picker).
 #include <algorithm>
 
 #include <benchmark/benchmark.h>
 
 #include "bittorrent/picker.hpp"
-#include "bittorrent/sha1.hpp"
 #include "common/rng.hpp"
 #include "core/platform.hpp"
 #include "ipfw/firewall.hpp"
@@ -281,21 +280,8 @@ void BM_PipeFlowChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_PipeFlowChurn)->Arg(4);
 
-void BM_Sha1Throughput(benchmark::State& state) {
-  std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)));
-  Rng rng(1);
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng.uniform(256));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bt::Sha1::hash(data));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_Sha1Throughput)->Arg(16 * 1024)->Arg(256 * 1024);
-
 void BM_PickerPick(benchmark::State& state) {
-  const auto meta =
-      bt::MetaInfo::make_synthetic("f", DataSize::mib(16), 1);
+  const auto meta = bt::MetaInfo::make_synthetic(DataSize::mib(16), 1);
   bt::PieceStore store(meta);
   bt::PiecePicker picker(meta, store, Rng{1});
   bt::Bitfield have(meta.piece_count());

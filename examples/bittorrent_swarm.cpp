@@ -26,11 +26,10 @@ int main() {
       topology::homogeneous_dsl(bt::swarm_vnodes(config)), platform_config);
 
   bt::Swarm swarm(platform, config);
-  std::printf("torrent %s: %s in %u pieces, infohash %s...\n",
-              swarm.metainfo().name.c_str(),
+  std::printf("torrent %016llx: %s in %u pieces\n",
+              static_cast<unsigned long long>(swarm.metainfo().info_hash),
               swarm.metainfo().total_size.to_string().c_str(),
-              swarm.metainfo().piece_count(),
-              bt::to_hex(swarm.metainfo().info_hash).substr(0, 12).c_str());
+              swarm.metainfo().piece_count());
   std::printf("%zu clients + %zu seeders + tracker on %zu machines "
               "(%zu vnodes each)\n\n",
               config.clients, config.seeders,

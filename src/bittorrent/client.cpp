@@ -72,7 +72,6 @@ void Client::start() {
   listener_ = api_->listen(
       kListenPort, [this](sockets::StreamSocketPtr sock) {
         if (static_cast<int>(peers_.size()) >= kMaxConnections) {
-          ++stats_.accepts_rejected;
           sock->close();
           return;
         }
@@ -288,14 +287,12 @@ Client::Peer* Client::add_peer(sockets::StreamSocketPtr sock, bool initiated) {
     const bool keep_new = (new_is_mine == keep_mine_dialed) &&
                           (existing_is_mine != keep_mine_dialed);
     if (!keep_new) {
-      ++stats_.removals_collision;
       if (initiated) --initiated_connections_;
       sock->on_message(nullptr);
       sock->on_close(nullptr);
       sock->close();
       return existing;
     }
-    ++stats_.removals_collision;
     // No refill here: the winning connection is inserted right below, and
     // a synchronous connect_more() would re-dial this very peer while the
     // map entry is momentarily absent (dial/collide/re-dial livelock).
@@ -323,7 +320,6 @@ Client::Peer* Client::add_peer(sockets::StreamSocketPtr sock, bool initiated) {
   raw->sock->on_close([this, key, sock_id] {
     Peer* p = find_peer(key);
     if (p == nullptr || p->sock.get() != sock_id) return;
-    ++stats_.removals_close;
     remove_peer(key, /*close_socket=*/false);
   });
   raw->sock->on_writable(kUploadWatermark, [this, key, sock_id] {
@@ -382,8 +378,6 @@ Client::Peer* Client::find_peer(std::uint32_t key) {
 // ----------------------------------------------------------------- wiring
 
 void Client::send_msg(Peer& peer, WireMsg msg) {
-  const auto type_index = static_cast<std::size_t>(msg.type);
-  if (type_index < 16) ++stats_.msgs_sent[type_index];
   if (msg.type == MsgType::kPiece) {
     stats_.bytes_up += msg.length;
     peer.up_rate.add(sim_->now(), msg.length);
@@ -396,7 +390,6 @@ void Client::on_wire(std::uint32_t key, const WireMsg& msg) {
   if (peer == nullptr) return;
   if (!peer->handshake_rx) {
     if (msg.type != MsgType::kHandshake) {
-      ++stats_.removals_protocol;
       remove_peer(key, /*close_socket=*/true);  // protocol violation
       return;
     }
@@ -475,7 +468,6 @@ void Client::on_wire(std::uint32_t key, const WireMsg& msg) {
 
 void Client::on_handshake(Peer& peer, const WireMsg& msg) {
   if (msg.info_hash != meta_->info_hash) {
-    ++stats_.removals_badhash;
     remove_peer(key_of(peer.ip), /*close_socket=*/true);
     return;
   }
@@ -688,7 +680,6 @@ void Client::rechoke() {
     const bool should_unchoke =
         std::find(unchoked.begin(), unchoked.end(), key) != unchoked.end();
     if (should_unchoke && peer->am_choking) {
-      ++stats_.choke_transitions;
       metrics_.unchokes_sent.inc();
       peer->am_choking = false;
       WireMsg msg;

@@ -57,16 +57,8 @@ struct ClientStats {
   std::uint64_t bytes_up = 0;
   std::uint64_t duplicate_blocks = 0;  // endgame cost
   std::uint64_t announces = 0;
-  // Wire-message counters (diagnostics and the micro benches).
-  std::uint64_t msgs_sent[16] = {};
-  std::uint64_t choke_transitions = 0;
-  std::uint64_t removals_protocol = 0;   // non-handshake first message
-  std::uint64_t removals_close = 0;      // remote FIN / timeout abort
-  std::uint64_t removals_collision = 0;  // simultaneous-open tie-break
-  std::uint64_t removals_badhash = 0;    // wrong infohash
-  std::uint64_t accepts_rejected = 0;    // listener at the peer limit
-  std::uint64_t announce_failures = 0;   // tracker unreachable / no reply
-  std::uint64_t announce_retries = 0;    // backoff retries fired
+  std::uint64_t announce_failures = 0;  // tracker unreachable / no reply
+  std::uint64_t announce_retries = 0;   // backoff retries fired
 };
 
 /// Shared "bt.*" registry handles; the same cells aggregate every client

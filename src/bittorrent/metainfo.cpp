@@ -25,29 +25,18 @@ std::uint32_t MetaInfo::block_size(std::uint32_t piece,
   return std::min(kBlockLength, size - start);
 }
 
-MetaInfo MetaInfo::make_synthetic(std::string name, DataSize total_size,
+MetaInfo MetaInfo::make_synthetic(DataSize total_size,
                                   std::uint64_t content_seed) {
   static_assert(kPieceLength.count_bytes() % kBlockLength == 0);
   P2PLAB_ASSERT(total_size.count_bytes() > 0);
   MetaInfo meta;
-  meta.name = std::move(name);
   meta.total_size = total_size;
-  meta.content_seed = content_seed;
-
-  // The infohash must still be stable and unique per torrent; stand in
-  // for the 20N-byte pieces string with a seed-derived marker.
-  std::uint64_t sm = content_seed;
-  const std::string pieces_blob = "unhashed:" + std::to_string(splitmix64(sm));
-
-  // The bencoded info dict, keys in sorted order as bencode requires.
-  auto bytes = [](const std::string& s) {
-    return std::to_string(s.size()) + ":" + s;
-  };
-  meta.info_hash = Sha1::hash(
-      "d6:lengthi" + std::to_string(total_size.count_bytes()) + "e4:name" +
-      bytes(meta.name) + "12:piece lengthi" +
-      std::to_string(kPieceLength.count_bytes()) + "e6:pieces" +
-      bytes(pieces_blob) + "e");
+  // splitmix64 is a bijection of its state, and the size multiplier is
+  // odd: holding either input fixed, distinct values of the other give
+  // distinct ids.
+  std::uint64_t sm =
+      content_seed ^ (total_size.count_bytes() * 0x9e3779b97f4a7c15ull);
+  meta.info_hash = splitmix64(sm);
   return meta;
 }
 

@@ -1,22 +1,21 @@
 // Torrent metainfo (.torrent content).
 //
 // BitTorrent divides the file into pieces (256 KiB in the client the paper
-// uses: "the file is always divided in pieces of 256 KB") and stores one
-// SHA-1 per piece in the metainfo's "info" dictionary; the SHA-1 of the
-// bencoded info dictionary is the torrent's infohash.
+// uses: "the file is always divided in pieces of 256 KB"). The real
+// client names a torrent by its infohash, a 20-byte digest of the
+// bencoded info dictionary. Here the name only has to tell swarms apart,
+// so that a handshake or an announce for another torrent is refused, and
+// a 64-bit id does that. The handshake still costs its real 68 bytes on
+// the wire (wire.hpp).
 //
 // Content is synthetic and never materialised: a block on the wire is its
 // coordinates and size, so no payload bytes are copied through the
-// simulated network and no piece can fail its hash. The info dictionary's
-// pieces string is a content-seed marker standing in for the per-piece
-// SHA-1 list, which keeps the infohash stable and unique per torrent.
+// simulated network.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/units.hpp"
-#include "bittorrent/sha1.hpp"
 
 namespace p2plab::bt {
 
@@ -26,11 +25,9 @@ inline constexpr std::uint32_t kBlockLength = 16 * 1024;  // request granularity
 inline constexpr DataSize kPieceLength = DataSize::kib(256);
 
 struct MetaInfo {
-  std::string name;
   DataSize total_size;
   DataSize piece_length = kPieceLength;
-  std::uint64_t content_seed = 0;
-  Sha1Digest info_hash{};
+  std::uint64_t info_hash = 0;  // the torrent's id
 
   std::uint32_t piece_count() const {
     const std::uint64_t pl = piece_length.count_bytes();
@@ -43,9 +40,10 @@ struct MetaInfo {
   std::uint32_t blocks_in_piece(std::uint32_t index) const;
   std::uint32_t block_size(std::uint32_t piece, std::uint32_t block) const;
 
-  /// Build a torrent of kPieceLength pieces for a synthetic file; the
-  /// infohash is the SHA-1 of its bencoded info dict.
-  static MetaInfo make_synthetic(std::string name, DataSize total_size,
+  /// Build a torrent of kPieceLength pieces for a synthetic file. The id
+  /// is stable and unique per torrent: the same (size, seed) always gives
+  /// the same id, and another seed or another size gives another.
+  static MetaInfo make_synthetic(DataSize total_size,
                                  std::uint64_t content_seed);
 };
 

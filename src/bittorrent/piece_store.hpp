@@ -1,8 +1,8 @@
 // Per-client piece/block storage state.
 //
 // Tracks which blocks of which pieces have arrived; a piece is had once
-// all of its blocks are. Content is synthetic (metainfo.hpp), so a
-// complete piece always passes its hash check.
+// all of its blocks are. Content is synthetic (metainfo.hpp), so no piece
+// is hashed or verified.
 #pragma once
 
 #include <cstdint>

@@ -10,8 +10,7 @@ namespace p2plab::bt {
 Swarm::Swarm(core::Platform& platform, SwarmConfig config)
     : platform_(&platform),
       config_(config),
-      meta_(MetaInfo::make_synthetic("experiment.dat", config.file_size,
-                                     config.content_seed)) {
+      meta_(MetaInfo::make_synthetic(config.file_size, config.content_seed)) {
   P2PLAB_ASSERT_MSG(platform.vnode_count() >= swarm_vnodes(config),
                     "platform too small for this swarm");
   Rng rng = platform.rng().fork(0xb17700);

@@ -38,14 +38,14 @@ void Tracker::set_online(bool online) {
   }
 }
 
-std::size_t Tracker::swarm_size(const Sha1Digest& info_hash) const {
-  const auto it = swarms_.find(key_of(info_hash));
+std::size_t Tracker::swarm_size(std::uint64_t info_hash) const {
+  const auto it = swarms_.find(info_hash);
   return it == swarms_.end() ? 0 : it->second.peers.size();
 }
 
 AnnounceResponse Tracker::handle_announce(const AnnounceRequest& request) {
   ++announces_;
-  Swarm& swarm = swarms_[key_of(request.info_hash)];
+  Swarm& swarm = swarms_[request.info_hash];
 
   const auto existing = std::find_if(
       swarm.peers.begin(), swarm.peers.end(),

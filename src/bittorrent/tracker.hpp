@@ -1,7 +1,8 @@
 // The BitTorrent tracker.
 //
-// Peers announce themselves per infohash and receive a random sample of
-// other participants (numwant, default 50) plus a re-announce interval.
+// Peers announce themselves per torrent id (metainfo.hpp) and receive a
+// random sample of other participants (numwant, default 50) plus a
+// re-announce interval.
 // The real tracker speaks HTTP; ours exchanges equivalently-sized messages
 // over the same stream sockets, which preserves the traffic pattern without
 // an HTTP stack (the tracker is not the object of study).
@@ -10,12 +11,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/ipv4.hpp"
 #include "common/rng.hpp"
-#include "bittorrent/sha1.hpp"
 #include "bittorrent/wire.hpp"
 #include "sockets/socket.hpp"
 
@@ -31,7 +30,7 @@ struct PeerInfo {
 };
 
 struct AnnounceRequest {
-  Sha1Digest info_hash{};
+  std::uint64_t info_hash = 0;
   PeerInfo peer;
   AnnounceEvent event = AnnounceEvent::kStarted;
   std::uint32_t numwant = 50;
@@ -69,7 +68,7 @@ class Tracker {
   void set_online(bool online);
   bool online() const { return listener_ != nullptr; }
 
-  std::size_t swarm_size(const Sha1Digest& info_hash) const;
+  std::size_t swarm_size(std::uint64_t info_hash) const;
   std::uint64_t announces_served() const { return announces_; }
 
   /// Policy core, exposed for tests: register the announce and build the
@@ -82,17 +81,12 @@ class Tracker {
     std::uint32_t complete = 0;
   };
 
-  std::string key_of(const Sha1Digest& digest) const {
-    return std::string(reinterpret_cast<const char*>(digest.data()),
-                       digest.size());
-  }
-
   static constexpr std::uint16_t kPort = 6969;
 
   sockets::SocketApi* api_;
   Rng rng_;
   sockets::ListenerPtr listener_;
-  std::map<std::string, Swarm> swarms_;
+  std::map<std::uint64_t, Swarm> swarms_;
   std::uint64_t announces_ = 0;
 };
 

@@ -33,19 +33,21 @@ enum class MsgType : std::uint32_t {
 
 struct WireMsg {
   MsgType type = MsgType::kChoke;
-  std::uint32_t piece = 0;   // have / request / piece / cancel
-  std::uint32_t begin = 0;   // block byte offset within the piece
-  std::uint32_t length = 0;  // request/piece block length
-  Bitfield bitfield;         // kBitfield only
-  Sha1Digest info_hash{};    // kHandshake only
-  std::uint32_t peer_id = 0; // kHandshake only
+  std::uint32_t piece = 0;      // have / request / piece / cancel
+  std::uint32_t begin = 0;      // block byte offset within the piece
+  std::uint32_t length = 0;     // request/piece block length
+  Bitfield bitfield;            // kBitfield only
+  std::uint64_t info_hash = 0;  // kHandshake only: the torrent id
+  std::uint32_t peer_id = 0;    // kHandshake only
 };
 
 /// Exact size of a message on the wire (BitTorrent protocol framing).
 inline std::uint32_t wire_size(const WireMsg& m) {
   switch (m.type) {
     case MsgType::kHandshake:
-      return 68;  // 1 + 19 + 8 + 20 + 20
+      // 1 + 19 + 8 + 20 + 20: the real protocol's 20-byte infohash and
+      // peer id, though the model carries both in fewer bytes.
+      return 68;
     case MsgType::kChoke:
     case MsgType::kUnchoke:
     case MsgType::kInterested:

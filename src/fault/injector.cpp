@@ -34,10 +34,12 @@ void FaultInjector::arm() {
     const std::uint64_t id = next_id++;
     // Each fault is scheduled on the simulation owning its target, so the
     // injection executes on that shard's worker thread and only ever
-    // touches that shard's infrastructure.
+    // touches that shard's infrastructure. Closures point into plan_,
+    // which is never changed after arm(), instead of copying the spec:
+    // that keeps them within InlineCallback's inline budget.
     sim::Simulation& sim = sim_for(spec);
     const SimTime at = spec.at < sim.now() ? sim.now() : spec.at;
-    sim.schedule_at(at, [this, spec, id] { inject(spec, id); });
+    sim.schedule_at(at, [this, spec = &spec, id] { inject(*spec, id); });
   }
 }
 
@@ -82,10 +84,10 @@ void FaultInjector::inject(const FaultSpec& spec, std::uint64_t id) {
       platform_.crash_vnode(spec.node);
       if (node_hooks_.on_crash) node_hooks_.on_crash(spec.node);
       if (spec.rejoin) {
-        sim.schedule_after(spec.duration, [this, spec, id] {
-          platform_.rejoin_vnode(spec.node);
-          if (node_hooks_.on_rejoin) node_hooks_.on_rejoin(spec.node);
-          mark_recovered(spec, id, sim_for(spec).now());
+        sim.schedule_after(spec.duration, [this, spec = &spec, id] {
+          platform_.rejoin_vnode(spec->node);
+          if (node_hooks_.on_rejoin) node_hooks_.on_rejoin(spec->node);
+          mark_recovered(*spec, id, sim_for(*spec).now());
         });
       } else {
         // Permanent departure: the teardown itself is the recovery — the
@@ -98,9 +100,9 @@ void FaultInjector::inject(const FaultSpec& spec, std::uint64_t id) {
       if (node_hooks_.on_leave) node_hooks_.on_leave(spec.node);
       // The grace period lets the farewell traffic (stopped announce,
       // FINs) drain before the address disappears.
-      sim.schedule_after(config_.leave_grace, [this, spec, id] {
-        platform_.crash_vnode(spec.node);
-        mark_recovered(spec, id, sim_for(spec).now());
+      sim.schedule_after(config_.leave_grace, [this, spec = &spec, id] {
+        platform_.crash_vnode(spec->node);
+        mark_recovered(*spec, id, sim_for(*spec).now());
       });
       break;
 
@@ -109,26 +111,26 @@ void FaultInjector::inject(const FaultSpec& spec, std::uint64_t id) {
     // open burst override in force).
     case FaultKind::kLinkDown:
       platform_.set_link_down(spec.node, true);
-      sim.schedule_after(spec.duration, [this, spec, id] {
-        platform_.set_link_down(spec.node, false);
-        mark_recovered(spec, id, sim_for(spec).now());
+      sim.schedule_after(spec.duration, [this, spec = &spec, id] {
+        platform_.set_link_down(spec->node, false);
+        mark_recovered(*spec, id, sim_for(*spec).now());
       });
       break;
 
     case FaultKind::kLatencySpike:
       platform_.add_link_latency(spec.node, spec.extra_latency);
-      sim.schedule_after(spec.duration, [this, spec, id] {
-        platform_.add_link_latency(spec.node, -spec.extra_latency);
-        mark_recovered(spec, id, sim_for(spec).now());
+      sim.schedule_after(spec.duration, [this, spec = &spec, id] {
+        platform_.add_link_latency(spec->node, -spec->extra_latency);
+        mark_recovered(*spec, id, sim_for(*spec).now());
       });
       break;
 
     case FaultKind::kBurstLoss: {
       const std::uint64_t window =
           platform_.open_burst_loss(spec.node, spec.burst);
-      sim.schedule_after(spec.duration, [this, spec, id, window] {
-        platform_.close_burst_loss(spec.node, window);
-        mark_recovered(spec, id, sim_for(spec).now());
+      sim.schedule_after(spec.duration, [this, spec = &spec, id, window] {
+        platform_.close_burst_loss(spec->node, window);
+        mark_recovered(*spec, id, sim_for(*spec).now());
       });
       break;
     }
@@ -145,7 +147,7 @@ void FaultInjector::inject(const FaultSpec& spec, std::uint64_t id) {
       if (first && service_hooks_.on_tracker_outage) {
         service_hooks_.on_tracker_outage();
       }
-      sim.schedule_after(spec.duration, [this, spec, id] {
+      sim.schedule_after(spec.duration, [this, spec = &spec, id] {
         bool last;
         {
           const std::lock_guard<std::mutex> lock(mu_);
@@ -154,7 +156,7 @@ void FaultInjector::inject(const FaultSpec& spec, std::uint64_t id) {
         if (last && service_hooks_.on_tracker_restore) {
           service_hooks_.on_tracker_restore();
         }
-        mark_recovered(spec, id, sim_for(spec).now());
+        mark_recovered(*spec, id, sim_for(*spec).now());
       });
       break;
     }

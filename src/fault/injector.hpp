@@ -100,6 +100,8 @@ class FaultInjector {
   sim::Simulation& sim_for(const FaultSpec& spec);
 
   core::Platform& platform_;
+  /// Sorted in the constructor and never changed after: the scheduled
+  /// closures point into it.
   FaultPlan plan_;
   InjectorConfig config_;
   NodeHooks node_hooks_;

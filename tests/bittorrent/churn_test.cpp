@@ -35,8 +35,8 @@ TEST(AnnounceBackoff, GrowsExponentiallyWithJitterAndCaps) {
   core::Platform platform(topology::homogeneous_dsl(2),
                           core::PlatformConfig{.physical_nodes = 1,
                                                .pin_workers = false});
-  const MetaInfo meta = MetaInfo::make_synthetic(
-      "t.dat", DataSize::kib(256), /*content_seed=*/1);
+  const MetaInfo meta =
+      MetaInfo::make_synthetic(DataSize::kib(256), /*content_seed=*/1);
   ASSERT_EQ(kAnnounceRetryBase, Duration::sec(5));
   ASSERT_EQ(kAnnounceRetryCap, Duration::sec(300));
   Client client(platform.sim_of_vnode(1), platform.api(1), meta,
@@ -71,8 +71,7 @@ TEST(AnnounceBackoff, RetryDelayIsJittered) {
     core::Platform platform(topology::homogeneous_dsl(2),
                             core::PlatformConfig{.physical_nodes = 1,
                                                  .pin_workers = false});
-    const MetaInfo meta =
-        MetaInfo::make_synthetic("t.dat", DataSize::kib(256), 1);
+    const MetaInfo meta = MetaInfo::make_synthetic(DataSize::kib(256), 1);
     Client client(platform.sim_of_vnode(1), platform.api(1), meta,
                   PeerInfo{platform.vnode(0).ip(), 6969},
                   /*start_as_seed=*/false, platform.rng().fork(stream));

@@ -23,7 +23,7 @@ class ClientTest : public ::testing::Test {
       : platform(topology::homogeneous_dsl(kVnodes),
                  core::PlatformConfig{.physical_nodes = 2,
                                       .pin_workers = false}),
-        meta(MetaInfo::make_synthetic("t", DataSize::kib(512), 3)),
+        meta(MetaInfo::make_synthetic(DataSize::kib(512), 3)),
         tracker(platform.api(0), platform.rng().fork(1)) {
     tracker.start();
   }
@@ -73,21 +73,50 @@ TEST_F(ClientTest, LeecherDownloadsAndBecomesSeed) {
 TEST_F(ClientTest, WrongInfohashPeerIsDropped) {
   auto seed = make_client(1, true);
   seed->start();
-  // A client for a *different* torrent learns of the seed out of band and
-  // dials it: the handshake must be rejected.
-  MetaInfo other = MetaInfo::make_synthetic("other", DataSize::kib(512), 99);
+  // A client for a *different* torrent registers in its own swarm: the
+  // tracker keys swarms by torrent id, so the two never meet through it.
+  MetaInfo other = MetaInfo::make_synthetic(DataSize::kib(512), 99);
+  ASSERT_NE(other.info_hash, meta.info_hash);
   Client stranger(platform.sim_of_vnode(2), platform.api(2), other,
                   PeerInfo{platform.vnode(0).ip(), tracker.port()}, false,
                   platform.rng().fork(7));
   stranger.start();
+
+  // Raw dials to the seed's listener from two more vnodes, each opening
+  // with a handshake: one names the other torrent, the control one this.
+  struct Dial {
+    sockets::StreamSocketPtr sock;
+    bool closed = false;
+  };
+  auto dial = [&](std::size_t vnode, std::uint64_t info_hash, Dial& out) {
+    platform.api(vnode).connect(
+        platform.vnode(1).ip(), PeerInfo{}.port,  // the client's listen port
+        [&out, info_hash](sockets::StreamSocketPtr sock) {
+          out.sock = sock;
+          sock->on_close([&out] { out.closed = true; });
+          WireMsg handshake;
+          handshake.type = MsgType::kHandshake;
+          handshake.info_hash = info_hash;
+          sock->send(to_socket_message(std::move(handshake)));
+        },
+        [] { FAIL() << "dial to the seed failed"; });
+  };
+  Dial wrong;
+  dial(3, other.info_hash, wrong);
   run_for(10);
-  // The tracker keys swarms by infohash, so they never meet through it;
-  // inject the seed as a known peer by announcing the stranger under the
-  // seed's swarm... instead simply dial: use tracker state to verify
-  // isolation.
+  ASSERT_NE(wrong.sock, nullptr);
+  EXPECT_TRUE(wrong.closed);  // the seed hung up on the wrong torrent
+  EXPECT_EQ(seed->peer_count(), 0u);
   EXPECT_EQ(tracker.swarm_size(meta.info_hash), 1u);
   EXPECT_EQ(tracker.swarm_size(other.info_hash), 1u);
-  EXPECT_EQ(seed->peer_count(), 0u);
+
+  Dial right;
+  dial(4, meta.info_hash, right);
+  run_for(10);
+  ASSERT_NE(right.sock, nullptr);
+  EXPECT_FALSE(right.closed);
+  EXPECT_EQ(seed->peer_count(), 1u);
+  right.sock->on_close(nullptr);  // `right` dies before the platform
 }
 
 TEST_F(ClientTest, SeedIsNeverInterested) {

@@ -12,7 +12,7 @@ class PickerTest : public ::testing::Test {
   // 8 pieces of 4 blocks (512 KiB, 64 KiB pieces): finer than the
   // swarm's kPieceLength, so the picker has pieces to choose between.
   MetaInfo meta = [] {
-    MetaInfo m = MetaInfo::make_synthetic("f", DataSize::kib(512), 1);
+    MetaInfo m = MetaInfo::make_synthetic(DataSize::kib(512), 1);
     m.piece_length = DataSize::kib(64);
     return m;
   }();

@@ -8,7 +8,7 @@ namespace {
 class PieceStoreTest : public ::testing::Test {
  protected:
   // 1 MiB, 256 KiB pieces -> 4 pieces of 16 blocks.
-  MetaInfo meta = MetaInfo::make_synthetic("f", DataSize::mib(1), 5);
+  MetaInfo meta = MetaInfo::make_synthetic(DataSize::mib(1), 5);
 };
 
 TEST_F(PieceStoreTest, StartsEmpty) {

@@ -15,11 +15,7 @@ namespace {
 
 Ipv4Addr ip(const char* text) { return *Ipv4Addr::parse(text); }
 
-Sha1Digest hash_of(const char* text) {
-  return Sha1::hash(std::string_view{text});
-}
-
-AnnounceRequest announce_from(Ipv4Addr peer_ip, const Sha1Digest& info_hash,
+AnnounceRequest announce_from(Ipv4Addr peer_ip, std::uint64_t info_hash,
                               AnnounceEvent event = AnnounceEvent::kStarted) {
   AnnounceRequest req;
   req.info_hash = info_hash;
@@ -35,7 +31,7 @@ class TrackerPolicyTest : public ::testing::Test {
                           core::PlatformConfig{.physical_nodes = 1,
                                                .pin_workers = false}};
   Tracker tracker{platform.api(0), Rng{1}};
-  Sha1Digest torrent = hash_of("torrent-a");
+  std::uint64_t torrent = 0xa;
 };
 
 TEST_F(TrackerPolicyTest, RegistersAndSamples) {
@@ -88,10 +84,9 @@ TEST_F(TrackerPolicyTest, CompletedCountsSeeders) {
 
 TEST_F(TrackerPolicyTest, SwarmsAreIsolatedByInfohash) {
   tracker.handle_announce(announce_from(ip("10.0.0.1"), torrent));
-  tracker.handle_announce(
-      announce_from(ip("10.0.0.2"), hash_of("torrent-b")));
-  const auto resp = tracker.handle_announce(
-      announce_from(ip("10.0.0.3"), hash_of("torrent-b")));
+  tracker.handle_announce(announce_from(ip("10.0.0.2"), 0xb));
+  const auto resp =
+      tracker.handle_announce(announce_from(ip("10.0.0.3"), 0xb));
   ASSERT_EQ(resp.peers.size(), 1u);
   EXPECT_EQ(resp.peers[0].ip, ip("10.0.0.2"));
 }
@@ -112,7 +107,7 @@ TEST(TrackerWire, AnnounceOverSockets) {
                                                .pin_workers = false});
   Tracker tracker(platform.api(0), Rng{1});
   tracker.start();
-  const Sha1Digest torrent = hash_of("wire");
+  const std::uint64_t torrent = 0xc;
 
   // Seed the swarm with one other peer.
   tracker.handle_announce(

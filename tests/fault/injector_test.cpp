@@ -11,6 +11,7 @@
 #include "core/platform.hpp"
 #include "fault/plan.hpp"
 #include "metrics/registry.hpp"
+#include "sim/inline_callback.hpp"
 
 namespace p2plab::fault {
 namespace {
@@ -250,6 +251,29 @@ TEST_F(InjectorTest, OverlappingBurstLossKeepsNewestOpenOverride) {
   EXPECT_FALSE(up_pipe(5).config().burst_loss.enabled());
   EXPECT_FALSE(down_pipe(5).config().burst_loss.enabled());
   EXPECT_EQ(injector.stats().unrecovered(), 0u);
+}
+
+TEST_F(InjectorTest, ClosuresFitInline) {
+  // One fault of each kind: every arm and recovery closure must fit
+  // InlineCallback's inline budget, or each fault costs a heap box.
+  FaultPlan plan;
+  plan.crash(1, at_sec(1))
+      .crash_and_rejoin(2, at_sec(1), Duration::sec(5))
+      .leave(3, at_sec(1))
+      .link_down(4, at_sec(1), Duration::sec(5))
+      .latency_spike(5, at_sec(1), Duration::millis(40), Duration::sec(5))
+      .burst_loss(4, at_sec(2), Duration::sec(5),
+                  ipfw::GilbertElliott{.p_good_to_bad = 0.1,
+                                       .p_bad_to_good = 0.4,
+                                       .loss_bad = 0.8})
+      .tracker_outage(at_sec(1), Duration::sec(5));
+  FaultInjector injector(platform, plan);
+  const std::uint64_t boxed_before = sim::InlineCallback::heap_fallbacks();
+  injector.arm();
+  run_until(20);
+  EXPECT_EQ(injector.stats().injected, 7u);
+  EXPECT_EQ(injector.stats().unrecovered(), 0u);
+  EXPECT_EQ(sim::InlineCallback::heap_fallbacks(), boxed_before);
 }
 
 TEST_F(InjectorTest, BindsMetricsRegistry) {
