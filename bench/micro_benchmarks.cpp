@@ -7,7 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bittorrent/picker.hpp"
+#include "bittorrent/download.hpp"
 #include "common/rng.hpp"
 #include "core/platform.hpp"
 #include "ipfw/firewall.hpp"
@@ -282,17 +282,16 @@ BENCHMARK(BM_PipeFlowChurn)->Arg(4);
 
 void BM_PickerPick(benchmark::State& state) {
   const auto meta = bt::MetaInfo::make_synthetic(DataSize::mib(16), 1);
-  bt::PieceStore store(meta);
-  bt::PiecePicker picker(meta, store, Rng{1});
+  bt::Download download(meta, Rng{1});
   bt::Bitfield have(meta.piece_count());
   have.set_all();
-  picker.peer_has_bitfield(have);
+  download.peer_has_bitfield(have);
   for (auto _ : state) {
-    const auto ref = picker.pick(have);
+    const auto ref = download.pick(have);
     benchmark::DoNotOptimize(ref);
     if (ref) {
-      picker.on_requested(*ref);
-      picker.on_request_discarded(*ref);  // keep state steady
+      download.on_requested(*ref);
+      download.on_request_discarded(*ref);  // keep state steady
     }
   }
 }

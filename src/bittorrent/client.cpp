@@ -54,12 +54,11 @@ Client::Client(sim::Simulation& sim, sockets::SocketApi& api,
       meta_(&meta),
       tracker_(tracker),
       rng_(rng),
-      store_(meta),
-      picker_(meta, store_, rng.fork(1)),
+      download_(meta, rng.fork(1)),
       was_seed_at_start_(start_as_seed),
       progress_("progress"),
       down_series_("bytes_down") {
-  if (start_as_seed) store_.fill_complete();
+  if (start_as_seed) download_.fill_complete();
 }
 
 Client::~Client() {
@@ -118,8 +117,8 @@ void Client::crash() {
   announce_failures_streak_ = 0;
   // No "stopped" announce, no socket closes: the platform's crash_vnode
   // already aborted every socket at our address, so releasing them here
-  // sends nothing. Session state dies; store_/picker_ survive like a
-  // resume file for a later start().
+  // sends nothing. Session state dies; download_ survives like a resume
+  // file for a later start().
   while (!peers_.empty()) {
     remove_peer(peers_.begin()->first, /*close_socket=*/false,
                 /*refill=*/false);
@@ -133,18 +132,18 @@ void Client::crash() {
 
 std::vector<Client::PeerDebug> Client::debug_peers() {
   std::vector<PeerDebug> out;
-  for (const auto& [key, peer] : peers_) {
+  for (auto& [key, peer] : peers_) {
     out.push_back(PeerDebug{
-        .ip = peer->ip,
-        .am_choking = peer->am_choking,
-        .am_interested = peer->am_interested,
-        .peer_choking = peer->peer_choking,
-        .peer_interested = peer->peer_interested,
-        .inflight = peer->inflight.size(),
-        .upload_queue = peer->upload_queue.size(),
-        .sock_unsent = peer->sock->unsent_bytes(),
-        .down_rate_bps = peer->down_rate.rate_bps(sim_->now()),
-        .up_rate_bps = peer->up_rate.rate_bps(sim_->now())});
+        .ip = peer.ip,
+        .am_choking = peer.am_choking,
+        .am_interested = peer.am_interested,
+        .peer_choking = peer.peer_choking,
+        .peer_interested = peer.peer_interested,
+        .inflight = peer.inflight.size(),
+        .upload_queue = peer.upload_queue.size(),
+        .sock_unsent = peer.sock->unsent_bytes(),
+        .down_rate_bps = peer.down_rate.rate_bps(sim_->now()),
+        .up_rate_bps = peer.up_rate.rate_bps(sim_->now())});
   }
   return out;
 }
@@ -180,9 +179,6 @@ void Client::announce(AnnounceEvent event) {
         request.peer = PeerInfo{ip(), kListenPort};
         request.event = event;
         request.numwant = kNumwant;
-        request.left =
-            meta_->total_size.count_bytes() -
-            store_.bytes_downloaded().count_bytes();
         sockets::Message msg;
         msg.type = static_cast<std::uint32_t>(MsgType::kTrackerAnnounce);
         msg.size = announce_request_wire_size();
@@ -299,14 +295,12 @@ Client::Peer* Client::add_peer(sockets::StreamSocketPtr sock, bool initiated) {
     remove_peer(key, /*close_socket=*/true, /*refill=*/false);
   }
 
-  auto peer = std::make_unique<Peer>();
-  Peer* raw = peer.get();
-  peer->sock = std::move(sock);
-  peer->ip = peer->sock->remote_ip();
-  peer->initiated = initiated;
-  peer->have = Bitfield(meta_->piece_count());
-  peer->last_block_at = sim_->now();
-  peers_.emplace(key, std::move(peer));
+  Peer* raw = &peers_.try_emplace(key).first->second;
+  raw->sock = std::move(sock);
+  raw->ip = raw->sock->remote_ip();
+  raw->initiated = initiated;
+  raw->have = Bitfield(meta_->piece_count());
+  raw->last_block_at = sim_->now();
 
   sockets::StreamSocket* sock_id = raw->sock.get();
   raw->sock->on_message([this, key, sock_id](sockets::Message&& msg) {
@@ -335,10 +329,10 @@ Client::Peer* Client::add_peer(sockets::StreamSocketPtr sock, bool initiated) {
   handshake.peer_id = key_of(ip());
   send_msg(*raw, std::move(handshake));
   raw->handshake_sent = true;
-  if (store_.have().count() > 0) {
+  if (download_.have().count() > 0) {
     WireMsg bitfield;
     bitfield.type = MsgType::kBitfield;
-    bitfield.bitfield = store_.have();
+    bitfield.bitfield = download_.have();
     send_msg(*raw, std::move(bitfield));
   }
   return raw;
@@ -347,13 +341,13 @@ Client::Peer* Client::add_peer(sockets::StreamSocketPtr sock, bool initiated) {
 void Client::remove_peer(std::uint32_t key, bool close_socket, bool refill) {
   const auto it = peers_.find(key);
   if (it == peers_.end()) return;
-  Peer& peer = *it->second;
-  // Release picker state for anything we were waiting on from this peer.
+  Peer& peer = it->second;
+  // Release the requests we were waiting on from this peer.
   const bool had_inflight = !peer.inflight.empty();
   for (const Peer::Outstanding& out : peer.inflight) {
-    picker_.on_request_discarded(out.ref);
+    download_.on_request_discarded(out.ref);
   }
-  if (peer.handshake_rx) picker_.peer_lost(peer.have);
+  if (peer.handshake_rx) download_.peer_lost(peer.have);
   if (peer.initiated) --initiated_connections_;
   peer.sock->on_message(nullptr);
   peer.sock->on_close(nullptr);
@@ -372,7 +366,7 @@ void Client::remove_peer(std::uint32_t key, bool close_socket, bool refill) {
 
 Client::Peer* Client::find_peer(std::uint32_t key) {
   const auto it = peers_.find(key);
-  return it == peers_.end() ? nullptr : it->second.get();
+  return it == peers_.end() ? nullptr : &it->second;
 }
 
 // ----------------------------------------------------------------- wiring
@@ -404,7 +398,7 @@ void Client::on_wire(std::uint32_t key, const WireMsg& msg) {
       // Outstanding requests are void once choked.
       const bool had_inflight = !peer->inflight.empty();
       for (const Peer::Outstanding& out : peer->inflight) {
-        picker_.on_request_discarded(out.ref);
+        download_.on_request_discarded(out.ref);
       }
       peer->inflight.clear();
       if (had_inflight) sweep_requests();
@@ -423,7 +417,7 @@ void Client::on_wire(std::uint32_t key, const WireMsg& msg) {
     case MsgType::kHave:
       if (msg.piece < meta_->piece_count() && !peer->have.get(msg.piece)) {
         peer->have.set(msg.piece);
-        picker_.peer_has(msg.piece);
+        download_.peer_has(msg.piece);
         update_interest(*peer);
         if (!peer->peer_choking) try_request(*peer);
       }
@@ -432,7 +426,7 @@ void Client::on_wire(std::uint32_t key, const WireMsg& msg) {
       if (msg.bitfield.size() == meta_->piece_count() &&
           peer->have.count() == 0) {
         peer->have = msg.bitfield;
-        picker_.peer_has_bitfield(peer->have);
+        download_.peer_has_bitfield(peer->have);
         update_interest(*peer);
         if (!peer->peer_choking) try_request(*peer);
       }
@@ -440,7 +434,7 @@ void Client::on_wire(std::uint32_t key, const WireMsg& msg) {
     case MsgType::kRequest: {
       if (peer->am_choking) break;  // requests while choked are dropped
       if (msg.piece >= meta_->piece_count() ||
-          !store_.have_piece(msg.piece)) {
+          !download_.have_piece(msg.piece)) {
         break;
       }
       peer->upload_queue.push_back({msg.piece, msg.begin, msg.length});
@@ -491,25 +485,24 @@ void Client::on_piece_msg(Peer& peer, const WireMsg& msg) {
   peer.down_rate.add(sim_->now(), msg.length);
   stats_.bytes_down += msg.length;
 
-  picker_.on_block_received(ref);
-  const auto result = store_.add_block(msg.piece, block);
+  const auto result = download_.add_block(ref);
   switch (result) {
-    case PieceStore::BlockResult::kDuplicate:
+    case Download::BlockResult::kDuplicate:
       ++stats_.duplicate_blocks;
       break;
-    case PieceStore::BlockResult::kAccepted:
+    case Download::BlockResult::kAccepted:
       cancel_duplicates(ref, key_of(peer.ip));
       break;
-    case PieceStore::BlockResult::kPieceComplete: {
+    case Download::BlockResult::kPieceComplete: {
       cancel_duplicates(ref, key_of(peer.ip));
       metrics_.piece_completions.inc();
-      progress_.add(sim_->now(), 100.0 * store_.fraction_complete());
+      progress_.add(sim_->now(), 100.0 * download_.fraction_complete());
       down_series_.add(
           sim_->now(),
-          static_cast<double>(store_.bytes_downloaded().count_bytes()));
+          static_cast<double>(download_.bytes_downloaded().count_bytes()));
       broadcast_have(msg.piece);
-      for (auto& [k, p] : peers_) update_interest(*p);
-      if (store_.complete()) on_torrent_complete();
+      for (auto& [k, p] : peers_) update_interest(p);
+      if (download_.complete()) on_torrent_complete();
       break;
     }
   }
@@ -517,8 +510,8 @@ void Client::on_piece_msg(Peer& peer, const WireMsg& msg) {
 }
 
 void Client::update_interest(Peer& peer) {
-  const bool want = !store_.complete() &&
-                    store_.have().other_has_missing(peer.have);
+  const bool want = !download_.complete() &&
+                    download_.have().other_has_missing(peer.have);
   if (want == peer.am_interested) return;
   peer.am_interested = want;
   WireMsg msg;
@@ -533,15 +526,15 @@ int Client::backlog_for(Peer& peer) {
 }
 
 void Client::try_request(Peer& peer) {
-  if (store_.complete() || peer.peer_choking || !peer.am_interested) return;
+  if (download_.complete() || peer.peer_choking || !peer.am_interested) return;
   const int backlog = backlog_for(peer);
 
   while (static_cast<int>(peer.inflight.size()) < backlog) {
-    std::optional<BlockRef> ref = picker_.pick(peer.have);
-    if (!ref && picker_.all_missing_requested()) {
+    std::optional<BlockRef> ref = download_.pick(peer.have);
+    if (!ref && download_.all_missing_requested()) {
       // Endgame: re-request missing blocks from this peer too.
-      for (const BlockRef& candidate : picker_.missing_blocks(peer.have)) {
-        if (picker_.request_count(candidate) >= kEndgameMaxDuplication) {
+      for (const BlockRef& candidate : download_.missing_blocks(peer.have)) {
+        if (download_.request_count(candidate) >= kEndgameMaxDuplication) {
           continue;
         }
         const bool already = std::any_of(
@@ -556,7 +549,7 @@ void Client::try_request(Peer& peer) {
       }
     }
     if (!ref) return;
-    picker_.on_requested(*ref);
+    download_.on_requested(*ref);
     peer.inflight.push_back(Peer::Outstanding{*ref, sim_->now()});
     WireMsg request;
     request.type = MsgType::kRequest;
@@ -568,9 +561,9 @@ void Client::try_request(Peer& peer) {
 }
 
 void Client::sweep_requests() {
-  if (store_.complete()) return;
+  if (download_.complete()) return;
   for (auto& [key, peer] : peers_) {
-    if (peer->handshake_rx && !peer->peer_choking) try_request(*peer);
+    if (peer.handshake_rx && !peer.peer_choking) try_request(peer);
   }
 }
 
@@ -593,11 +586,11 @@ void Client::pump_uploads(Peer& peer) {
 
 void Client::broadcast_have(std::uint32_t piece) {
   for (auto& [key, peer] : peers_) {
-    if (!peer->handshake_rx) continue;
+    if (!peer.handshake_rx) continue;
     WireMsg have;
     have.type = MsgType::kHave;
     have.piece = piece;
-    send_msg(*peer, std::move(have));
+    send_msg(peer, std::move(have));
   }
 }
 
@@ -605,16 +598,16 @@ void Client::cancel_duplicates(BlockRef ref, std::uint32_t except_key) {
   for (auto& [key, peer] : peers_) {
     if (key == except_key) continue;
     const auto it = std::find_if(
-        peer->inflight.begin(), peer->inflight.end(),
+        peer.inflight.begin(), peer.inflight.end(),
         [&](const Peer::Outstanding& out) { return out.ref == ref; });
-    if (it == peer->inflight.end()) continue;
-    peer->inflight.erase(it);
+    if (it == peer.inflight.end()) continue;
+    peer.inflight.erase(it);
     WireMsg cancel;
     cancel.type = MsgType::kCancel;
     cancel.piece = ref.piece;
     cancel.begin = ref.block * kBlockLength;
     cancel.length = meta_->block_size(ref.piece, ref.block);
-    send_msg(*peer, std::move(cancel));
+    send_msg(peer, std::move(cancel));
   }
 }
 
@@ -647,7 +640,7 @@ void Client::release_stalled_requests(Peer& peer) {
   auto it = peer.inflight.begin();
   while (it != peer.inflight.end()) {
     if (now - it->requested_at > kSnubTimeout) {
-      picker_.on_request_discarded(it->ref);
+      download_.on_request_discarded(it->ref);
       it = peer.inflight.erase(it);
     } else {
       ++it;
@@ -658,40 +651,40 @@ void Client::release_stalled_requests(Peer& peer) {
 void Client::rechoke() {
   std::vector<PeerSnapshot> snapshot;
   snapshot.reserve(peers_.size());
-  const bool seeding = store_.complete();
+  const bool seeding = download_.complete();
   for (auto& [key, peer] : peers_) {
-    if (!peer->handshake_rx) continue;
-    const bool snubbed = is_snubbed(*peer);
-    if (snubbed) release_stalled_requests(*peer);
-    metrics_.peer_down_rate_bps.record(peer->down_rate.rate_bps(sim_->now()));
-    metrics_.peer_up_rate_bps.record(peer->up_rate.rate_bps(sim_->now()));
+    if (!peer.handshake_rx) continue;
+    const bool snubbed = is_snubbed(peer);
+    if (snubbed) release_stalled_requests(peer);
+    metrics_.peer_down_rate_bps.record(peer.down_rate.rate_bps(sim_->now()));
+    metrics_.peer_up_rate_bps.record(peer.up_rate.rate_bps(sim_->now()));
     snapshot.push_back(PeerSnapshot{
         .key = key,
-        .interested = peer->peer_interested,
+        .interested = peer.peer_interested,
         .snubbed = snubbed,
-        .rate_bps = seeding ? peer->up_rate.rate_bps(sim_->now())
-                            : peer->down_rate.rate_bps(sim_->now())});
+        .rate_bps = seeding ? peer.up_rate.rate_bps(sim_->now())
+                            : peer.down_rate.rate_bps(sim_->now())});
   }
   const std::vector<PeerKey> unchoked =
       choker_.rechoke(sim_->now(), snapshot, rng_);
 
   for (auto& [key, peer] : peers_) {
-    if (!peer->handshake_rx) continue;
+    if (!peer.handshake_rx) continue;
     const bool should_unchoke =
         std::find(unchoked.begin(), unchoked.end(), key) != unchoked.end();
-    if (should_unchoke && peer->am_choking) {
+    if (should_unchoke && peer.am_choking) {
       metrics_.unchokes_sent.inc();
-      peer->am_choking = false;
+      peer.am_choking = false;
       WireMsg msg;
       msg.type = MsgType::kUnchoke;
-      send_msg(*peer, std::move(msg));
-    } else if (!should_unchoke && !peer->am_choking) {
+      send_msg(peer, std::move(msg));
+    } else if (!should_unchoke && !peer.am_choking) {
       metrics_.chokes_sent.inc();
-      peer->am_choking = true;
-      peer->upload_queue.clear();  // unserved requests die with the choke
+      peer.am_choking = true;
+      peer.upload_queue.clear();  // unserved requests die with the choke
       WireMsg msg;
       msg.type = MsgType::kChoke;
-      send_msg(*peer, std::move(msg));
+      send_msg(peer, std::move(msg));
     }
   }
   // Safety net for the download tail: any blocks released above (stalled

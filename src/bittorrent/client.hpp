@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <set>
 #include <optional>
 #include <vector>
@@ -26,8 +25,7 @@
 #include "metrics/timeseries.hpp"
 #include "bittorrent/choker.hpp"
 #include "bittorrent/metainfo.hpp"
-#include "bittorrent/picker.hpp"
-#include "bittorrent/piece_store.hpp"
+#include "bittorrent/download.hpp"
 #include "bittorrent/rate.hpp"
 #include "bittorrent/tracker.hpp"
 #include "bittorrent/wire.hpp"
@@ -95,13 +93,12 @@ class Client {
 
   Ipv4Addr ip() const { return api_->effective_bind_address(); }
   bool started() const { return started_; }
-  bool complete() const { return store_.complete(); }
+  bool complete() const { return download_.complete(); }
   bool has_completed() const { return completed_at_.has_value(); }
   SimTime completion_time() const { return *completed_at_; }
-  double fraction_complete() const { return store_.fraction_complete(); }
+  double fraction_complete() const { return download_.fraction_complete(); }
   std::size_t peer_count() const { return peers_.size(); }
   const ClientStats& stats() const { return stats_; }
-  const PieceStore& store() const { return store_; }
 
   /// Timestamped download progress in percent — the paper's data
   /// collection hook (Figures 8 and 10).
@@ -167,7 +164,7 @@ class Client {
   void on_piece_msg(Peer& peer, const WireMsg& msg);
   void update_interest(Peer& peer);
   void try_request(Peer& peer);
-  /// Re-drive requests on every unchoked peer. Run after picker blocks are
+  /// Re-drive requests on every unchoked peer. Run after blocks are
   /// re-queued (peer death, choke, stalled-request release): without it the
   /// re-queued blocks sit unrequested until the next PIECE arrival, which
   /// near the end of a download may never come (the wedge under churn).
@@ -189,8 +186,7 @@ class Client {
   PeerInfo tracker_;
   Rng rng_;
 
-  PieceStore store_;
-  PiecePicker picker_;
+  Download download_;
   Choker choker_;
 
   bool started_ = false;
@@ -198,7 +194,7 @@ class Client {
   std::optional<SimTime> completed_at_;
 
   sockets::ListenerPtr listener_;
-  std::map<std::uint32_t, std::unique_ptr<Peer>> peers_;  // key: ip u32
+  std::map<std::uint32_t, Peer> peers_;  // key: ip u32
   std::vector<PeerInfo> known_peers_;
   std::set<std::uint32_t> dialing_;  // dials awaiting connect/fail
   int initiated_connections_ = 0;    // dials in progress + established out

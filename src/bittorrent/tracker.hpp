@@ -1,8 +1,9 @@
 // The BitTorrent tracker.
 //
 // Peers announce themselves per torrent id (metainfo.hpp) and receive a
-// random sample of other participants (numwant, default 50) plus a
-// re-announce interval.
+// random sample of other participants (numwant, default 50). Every client
+// re-announces every kAnnounceInterval, the interval a BitTorrent 4.x
+// tracker hands out, so the response does not carry it.
 // The real tracker speaks HTTP; ours exchanges equivalently-sized messages
 // over the same stream sockets, which preserves the traffic pattern without
 // an HTTP stack (the tracker is not the object of study).
@@ -34,14 +35,12 @@ struct AnnounceRequest {
   PeerInfo peer;
   AnnounceEvent event = AnnounceEvent::kStarted;
   std::uint32_t numwant = 50;
-  std::uint64_t left = 0;  // bytes remaining (tracker scrape statistics)
 };
 
-/// The re-announce interval the tracker hands out (BitTorrent 4.x: 30 min).
+/// The re-announce interval (BitTorrent 4.x: 30 min).
 inline constexpr Duration kAnnounceInterval = Duration::sec(1800);
 
 struct AnnounceResponse {
-  Duration interval = kAnnounceInterval;
   std::vector<PeerInfo> peers;
   std::uint32_t complete = 0;    // seeders in swarm
   std::uint32_t incomplete = 0;  // leechers in swarm

@@ -8,9 +8,8 @@
 
 namespace p2plab::fault {
 
-FaultInjector::FaultInjector(core::Platform& platform, FaultPlan plan,
-                             InjectorConfig config)
-    : platform_(platform), plan_(std::move(plan)), config_(config) {
+FaultInjector::FaultInjector(core::Platform& platform, FaultPlan plan)
+    : platform_(platform), plan_(std::move(plan)) {
   plan_.sort();
 }
 
@@ -100,7 +99,7 @@ void FaultInjector::inject(const FaultSpec& spec, std::uint64_t id) {
       if (node_hooks_.on_leave) node_hooks_.on_leave(spec.node);
       // The grace period lets the farewell traffic (stopped announce,
       // FINs) drain before the address disappears.
-      sim.schedule_after(config_.leave_grace, [this, spec = &spec, id] {
+      sim.schedule_after(kLeaveGrace, [this, spec = &spec, id] {
         platform_.crash_vnode(spec->node);
         mark_recovered(*spec, id, sim_for(*spec).now());
       });

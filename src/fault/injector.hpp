@@ -55,11 +55,9 @@ struct InjectorStats {
   std::uint64_t unrecovered() const { return injected - recovered; }
 };
 
-struct InjectorConfig {
-  /// A graceful leave detaches the address this long after on_leave, so
-  /// farewell messages (tracker "stopped" announce, FINs) get out.
-  Duration leave_grace = Duration::millis(500);
-};
+/// A graceful leave detaches the address this long after on_leave, so
+/// farewell messages (tracker "stopped" announce, FINs) get out.
+inline constexpr Duration kLeaveGrace = Duration::millis(500);
 
 struct InjectorMetrics {
   metrics::Counter injected;
@@ -69,8 +67,7 @@ struct InjectorMetrics {
 
 class FaultInjector {
  public:
-  FaultInjector(core::Platform& platform, FaultPlan plan,
-                InjectorConfig config = {});
+  FaultInjector(core::Platform& platform, FaultPlan plan);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -103,7 +100,6 @@ class FaultInjector {
   /// Sorted in the constructor and never changed after: the scheduled
   /// closures point into it.
   FaultPlan plan_;
-  InjectorConfig config_;
   NodeHooks node_hooks_;
   ServiceHooks service_hooks_;
   InjectorStats stats_;

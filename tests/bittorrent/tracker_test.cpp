@@ -131,7 +131,7 @@ TEST(TrackerWire, AnnounceOverSockets) {
   ASSERT_TRUE(got.has_value());
   ASSERT_EQ(got->peers.size(), 1u);
   EXPECT_EQ(got->peers[0].ip, platform.vnode(2).ip());
-  EXPECT_EQ(got->interval, Duration::sec(1800));
+  EXPECT_EQ(got->incomplete, 2u);  // both announcers, no seeder yet
 }
 
 TEST(TrackerWire, ResponseSizeScalesWithPeers) {

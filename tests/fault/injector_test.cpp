@@ -93,8 +93,7 @@ TEST_F(InjectorTest, PermanentCrashRecoversAtTeardown) {
 TEST_F(InjectorTest, LeaveGivesGraceBeforeDetaching) {
   FaultPlan plan;
   plan.leave(1, at_sec(10));
-  FaultInjector injector(platform, plan,
-                         InjectorConfig{.leave_grace = Duration::sec(2)});
+  FaultInjector injector(platform, plan);
   injector.set_node_hooks(NodeHooks{
       .on_crash = nullptr,
       .on_leave = [&](std::size_t v) {
@@ -104,11 +103,12 @@ TEST_F(InjectorTest, LeaveGivesGraceBeforeDetaching) {
       },
       .on_rejoin = nullptr});
   injector.arm();
-  run_until(11);
+  const double grace_s = kLeaveGrace.to_seconds();
+  run_until(10 + 0.9 * grace_s);
   EXPECT_EQ(hook_log, (std::vector<std::string>{"leave:1"}));
   EXPECT_TRUE(platform.vnode_online(1));  // grace period
   EXPECT_EQ(injector.stats().unrecovered(), 1u);
-  run_until(13);
+  run_until(10 + 1.1 * grace_s);
   EXPECT_FALSE(platform.vnode_online(1));
   EXPECT_EQ(injector.stats().unrecovered(), 0u);
 }
