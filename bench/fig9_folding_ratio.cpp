@@ -89,6 +89,7 @@ int main(int argc, char** argv) {
     // cross-fold outputs are this harness's.
     scenario::ScenarioSpec spec = swarm_spec;
     spec.outputs = {};
+    spec.outputs.profile_trace = swarm_spec.outputs.profile_trace;
     spec.outputs.metrics = "fig9_metrics_fold" + std::to_string(fold);
     spec.engine.fold.reset();
     spec.engine.physical_nodes = spec.swarm.clients / fold + 1;
@@ -114,7 +115,7 @@ int main(int argc, char** argv) {
     if (fold == last_fold) {
       // Standard run summary from the densest deployment (the paper's
       // stress case), profiler rollup included under
-      // `--set engine.profile=on`.
+      // `--set outputs.profile_trace=profile.json`.
       core::write_bench_json(
           "fig9", "BENCH_fig9",
           core::bench_fields(platform, "fold", static_cast<double>(fold),

@@ -533,20 +533,13 @@ void Client::try_request(Peer& peer) {
     std::optional<BlockRef> ref = download_.pick(peer.have);
     if (!ref && download_.all_missing_requested()) {
       // Endgame: re-request missing blocks from this peer too.
-      for (const BlockRef& candidate : download_.missing_blocks(peer.have)) {
-        if (download_.request_count(candidate) >= kEndgameMaxDuplication) {
-          continue;
-        }
-        const bool already = std::any_of(
-            peer.inflight.begin(), peer.inflight.end(),
-            [&](const Peer::Outstanding& out) {
-              return out.ref == candidate;
-            });
-        if (!already) {
-          ref = candidate;
-          break;
-        }
-      }
+      ref = download_.first_missing(
+          peer.have, kEndgameMaxDuplication, [&](const BlockRef& candidate) {
+            return std::any_of(peer.inflight.begin(), peer.inflight.end(),
+                               [&](const Peer::Outstanding& out) {
+                                 return out.ref == candidate;
+                               });
+          });
     }
     if (!ref) return;
     download_.on_requested(*ref);

@@ -144,16 +144,4 @@ std::optional<BlockRef> Download::pick(const Bitfield& peer_have) {
   return BlockRef{piece, first_free_block(piece)};
 }
 
-std::vector<BlockRef> Download::missing_blocks(
-    const Bitfield& peer_have) const {
-  std::vector<BlockRef> missing;
-  for (std::uint32_t p = 0; p < piece_count(); ++p) {
-    if (have_.get(p) || !peer_have.get(p)) continue;
-    for (std::uint32_t b = 0; b < blocks_in(p); ++b) {
-      if (at(BlockRef{p, b}) != kReceived) missing.push_back(BlockRef{p, b});
-    }
-  }
-  return missing;
-}
-
 }  // namespace p2plab::bt

@@ -89,10 +89,27 @@ class Download {
   /// held or requested — the endgame trigger.
   std::optional<BlockRef> pick(const Bitfield& peer_have);
 
-  /// Endgame: missing blocks (not yet received) the peer has, regardless of
-  /// outstanding requests elsewhere. The caller filters blocks it already
-  /// requested from this same peer.
-  std::vector<BlockRef> missing_blocks(const Bitfield& peer_have) const;
+  /// Endgame: the first missing block (not yet received) the peer has, in
+  /// (piece, block) order, that is outstanding at fewer than `max_requests`
+  /// peers and that `skip` does not reject (the caller skips blocks it
+  /// already requested from this same peer). Allocates nothing.
+  template <typename Skip>
+  std::optional<BlockRef> first_missing(const Bitfield& peer_have,
+                                        std::uint32_t max_requests,
+                                        Skip&& skip) const {
+    for (std::uint32_t p = 0; p < piece_count(); ++p) {
+      if (have_.get(p) || !peer_have.get(p)) continue;
+      for (std::uint32_t b = 0; b < blocks_in(p); ++b) {
+        const BlockRef ref{p, b};
+        const std::uint8_t state = at(ref);
+        if (state == kReceived || state >= max_requests || skip(ref)) {
+          continue;
+        }
+        return ref;
+      }
+    }
+    return std::nullopt;
+  }
 
   /// True once no unrequested missing block remains anywhere.
   bool all_missing_requested() const {

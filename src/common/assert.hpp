@@ -14,7 +14,7 @@ namespace p2plab::detail {
 /// (metrics/recorder.hpp) installs its post-mortem dump here. Kept as a
 /// bare function pointer so common/ stays dependency-free. Thread-local:
 /// each parallel-engine worker installs the hook for its own shard's
-/// recorder, and an assertion dumps the ring of the thread that tripped it.
+/// recorder, and an assertion dumps the log of the thread that tripped it.
 inline thread_local void (*g_assert_hook)() = nullptr;
 
 /// Second post-mortem slot, invoked after g_assert_hook: the wall-clock

@@ -400,47 +400,38 @@ std::size_t Platform::total_rules() const {
   return total;
 }
 
-void Platform::enable_tracing(std::size_t capacity) {
+void Platform::enable_tracing() {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->recorder = std::make_unique<metrics::FlightRecorder>(capacity);
+    shards_[s]->recorder = std::make_unique<metrics::FlightRecorder>();
     engine_->set_recorder(s, shards_[s]->recorder.get());
   }
-  // Setup-time events (main thread) land in shard 0's ring — the same ring
+  // Setup-time events (main thread) land in shard 0's log — the same log
   // for every shard count, preserving determinism.
   metrics::FlightRecorder::set_active(shards_[0]->recorder.get());
 }
 
 bool Platform::tracing() const { return shards_[0]->recorder != nullptr; }
 
-std::uint64_t Platform::trace_dropped() const {
-  std::uint64_t dropped = 0;
-  for (const auto& shard : shards_) {
-    if (shard->recorder) dropped += shard->recorder->dropped();
-  }
-  return dropped;
-}
-
 std::vector<std::string> Platform::trace_lines() const {
-  std::vector<metrics::FlightRecorder::RenderedEvent> events;
-  auto append = [&events](const metrics::FlightRecorder& rec) {
-    auto rendered = rec.rendered_events();
-    std::move(rendered.begin(), rendered.end(), std::back_inserter(events));
-  };
+  using Event = metrics::FlightRecorder::RenderedEvent;
+  std::vector<const Event*> events;
   for (const auto& shard : shards_) {
-    if (shard->recorder) append(*shard->recorder);
+    if (!shard->recorder) continue;
+    for (const Event& ev : shard->recorder->rendered_events()) {
+      events.push_back(&ev);
+    }
   }
   // Canonical order: (timestamp, rendered bytes). Ties across shards carry
-  // identical line bytes or commute, so the sorted sequence — unlike raw
-  // ring order — is independent of how hosts were partitioned.
+  // identical line bytes or commute, so the sorted sequence — unlike any
+  // one log's record order — is independent of how hosts were partitioned.
   std::stable_sort(events.begin(), events.end(),
-                   [](const metrics::FlightRecorder::RenderedEvent& a,
-                      const metrics::FlightRecorder::RenderedEvent& b) {
-                     if (a.t != b.t) return a.t < b.t;
-                     return a.line < b.line;
+                   [](const Event* a, const Event* b) {
+                     if (a->t != b->t) return a->t < b->t;
+                     return a->line < b->line;
                    });
   std::vector<std::string> lines;
   lines.reserve(events.size());
-  for (auto& ev : events) lines.push_back(std::move(ev.line));
+  for (const Event* ev : events) lines.push_back(ev->line);
   return lines;
 }
 

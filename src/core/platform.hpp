@@ -197,13 +197,10 @@ class Platform {
 
   // -- tracing ------------------------------------------------------------
 
-  /// Activate flight recording: one ring per shard (workers activate their
-  /// own — recording never crosses threads).
-  void enable_tracing(std::size_t capacity = 1 << 16);
+  /// Activate flight recording: one complete log per shard (workers
+  /// activate their own — recording never crosses threads).
+  void enable_tracing();
   bool tracing() const;
-  /// Events lost to ring wraparound, summed over recorders. trace_lines()
-  /// is complete (and the determinism guarantee byte-exact) only when 0.
-  std::uint64_t trace_dropped() const;
   /// All recorded events rendered to JSONL lines in canonical order —
   /// sorted by (timestamp, line bytes), which is shard-count independent.
   std::vector<std::string> trace_lines() const;

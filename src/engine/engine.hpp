@@ -41,7 +41,7 @@
 //     path, so the event sequence cannot depend on the partition,
 //   * merged ingress is ordered by (stamp, source host global index, per-
 //     source sequence), a total order with no ties,
-//   * per-host rng streams, connection ids and trace rings are keyed on
+//   * per-host rng streams, connection ids and trace events are keyed on
 //     the host's *global* index.
 // Events of different hosts inside one window commute (all mutable state is
 // host-local), so per-host event subsequences are partition-independent by

@@ -11,27 +11,22 @@ thread_local FlightRecorder* g_active = nullptr;
 
 void crash_dump() {
   FlightRecorder* rec = g_active;
-  if (rec == nullptr || rec->size() == 0) return;
+  if (rec == nullptr || rec->rendered_events().empty()) return;
+  const std::size_t held = rec->rendered_events().size();
   // Best effort from a dying process: prefer the results dir, fall back to
   // stderr so the post-mortem is never silently lost.
   if (rec->flush_to_results("trace.jsonl")) {
     std::fprintf(stderr,
                  "p2plab: flight recorder dumped %zu events to "
                  "$P2PLAB_RESULTS_DIR/trace.jsonl\n",
-                 rec->size());
+                 held);
   } else {
-    std::fprintf(stderr, "p2plab: flight recorder (%zu events):\n",
-                 rec->size());
+    std::fprintf(stderr, "p2plab: flight recorder (%zu events):\n", held);
     rec->flush(stderr);
   }
 }
 
 }  // namespace
-
-FlightRecorder::FlightRecorder(std::size_t capacity) {
-  P2PLAB_ASSERT(capacity > 0);
-  buf_.resize(capacity);
-}
 
 FlightRecorder::~FlightRecorder() {
   if (g_active == this) set_active(nullptr);
@@ -40,27 +35,7 @@ FlightRecorder::~FlightRecorder() {
 void FlightRecorder::record(SimTime t, std::string_view subsystem,
                             std::string_view kind,
                             std::vector<TraceField> fields) {
-  Event& slot = buf_[next_];
-  slot.t = t;
-  slot.subsystem.assign(subsystem);
-  slot.kind.assign(kind);
-  slot.fields = std::move(fields);
-  next_ = (next_ + 1) % buf_.size();
-  ++total_;
-}
-
-std::size_t FlightRecorder::size() const {
-  return total_ < buf_.size() ? static_cast<std::size_t>(total_)
-                              : buf_.size();
-}
-
-std::uint64_t FlightRecorder::dropped() const {
-  return total_ <= buf_.size() ? 0 : total_ - buf_.size();
-}
-
-void FlightRecorder::clear() {
-  next_ = 0;
-  total_ = 0;
+  events_.push_back(RenderedEvent{t, render_line(t, subsystem, kind, fields)});
 }
 
 std::string FlightRecorder::escape_json(std::string_view s) {
@@ -87,17 +62,19 @@ std::string FlightRecorder::escape_json(std::string_view s) {
   return out;
 }
 
-std::string FlightRecorder::render_line(const Event& ev) {
+std::string FlightRecorder::render_line(SimTime t, std::string_view subsystem,
+                                        std::string_view kind,
+                                        const std::vector<TraceField>& fields) {
   char num[64];
   std::string out = "{\"t\":";
-  std::snprintf(num, sizeof num, "%.9f", ev.t.to_seconds());
+  std::snprintf(num, sizeof num, "%.9f", t.to_seconds());
   out += num;
   out += ",\"subsystem\":\"";
-  out += escape_json(ev.subsystem);
+  out += escape_json(subsystem);
   out += "\",\"kind\":\"";
-  out += escape_json(ev.kind);
+  out += escape_json(kind);
   out += '"';
-  for (const TraceField& f : ev.fields) {
+  for (const TraceField& f : fields) {
     out += ",\"";
     out += escape_json(f.key);
     out += "\":";
@@ -115,26 +92,10 @@ std::string FlightRecorder::render_line(const Event& ev) {
 }
 
 void FlightRecorder::flush(std::FILE* out) const {
-  const std::size_t held = size();
-  const std::size_t start = total_ > buf_.size() ? next_ : 0;
-  for (std::size_t i = 0; i < held; ++i) {
-    const Event& ev = buf_[(start + i) % buf_.size()];
-    std::fputs(render_line(ev).c_str(), out);
+  for (const RenderedEvent& ev : events_) {
+    std::fputs(ev.line.c_str(), out);
     std::fputc('\n', out);
   }
-}
-
-std::vector<FlightRecorder::RenderedEvent> FlightRecorder::rendered_events()
-    const {
-  std::vector<RenderedEvent> out;
-  const std::size_t held = size();
-  out.reserve(held);
-  const std::size_t start = total_ > buf_.size() ? next_ : 0;
-  for (std::size_t i = 0; i < held; ++i) {
-    const Event& ev = buf_[(start + i) % buf_.size()];
-    out.push_back(RenderedEvent{ev.t, render_line(ev)});
-  }
-  return out;
 }
 
 bool FlightRecorder::flush_to_results(const char* filename) const {

@@ -1,18 +1,18 @@
-// Flight recorder: a bounded ring of structured trace events.
+// Flight recorder: the complete log of a run's structured trace events.
 //
 // Long runs fail rarely and expensively — a 5760-node experiment that trips
 // an assertion after 40 minutes must leave a post-mortem. Subsystems record
-// low-rate structured events (subsystem, sim-time, kind, key/value payload)
-// into a fixed-capacity ring; the newest events overwrite the oldest, so
-// memory stays bounded no matter how long the run. The ring is flushed as
-// JSONL to $P2PLAB_RESULTS_DIR/trace.jsonl on demand, and automatically on
-// assertion failure via the common/assert.hpp crash hook.
+// low-rate structured events (subsystem, sim-time, kind, key/value payload);
+// each is rendered to its JSONL line once, at record time, and appended, so
+// nothing is ever dropped and memory grows only with what was recorded. The
+// log is flushed to $P2PLAB_RESULTS_DIR/trace.jsonl on demand, and
+// automatically on assertion failure via the common/assert.hpp crash hook.
 //
-// Recording is for *events*, not samples: piece completions, connection
-// aborts, health ticks. Per-packet paths use the registry counters instead.
+// Recording is for *events*, not samples: fault injections and recoveries,
+// failed announces, torrent completions. Per-packet paths use the registry
+// counters instead.
 #pragma once
 
-#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <string_view>
@@ -42,7 +42,7 @@ struct TraceField {
 
 class FlightRecorder {
  public:
-  explicit FlightRecorder(std::size_t capacity = 1 << 16);
+  FlightRecorder() = default;
   ~FlightRecorder();
 
   FlightRecorder(const FlightRecorder&) = delete;
@@ -51,32 +51,25 @@ class FlightRecorder {
   void record(SimTime t, std::string_view subsystem, std::string_view kind,
               std::vector<TraceField> fields = {});
 
-  std::size_t capacity() const { return buf_.size(); }
-  /// Events currently held (<= capacity).
-  std::size_t size() const;
-  /// Events recorded over the recorder's lifetime.
-  std::uint64_t recorded() const { return total_; }
-  /// Events overwritten by ring wraparound.
-  std::uint64_t dropped() const;
-  void clear();
-
-  /// Write held events, oldest first, one JSON object per line.
+  /// Write every recorded event, in record order, one JSON object per line.
   void flush(std::FILE* out) const;
   /// Flush to $P2PLAB_RESULTS_DIR/<filename> (a metrics::ResultsFile);
   /// true iff written.
   bool flush_to_results(const char* filename = "trace.jsonl") const;
 
-  /// One held event rendered to the exact bytes flush() would write for it
+  /// One recorded event rendered to the exact bytes flush() writes for it
   /// (sans trailing newline), paired with its timestamp as a sort key.
   struct RenderedEvent {
     SimTime t;
     std::string line;
   };
-  /// Render held events, oldest first. The parallel engine merges the
-  /// per-shard rings into one time-sorted trace from these; because the
+  /// Every recorded event, in record order. The parallel engine merges the
+  /// per-shard logs into one time-sorted trace from these; because the
   /// bytes match flush(), the merged file of K shards is byte-identical to
-  /// a single recorder's flush when no ring dropped events.
-  std::vector<RenderedEvent> rendered_events() const;
+  /// a single recorder's flush.
+  const std::vector<RenderedEvent>& rendered_events() const {
+    return events_;
+  }
 
   /// The active recorder used by P2PLAB_TRACE and dumped on assertion
   /// failure (to trace.jsonl, or stderr without a results dir). Thread
@@ -90,18 +83,11 @@ class FlightRecorder {
   static std::string escape_json(std::string_view s);
 
  private:
-  struct Event {
-    SimTime t;
-    std::string subsystem;
-    std::string kind;
-    std::vector<TraceField> fields;
-  };
+  static std::string render_line(SimTime t, std::string_view subsystem,
+                                 std::string_view kind,
+                                 const std::vector<TraceField>& fields);
 
-  static std::string render_line(const Event& ev);
-
-  std::vector<Event> buf_;
-  std::size_t next_ = 0;   // slot the next record lands in
-  std::uint64_t total_ = 0;
+  std::vector<RenderedEvent> events_;
 };
 
 }  // namespace p2plab::metrics

@@ -90,8 +90,7 @@ std::string expected_keys(const WorkloadPlugin& plugin, bool outputs) {
 
 const std::string& engine_keys() {
   static const std::string keys =
-      "shards|transport|fold|seed|stop|run_for|check_invariants|trace|"
-      "profile|pin";
+      "shards|transport|fold|seed|stop|run_for|check_invariants|pin";
   return keys;
 }
 
@@ -334,8 +333,6 @@ ParseResult parse_scenario(std::string_view source,
   if (!engine_params.take_duration("run_for", &engine.run_for) ||
       !engine_params.take_bool("check_invariants",
                                &engine.check_invariants) ||
-      !engine_params.take_bool("trace", &engine.trace) ||
-      !engine_params.take_bool("profile", &engine.profile) ||
       !engine_params.take_bool("pin", &pin)) {
     return fail_with_error();
   }
@@ -361,9 +358,6 @@ ParseResult parse_scenario(std::string_view source,
       !reject_strays(output_params, /*outputs=*/true)) {
     return fail_with_error();
   }
-  if (!outputs.trace_file.empty()) engine.trace = true;
-  // Naming a profile output turns profiling on, mirroring trace.
-  if (!outputs.profile_trace.empty()) engine.profile = true;
 
   // [topology]
   if (c.topo_auto && (c.topo_include || !c.topo_inline.empty())) {

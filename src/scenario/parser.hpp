@@ -26,12 +26,13 @@
 //   [engine]
 //   shards 1              # >= 1; transport, fold K, seed, pin,
 //   stop all_complete     # survivors_complete | time (+ run_for),
-//   check_invariants off  # trace on|off, profile on|off
+//   check_invariants off  # on: survivors, fault pairing, queue drain
 //
 //   [outputs]             # every key names a file in $P2PLAB_RESULTS_DIR
 //   progress_envelope fig8_progress_envelope
 //   completions fig8_completion_times
 //   bench_json BENCH_fig8
+//   trace trace.jsonl     # naming trace / profile_trace switches it on
 //
 // Durations follow the fault-file convention (bare numbers are seconds);
 // sizes take k/M/G (KiB/MiB/GiB) suffixes; bandwidths and link latencies in

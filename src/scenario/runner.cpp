@@ -29,10 +29,10 @@ void ExperimentRunner::setup() {
   pc.pin_workers = spec_.engine.pin_workers;
   pc.transport = spec_.engine.transport;
   platform_ = std::make_unique<core::Platform>(topo, pc);
-  if (spec_.engine.trace) platform_->enable_tracing();
-  if (spec_.engine.profile) {
+  if (!spec_.outputs.trace_file.empty()) platform_->enable_tracing();
+  if (!spec_.outputs.profile_trace.empty()) {
     platform_->enable_profiling();
-    platform_->profiler().set_crash_filename(spec_.resolved_profile_trace());
+    platform_->profiler().set_crash_filename(spec_.outputs.profile_trace);
   }
 
   workload_ =
@@ -146,9 +146,10 @@ void ExperimentRunner::close_outputs() {
     // Fold first so the rollup shows up in the run report and any later
     // metrics consumers; gauges are set, not added — idempotent.
     platform_->profiler().fold_into(registry_);
-    // Profiling switched on through the platform alone (not `[engine]
-    // profile`) names no timeline file: fold the rollup, write nothing.
-    const std::string file = spec_.resolved_profile_trace();
+    // Profiling switched on through the platform alone (no `[outputs]
+    // profile_trace`) names no timeline file: fold the rollup, write
+    // nothing.
+    const std::string& file = spec_.outputs.profile_trace;
     if (!file.empty()) platform_->flush_profile_to_results(file.c_str());
   }
   std::printf("# run: wall_s=%.3f events=%llu events_per_wall_s=%.4g\n",

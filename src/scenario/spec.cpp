@@ -8,12 +8,6 @@ std::size_t ScenarioSpec::vnodes() const {
   return WorkloadRegistry::instance().require(workload).vnodes(*this);
 }
 
-std::string ScenarioSpec::resolved_profile_trace() const {
-  if (!engine.profile) return "";
-  return outputs.profile_trace.empty() ? "profile.json"
-                                       : outputs.profile_trace;
-}
-
 std::vector<std::string> ScenarioSpec::declared_outputs() const {
   std::vector<std::string> files;
   auto csv_file = [&](const std::string& csv_name) {
@@ -35,9 +29,9 @@ std::vector<std::string> ScenarioSpec::declared_outputs() const {
     files.push_back(outputs.bench_json + ".json");
   }
   if (!outputs.trace_file.empty()) files.push_back(outputs.trace_file);
-  // Declared iff profiling is on: --print-outputs must list profile.json
-  // exactly when a run would write it (the smoke matrix diffs the two).
-  if (engine.profile) files.push_back(resolved_profile_trace());
+  if (!outputs.profile_trace.empty()) {
+    files.push_back(outputs.profile_trace);
+  }
   return files;
 }
 

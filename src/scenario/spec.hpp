@@ -125,11 +125,6 @@ struct EngineSection {
   /// recoveries, the event queue drains once the applications stop.
   /// Failures make the run's exit code nonzero.
   bool check_invariants = false;
-  /// Flight-recorder ring tracing (implied by outputs.trace_file).
-  bool trace = false;
-  /// Wall-clock BSP profiler (implied by outputs.profile_trace). Virtual
-  /// time and event order are bit-identical with profiling on or off.
-  bool profile = false;
   /// Pin shard workers to cores; unset = automatic (pin when the process
   /// affinity mask holds at least `shards` online cores).
   std::optional<bool> pin_workers;
@@ -156,9 +151,12 @@ struct OutputsSection {
   std::string fp_summary;
   // Cross-workload outputs.
   std::string bench_json;     // standardized BENCH_*.json run summary
+  // Naming a file switches its record on: profile_trace runs the
+  // wall-clock BSP profiler (virtual time and event order are bit-identical
+  // with it on or off), trace_file the flight recorder.
   std::string profile_trace;  // Perfetto timeline (full filename)
   std::string metrics;        // health-monitor timeline (name + ".csv")
-  std::string trace_file;     // flight-recorder JSONL flush (full filename)
+  std::string trace_file;     // flight-recorder JSONL log (full filename)
 };
 
 struct ScenarioSpec {
@@ -186,10 +184,6 @@ struct ScenarioSpec {
     }
     return vnodes();
   }
-
-  /// Perfetto timeline file name: outputs.profile_trace when named,
-  /// "profile.json" when profiling is merely switched on, "" when off.
-  std::string resolved_profile_trace() const;
 
   /// File names (with extensions) this run writes into
   /// $P2PLAB_RESULTS_DIR — what the CI smoke matrix checks for.

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
 #include <vector>
@@ -185,16 +186,30 @@ TEST_F(PickerTest, DiscardMakesBlockPickableAgain) {
 
 TEST_F(PickerTest, EndgameMissingBlocks) {
   const Bitfield have = full_have();
+  const auto skip_none = [](const BlockRef&) { return false; };
   // Request everything.
   while (auto ref = picker.pick(have)) picker.on_requested(*ref);
   EXPECT_TRUE(picker.all_missing_requested());
-  const auto missing = picker.missing_blocks(have);
-  EXPECT_EQ(missing.size(), 32u);  // nothing received yet
-  // Receive one block: it leaves the missing set and its request clears.
-  picker.add_block(missing[0]);
-  EXPECT_EQ(picker.missing_blocks(have).size(), 31u);
-  EXPECT_EQ(picker.request_count(missing[0]), 0u);
+  // Nothing received yet: the first missing block is the first block.
+  EXPECT_EQ(picker.first_missing(have, 2, skip_none), (BlockRef{0, 0}));
+  // The caller's own filter passes a block over...
+  EXPECT_EQ(picker.first_missing(have, 2,
+                                 [](const BlockRef& ref) {
+                                   return ref == BlockRef{0, 0};
+                                 }),
+            (BlockRef{0, 1}));
+  // ...and so does the duplication cap.
+  picker.on_requested(BlockRef{0, 0});
+  EXPECT_EQ(picker.first_missing(have, 2, skip_none), (BlockRef{0, 1}));
+  // Receive a block: it leaves the missing set and its request clears.
+  picker.add_block(BlockRef{0, 1});
+  EXPECT_EQ(picker.first_missing(have, 2, skip_none), (BlockRef{0, 2}));
+  EXPECT_EQ(picker.request_count(BlockRef{0, 1}), 0u);
   EXPECT_TRUE(picker.all_missing_requested());
+  // A peer without pieces has nothing to give.
+  EXPECT_FALSE(picker.first_missing(Bitfield(meta.piece_count()), 2,
+                                    skip_none)
+                   .has_value());
 }
 
 TEST_F(PickerTest, CompletedPiecesNeverPicked) {
@@ -469,6 +484,29 @@ void replay(std::uint64_t seed, Coverage& seen) {
                ? random_bitfield()
                : peers[gen.uniform(peers.size())];
   };
+  // The client's endgame query: the first missing block the peer has,
+  // under the duplication cap, that the peer's own inflight filter passes.
+  // The reference answer is the first such block of missing_blocks().
+  const auto check_first_missing = [&] {
+    const Bitfield have = random_peer_have();
+    std::vector<BlockRef> inflight;  // requested from this peer already
+    const double density = gen.uniform01();
+    for (const BlockRef& ref : blocks) {
+      if (gen.chance(density)) inflight.push_back(ref);
+    }
+    const auto in_flight = [&](const BlockRef& ref) {
+      return std::find(inflight.begin(), inflight.end(), ref) !=
+             inflight.end();
+    };
+    std::optional<BlockRef> want;
+    for (const BlockRef& ref : picker.missing_blocks(have)) {
+      if (picker.request_count(ref) < kMaxRequests && !in_flight(ref)) {
+        want = ref;
+        break;
+      }
+    }
+    ASSERT_EQ(download.first_missing(have, kMaxRequests, in_flight), want);
+  };
 
   for (int step = 0; step < 400; ++step) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed << " step " << step);
@@ -548,16 +586,13 @@ void replay(std::uint64_t seed, Coverage& seen) {
         }
         break;
       }
-      case 8: {  // the endgame queries
-        const Bitfield have = random_peer_have();
-        ASSERT_EQ(download.missing_blocks(have), picker.missing_blocks(have));
-        ASSERT_EQ(download.all_missing_requested(),
-                  picker.all_missing_requested());
+      case 8:  // the endgame query, in any state
+        ASSERT_NO_FATAL_FAILURE(check_first_missing());
         break;
-      }
     }
     if (picker.all_missing_requested() && !store.have().all()) {
       ++seen.endgame_states;
+      ASSERT_NO_FATAL_FAILURE(check_first_missing());
     }
 
     ASSERT_EQ(download.have(), store.have());

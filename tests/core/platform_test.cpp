@@ -7,11 +7,13 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "metrics/health.hpp"
+#include "metrics/recorder.hpp"
 
 namespace p2plab::core {
 namespace {
@@ -261,6 +263,50 @@ TEST(Platform, SocketsWorkAcrossTheDeployment) {
   EXPECT_EQ(platform.run(SimTime::max()), Platform::RunResult::kDrained);
   EXPECT_EQ(echoed, 3);
   EXPECT_EQ(replies, 3);
+}
+
+TEST(Platform, TraceKeepsEveryEventOfEveryShard) {
+  // The trace is a complete log, not a bounded ring: a shard that records
+  // more than 2^16 events keeps them all, and the merged lines hold every
+  // event of every shard in (t, line) order.
+  constexpr int kFirst = 70000;  // on shard 0, at t = 1 s
+  constexpr int kLast = 2000;    // on shard 1, at t = 2 s
+  Platform platform(topology::homogeneous_dsl(4),
+                    PlatformConfig{.physical_nodes = 2,
+                                   .shards = 2,
+                                   .pin_workers = false});
+  ASSERT_EQ(platform.shard_count(), 2u);
+  ASSERT_NE(platform.shard_of_pnode(platform.pnode_of_vnode(0)),
+            platform.shard_of_pnode(platform.pnode_of_vnode(3)));
+  platform.enable_tracing();
+  auto burst = [&platform](std::size_t vnode, int events, double at_s) {
+    sim::Simulation& sim = platform.sim_of_vnode(vnode);
+    sim.schedule_at(SimTime::zero() + Duration::seconds(at_s),
+                    [&sim, vnode, events] {
+                      for (int i = 0; i < events; ++i) {
+                        P2PLAB_TRACE(sim.now(), "test", "burst",
+                                     {{"vnode", vnode}, {"i", i}});
+                      }
+                    });
+  };
+  burst(0, kFirst, 1.0);
+  burst(3, kLast, 2.0);
+  platform.run(SimTime::zero() + Duration::sec(3));
+
+  const std::vector<std::string> lines = platform.trace_lines();
+  ASSERT_EQ(lines.size(), std::size_t{kFirst + kLast});
+  EXPECT_TRUE(std::is_sorted(lines.begin(), lines.begin() + kFirst));
+  const std::set<std::string> distinct(lines.begin(), lines.end());
+  EXPECT_EQ(distinct.size(), lines.size());
+  for (std::size_t n = 0; n < lines.size(); ++n) {
+    const bool first = n < kFirst;
+    ASSERT_NE(lines[n].find(first ? "\"t\":1.0" : "\"t\":2.0"),
+              std::string::npos)
+        << lines[n];
+    ASSERT_NE(lines[n].find(first ? "\"vnode\":0," : "\"vnode\":3,"),
+              std::string::npos)
+        << lines[n];
+  }
 }
 
 TEST(Platform, DrainRunFinishesWithMonitorAttached) {

@@ -29,47 +29,40 @@ std::string flush_to_string(const FlightRecorder& rec) {
 }
 
 TEST(FlightRecorder, RecordsAndFlushesJsonl) {
-  FlightRecorder rec(8);
+  FlightRecorder rec;
   rec.record(at_ms(1500), "bt", "torrent_complete",
              {{"ip", "10.0.0.1"}, {"secs", 1.5}});
-  EXPECT_EQ(rec.size(), 1u);
-  EXPECT_EQ(rec.recorded(), 1u);
-  EXPECT_EQ(rec.dropped(), 0u);
+  ASSERT_EQ(rec.rendered_events().size(), 1u);
+  EXPECT_EQ(rec.rendered_events()[0].t, at_ms(1500));
   const std::string out = flush_to_string(rec);
+  EXPECT_EQ(out, rec.rendered_events()[0].line + "\n");
   EXPECT_EQ(out,
             "{\"t\":1.500000000,\"subsystem\":\"bt\","
             "\"kind\":\"torrent_complete\",\"ip\":\"10.0.0.1\","
             "\"secs\":1.5}\n");
 }
 
-TEST(FlightRecorder, RingWrapsOldestFirst) {
-  FlightRecorder rec(4);
+TEST(FlightRecorder, KeepsEveryEventInRecordOrder) {
+  FlightRecorder rec;
+  EXPECT_EQ(flush_to_string(rec), "");
   for (int i = 0; i < 10; ++i) {
     rec.record(at_ms(i), "t", "e", {{"i", i}});
   }
-  EXPECT_EQ(rec.size(), 4u);
-  EXPECT_EQ(rec.recorded(), 10u);
-  EXPECT_EQ(rec.dropped(), 6u);
-  // Held events are the newest four, flushed oldest first: i = 6, 7, 8, 9.
+  ASSERT_EQ(rec.rendered_events().size(), 10u);
+  // Nothing is dropped: every event is flushed, oldest first.
   const std::string out = flush_to_string(rec);
   std::stringstream lines(out);
   std::string line;
-  int expect = 6;
+  int expect = 0;
   while (std::getline(lines, line)) {
+    EXPECT_EQ(line, rec.rendered_events()[static_cast<std::size_t>(expect)]
+                        .line);
     EXPECT_NE(line.find("\"i\":" + std::to_string(expect)),
               std::string::npos)
         << line;
     ++expect;
   }
   EXPECT_EQ(expect, 10);
-}
-
-TEST(FlightRecorder, ClearEmpties) {
-  FlightRecorder rec(4);
-  rec.record(at_ms(0), "t", "e");
-  rec.clear();
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(flush_to_string(rec), "");
 }
 
 TEST(FlightRecorder, EscapesJson) {
@@ -80,7 +73,7 @@ TEST(FlightRecorder, EscapesJson) {
 }
 
 TEST(FlightRecorder, EscapedFieldsSurviveFlush) {
-  FlightRecorder rec(4);
+  FlightRecorder rec;
   rec.record(at_ms(0), "sub\"sys", "kind\n", {{"k\"ey", "v\\al"}});
   const std::string out = flush_to_string(rec);
   EXPECT_EQ(out,
@@ -89,7 +82,7 @@ TEST(FlightRecorder, EscapedFieldsSurviveFlush) {
 }
 
 TEST(FlightRecorder, TraceMacroOnlyRecordsWhenActive) {
-  FlightRecorder rec(4);
+  FlightRecorder rec;
   int evaluations = 0;
   auto payload = [&evaluations] {
     ++evaluations;
@@ -98,18 +91,18 @@ TEST(FlightRecorder, TraceMacroOnlyRecordsWhenActive) {
 
   P2PLAB_TRACE(at_ms(0), "t", "e", {{"k", payload()}});
   EXPECT_EQ(evaluations, 0);  // inactive: payload not evaluated
-  EXPECT_EQ(rec.size(), 0u);
+  EXPECT_TRUE(rec.rendered_events().empty());
 
   FlightRecorder::set_active(&rec);
   P2PLAB_TRACE(at_ms(0), "t", "e", {{"k", payload()}});
   EXPECT_EQ(evaluations, 1);
-  EXPECT_EQ(rec.size(), 1u);
+  EXPECT_EQ(rec.rendered_events().size(), 1u);
   FlightRecorder::set_active(nullptr);
 }
 
 TEST(FlightRecorder, ActiveClearedOnDestruction) {
   {
-    FlightRecorder rec(4);
+    FlightRecorder rec;
     FlightRecorder::set_active(&rec);
     EXPECT_EQ(FlightRecorder::active(), &rec);
   }
@@ -120,7 +113,7 @@ TEST(FlightRecorder, FlushToResultsDir) {
   char dir_template[] = "/tmp/p2plab_rec_XXXXXX";
   ASSERT_NE(mkdtemp(dir_template), nullptr);
   setenv("P2PLAB_RESULTS_DIR", dir_template, 1);
-  FlightRecorder rec(4);
+  FlightRecorder rec;
   rec.record(at_ms(0), "t", "e");
   EXPECT_TRUE(rec.flush_to_results("trace_test.jsonl"));
   unsetenv("P2PLAB_RESULTS_DIR");

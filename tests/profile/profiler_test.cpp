@@ -375,7 +375,7 @@ TEST(ResultsWriters, FullDiskIsReportedAsFailure) {
   }
   EXPECT_FALSE(metrics::write_results_file("full", "{}\n"));
 
-  metrics::FlightRecorder rec(4);
+  metrics::FlightRecorder rec;
   rec.record(SimTime::zero(), "t", "e");
   EXPECT_FALSE(rec.flush_to_results("full"));
 

@@ -43,8 +43,7 @@ constexpr const char* kSwarmWorkloadKeys =
     "type|clients|seeders|file_size|start_interval|content_seed|"
     "max_duration";
 constexpr const char* kEngineKeys =
-    "shards|transport|fold|seed|stop|run_for|check_invariants|trace|"
-    "profile|pin";
+    "shards|transport|fold|seed|stop|run_for|check_invariants|pin";
 
 TEST(ScenarioParser, MinimalSwarmDefaults) {
   const ScenarioSpec spec = parse_ok(
@@ -376,7 +375,7 @@ TEST(ScenarioParser, RunRecordOutputsAreCrossWorkload) {
                                        "metrics run_metrics\n"
                                        "trace run.jsonl\n");
     EXPECT_EQ(spec.outputs.metrics, "run_metrics") << type;
-    EXPECT_TRUE(spec.engine.trace) << type;
+    EXPECT_EQ(spec.outputs.trace_file, "run.jsonl") << type;
     const std::vector<std::string> files = spec.declared_outputs();
     EXPECT_NE(std::find(files.begin(), files.end(), "run_metrics.csv"),
               files.end())
@@ -711,30 +710,39 @@ TEST(ScenarioParser, HashStartsACommentInEverySection) {
   EXPECT_FALSE(spec.faults.plan.specs()[0].rejoin);
 }
 
+/// The unknown-key error every removed [engine] key now gets.
+std::string unknown_engine_key(const std::string& where,
+                               const std::string& key) {
+  return where + ": unknown key '" + key + "' in [engine] (expected " +
+         engine_keys() + ")";
+}
+
 // -- profiling keys -------------------------------------------------------
 
 TEST(ScenarioParserProfile, ProfileKeyAndPinParse) {
+  // The profile's one switch is the file it names.
   const ScenarioSpec spec = parse_ok(
       "scenario x\n"
       "[workload]\n"
       "type swarm\n"
       "[engine]\n"
-      "profile on\n"
-      "pin off\n");
-  EXPECT_TRUE(spec.engine.profile);
+      "pin off\n"
+      "[outputs]\n"
+      "profile_trace profile.json\n");
   ASSERT_TRUE(spec.engine.pin_workers.has_value());
   EXPECT_FALSE(*spec.engine.pin_workers);
-  EXPECT_EQ(spec.resolved_profile_trace(), "profile.json");
+  EXPECT_EQ(spec.outputs.profile_trace, "profile.json");
 }
 
 TEST(ScenarioParserProfile, OffByDefaultAndUndeclared) {
   const ScenarioSpec spec =
       parse_ok("scenario x\n[workload]\ntype swarm\n");
-  EXPECT_FALSE(spec.engine.profile);
+  EXPECT_TRUE(spec.outputs.profile_trace.empty());
+  EXPECT_TRUE(spec.outputs.trace_file.empty());
   EXPECT_FALSE(spec.engine.pin_workers.has_value());
-  EXPECT_EQ(spec.resolved_profile_trace(), "");
   for (const std::string& file : spec.declared_outputs()) {
     EXPECT_EQ(file.find("profile"), std::string::npos) << file;
+    EXPECT_EQ(file.find("trace"), std::string::npos) << file;
   }
 }
 
@@ -745,30 +753,24 @@ TEST(ScenarioParserProfile, ProfileTraceOutputImpliesProfiling) {
       "type swarm\n"
       "[outputs]\n"
       "profile_trace fig_profile.json\n");
-  EXPECT_TRUE(spec.engine.profile);
-  EXPECT_EQ(spec.resolved_profile_trace(), "fig_profile.json");
+  EXPECT_EQ(spec.outputs.profile_trace, "fig_profile.json");
   const std::vector<std::string> files = spec.declared_outputs();
   EXPECT_NE(std::find(files.begin(), files.end(), "fig_profile.json"),
             files.end());
 }
 
 TEST(ScenarioParserProfile, BadProfileValue) {
+  // `[engine] profile` is gone (ScenarioParserRetiredKey covers `on`): any
+  // value, valid or not, now fails on the key.
   EXPECT_EQ(parse_error("scenario x\n"
                         "[workload]\n"
                         "type swarm\n"
                         "[engine]\n"
                         "profile maybe\n"),
-            "line 5: bad value 'maybe' for profile (expected on|off)");
+            unknown_engine_key("line 5", "profile"));
 }
 
 // -- scaling keys (window, barrier and partition are gone) ---------------
-
-/// The unknown-key error every removed [engine] key now gets.
-std::string unknown_engine_key(const std::string& where,
-                               const std::string& key) {
-  return where + ": unknown key '" + key + "' in [engine] (expected " +
-         engine_keys() + ")";
-}
 
 TEST(ScenarioParserScaling, BarrierWindowPartitionParse) {
   // Windows always follow the fixed lookahead grid, the barrier derives its
@@ -942,6 +944,8 @@ const RetiredKey kRetiredKeys[] = {
     {"validate", "workload", "loss_tolerance", "0.3", kValidateWorkloadKeys},
     {"validate", "workload", "jain_min", "0.9", kValidateWorkloadKeys},
     {"swarm", "engine", "physical_nodes", "6", kEngineKeys},
+    {"swarm", "engine", "trace", "on", kEngineKeys},
+    {"swarm", "engine", "profile", "on", kEngineKeys},
 };
 
 class ScenarioParserRetiredKey : public ::testing::TestWithParam<RetiredKey> {
@@ -1122,7 +1126,6 @@ TEST(ShippedScenarios, ChurnMatchesCatalog) {
   EXPECT_EQ(plan[3].extra_latency, Duration::ms(200));
   EXPECT_EQ(spec.engine.stop, StopMode::kSurvivorsComplete);
   EXPECT_TRUE(spec.engine.check_invariants);
-  EXPECT_TRUE(spec.engine.trace);
   EXPECT_EQ(spec.outputs.summary, "churn_summary");
   EXPECT_EQ(spec.outputs.metrics, "churn_metrics");
   EXPECT_EQ(spec.outputs.trace_file, "trace.jsonl");

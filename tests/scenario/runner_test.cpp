@@ -175,8 +175,8 @@ TEST(ExperimentRunner, SwarmFaultOpenAtStopFailsTheRun) {
 }
 
 TEST(ExperimentRunner, PlatformOnlyProfilingFoldsButWritesNothing) {
-  // Profiling enabled on the platform while `[engine] profile` stays off
-  // (how a harness collects the rollup): the rollup reaches the registry,
+  // Profiling enabled on the platform while `[outputs] profile_trace` is
+  // unset (how a harness collects the rollup): the rollup reaches the registry,
   // but no timeline file is named, so none is written and none warned of.
   char dir[] = "/tmp/p2plab_runner_profile_XXXXXX";
   ASSERT_NE(mkdtemp(dir), nullptr);

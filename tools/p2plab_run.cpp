@@ -87,7 +87,9 @@ int main(int argc, char** argv) {
   p2plab::scenario::ScenarioSpec spec = std::move(*result.spec);
   // Applied before --print-outputs so the declared list matches what a
   // `--profile` run would actually write.
-  if (profile) spec.engine.profile = true;
+  if (profile && spec.outputs.profile_trace.empty()) {
+    spec.outputs.profile_trace = "profile.json";
+  }
 
   if (print_outputs) {
     for (const std::string& file : spec.declared_outputs()) {
